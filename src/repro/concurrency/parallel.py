@@ -11,15 +11,26 @@ ever pickled), serving batched op vectors shipped through
 
 Transport
 ---------
-Per worker, one shared-memory segment holds three views: a uint64 key
-vector, a uint64 value vector, and a uint8 found-mask.  A ``get_many``
-scatters keys by shard (one vectorized ``searchsorted`` + stable argsort,
-so in-shard order — and therefore duplicate semantics and simulated
-charges — match the in-process scatter exactly), writes each worker's
-slice into its segment, and gathers values back in key order.  Values
-that are not uint64-encodable (strings, tuples) fall back to the pipe
-for that reply; hosts without ``shared_memory`` fall back to pipe
-transport entirely (``transport="pipe"``).
+Every request is one :class:`Command` record (op, payload, arg, replay
+token, span id), and every payload — request or reply — passes through
+one codec, :func:`_encode` / :func:`_decode`.  Per worker, one
+shared-memory segment holds three lanes: uint64 keys, uint64 values and
+a uint8 mask.  A list of uint64s (``None`` allowed, through the mask) or
+of uint64 ``(key, value)`` pairs that fits the segment is written into
+the lanes and travels as a small :class:`_Lanes` marker; anything else
+(strings, negative keys, scan runs, call arguments) is pickled through
+the pipe.  ``transport="pipe"`` allocates no segment, so everything is
+pickled.
+
+A ``get_many`` scatters keys by shard (one vectorized ``searchsorted`` +
+stable argsort, so in-shard order — and therefore duplicate semantics
+and simulated charges — match the in-process scatter exactly; a key
+outside uint64 routes through :meth:`ShardRouter.shard_of` instead),
+and gathers values back in key order.  Every batch ships in
+``capacity``-sized chunks whatever the transport, so the simulated
+ledger never depends on it.  All shipments go through one fan-out
+(:meth:`_ParallelEngine._fan_out`), which owns down-shard accounting,
+shard spans, replay tokens, the journal and :attr:`worker_ops`.
 
 Two clocks
 ----------
@@ -45,14 +56,14 @@ back and merges into parent-side instances (``Tracer.absorb``,
 With ``span_rate > 0`` the engine additionally records a **causal span
 tree** per sampled request (:mod:`repro.obs.spans`): the request span
 fans into batch and shard spans parent-side, the shard's span id rides
-the command tuple as ``("traced", span_id, cmd)``, and the worker opens
-a worker-kind child span around ``serve`` so tracer lifecycle events
-(RETRAIN, LATCH_WAIT, ...) attach to the originating request after
-:meth:`drain_obs`.  Tracing off (``span_rate=0.0``, the default) takes
-a single ``is None`` branch per request — the shipment hot loops are
-untouched.  Independently, a :class:`~repro.obs.health.HealthMonitor`
-keeps per-worker heartbeats (piggybacked on every reply), flags stalls
-past a threshold, and feeds each worker's flight-recorder ring into
+the command's ``span`` field, and the worker opens a worker-kind child
+span around ``serve`` so tracer lifecycle events (RETRAIN, LATCH_WAIT,
+...) attach to the originating request after :meth:`drain_obs`.
+Tracing off (``span_rate=0.0``, the default) takes a single ``is None``
+branch per request — the shipment hot loops are untouched.
+Independently, a :class:`~repro.obs.health.HealthMonitor` keeps
+per-worker heartbeats (piggybacked on every reply), flags stalls past a
+threshold, and feeds each worker's flight-recorder ring into
 :class:`~repro.errors.WorkerDiedError` postmortems.
 
 Fault tolerance
@@ -60,35 +71,31 @@ Fault tolerance
 With ``restart_budget > 0`` the engine is fail-*recover* instead of
 fail-stop: a worker that dies (or overruns ``worker_timeout_s``) is
 respawned, its partition rebuilt from the retained bulk part plus an
-ordered journal of acknowledged mutation batches, and the in-flight
+ordered journal of acknowledged mutation commands, and the in-flight
 command re-issued exactly once — callers never observe the failure.
-Mutations ship inside idempotent token envelopes ``("tok", t, cmd)``;
-once the budget is spent the engine degrades per ``degraded``:
-``"fail"`` latches broken (the pre-supervision default), ``"partial"``
-serves the surviving shards with ``None`` holes for reads and
-:class:`~repro.errors.ShardUnavailableError` for writes.  See
-:mod:`repro.concurrency.supervise` for the policy and the
-deterministic :class:`~repro.concurrency.supervise.FaultPlan`
-injection harness.
+Every mutation carries a monotone replay ``token``; the parent keeps
+each payload it sent, so a re-issue or a journal replay simply encodes
+it again.  Once the budget is spent the engine degrades per
+``degraded``: ``"fail"`` latches broken (the pre-supervision default),
+``"partial"`` serves the surviving shards with ``None`` holes for reads
+and :class:`~repro.errors.ShardUnavailableError` for writes.  See
+:mod:`repro.concurrency.supervise` for the policy and the deterministic
+:class:`~repro.concurrency.supervise.FaultPlan` injection harness, which
+a worker plays through a connection wrapper only when it has directives.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
 import sys
 import time
 import traceback
 import weakref
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from multiprocessing import shared_memory
+from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover
-    _shm = None
 
 from repro.concurrency.sharding import (
     ShardRouter,
@@ -99,12 +106,12 @@ from repro.concurrency.sharding import (
 from repro.concurrency.supervise import (
     DEFAULT_BACKOFF_BASE_S,
     DEFAULT_BACKOFF_CAP_S,
+    FaultInjector,
     FaultPlan,
     WorkerSupervisor,
     _RecoveryFailed,
-    base_op,
-    match_faults,
 )
+from repro.core.approximation.vectorized import as_u64
 from repro.core.interfaces import Index, IndexStats, SortedIndex
 from repro.errors import ReproError, ShardUnavailableError, WorkerDiedError
 from repro.obs.health import (
@@ -124,10 +131,25 @@ from repro.perf.latency import LatencyRecorder
 #: 2^16 entries keep a segment at ~1.1 MB (8+8+1 bytes per slot).
 DEFAULT_CAPACITY = 1 << 16
 
-_U64_MAX = 1 << 64
+
+# ------------------------------------------------------------ wire format
 
 
-# ------------------------------------------------------------ shm layout
+class Command(NamedTuple):
+    """One request to a worker.
+
+    ``payload`` is the op's data — keys, ``(key, value)`` items, scan
+    starts or call arguments — and the only field the codec moves;
+    ``arg`` is its small parameter (write mode, scan count, call
+    method).  ``token`` is the replay token a mutation carries (None for
+    reads), ``span`` the parent-side shard span id of a traced request.
+    """
+
+    op: str
+    payload: Any = None
+    arg: Any = None
+    token: Optional[int] = None
+    span: Optional[str] = None
 
 
 class _Segment:
@@ -154,24 +176,66 @@ class _Segment:
         return 17 * capacity
 
 
-def _encode_values(values: Sequence[Any], seg: _Segment) -> bool:
-    """Write ``values`` into ``seg.vals``/``seg.mask``; False if any value
-    is not uint64-encodable (caller falls back to the pipe)."""
-    vals, mask = seg.vals, seg.mask
-    for i, v in enumerate(values):
-        if v is None:
-            vals[i] = 0
-            mask[i] = 0
-        elif type(v) is int and 0 <= v < _U64_MAX:
-            vals[i] = v
-            mask[i] = 1
-        else:
-            return False
-    return True
+class _Lanes(NamedTuple):
+    """Wire stand-in for a payload held in the segment: ``n`` entries,
+    as ``(key, value)`` pairs in the key and value lanes when ``pairs``,
+    else in the key lane with ``None`` where the mask is 0."""
+
+    n: int
+    pairs: bool
 
 
-def _items_encodable(values: Sequence[Any]) -> bool:
-    return all(type(v) is int and 0 <= v < _U64_MAX for v in values)
+def _encode(payload: Any, seg: Optional[_Segment]) -> Any:
+    """The wire form of ``payload``: a :class:`_Lanes` marker when it fits
+    ``seg``'s lanes, else the payload itself (pickled by the pipe)."""
+    if isinstance(payload, np.ndarray) and payload.dtype == np.uint64:
+        # A scatter piece of keys: it reaches the worker as a list.
+        if seg is None or payload.size > seg.capacity:
+            return payload.tolist()
+        n = payload.size
+        seg.keys[:n] = payload
+        seg.mask[:n] = 1
+        return _Lanes(n, False)
+    if seg is None or type(payload) is not list:
+        return payload
+    n = len(payload)
+    if not 0 < n <= seg.capacity:
+        return payload
+    if type(payload[0]) is tuple:
+        try:
+            keys = as_u64([k for k, _ in payload])
+            vals = as_u64([v for _, v in payload])
+        except (TypeError, ValueError):  # not all pairs
+            return payload
+        if keys is None or vals is None:
+            return payload
+        seg.keys[:n] = keys
+        seg.vals[:n] = vals
+        return _Lanes(n, True)
+    keys = as_u64(payload)
+    if keys is not None:
+        seg.mask[:n] = 1
+    else:
+        keys = as_u64([0 if v is None else v for v in payload])
+        if keys is None:
+            return payload
+        seg.mask[:n] = [v is not None for v in payload]
+    seg.keys[:n] = keys
+    return _Lanes(n, False)
+
+
+def _decode(wire: Any, seg: Optional[_Segment]) -> Any:
+    """The payload ``wire`` stands for (inverse of :func:`_encode`)."""
+    if type(wire) is not _Lanes:
+        return wire
+    n = wire.n
+    keys = seg.keys[:n].tolist()
+    if wire.pairs:
+        return list(zip(keys, seg.vals[:n].tolist()))
+    mask = seg.mask[:n]
+    if mask.all():
+        return keys
+    return [k if m else None for k, m in zip(keys, mask.tolist())]
 
 
 # ------------------------------------------------------------ worker side
@@ -250,8 +314,8 @@ class _WorkerState:
                 self.target = factory(self.perf)
 
         self.seg: Optional[_Segment] = None
-        if cfg["shm_name"] is not None and _shm is not None:
-            shm = _shm.SharedMemory(name=cfg["shm_name"])
+        if cfg["shm_name"] is not None:
+            shm = shared_memory.SharedMemory(name=cfg["shm_name"])
             # Under spawn, attaching registers the segment with the
             # worker's own resource tracker, which would unlink it when
             # the worker exits; unregister — the parent owns the unlink.
@@ -271,18 +335,6 @@ class _WorkerState:
 
     # -- command handlers ---------------------------------------------
 
-    def _shm_items(self, n: int) -> List[Tuple[int, int]]:
-        keys = self.seg.keys[:n].tolist()
-        vals = self.seg.vals[:n].tolist()
-        return list(zip(keys, vals))
-
-    def _reply_values(self, values: List[Any], n: int):
-        """Prefer the shm vector for uint64 replies; else pickle them."""
-        if self.seg is not None and n <= self.seg.capacity:
-            if _encode_values(values, self.seg):
-                return ("shm", n)
-        return ("obj", values)
-
     def _stats(self) -> IndexStats:
         target = self.target
         if isinstance(target, ShardedStore):
@@ -294,64 +346,35 @@ class _WorkerState:
             return target.index.stats()
         return target.stats()
 
-    def serve(self, cmd: tuple):
-        """Dispatch one command tuple; returns the reply meta."""
-        op = cmd[0]
+    def serve(self, op: str, payload: Any, arg: Any) -> Any:
+        """Apply one decoded command to the shard; returns the reply."""
+        target = self.target
         if op == "get_many":
-            keys = self.seg.keys[: cmd[1]].tolist()
-            return self._reply_values(self.target.get_many(keys), len(keys))
-        if op == "get_many_pipe":
-            return ("obj", self.target.get_many(cmd[1]))
-        if op == "write_many":
-            _, n, mode = cmd
-            return self._write(self._shm_items(n), mode)
-        if op == "write_many_pipe":
-            _, items, mode = cmd
-            return self._write(items, mode)
+            return target.get_many(payload)
+        if op == "write_many":  # insert_many / upsert_many / put_many
+            return getattr(target, f"{arg}_many")(payload)
+        if op == "scan_many":
+            return target.scan_many(payload, arg)
         if op == "bulk_chunk":
-            self.pending_items.extend(self._shm_items(cmd[1]))
-            return ("obj", None)
-        if op == "bulk_chunk_pipe":
-            self.pending_items.extend(cmd[1])
-            return ("obj", None)
+            self.pending_items.extend(payload)
+            return None
         if op == "bulk_end":
             items, self.pending_items = self.pending_items, []
-            self.target.bulk_load(items)
-            return ("obj", len(items))
-        if op == "scan_many":
-            _, n, count = cmd
-            starts = self.seg.keys[:n].tolist()
-            return ("obj", self.target.scan_many(starts, count))
-        if op == "scan_many_pipe":
-            _, starts, count = cmd
-            return ("obj", self.target.scan_many(starts, count))
+            target.bulk_load(items)
+            return len(items)
         if op == "call":
-            _, method, args = cmd
-            if method == "len":
-                return ("obj", len(self.target))
-            if method == "contains":
-                return ("obj", args[0] in self.target)
-            if method == "range":
-                return ("obj", list(self.target.range(*args)))
-            if method == "stats":
-                return ("obj", self._stats())
-            return ("obj", getattr(self.target, method)(*args))
+            if arg == "len":
+                return len(target)
+            if arg == "contains":
+                return payload[0] in target
+            if arg == "range":
+                return list(target.range(*payload))
+            if arg == "stats":
+                return self._stats()
+            return getattr(target, arg)(*payload)
         if op == "obs":
-            return ("obj", self._obs_payload())
+            return self._obs_payload()
         raise ReproError(f"unknown worker command {op!r}")
-
-    def _write(self, items: List[Tuple[int, Any]], mode: str):
-        if mode == "insert":
-            self.target.insert_many(items)
-            return ("obj", None)
-        if mode == "upsert":
-            return self._reply_values(
-                self.target.upsert_many(items), len(items)
-            )
-        if mode == "put":
-            self.target.put_many(items)
-            return ("obj", None)
-        raise ReproError(f"unknown write mode {mode!r}")
 
     def _obs_payload(self) -> dict:
         return {
@@ -372,8 +395,8 @@ class _WorkerState:
             self.seg = None
 
 
-#: Reply meta for a mutation whose replay token was already applied
-#: (idempotent-envelope dedup; the parent treats it as a no-op ack).
+#: Reply to a mutation whose replay token was already applied
+#: (idempotent dedup; the parent treats it as a no-op ack).
 DUP_MARKER = "__repro_dup__"
 
 
@@ -387,117 +410,68 @@ def _worker_main(conn, cfg: dict) -> None:
         finally:
             conn.close()
         return
-    conn.send(("ok", ("obj", "ready"), None, 0.0, None))
+    conn.send(("ok", "ready", None, 0.0, None))
+    if cfg["fault"]:  # scripted faults (tests / bench_recovery) only
+        conn = FaultInjector(conn, cfg["fault"], state.incarnation)
     ops_total = state.metrics.counter(
         "repro_worker_cmds_total", worker=str(state.worker_id)
     )
     wall_hist = state.metrics.histogram(
         "repro_worker_cmd_wall_ns", worker=str(state.worker_id)
     )
+    seg = state.seg
     served = 0
     busy_ns = 0.0
-    # Fault injection (tests / bench_recovery): scripted directives for
-    # this worker, matched per op name against 1-based serve ordinals.
-    faults = list(cfg.get("fault") or ())
-    incarnation = cfg.get("incarnation", 0)
-    fault_counts: Dict[str, int] = {}
     # Idempotent replay: highest mutation token applied so far.  Tokens
     # at or below it are acknowledged without re-applying, so a journal
     # replay that races a late duplicate can never double-apply.
     last_token = 0
-
-    def fired(op: str, phase: str) -> list:
-        if not faults:
-            return []
-        return match_faults(faults, incarnation, op, fault_counts[op], phase)
 
     while True:
         try:
             cmd = conn.recv()
         except (EOFError, OSError):
             break
-        if cmd[0] == "close":
-            fault_counts["close"] = fault_counts.get("close", 0) + 1
-            if any(d["action"] == "drop" for d in fired("close", "after")):
-                continue  # scripted shutdown-refusal: parent must escalate
-            conn.send(("ok", ("obj", None), None, 0.0, (served, busy_ns)))
+        if cmd.op == "close":
+            conn.send(("ok", None, None, 0.0, (served, busy_ns)))
             break
-        token = None
-        if cmd[0] == "tok":
-            _, token, cmd = cmd
-        # Span-context propagation: a traced envelope carries the
-        # parent-side shard span id; the worker span nests under it.
-        span_ctx = None
-        if cmd[0] == "traced":
-            _, span_ctx, cmd = cmd
-        op = base_op(cmd[0])
-        fault_counts[op] = fault_counts.get(op, 0) + 1
-        for d in fired(op, "before"):
-            if d["action"] == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-        if token is not None and token <= last_token:
+        if cmd.token is not None and cmd.token <= last_token:
             served += 1
-            conn.send(
-                ("ok", ("obj", DUP_MARKER), None, 0.0, (served, busy_ns))
-            )
+            conn.send(("ok", DUP_MARKER, None, 0.0, (served, busy_ns)))
             continue
         wspan = None
-        if state.spans is not None and span_ctx is not None:
+        if state.spans is not None and cmd.span is not None:
             wspan = state.spans.start(
-                f"cmd:{cmd[0]}", "worker", parent=span_ctx
+                f"cmd:{cmd.op}", "worker", parent=cmd.span
             )
             state.spans.current = wspan
         t0 = time.perf_counter()
         mark = state.perf.begin()
         try:
-            meta = state.serve(cmd)
+            payload = _decode(cmd.payload, seg)
+            reply = _encode(state.serve(cmd.op, payload, cmd.arg), seg)
         except BaseException as exc:
             if state.spans is not None:
                 state.spans.current = None
             conn.send(("err", _pickle_safe(exc), traceback.format_exc()))
             continue
-        if token is not None:
-            last_token = token
-        after = fired(op, "after")
-        for d in after:
-            if d["action"] == "kill":
-                # Applied but unacknowledged: the exactly-once case the
-                # supervisor's rebuild-then-replay must get right.
-                os.kill(os.getpid(), signal.SIGKILL)
+        if cmd.token is not None:
+            last_token = cmd.token
         measured = state.perf.end(mark)
         wall_ns = (time.perf_counter() - t0) * 1e9
+        ops = len(payload) if type(payload) is list else 1
         if wspan is not None:
             state.spans.current = None
-            state.spans.finish(
-                wspan, ops=_cmd_ops(cmd), sim_ns=measured.time_ns
-            )
+            state.spans.finish(wspan, ops=ops, sim_ns=measured.time_ns)
         ops_total.inc()
         wall_hist.record(wall_ns)
-        state.profiler.record_measured(
-            cmd[0], measured, ops=_cmd_ops(cmd) or 1
-        )
+        state.profiler.record_measured(cmd.op, measured, ops=ops or 1)
         delta = {k: v for k, v in measured.counters.as_dict().items() if v}
         served += 1
         busy_ns += wall_ns
-        for d in after:
-            if d["action"] == "delay" and d["delay_s"] > 0:
-                time.sleep(d["delay_s"])
-        if any(d["action"] == "drop" for d in after):
-            continue  # served silently: exercises the parent deadline path
-        conn.send(("ok", meta, delta, wall_ns, (served, busy_ns)))
+        conn.send(("ok", reply, delta, wall_ns, (served, busy_ns)))
     state.close()
     conn.close()
-
-
-def _cmd_ops(cmd: tuple) -> int:
-    """How many logical operations a command covers (profiler split)."""
-    op = cmd[0]
-    if op in ("get_many", "write_many", "bulk_chunk", "scan_many"):
-        return cmd[1]
-    if op in ("get_many_pipe", "bulk_chunk_pipe", "write_many_pipe",
-              "scan_many_pipe"):
-        return len(cmd[1])
-    return 1
 
 
 def _pickle_safe(exc: BaseException) -> Optional[BaseException]:
@@ -522,9 +496,10 @@ class _WorkerHandle:
         self.proc = proc
         self.conn = conn
         self.seg = seg
-        #: ``(cmd_name, replayable_cmd)`` of the one in-flight command
-        #: (at most one per worker at any time), for supervised re-issue.
-        self.pending: Optional[Tuple[str, tuple]] = None
+        #: The one in-flight command (at most one per worker at any
+        #: time), its payload as the caller gave it, for a supervised
+        #: re-issue.
+        self.pending: Optional[Command] = None
         #: ``time.monotonic()`` of the in-flight send (deadline base).
         self.sent_t: Optional[float] = None
 
@@ -622,7 +597,7 @@ class _ParallelEngine:
         #: A cheap local instance for name/sortedness/capability probing.
         self.probe = spec.build(PerfContext(), **overrides)
         self.router = ShardRouter(workers)
-        self._boundaries = np.asarray(self.router.boundaries, dtype=np.uint64)
+        self._boundaries = as_u64(self.router.boundaries)
         self._capacity = capacity
         self._store_mode = store
         self._closed = False
@@ -664,11 +639,9 @@ class _ParallelEngine:
         self._base_items: List[Optional[List[Tuple[int, Any]]]] = (
             [None] * workers
         )
-        #: Ordered acknowledged mutation batches per worker, as
-        #: ``(token, pipe_cmd)`` — replayed verbatim after a rebuild.
-        self._journal: List[List[Tuple[int, tuple]]] = [
-            [] for _ in range(workers)
-        ]
+        #: Ordered acknowledged mutation commands per worker (tokens
+        #: kept, spans dropped) — replayed verbatim after a rebuild.
+        self._journal: List[List[Command]] = [[] for _ in range(workers)]
         #: Non-None only while a bulk load is in flight: workers whose
         #: partition a mid-load recovery already rebuilt end-to-end.
         self._bulk_done: Optional[set] = None
@@ -683,7 +656,7 @@ class _ParallelEngine:
         methods = multiprocessing.get_all_start_methods()
         self._start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(self._start_method)
-        use_shm = transport in ("auto", "shm") and _shm is not None
+        use_shm = transport != "pipe"
         # Sub-shard split: worker w owns shards[w] in-process sub-shards
         # so --shards K > --workers N still builds K range partitions.
         base, extra = divmod(shards, workers)
@@ -702,24 +675,23 @@ class _ParallelEngine:
                 seg = None
                 if use_shm:
                     try:
-                        shm = _shm.SharedMemory(
+                        shm = shared_memory.SharedMemory(
                             create=True, size=_Segment.nbytes(capacity)
                         )
                         seg = _Segment(shm, capacity)
                     except OSError:
                         if transport == "shm":
                             raise
-                        use_shm = False  # fall back to pipe for the rest
+                        use_shm = False  # pickle everything for the rest
                 self._handles.append(self._spawn_handle(w, seg))
             self._finalizer = weakref.finalize(
                 self, _finalize_pool, self._handles
             )
             for h in self._handles:  # wait for builds; surfaces errors
-                self._recv(h, "build", recover=False)
+                self._recv(h, recover=False)
         except BaseException:
             _finalize_pool(self._handles)
             raise
-        self._shm_on = all(h.seg is not None for h in self._handles)
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -758,46 +730,39 @@ class _ParallelEngine:
     def _respawn(self, w: int, seg: Optional[_Segment]) -> _WorkerHandle:
         """Spawn the next incarnation of worker ``w`` and await its build.
 
-        The shared-memory segment is reused: the parent owns it, it
-        survives the worker's death, and any in-flight request payload
-        it holds stays valid for the re-issue.
+        The shared-memory segment is reused: the parent owns it and it
+        survives the worker's death.
         """
         self._incarnations[w] += 1
         h = self._spawn_handle(w, seg)
-        self._recv_direct(h)  # ready handshake
+        self._direct(h)  # ready handshake
         return h
 
     def _rebuild_worker(self, h: _WorkerHandle) -> None:
         """Reconstruct a respawned worker's state: bulk part + journal.
 
-        Uses pipe-form commands only (the shm segment may hold the
-        pending request's payload) and drops the replies' perf deltas —
-        replayed work was already charged when first acknowledged, so
-        recovery leaves the parent's simulated totals bit-identical to
-        an unfailed run.
+        Drops the replies' perf deltas — replayed work was already
+        charged when first acknowledged, so recovery leaves the parent's
+        simulated totals bit-identical to an unfailed run.
         """
         w = h.worker_id
         part = self._base_items[w]
         if part is not None:
-            step = max(1, self._capacity)
+            step = self._capacity
             for lo in range(0, len(part), step):
-                self._send_direct(h, ("bulk_chunk_pipe", part[lo : lo + step]))
-                self._recv_direct(h)
-            self._send_direct(h, ("bulk_end",))
-            self._recv_direct(h)
-        for tok, cmd in self._journal[w]:
-            self._send_direct(h, ("tok", tok, cmd))
-            self._recv_direct(h)
+                self._direct(h, Command("bulk_chunk", part[lo : lo + step]))
+            self._direct(h, Command("bulk_end"))
+        for cmd in self._journal[w]:
+            self._direct(h, cmd)
 
-    @staticmethod
-    def _send_direct(h: _WorkerHandle, cmd: tuple) -> None:
-        try:
-            h.conn.send(cmd)
-        except (BrokenPipeError, OSError):
-            raise _RecoveryFailed("send")
-
-    def _recv_direct(self, h: _WorkerHandle):
-        """One reply outside health/perf accounting (recovery path)."""
+    def _direct(self, h: _WorkerHandle, cmd: Optional[Command] = None):
+        """Send ``cmd`` (if any) and await one reply, outside health and
+        perf accounting (recovery path)."""
+        if cmd is not None:
+            try:
+                h.conn.send(cmd._replace(payload=_encode(cmd.payload, h.seg)))
+            except (BrokenPipeError, OSError):
+                raise _RecoveryFailed("send")
         while not h.conn.poll(0.05):
             if not h.proc.is_alive():
                 raise _RecoveryFailed("recv")
@@ -812,7 +777,6 @@ class _ParallelEngine:
             raise ReproError(
                 f"shard worker {h.worker_id} failed during recovery:\n{tb}"
             )
-        return reply[1]
 
     # -- low-level transport ------------------------------------------
 
@@ -824,30 +788,18 @@ class _ParallelEngine:
                 raise self._broken_err
             raise WorkerDiedError(self._broken)
 
-    def _send(
-        self, h: _WorkerHandle, cmd: tuple, replay: Optional[tuple] = None
-    ) -> None:
-        """Ship one command; record what a supervised re-issue would send.
+    def _send(self, h: _WorkerHandle, cmd: Command) -> None:
+        """Ship one command, keeping it for a supervised re-issue.
 
-        ``replay`` overrides the re-issue form when re-sending ``cmd``
-        verbatim would be wrong (shm ``write_many``: a journal replay
-        during rebuild may clobber the segment's value lane with its
-        reply, so writes record their pipe form).  Send errors are
-        swallowed — every command has exactly one matching ``_recv``,
-        which is where death is detected and recovery decided.
+        Send errors are swallowed — every command has exactly one
+        matching ``_recv``, which is where death is detected and
+        recovery decided.
         """
-        inner = cmd
-        span_id = None
-        if inner[0] == "tok":
-            inner = inner[2]
-        if inner[0] == "traced":
-            span_id = inner[1]
-            inner = inner[2]
-        self.health.sent(h.worker_id, inner[0], span_id=span_id)
-        h.pending = (inner[0], cmd if replay is None else replay)
+        self.health.sent(h.worker_id, cmd.op, span_id=cmd.span)
+        h.pending = cmd
         h.sent_t = time.monotonic()
         try:
-            h.conn.send(cmd)
+            h.conn.send(cmd._replace(payload=_encode(cmd.payload, h.seg)))
         except (BrokenPipeError, OSError):
             pass
 
@@ -875,14 +827,15 @@ class _ParallelEngine:
         )
         raise self._broken_err
 
-    def _recv(self, h: _WorkerHandle, cmd_name: str, recover: bool = True):
-        """One reply; surfaces worker death instead of hanging forever.
+    def _recv(self, h: _WorkerHandle, recover: bool = True):
+        """One decoded reply; surfaces worker death instead of hanging.
 
         With ``recover`` (every post-build command), a death or
         deadline overrun routes through the supervisor, which either
         returns the re-issued command's reply — the caller never learns
         a failure happened — or raises the degradation error.
         """
+        cmd_name = h.pending.op if h.pending is not None else "build"
         deadline = None
         if (
             recover
@@ -923,21 +876,84 @@ class _ParallelEngine:
             raise ReproError(
                 f"shard worker {h.worker_id} failed serving {cmd_name!r}:\n{tb}"
             )
-        _, meta, delta, wall_ns, heartbeat = reply
+        _, wire, delta, wall_ns, heartbeat = reply
         self.health.reply(h.worker_id, wall_ns, heartbeat)
         if delta:
             counters = self.perf.counters
             for name, v in delta.items():
                 setattr(counters, name, getattr(counters, name) + v)
         self.busy_ns[h.worker_id] += wall_ns
-        return meta
+        return _decode(wire, h.seg)
+
+    def _fan_out(
+        self,
+        shipments: List[Tuple[int, Command, int]],
+        parent: Optional[Span] = None,
+        mutate: bool = False,
+    ) -> List[Any]:
+        """Send ``(worker, command, ops)`` shipments — at most one per
+        worker — then return their decoded replies in the same order.
+
+        Everything shipments share happens here.  A shard out of service
+        (or one that goes down mid-call) answers a
+        :class:`ShardUnavailableError` in its slot, its ``ops`` counted
+        unavailable; a live one adds ``ops`` to :attr:`worker_ops`.
+        Under a sampled ``parent`` span each shipment gets a shard span
+        whose id rides the command.  With ``mutate`` each command draws
+        its worker's next replay token and joins the journal once
+        acknowledged.  A worker-side error is raised only after every
+        other reply has been read, so no reply is left in a pipe.
+        """
+        replies: List[Any] = [None] * len(shipments)
+        error: Optional[Exception] = None
+        inflight = []
+        for i, (w, cmd, ops) in enumerate(shipments):
+            if self._down[w]:
+                self._count_unavailable(w, ops)
+                replies[i] = ShardUnavailableError(
+                    f"shard {w} is out of service", worker_id=w, lost_ops=ops
+                )
+                continue
+            self.worker_ops[w] += ops
+            span = None
+            if parent is not None:
+                span = self.spans.start(
+                    f"shard:{w}", "shard", parent=parent.span_id, worker=w,
+                    ops=ops,
+                )
+            token = None
+            if mutate:
+                self._tokens[w] += 1
+                token = self._tokens[w]
+            cmd = Command(
+                cmd.op, cmd.payload, cmd.arg, token,
+                None if span is None else span.span_id,
+            )
+            h = self._handles[w]
+            self._send(h, cmd)
+            inflight.append((i, h, ops, cmd, span))
+        for i, h, ops, cmd, span in inflight:
+            try:
+                replies[i] = self._recv(h)
+                if mutate:
+                    self._journal[h.worker_id].append(cmd._replace(span=None))
+            except ShardUnavailableError as exc:
+                self._count_unavailable(h.worker_id, ops)
+                replies[i] = exc
+            except Exception as exc:
+                error = error or exc
+            self._finish(span)
+        if error is not None:
+            raise error
+        return replies
 
     # -- degraded-mode accounting --------------------------------------
 
     def _count_unavailable(self, w: int, n: int) -> None:
-        self.metrics.counter(
-            "repro_shard_unavailable_total", worker=str(w)
-        ).inc(n)
+        if n:
+            self.metrics.counter(
+                "repro_shard_unavailable_total", worker=str(w)
+            ).inc(n)
 
     def availability(self) -> List[bool]:
         """Per-shard serving mask; ``False`` = degraded out of service."""
@@ -951,194 +967,167 @@ class _ParallelEngine:
             return None
         return self.spans.start(f"request:{name}", "request", **attrs)
 
-    @staticmethod
-    def _wrap(cmd: tuple, shard_span: Optional[Span]) -> tuple:
-        """Envelope ``cmd`` with the shard span id when the request is
-        sampled; untraced commands ship unwrapped (no-op fast path)."""
-        if shard_span is None:
-            return cmd
-        return ("traced", shard_span.span_id, cmd)
+    def _finish(self, span: Optional[Span]) -> None:
+        if span is not None:
+            self.spans.finish(span)
 
-    @staticmethod
-    def _degraded_read_default(method: str):
-        if method in ("scan", "range"):
-            return []
-        if method == "contains":
-            return False
-        return None
+    # -- scalar calls --------------------------------------------------
 
-    def _call(self, w: int, cmd: tuple, mutate: bool = False):
+    def _call(
+        self, w: int, method: str, args: tuple = (), mutate: bool = False,
+        ops: int = 1,
+    ):
+        """Run ``method(*args)`` on worker ``w``'s shard."""
         self._ensure_live()
-        name = cmd[1] if cmd[0] == "call" else cmd[0]
-        if self._down[w]:
-            self._count_unavailable(w, 1)
+        req = self._req_span(method, worker=w)
+        (reply,) = self._fan_out(
+            [(w, Command("call", args, method), ops)], req, mutate
+        )
+        self._finish(req)
+        if isinstance(reply, ShardUnavailableError):
             if mutate:
-                raise ShardUnavailableError(
-                    f"shard {w} is out of service; cannot apply {name!r}",
-                    worker_id=w,
-                    lost_ops=1,
-                )
-            return self._degraded_read_default(name)
-        req = self._req_span(name, worker=w)
-        h = self._handles[w]
-        sspan = None
-        if req is not None:
-            sspan = self.spans.start(
-                f"shard:{w}", "shard", parent=req.span_id, worker=w
-            )
-        wrapped = self._wrap(cmd, sspan)
-        tok = None
-        if mutate:
-            self._tokens[w] += 1
-            tok = self._tokens[w]
-            wrapped = ("tok", tok, wrapped)
-        self._send(h, wrapped)
-        try:
-            meta = self._recv(h, cmd[0])
-        except ShardUnavailableError:
-            self._count_unavailable(w, 1)
-            if req is not None:
-                self.spans.finish(sspan)
-                self.spans.finish(req)
-            if mutate:
-                raise
-            return self._degraded_read_default(name)
-        if mutate:
-            self._journal[w].append((tok, cmd))
-        if req is not None:
-            self.spans.finish(sspan)
-            self.spans.finish(req)
-        return meta[1] if meta[0] == "obj" else meta
+                raise reply
+            if method in ("scan", "range"):
+                return []
+            return False if method == "contains" else None
+        return reply
 
-    def _broadcast(self, cmd: tuple) -> List[Any]:
+    def _keyed(self, method: str, key: int, *rest, mutate: bool = False):
+        """``method(key, *rest)`` on the shard owning ``key``."""
+        return self._call(
+            self.router.shard_of(key), method, (key, *rest), mutate
+        )
+
+    def _broadcast(self, cmd: Sequence) -> List[Any]:
+        """Run ``cmd`` (a :class:`Command`, or a tuple of its leading
+        fields) on every live shard; returns the survivors' replies."""
         self._ensure_live()
-        live = [h for h in self._handles if not self._down[h.worker_id]]
-        for h in live:
-            self._send(h, cmd)
-        out: List[Any] = []
-        for h in live:
-            try:
-                out.append(self._recv(h, cmd[0])[1])
-            except ShardUnavailableError:
-                continue  # went down mid-broadcast: merge the survivors
-        return out
-
-    def _decode_values(self, h: _WorkerHandle, meta, n: int) -> List[Any]:
-        if meta[0] == "shm":
-            vals = h.seg.vals[:n].tolist()
-            mask = h.seg.mask[:n].tolist()
-            return [v if m else None for v, m in zip(vals, mask)]
-        return meta[1]
+        cmd = Command(*cmd)
+        replies = self._fan_out([(w, cmd, 0) for w in range(self.workers)])
+        return [r for r in replies if not isinstance(r, ShardUnavailableError)]
 
     # -- scatter/gather ------------------------------------------------
 
-    def _scatter(self, keys_arr: np.ndarray):
-        """(order, sorted_keys, counts) grouping ``keys_arr`` by worker.
+    def _scatter(self, keys: List[Any], entries: List[Any]):
+        """Group ``entries`` by the worker owning each of ``keys``.
 
-        Stable sort by shard id: in-shard order equals input order, so
-        duplicate-key semantics and per-shard ``get_many`` charge streams
-        match the in-process scatter bit-for-bit.
+        Returns ``(order, pieces)``: every non-empty ``(worker,
+        entries)`` group in worker order, and the input position of each
+        grouped entry (None for one worker: the identity).  The sort is
+        stable, so in-shard order equals input order and duplicate-key
+        semantics and per-shard charge streams match the in-process
+        scatter bit-for-bit.  uint64 keys route through one vectorized
+        ``searchsorted``, any other key through ``ShardRouter.shard_of``.
         """
         if self.workers == 1:
-            return None, keys_arr, [len(keys_arr)]
-        sid = np.searchsorted(self._boundaries, keys_arr, side="right")
-        order = np.argsort(sid, kind="stable")
-        counts = np.bincount(sid, minlength=self.workers).tolist()
-        return order, keys_arr[order], counts
-
-    def _chunk_step(self, n: int) -> int:
-        return self._capacity if self._shm_on else max(n, 1)
-
-    def _get_many(self, keys: Sequence[int]) -> List[Optional[Any]]:
-        self._ensure_live()
-        keys = list(keys)
-        req = self._req_span("get_many", ops=len(keys))
-        out: List[Optional[Any]] = [None] * len(keys)
-        step = self._chunk_step(len(keys))
-        for lo in range(0, len(keys), step):
-            self._get_chunk(keys[lo : lo + step], out, lo, req)
-        if req is not None:
-            self.spans.finish(req)
-        return out
-
-    def _get_chunk(self, chunk, out, base, req: Optional[Span] = None) -> None:
-        t0 = time.perf_counter()
-        batch = None
-        if req is not None:
-            batch = self.spans.start(
-                "batch:get", "batch", parent=req.span_id, base=base,
-                ops=len(chunk),
-            )
-        order, sorted_keys, counts = self._scatter(
-            np.asarray(chunk, dtype=np.uint64)
-        )
-        active: List[Tuple[Optional[_WorkerHandle], int, int, Optional[Span]]] = []
-        off = 0
-        for w, n in enumerate(counts):
-            if not n:
-                continue
-            piece = sorted_keys[off : off + n]
-            off += n
-            if self._down[w]:
-                self._count_unavailable(w, n)
-                active.append((None, w, n, None))
-                continue
-            h = self._handles[w]
-            self.worker_ops[w] += n
-            sspan = None
-            if batch is not None:
-                sspan = self.spans.start(
-                    f"shard:{w}", "shard", parent=batch.span_id, worker=w,
-                    ops=n,
-                )
-            if self._shm_on:
-                h.seg.keys[:n] = piece
-                self._send(h, self._wrap(("get_many", n), sspan))
-            else:
-                self._send(
-                    h, self._wrap(("get_many_pipe", piece.tolist()), sspan)
-                )
-            active.append((h, w, n, sspan))
-        gathered: List[Any] = []
-        for h, w, n, sspan in active:
-            if h is None:  # down shard: degraded None holes
-                gathered.extend([None] * n)
-                continue
-            try:
-                meta = self._recv(h, "get_many")
-            except ShardUnavailableError:
-                self._count_unavailable(w, n)
-                meta = None
-            if sspan is not None:
-                self.spans.finish(sspan)
-            if meta is None:
-                gathered.extend([None] * n)
-            else:
-                gathered.extend(self._decode_values(h, meta, n))
-        if order is None:
-            out[base : base + len(gathered)] = gathered
+            return None, [(0, entries)]
+        arr = as_u64(keys) if self._boundaries is not None else None
+        if arr is not None:
+            sid = np.searchsorted(self._boundaries, arr, side="right")
         else:
-            for pos, v in zip(order.tolist(), gathered):
-                out[base + pos] = v
-        if batch is not None:
-            self.spans.finish(batch)
-        if chunk:
+            sid = np.array([self.router.shard_of(k) for k in keys], np.intp)
+        order = np.argsort(sid, kind="stable")
+        if arr is not None and entries is keys:
+            grouped = arr[order]  # uint64 pieces go straight to the lanes
+        else:
+            grouped = [entries[i] for i in order.tolist()]
+        pieces = []
+        off = 0
+        for w, n in enumerate(np.bincount(sid, minlength=self.workers)):
+            if n:
+                pieces.append((w, grouped[off : off + n]))
+                off += n
+        return order, pieces
+
+    def _batch(
+        self, entries: Sequence, mode: Optional[str] = None
+    ) -> Optional[List[Any]]:
+        """A batched get (``mode`` None) or write (``mode`` insert, upsert
+        or put): ``capacity``-sized chunks, each scattered by shard,
+        shipped as one command per worker and gathered back into input
+        order.  Returns the per-entry values (gets) or old values
+        (upserts).
+
+        Reads on an out-of-service shard answer ``None``; writes on one
+        raise :class:`ShardUnavailableError` once the surviving shards
+        have been applied.
+        """
+        self._ensure_live()
+        entries = list(entries)
+        op = "get_many" if mode is None else "write_many"
+        want = mode in (None, "upsert")
+        req = self._req_span(
+            op if mode is None else f"{op}:{mode}", ops=len(entries)
+        )
+        out: Optional[List[Any]] = [None] * len(entries) if want else None
+        lost: List[Tuple[int, int]] = []
+        step = self._capacity
+        for base in range(0, len(entries), step):
+            t0 = time.perf_counter()
+            chunk = entries[base : base + step]
+            batch = None
+            if req is not None:
+                batch = self.spans.start(
+                    f"batch:{mode or 'get'}", "batch", parent=req.span_id,
+                    base=base, ops=len(chunk),
+                )
+            keys = chunk if mode is None else [k for k, _ in chunk]
+            order, pieces = self._scatter(keys, chunk)
+            replies = self._fan_out(
+                [(w, Command(op, p, mode), len(p)) for w, p in pieces],
+                batch,
+                mutate=mode is not None,
+            )
+            gathered: List[Any] = []
+            for (w, piece), reply in zip(pieces, replies):
+                if isinstance(reply, ShardUnavailableError):
+                    lost.append((w, len(piece)))
+                if want:
+                    gathered.extend(
+                        reply if type(reply) is list else [None] * len(piece)
+                    )
+            if want:
+                if order is None:
+                    out[base : base + len(gathered)] = gathered
+                else:
+                    for pos, v in zip(order.tolist(), gathered):
+                        out[base + pos] = v
+            self._finish(batch)
             self.wall_recorder.record(
                 (time.perf_counter() - t0) * 1e9 / len(chunk)
             )
+        self._finish(req)
+        if mode is not None and lost:
+            total = sum(n for _, n in lost)
+            shards = sorted({w for w, _ in lost})
+            raise ShardUnavailableError(
+                f"write batch lost {total} op(s) on out-of-service "
+                f"shard(s) {shards}; surviving shards were applied",
+                worker_id=shards[0],
+                lost_ops=total,
+            )
+        return out
+
+    def _scan(self, start: int, count: int) -> List[Tuple[int, Any]]:
+        """Scalar scan: drain the start shard, then its right neighbours."""
+        out: List[Tuple[int, Any]] = []
+        for w in range(self.router.shard_of(start), self.workers):
+            out.extend(self._call(w, "scan", (start, count - len(out))))
+            if len(out) >= count:
+                break
+        return out
 
     def _scan_many(
-        self, starts: Sequence[int], count: int, count_ops: bool = False
+        self, starts: Sequence[int], count: int
     ) -> List[List[Tuple[int, Any]]]:
         """Batched cross-worker scans via grouped spill rounds.
 
         Starts open on their home worker; scans still short of ``count``
         after draining it spill to the next worker, regrouped by
         ``(worker, remaining)`` so every round ships one command per
-        group.  The per-worker call multiset equals sequential scalar
-        ``scan`` calls, so simulated charges match bit-for-bit.  Start
-        keys ride the shared-memory segment; runs hold ``(key, value)``
-        tuples, so replies always come back over the pipe.
+        group and capacity chunk, one per worker at a time.  The
+        per-worker call multiset equals sequential scalar ``scan``
+        calls, so simulated charges match bit-for-bit.
         """
         self._ensure_live()
         starts = list(starts)
@@ -1148,6 +1137,7 @@ class _ParallelEngine:
             (i, self.router.shard_of(start), count)
             for i, start in enumerate(starts)
         ]
+        step = self._capacity
         spill_round = 0
         while pending:
             batch = None
@@ -1160,183 +1150,39 @@ class _ParallelEngine:
             groups: dict = {}
             for i, w, rem in pending:
                 groups.setdefault((w, rem), []).append(i)
-            pending = []
+            queues: List[list] = [[] for _ in range(self.workers)]
             for (w, rem), members in sorted(groups.items()):
-                t0 = time.perf_counter()
-                if self._down[w]:
-                    # Down shard contributes nothing; scans spill past it
-                    # (a gap in the results, counted per skipped op).
-                    self._count_unavailable(w, len(members))
-                    for i in members:
-                        if w + 1 < self.workers:
-                            pending.append((i, w + 1, rem))
-                    continue
-                if count_ops:
-                    self.worker_ops[w] += len(members)
-                runs: List[List[Tuple[int, Any]]] = []
-                step = self._chunk_step(len(members))
                 for lo in range(0, len(members), step):
-                    piece = [starts[i] for i in members[lo : lo + step]]
-                    if self._down[w]:  # went down earlier in this group
-                        self._count_unavailable(w, len(piece))
-                        runs.extend([[] for _ in piece])
-                        continue
-                    h = self._handles[w]
-                    sspan = None
-                    if batch is not None:
-                        sspan = self.spans.start(
-                            f"shard:{w}", "shard", parent=batch.span_id,
-                            worker=w, ops=len(piece),
-                        )
-                    if self._shm_on:
-                        h.seg.keys[: len(piece)] = np.asarray(
-                            piece, dtype=np.uint64
-                        )
-                        self._send(
-                            h,
-                            self._wrap(("scan_many", len(piece), rem), sspan),
-                        )
-                    else:
-                        self._send(
-                            h, self._wrap(("scan_many_pipe", piece, rem), sspan)
-                        )
-                    try:
-                        runs.extend(self._recv(h, "scan_many")[1])
-                    except ShardUnavailableError:
-                        self._count_unavailable(w, len(piece))
-                        runs.extend([[] for _ in piece])
-                    if sspan is not None:
-                        self.spans.finish(sspan)
-                for i, run in zip(members, runs):
-                    results[i].extend(run)
-                    if len(results[i]) < count and w + 1 < self.workers:
-                        pending.append((i, w + 1, count - len(results[i])))
+                    queues[w].append((rem, members[lo : lo + step]))
+            pending = []
+            while any(queues):
+                t0 = time.perf_counter()
+                wave = [(w, q.pop(0)) for w, q in enumerate(queues) if q]
+                replies = self._fan_out(
+                    [
+                        (w, Command("scan_many", [starts[i] for i in m], rem),
+                         len(m))
+                        for w, (rem, m) in wave
+                    ],
+                    batch,
+                )
+                ops = 0
+                for (w, (rem, members)), runs in zip(wave, replies):
+                    if isinstance(runs, ShardUnavailableError):
+                        # A down shard contributes nothing; its scans
+                        # spill past it (a gap, counted per skipped op).
+                        runs = [[] for _ in members]
+                    for i, run in zip(members, runs):
+                        results[i].extend(run)
+                        if len(results[i]) < count and w + 1 < self.workers:
+                            pending.append((i, w + 1, count - len(results[i])))
+                    ops += len(members)
                 self.wall_recorder.record(
-                    (time.perf_counter() - t0) * 1e9 / len(members)
+                    (time.perf_counter() - t0) * 1e9 / ops
                 )
-            if batch is not None:
-                self.spans.finish(batch)
-        if req is not None:
-            self.spans.finish(req)
+            self._finish(batch)
+        self._finish(req)
         return results
-
-    def _write_many(
-        self, items: Sequence[Tuple[int, Any]], mode: str, want_old: bool
-    ) -> Optional[List[Optional[Any]]]:
-        self._ensure_live()
-        items = list(items)
-        req = self._req_span(f"write_many:{mode}", ops=len(items))
-        out: Optional[List[Optional[Any]]] = (
-            [None] * len(items) if want_old else None
-        )
-        step = self._chunk_step(len(items))
-        for lo in range(0, len(items), step):
-            self._write_chunk(items[lo : lo + step], mode, out, lo, req)
-        if req is not None:
-            self.spans.finish(req)
-        return out
-
-    def _write_chunk(
-        self, chunk, mode, out, base, req: Optional[Span] = None
-    ) -> None:
-        t0 = time.perf_counter()
-        batch = None
-        if req is not None:
-            batch = self.spans.start(
-                f"batch:{mode}", "batch", parent=req.span_id, base=base,
-                ops=len(chunk),
-            )
-        keys_arr = np.fromiter(
-            (k for k, _ in chunk), dtype=np.uint64, count=len(chunk)
-        )
-        order, _, counts = self._scatter(keys_arr)
-        ordered = (
-            chunk if order is None else [chunk[i] for i in order.tolist()]
-        )
-        shm_ok = self._shm_on and _items_encodable([v for _, v in ordered])
-        active: List[tuple] = []  # (h|None, w, n, sspan, piece, tok)
-        lost: List[Tuple[int, int]] = []
-        off = 0
-        for w, n in enumerate(counts):
-            if not n:
-                continue
-            piece = ordered[off : off + n]
-            off += n
-            if self._down[w]:
-                self._count_unavailable(w, n)
-                lost.append((w, n))
-                active.append((None, w, n, None, piece, None))
-                continue
-            h = self._handles[w]
-            self.worker_ops[w] += n
-            sspan = None
-            if batch is not None:
-                sspan = self.spans.start(
-                    f"shard:{w}", "shard", parent=batch.span_id, worker=w,
-                    ops=n,
-                )
-            self._tokens[w] += 1
-            tok = self._tokens[w]
-            pipe_cmd = ("write_many_pipe", piece, mode)
-            if shm_ok:
-                h.seg.keys[:n] = np.fromiter(
-                    (k for k, _ in piece), dtype=np.uint64, count=n
-                )
-                h.seg.vals[:n] = np.fromiter(
-                    (v for _, v in piece), dtype=np.uint64, count=n
-                )
-                self._send(
-                    h,
-                    ("tok", tok, self._wrap(("write_many", n, mode), sspan)),
-                    replay=("tok", tok, pipe_cmd),
-                )
-            else:
-                self._send(h, ("tok", tok, self._wrap(pipe_cmd, sspan)))
-            active.append((h, w, n, sspan, piece, tok))
-        gathered: List[Any] = []
-        for h, w, n, sspan, piece, tok in active:
-            if h is None:  # down shard: the batch loses these ops
-                if out is not None:
-                    gathered.extend([None] * n)
-                continue
-            try:
-                meta = self._recv(h, "write_many")
-            except ShardUnavailableError:
-                self._count_unavailable(w, n)
-                lost.append((w, n))
-                meta = None
-            if sspan is not None:
-                self.spans.finish(sspan)
-            if meta is not None:
-                self._journal[w].append(
-                    (tok, ("write_many_pipe", piece, mode))
-                )
-            if out is not None:
-                if meta is None:
-                    gathered.extend([None] * n)
-                else:
-                    gathered.extend(self._decode_values(h, meta, n))
-        if out is not None:
-            if order is None:
-                out[base : base + len(gathered)] = gathered
-            else:
-                for pos, v in zip(order.tolist(), gathered):
-                    out[base + pos] = v
-        if batch is not None:
-            self.spans.finish(batch)
-        if chunk:
-            self.wall_recorder.record(
-                (time.perf_counter() - t0) * 1e9 / len(chunk)
-            )
-        if lost:
-            total = sum(n for _, n in lost)
-            shards = sorted({w for w, _ in lost})
-            raise ShardUnavailableError(
-                f"write batch lost {total} op(s) on out-of-service "
-                f"shard(s) {shards}; surviving shards were applied",
-                worker_id=shards[0],
-                lost_ops=total,
-            )
 
     # -- construction --------------------------------------------------
 
@@ -1355,86 +1201,44 @@ class _ParallelEngine:
             )
         items = list(items)
         req = self._req_span("bulk_load", ops=len(items))
-        self.router = ShardRouter.from_keys(
-            [k for k, _ in items], self.workers
-        )
-        self._boundaries = np.asarray(self.router.boundaries, dtype=np.uint64)
         keys = [k for k, _ in items]
-        cuts = [0]
-        from bisect import bisect_left
-
-        for b in self.router.boundaries:
-            cuts.append(bisect_left(keys, b))
+        self.router = ShardRouter.from_keys(keys, self.workers)
+        self._boundaries = as_u64(self.router.boundaries)
+        cuts = [0] + [bisect_left(keys, b) for b in self.router.boundaries]
         cuts.append(len(items))
         parts = [items[cuts[w] : cuts[w + 1]] for w in range(self.workers)]
         # Retain the rebuild recipe: a recovery rebuilds worker w from
         # parts[w] + its (now reset) mutation journal.  A death while
-        # shipping rebuilds the *whole* part and marks w done below.
+        # shipping rebuilds the *whole* part and marks w done, so every
+        # round below skips it.
         self._base_items = parts
         self._journal = [[] for _ in range(self.workers)]
         self._bulk_done = set()
+        step = self._capacity
+
+        def rounds():
+            # One chunk in flight per worker, then bulk_end to all
+            # workers at once so the builds overlap.
+            for lo in range(0, max(map(len, parts)), step):
+                yield [
+                    (w, Command("bulk_chunk", part[lo : lo + step]), 0)
+                    for w, part in enumerate(parts)
+                    if lo < len(part) and w not in self._bulk_done
+                ]
+            yield [
+                (w, Command("bulk_end"), 0)
+                for w in range(self.workers)
+                if w not in self._bulk_done
+            ]
+
         try:
-            # Ship chunks round-robin (one in flight per worker), then
-            # issue bulk_end to all workers at once so builds overlap.
-            step = self._capacity if self._shm_on else max(len(items), 1)
-            offsets = [0] * self.workers
-            while True:
-                active = []
-                for w, part in enumerate(parts):
-                    if w in self._bulk_done or offsets[w] >= len(part):
-                        continue
-                    piece = part[offsets[w] : offsets[w] + step]
-                    offsets[w] += len(piece)
-                    h = self._handles[w]
-                    sspan = None
-                    if req is not None:
-                        sspan = self.spans.start(
-                            f"shard:{w}", "shard", parent=req.span_id,
-                            worker=w, ops=len(piece),
-                        )
-                    if self._shm_on and _items_encodable(
-                        [v for _, v in piece]
-                    ):
-                        n = len(piece)
-                        h.seg.keys[:n] = np.fromiter(
-                            (k for k, _ in piece), dtype=np.uint64, count=n
-                        )
-                        h.seg.vals[:n] = np.fromiter(
-                            (v for _, v in piece), dtype=np.uint64, count=n
-                        )
-                        self._send(h, self._wrap(("bulk_chunk", n), sspan))
-                    else:
-                        self._send(
-                            h, self._wrap(("bulk_chunk_pipe", piece), sspan)
-                        )
-                    active.append((h, sspan))
-                if not active:
-                    break
-                for h, sspan in active:
-                    self._recv(h, "bulk_chunk")
-                    if sspan is not None:
-                        self.spans.finish(sspan)
-            enders = []
-            for w in range(self.workers):
-                if w in self._bulk_done:
-                    continue
-                h = self._handles[w]
-                sspan = None
-                if req is not None:
-                    sspan = self.spans.start(
-                        f"shard:{w}", "shard", parent=req.span_id, worker=w,
-                        build=True,
-                    )
-                self._send(h, self._wrap(("bulk_end",), sspan))
-                enders.append((h, sspan))
-            for h, sspan in enders:
-                self._recv(h, "bulk_end")
-                if sspan is not None:
-                    self.spans.finish(sspan)
+            for shipments in rounds():
+                for reply in self._fan_out(shipments, req):
+                    if isinstance(reply, ShardUnavailableError):
+                        raise reply
         finally:
             self._bulk_done = None
-        if req is not None:
-            self.spans.finish(req)
+        self._finish(req)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -1452,7 +1256,7 @@ class _ParallelEngine:
         worker/event spans into the parent's request trees — their ids are
         globally unique by prefix, so parent links resolve after the merge.
         """
-        payloads = self._broadcast(("obs",))
+        payloads = self._broadcast(Command("obs"))
         for p in payloads:
             if tracer is not None:
                 tracer.absorb(p["trace_counts"], p["trace_records"])
@@ -1489,7 +1293,7 @@ class _ParallelEngine:
         for h in self._handles:
             if h.proc.is_alive():
                 try:
-                    h.conn.send(("close",))
+                    h.conn.send(Command("close"))
                 except (BrokenPipeError, OSError):
                     pass
         deadline = time.monotonic() + self._close_timeout_s
@@ -1524,12 +1328,13 @@ class _ParallelEngine:
     # -- shared read-side API ------------------------------------------
 
     def stats(self) -> IndexStats:
-        parts = self._broadcast(("call", "stats", ()))
-        lens = self._broadcast(("call", "len", ()))
-        return merge_index_stats(parts, lens)
+        return merge_index_stats(
+            self._broadcast(Command("call", (), "stats")),
+            self._broadcast(Command("call", (), "len")),
+        )
 
     def __len__(self) -> int:
-        return sum(self._broadcast(("call", "len", ())))
+        return sum(self._broadcast(Command("call", (), "len")))
 
 
 class ParallelShardedIndex(_ParallelEngine, Index):
@@ -1554,52 +1359,38 @@ class ParallelShardedIndex(_ParallelEngine, Index):
         self._bulk_load(items)
 
     def get(self, key: int) -> Optional[Any]:
-        return self._call(self.router.shard_of(key), ("call", "get", (key,)))
+        return self._keyed("get", key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[Any]]:
-        return self._get_many(keys)
+        return self._batch(keys)
 
     # writes
     def insert(self, key: int, value: Any) -> None:
-        self._call(
-            self.router.shard_of(key),
-            ("call", "insert", (key, value)),
-            mutate=True,
-        )
+        self._keyed("insert", key, value, mutate=True)
 
     def insert_many(self, items: Sequence[Tuple[int, Any]]) -> None:
-        self._write_many(items, "insert", want_old=False)
+        self._batch(items, "insert")
 
     def upsert(self, key: int, value: Any) -> Optional[Any]:
-        return self._call(
-            self.router.shard_of(key),
-            ("call", "upsert", (key, value)),
-            mutate=True,
-        )
+        return self._keyed("upsert", key, value, mutate=True)
 
     def upsert_many(
         self, items: Sequence[Tuple[int, Any]]
     ) -> List[Optional[Any]]:
-        return self._write_many(items, "upsert", want_old=True)
+        return self._batch(items, "upsert")
 
     def update(self, key: int, value: Any) -> bool:
-        return self._call(
-            self.router.shard_of(key),
-            ("call", "update", (key, value)),
-            mutate=True,
-        )
+        return self._keyed("update", key, value, mutate=True)
 
     def delete(self, key: int) -> bool:
-        return self._call(
-            self.router.shard_of(key), ("call", "delete", (key,)), mutate=True
-        )
+        return self._keyed("delete", key, mutate=True)
 
     # metadata
     def size_bytes(self) -> int:
-        return sum(self._broadcast(("call", "size_bytes", ())))
+        return sum(self._broadcast(Command("call", (), "size_bytes")))
 
     def key_store_bytes(self) -> int:
-        return sum(self._broadcast(("call", "key_store_bytes", ())))
+        return sum(self._broadcast(Command("call", (), "key_store_bytes")))
 
     def capabilities(self):
         return self.probe.capabilities()
@@ -1609,14 +1400,7 @@ class ParallelSortedShardedIndex(ParallelShardedIndex, SortedIndex):
     """Sorted variant: cross-worker scans drain left-to-right in order."""
 
     def scan(self, start: int, count: int) -> List[Tuple[int, Any]]:
-        out: List[Tuple[int, Any]] = []
-        for w in range(self.router.shard_of(start), self.workers):
-            out.extend(
-                self._call(w, ("call", "scan", (start, count - len(out))))
-            )
-            if len(out) >= count:
-                break
-        return out
+        return self._scan(start, count)
 
     def scan_many(
         self, starts: Sequence[int], count: int
@@ -1625,7 +1409,7 @@ class ParallelSortedShardedIndex(ParallelShardedIndex, SortedIndex):
 
     def range(self, lo: int, hi: int) -> Iterator[Tuple[int, Any]]:
         for w in range(self.router.shard_of(lo), self.workers):
-            yield from self._call(w, ("call", "range", (lo, hi)))
+            yield from self._call(w, "range", (lo, hi))
 
 
 def parallel_sharded_index(
@@ -1675,46 +1459,30 @@ class ParallelShardedStore(_ParallelEngine):
         self._bulk_load(items)
 
     def get(self, key: int) -> Optional[Any]:
-        w = self.router.shard_of(key)
-        self.worker_ops[w] += 1
-        return self._call(w, ("call", "get", (key,)))
+        return self._keyed("get", key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[Any]]:
-        return self._get_many(keys)
+        return self._batch(keys)
 
     def put(self, key: int, value: Any) -> None:
-        w = self.router.shard_of(key)
-        self.worker_ops[w] += 1
-        self._call(w, ("call", "put", (key, value)), mutate=True)
+        self._keyed("put", key, value, mutate=True)
 
     def put_many(self, items: Sequence[Tuple[int, Any]]) -> None:
-        self._write_many(items, "put", want_old=False)
+        self._batch(items, "put")
 
     def update(self, key: int, value: Any) -> bool:
-        w = self.router.shard_of(key)
-        self.worker_ops[w] += 1
-        return self._call(w, ("call", "update", (key, value)), mutate=True)
+        return self._keyed("update", key, value, mutate=True)
 
     def delete(self, key: int) -> bool:
-        w = self.router.shard_of(key)
-        self.worker_ops[w] += 1
-        return self._call(w, ("call", "delete", (key,)), mutate=True)
+        return self._keyed("delete", key, mutate=True)
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, Any]]:
-        out: List[Tuple[int, Any]] = []
-        for w in range(self.router.shard_of(start_key), self.workers):
-            self.worker_ops[w] += 1
-            out.extend(
-                self._call(w, ("call", "scan", (start_key, count - len(out))))
-            )
-            if len(out) >= count:
-                break
-        return out
+        return self._scan(start_key, count)
 
     def scan_many(
         self, starts: Sequence[int], count: int
     ) -> List[List[Tuple[int, Any]]]:
-        return self._scan_many(starts, count, count_ops=True)
+        return self._scan_many(starts, count)
 
     def gc(self) -> int:
         # Per-worker mutating calls (not a broadcast): gc changes store
@@ -1724,19 +1492,17 @@ class ParallelShardedStore(_ParallelEngine):
         for w in range(self.workers):
             if self._down[w]:
                 continue
-            reclaimed = self._call(w, ("call", "gc", ()), mutate=True)
+            reclaimed = self._call(w, "gc", mutate=True, ops=0)
             if reclaimed:
                 total += reclaimed
         return total
 
     def __contains__(self, key: int) -> bool:
-        return self._call(
-            self.router.shard_of(key), ("call", "contains", (key,))
-        )
+        return self._keyed("contains", key)
 
     def space_overhead(self) -> dict:
         out: dict = {}
-        for part in self._broadcast(("call", "space_overhead", ())):
+        for part in self._broadcast(Command("call", (), "space_overhead")):
             for k, v in part.items():
                 out[k] = out.get(k, 0) + v
         return out

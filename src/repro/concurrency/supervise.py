@@ -26,16 +26,16 @@ worker death or per-command timeout,
 
 Exactly-once, precisely
 -----------------------
-Replay tokens (monotone per-worker integers wrapped around every
-mutation command as ``("tok", t, cmd)``) make the protocol idempotent
-at the transport layer: a worker remembers the highest token it has
-applied and acknowledges — without re-applying — any token at or below
-it.  The *load-bearing* guarantee, however, is structural: a respawned
-worker starts from zero state and reconstructs exclusively from the
-journal of **acknowledged** batches plus a single re-issue of the
-unacknowledged in-flight command.  Both legs of the classic two
-generals' ambiguity (did the dead worker apply the batch before dying
-or not?) converge to the same rebuilt state.
+Replay tokens (monotone per-worker integers in the ``token`` field of
+every mutation :class:`~repro.concurrency.parallel.Command`) make the
+protocol idempotent at the transport layer: a worker remembers the
+highest token it has applied and acknowledges — without re-applying —
+any token at or below it.  The *load-bearing* guarantee, however, is
+structural: a respawned worker starts from zero state and reconstructs
+exclusively from the journal of **acknowledged** batches plus a single
+re-issue of the unacknowledged in-flight command.  Both legs of the
+classic two generals' ambiguity (did the dead worker apply the batch
+before dying or not?) converge to the same rebuilt state.
 
 Deterministic fault injection
 -----------------------------
@@ -45,16 +45,20 @@ op X*, *drop reply N* (serve but stay silent — exercises the parent's
 deadline path), *delay reply N by D seconds*.  Directives target a
 specific worker **incarnation** (0 = original process, 1 = first
 respawn, ...), so tests can script repeated failures and assert the
-backoff/budget ladder deterministically.  Used by
+backoff/budget ladder deterministically.  A worker with directives
+wraps its pipe in a :class:`FaultInjector`, which plays them; a worker
+without any serves over the bare pipe.  Used by
 ``tests/test_parallel_engine.py`` and ``benchmarks/bench_recovery.py``.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import ReproError, ShardUnavailableError, WorkerDiedError
 from repro.obs.health import format_flight
@@ -76,9 +80,9 @@ _PHASES = ("before", "after")
 class FaultDirective:
     """One scripted fault, matched worker-side against served commands.
 
-    ``op`` names the logical command (``"get_many"``, ``"write_many"``,
-    ``"scan_many"``, ``"call"``, ``"bulk_chunk"``, ... — pipe variants
-    match their shm name) or ``None`` for any command; ``nth`` is the
+    ``op`` names the command (``"get_many"``, ``"write_many"``,
+    ``"scan_many"``, ``"call"``, ``"bulk_chunk"``, ``"bulk_end"``,
+    ``"close"``) or ``None`` for any command; ``nth`` is the
     1-based match ordinal *per op name*; ``when`` selects whether a
     ``kill`` fires before or **after** the command was applied (the
     applied-but-unacknowledged case that exactly-once replay must
@@ -183,11 +187,6 @@ class FaultPlan:
         return [d.to_dict() for d in self.directives if d.worker == worker]
 
 
-def base_op(op: str) -> str:
-    """Transport-independent command name (``get_many_pipe``→``get_many``)."""
-    return op[:-5] if op.endswith("_pipe") else op
-
-
 def match_faults(
     directives: List[dict], incarnation: int, op: str, ordinal: int,
     phase: str,
@@ -211,6 +210,60 @@ def match_faults(
             continue
         out.append(d)
     return out
+
+
+class FaultInjector:
+    """A worker's pipe, wrapped to play that worker's fault directives.
+
+    Every command received counts toward its op's ordinal.  ``before``
+    kills fire on receipt; the ``after`` directives fire on the
+    command's reply: a kill (the command was applied but never
+    acknowledged), a delay, or a drop (the reply is withheld).  A
+    dropped ``close`` is swallowed on receipt instead, so the worker
+    keeps serving and the parent has to escalate.
+    """
+
+    def __init__(self, conn, directives: List[dict], incarnation: int):
+        self._conn = conn
+        self._directives = directives
+        self._incarnation = incarnation
+        self._counts: Dict[str, int] = {}
+        self._op: Optional[str] = None
+
+    def _matched(self, phase: str) -> List[dict]:
+        if self._op is None:  # nothing received yet
+            return []
+        return match_faults(
+            self._directives, self._incarnation, self._op,
+            self._counts[self._op], phase,
+        )
+
+    def recv(self):
+        while True:
+            cmd = self._conn.recv()
+            self._op = cmd.op
+            self._counts[cmd.op] = self._counts.get(cmd.op, 0) + 1
+            if self._matched("before"):  # only kills fire before serving
+                os.kill(os.getpid(), signal.SIGKILL)
+            if cmd.op == "close" and any(
+                d["action"] == "drop" for d in self._matched("after")
+            ):
+                continue  # scripted shutdown refusal
+            return cmd
+
+    def send(self, reply: Any) -> None:
+        after = self._matched("after")
+        actions = {d["action"] for d in after}
+        if "kill" in actions:
+            os.kill(os.getpid(), signal.SIGKILL)
+        for d in after:
+            if d["action"] == "delay":
+                time.sleep(d["delay_s"])
+        if "drop" not in actions:  # a drop serves silently
+            self._conn.send(reply)
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 class _RecoveryFailed(Exception):
@@ -266,8 +319,8 @@ class WorkerSupervisor:
     def handle_failure(self, h: "_WorkerHandle", cmd_name: str, reason: str):
         """Recover worker ``h.worker_id`` or degrade the engine.
 
-        Returns the reply meta of the re-issued in-flight command when
-        recovery succeeds (the engine's ``_recv`` returns it to the
+        Returns the decoded reply of the re-issued in-flight command
+        when recovery succeeds (the engine's ``_recv`` returns it to the
         original call site, which never learns a failure happened).
         Raises :class:`WorkerDiedError` (``degraded="fail"``) or
         :class:`ShardUnavailableError` (``degraded="partial"``) once
@@ -276,7 +329,7 @@ class WorkerSupervisor:
         eng = self.engine
         w = h.worker_id
         eng.health.died(w)
-        pending = h.pending  # (cmd_name, replay_factory) | None
+        pending = h.pending  # the in-flight Command | None
         try:
             h.conn.close()
         except OSError:
@@ -349,17 +402,17 @@ class WorkerSupervisor:
             if eng.spans is not None and rspan is not None:
                 eng.spans.finish(rspan, outcome="recovered")
             if pending is None:
-                return ("obj", None)
-            pend_name, replay_cmd = pending
+                return None
             # Mid-bulk-load death: the rebuild already shipped the full
             # partition (base_items holds the whole part) and built it,
             # so mark this worker done and synthesize the pending reply;
             # the bulk loop skips done workers from here on.
-            if eng._bulk_done is not None and pend_name.startswith("bulk"):
+            if eng._bulk_done is not None and pending.op.startswith("bulk"):
                 eng._bulk_done.add(w)
-                return ("obj", None)
-            eng._send(nh, replay_cmd, replay=replay_cmd)
-            return eng._recv(nh, pend_name)
+                return None
+            # The command still holds its payload: re-encode and re-send.
+            eng._send(nh, pending)
+            return eng._recv(nh)
 
         return self._degrade(h, cmd_name, reason)
 

@@ -122,14 +122,12 @@ class Approximation:
         ``(slope, intercept, base_key, n, start)`` — what a batch path
         needs to evaluate ``seg.start + seg.predict(key)`` for many
         (query, segment) pairs in one vectorized pass.  Cached on the
-        instance (segments never change after fit); ``None`` without
-        numpy.
+        instance (segments never change after fit); ``None`` when the
+        parameters overflow int64.
         """
         cached = getattr(self, "_param_arrays", None)
         if cached is not None:
             return cached if cached != "unavailable" else None
-        if not _vec.HAVE_NUMPY:
-            return None
         np = _vec.np
         segs = self.segments
         try:

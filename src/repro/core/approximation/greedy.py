@@ -42,7 +42,7 @@ class GreedyPLAApproximator(Approximator):
         if eps < 0:
             raise InvalidConfigurationError(f"eps must be >= 0, got {eps}")
         self.eps = eps
-        self.vectorized = vectorized and _vec.HAVE_NUMPY
+        self.vectorized = vectorized
 
     def fit(self, keys: Sequence[int]) -> Approximation:
         if not len(keys):

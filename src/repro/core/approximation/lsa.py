@@ -69,7 +69,7 @@ class LSAApproximator(Approximator):
                 f"segment_size must be >= 1, got {segment_size}"
             )
         self.segment_size = segment_size
-        self.vectorized = vectorized and _vec.HAVE_NUMPY
+        self.vectorized = vectorized
 
     def fit(self, keys: Sequence[int]) -> Approximation:
         if not keys:

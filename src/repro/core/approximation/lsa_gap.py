@@ -161,7 +161,7 @@ class LSAGapApproximator(Approximator):
             )
         self.segment_size = segment_size
         self.density = density
-        self.vectorized = vectorized and _vec.HAVE_NUMPY
+        self.vectorized = vectorized
 
     def fit(self, keys: Sequence[int]) -> Approximation:
         if not len(keys):

@@ -7,24 +7,18 @@ clamping.  That is what lets the fits guarantee **bit-identical segment
 boundaries** between the scalar and vectorized implementations (pinned by
 ``tests/test_batch_api.py``).
 
-numpy is an optional dependency of this module: everything degrades to
-``None``/scalar behaviour when it is absent, and the approximators fall
-back to their original pure-Python loops.
+Inputs numpy cannot hold exactly (floats, negatives, keys past 2^64)
+degrade to ``None``, and the approximators fall back to their
+pure-Python loops.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import InvalidKeysError
-
-try:  # pragma: no cover - exercised implicitly by every vectorized test
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 #: Below this many keys the numpy conversion overhead outweighs the win.
 MIN_VECTOR_KEYS = 64
@@ -37,8 +31,6 @@ def as_u64(keys: Sequence[int]):
     (numpy's default for mixed-magnitude ints) silently collapses adjacent
     64-bit keys, so only unsigned/non-negative integer inputs qualify.
     """
-    if not HAVE_NUMPY:
-        return None
     if isinstance(keys, np.ndarray):
         kind = keys.dtype.kind
         if kind == "u":
@@ -74,7 +66,7 @@ def validate_fit_keys(keys: Sequence[int], algo: str):
                 f"{algo}: fit keys must be strictly ascending and unique"
             )
         return arr
-    # Scalar path: mixed/float/object input (or numpy unavailable).
+    # Scalar path: mixed/float/object input.
     prev = None
     for k in keys:
         if k != k:  # NaN is the only value unequal to itself

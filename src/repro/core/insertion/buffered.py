@@ -50,9 +50,14 @@ class BufferedLeaf(Leaf):
         self.buffer_capacity = buffer_capacity
         self._buf_keys: List[int] = []
         self._buf_values: List[Any] = []
+        #: First key at build time: a leaf emptied by deletes still
+        #: reports it (the composer traces it when dropping the leaf).
+        self._built_first = self._keys[0]
 
     @property
     def first_key(self) -> int:
+        if not self._keys:
+            return self._buf_keys[0] if self._buf_keys else self._built_first
         if self._buf_keys and self._buf_keys[0] < self._keys[0]:
             return self._buf_keys[0]
         return self._keys[0]
@@ -65,6 +70,8 @@ class BufferedLeaf(Leaf):
         return len(self._buf_keys)
 
     def _main_rank(self, key: int) -> int:
+        if not self._keys:
+            return -1  # deletes emptied the main run; the buffer remains
         self.perf.charge(Event.MODEL_EVAL)
         guess = self.model.predict_clamped(key, len(self._keys))
         return rank_search(

@@ -29,7 +29,7 @@ import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa_gap import GappedSegment
 from repro.core.insertion.base import InsertResult, Leaf
-from repro.errors import InvalidConfigurationError
+from repro.errors import InvalidConfigurationError, InvalidKeysError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
 
@@ -42,6 +42,9 @@ _SCAN_STRIDE = 16
 #: Below this batch size ``get_many``'s occupied-array extraction costs
 #: more than the per-key loop it replaces.
 _MIN_BATCH = 8
+
+#: Exclusive upper bound of the vectorized backend's ``uint64`` keys.
+_U64_LIMIT = 1 << 64
 
 
 class GappedLeaf(Leaf):
@@ -86,10 +89,10 @@ class GappedLeaf(Leaf):
         self._slot_keys: Optional[List[Optional[int]]] = None
         self._np_keys = None
         self._np_occ = None
-        if vectorized and _vec.HAVE_NUMPY:
+        if vectorized:
             self._init_vectorized(segment, values)
         if self._np_keys is None:
-            # Scalar storage (requested, numpy missing, or inexact keys).
+            # Scalar storage (requested, or inexact keys).
             self._slot_keys = list(segment.slot_keys)
             self._slot_values: List[Any] = [None] * self._slots
             vi = 0
@@ -485,6 +488,14 @@ class GappedLeaf(Leaf):
             old = self._slot_values[r]
             self._slot_values[r] = value
             return InsertResult.UPDATED, old
+        if self._np_keys is not None and not 0 <= key < _U64_LIMIT:
+            # Checked before any slot moves: the uint64 key array cannot
+            # hold the key, and a failed store after a shift would leave
+            # a duplicated slot behind.
+            raise InvalidKeysError(
+                f"{type(self).__name__}: key {key!r} is outside the uint64 "
+                "key space"
+            )
         if self.density() >= self.upper_density:
             return InsertResult.FULL, None
         if self._move_ema > self.MOVE_EMA_LIMIT:

@@ -149,8 +149,6 @@ class TestVectorizedFitIdentity:
         assert _boundaries(vec) == _boundaries(sca)
 
     def test_measure_errors_matches_scalar_loop(self):
-        if not _vec.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
         rng = random.Random(5)
         keys = sorted(rng.sample(range(10**6, 2**52), 5000))
         model = LinearModel(
@@ -168,8 +166,6 @@ class TestVectorizedFitIdentity:
         assert (vec_max, vec_sum) == (max_err, sum_err)
 
     def test_as_u64_rejects_inexact_input(self):
-        if not _vec.HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
         assert _vec.as_u64([1.5, 2.5]) is None  # floats: scalar semantics
         assert _vec.as_u64([1, -2]) is None  # negative: would wrap
         assert _vec.as_u64([1, 2**64]) is None  # overflow

@@ -121,6 +121,17 @@ class TestLeafBasics:
         assert leaf.get(5) == "low"
         assert leaf.first_key == 5
 
+    def test_buffered_first_key_once_main_run_is_deleted(self):
+        leaf = make_buffered([10, 20])
+        leaf.insert(15, "buf")
+        assert leaf.delete(10) and leaf.delete(20)
+        assert leaf.first_key == 15  # only the buffer is left
+        assert leaf.get(15) == "buf" and leaf.get(10) is None
+        assert leaf.insert(12, "b2") is InsertResult.INSERTED
+        assert leaf.delete(12)
+        assert leaf.delete(15) and leaf.n == 0
+        assert leaf.first_key == 10  # emptied: the build-time first key
+
     @pytest.mark.parametrize("make", LEAF_MAKERS)
     def test_eventually_full(self, make):
         leaf = make(list(range(0, 64, 2)), 8)  # tiny reserve/buffer

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ALEXIndex, BPlusTree, PGMIndex, PerfContext, RMIIndex
+from repro import (
+    ALEXIndex,
+    BPlusTree,
+    PGMIndex,
+    PerfContext,
+    RMIIndex,
+    ViperStore,
+)
 from repro.core.approximation import (
     GreedyPLAApproximator,
     LSAApproximator,
@@ -19,7 +26,7 @@ from repro.core.approximation import (
     OptPLAApproximator,
 )
 from repro.core.approximation.lsa import fit_least_squares
-from repro.errors import ReproError
+from repro.errors import InvalidKeysError, ReproError
 
 U64_MAX = 2**64 - 1
 
@@ -170,3 +177,29 @@ class TestPrecisionInvariant:
         for i, key in enumerate(keys):
             seg = approx.segment_for(key)
             assert abs(seg.predict(key) - (i - seg.start)) <= eps
+
+
+class TestOutOfRangeKeys:
+    """A key ALEX's uint64 slot array cannot hold fails typed, and the
+    index is left exactly as it was."""
+
+    LOADED = [(k, k) for k in range(1000, 200000, 100)]
+    CALLS = {
+        "insert": lambda t, k: t.insert(k, 5),
+        "upsert": lambda t, k: t.upsert(k, 5),
+        "insert_many": lambda t, k: t.insert_many([(k, 5)]),
+        "put": lambda t, k: t.put(k, 5),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_alex_rejects_before_moving_a_slot(self, call, bad):
+        index = ALEXIndex(perf=PerfContext())
+        target = ViperStore(index, PerfContext()) if call == "put" else index
+        target.bulk_load(self.LOADED)
+        with pytest.raises(InvalidKeysError):
+            self.CALLS[call](target, bad)
+        keys = [k for k, _ in index.scan(0, len(self.LOADED) + 1)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(index) == len(set(keys)) == len(self.LOADED)
+        assert len(target) == len(self.LOADED)

@@ -135,6 +135,56 @@ def test_pipe_transport_matches_shm():
         shm_engine.close()
         pipe_engine.close()
 
+    # The simulated ledger must not depend on the transport knob: batches
+    # above ``capacity`` chunk identically over shared memory and pipe.
+    pgm = next(s for s in specs() if s.name == "PGM")
+    ledgers = {}
+    for transport in ("shm", "pipe"):
+        perf = PerfContext()
+        engine = parallel_sharded_index(
+            pgm, 1, perf=perf, transport=transport, capacity=64
+        )
+        try:
+            engine.bulk_load(items)
+            engine.insert_many([(k, k) for k in extra])
+            engine.get_many(probe)
+        finally:
+            engine.close()
+        ledgers[transport] = perf.counters.as_dict()
+    assert ledgers["shm"] == ledgers["pipe"]
+
+
+def test_codec_round_trips_every_payload():
+    """Lanes carry exactly the uint64 payloads; everything else travels
+    as itself, and decoding gives back an identical payload either way."""
+    import numpy as np
+
+    from repro.concurrency.parallel import _decode, _encode, _Lanes
+
+    class Seg:  # the three lanes of a capacity-4 segment
+        capacity = 4
+        keys = np.zeros(4, np.uint64)
+        vals = np.zeros(4, np.uint64)
+        mask = np.zeros(4, np.uint8)
+
+    in_lanes = [
+        [0, 2**64 - 1], [None, 5, None], [(1, 2), (2**63, 0)],
+        np.array([7, 3], np.uint64),
+    ]
+    as_is = [
+        [-1], [2**64], [True], [1.5], ["k"], [(1, "v")], [(1, 2, 3)],
+        [[(1, 1)]], [], list(range(5)), (1, 2), None, "ready",
+    ]
+    for seg in (Seg, None):
+        for payload in in_lanes + as_is:
+            wire = _encode(payload, seg)
+            assert isinstance(wire, _Lanes) == (
+                seg is not None and any(payload is p for p in in_lanes)
+            )
+            if isinstance(payload, np.ndarray):
+                payload = payload.tolist()
+            assert repr(_decode(wire, seg)) == repr(payload)
+
 
 def test_worker_death_is_surfaced_not_hung():
     spec = next(s for s in specs() if s.name == "BTree")
@@ -234,6 +284,32 @@ def test_engine_perf_charges_match_in_process_sharding():
     assert perf_engine.counters.total() > 0
 
 
+def test_scan_many_waves_match_in_process_sharding():
+    """Spill rounds chunked at a small capacity and shipped to every
+    worker at once still answer and bill exactly like in-process
+    sharding."""
+    from repro.concurrency import sharded_index
+
+    spec = next(s for s in specs() if s.name == "PGM")
+    load, _ = _keys()
+    items = [(k, k) for k in sorted(load)]
+    starts = sorted(load)[::7] + [0]
+    perf_local, perf_engine = PerfContext(), PerfContext()
+    local = sharded_index(spec.build, 3, perf=perf_local)
+    local.bulk_load(items)
+    engine = parallel_sharded_index(spec, 3, perf=perf_engine, capacity=8)
+    try:
+        engine.bulk_load(items)
+        mark_local, mark_engine = perf_local.begin(), perf_engine.begin()
+        assert engine.scan_many(starts, 200) == local.scan_many(starts, 200)
+        assert (
+            perf_engine.end(mark_engine).counters.as_dict()
+            == perf_local.end(mark_local).counters.as_dict()
+        )
+    finally:
+        engine.close()
+
+
 def test_engine_utilization_and_balance_accounting():
     spec = next(s for s in specs() if s.name == "BTree")
     load, _ = _keys()
@@ -242,11 +318,53 @@ def test_engine_utilization_and_balance_accounting():
         engine.bulk_load([(k, k) for k in load])
         engine.get_many(load)
         assert sum(engine.worker_ops) == len(load)
+        # Scalar ops and scans count too: one per worker a call visits.
+        srt = sorted(load)
+        engine.get(srt[0])
+        engine.get(srt[-1])
+        assert sum(engine.worker_ops) == len(load) + 2
+        engine.scan(srt[0], 3)
+        assert sum(engine.worker_ops) == len(load) + 3
+        engine.scan_many([srt[0], srt[-1]], 1)
+        assert sum(engine.worker_ops) == len(load) + 5
         shares = engine.worker_utilization()
         assert len(shares) == 2
         assert all(s >= 0.0 for s in shares)
         assert sum(shares) == pytest.approx(1.0)
         assert engine.name.startswith("parallel[")
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("name", ("PGM", "ALEX"))
+def test_out_of_range_keys_match_sharded_index(name):
+    """Keys outside [0, 2^64) route like any other: the engine answers
+    exactly like in-process sharding, or raises the same typed error."""
+    from repro.concurrency import sharded_index
+
+    spec = next(s for s in specs() if s.name == name)
+    load, _ = _keys()
+    items = [(k, k) for k in sorted(load)]
+    bad = [-1, 2**64]
+    probe = bad + sorted(load)[:3] + sorted(load)[-3:]
+    local = sharded_index(spec.build, 2, perf=PerfContext())
+    local.bulk_load(items)
+    engine = parallel_sharded_index(spec, 2)
+    try:
+        engine.bulk_load(items)
+        assert engine.get_many(probe) == local.get_many(probe)
+        assert engine.scan_many(probe, 2) == local.scan_many(probe, 2)
+        assert [engine.get(k) for k in bad] == [local.get(k) for k in bad]
+        writes = [(k, 7) for k in bad]
+        try:
+            local.insert_many(writes)
+        except ReproError as exc:
+            with pytest.raises(type(exc)):
+                engine.insert_many(writes)
+        else:
+            engine.insert_many(writes)
+        assert engine.get_many(probe) == local.get_many(probe)
+        assert len(engine) == len(local)
     finally:
         engine.close()
 

@@ -10,7 +10,7 @@ ladder's arithmetic.
 import pytest
 
 from repro.concurrency import FaultDirective, FaultPlan, WorkerSupervisor
-from repro.concurrency.supervise import base_op, match_faults
+from repro.concurrency.supervise import match_faults
 from repro.errors import ReproError
 
 
@@ -44,12 +44,6 @@ class TestFaultPlan:
         assert plan.for_worker(7) == []
         # Shipped form is plain picklable dicts.
         assert all(isinstance(d, dict) for d in mine)
-
-    def test_base_op_strips_transport_suffix(self):
-        assert base_op("get_many_pipe") == "get_many"
-        assert base_op("get_many") == "get_many"
-        assert base_op("scan_many_pipe") == "scan_many"
-        assert base_op("close") == "close"
 
 
 class TestMatchFaults:
