@@ -6,8 +6,8 @@ compatible report:
 
 * per-index single-thread measured profile, projected to 4 threads by
   the discrete-event concurrency simulator (read and write), and
-* a 2-shard :class:`~repro.concurrency.ShardedStore` run on the shared
-  simulated clock.
+* a 2-shard store run on the shared simulated clock, through the
+  sharded engine's in-process loopback transport.
 
 Every number is deterministic simulated time, so CI can re-run this
 quickly and diff it against the committed ``BENCH_CONCURRENCY.json``
@@ -25,7 +25,7 @@ import json
 from _common import dataset, loaded_store, run_once
 from repro import PerfContext, ViperStore
 from repro.bench import format_table, run_store_ops, thread_scaling, write_result
-from repro.concurrency import ShardedStore
+from repro.concurrency import parallel_sharded_store
 from repro.registry import resolve
 from repro.workloads import READ_ONLY, WRITE_ONLY, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
@@ -72,9 +72,11 @@ def _sharded_run(spec):
     keys = dataset("ycsb", KEYS)
     ops = generate_operations(READ_ONLY, OPS, list(keys), seed=SEED)
     perf = PerfContext()
-    store = ShardedStore(spec.build, SHARDS, perf=perf)
-    store.bulk_load([(k, k) for k in keys])
-    recorder, _ = run_store_ops(store, ops, perf)
+    with parallel_sharded_store(
+        spec, SHARDS, perf=perf, transport="loopback"
+    ) as store:
+        store.bulk_load([(k, k) for k in keys])
+        recorder, _ = run_store_ops(store, ops, perf)
     return recorder.throughput_mops() * 1e6
 
 

@@ -23,17 +23,11 @@ Subpackages:
 * :mod:`repro.workloads` — datasets and YCSB workloads.
 * :mod:`repro.perf` — the deterministic cost-model simulator.
 * :mod:`repro.concurrency` — CC declarations, the discrete-event
-  multithread simulator, and range-partitioned sharding.
+  multithread simulator, and the range-sharded serving engine.
 * :mod:`repro.bench` — measurement harness.
 """
 
-from repro.concurrency import (
-    ConcurrencySpec,
-    ShardedIndex,
-    ShardedStore,
-    sharded_index,
-    simulate_scaling,
-)
+from repro.concurrency import ConcurrencySpec, simulate_scaling
 from repro.core import ComposedIndex
 from repro.perf import BandwidthModel, CostModel, PerfContext
 from repro.registry import IndexSpec, UnknownIndexError, resolve, specs
@@ -57,9 +51,6 @@ globals().update(_INDEX_CLASSES)
 __all__ = [
     "ComposedIndex",
     "ConcurrencySpec",
-    "ShardedIndex",
-    "ShardedStore",
-    "sharded_index",
     "simulate_scaling",
     "IndexSpec",
     "UnknownIndexError",

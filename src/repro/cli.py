@@ -21,11 +21,7 @@ import time
 
 from repro import PerfContext, ViperStore, registry
 from repro.bench import format_table, run_store_ops, thread_scaling
-from repro.concurrency import (
-    ParallelShardedStore,
-    ShardedStore,
-    parallel_sharded_store,
-)
+from repro.concurrency import ParallelShardedStore, parallel_sharded_store
 from repro.concurrency.parallel import measure_scaling
 from repro.obs import (
     EngineTopView,
@@ -133,14 +129,15 @@ def _build_store(
     worker_timeout_s=None,
     degraded: str = "fail",
 ):
-    """One ViperStore, K in-process shards, or N worker processes.
+    """One ViperStore, or the sharded engine over K shards or N workers.
 
-    ``--workers N`` builds the process-parallel engine
-    (:mod:`repro.concurrency.parallel`): N worker processes, each owning
-    one range partition (``--shards K > N`` sub-shards inside workers).
-    Simulated charges still land on ``perf`` — workers ship their
-    counter deltas back with every reply — so the report below is
-    unchanged; wall-clock rows are what the extra processes buy.
+    ``--shards K`` runs the engine (:mod:`repro.concurrency.parallel`)
+    over its loopback transport: K range partitions served in this
+    process.  ``--workers N`` runs it over N worker processes, one
+    partition each.  Simulated charges land on ``perf`` either way —
+    every shard ships its counter deltas back with each reply — so the
+    report below is unchanged; wall-clock rows are what the extra
+    processes buy.
     ``span_rate > 0`` additionally records causal span trees
     (:mod:`repro.obs.spans`) across the parent and all workers.
     ``restart_budget``/``worker_timeout_s``/``degraded`` configure the
@@ -150,21 +147,36 @@ def _build_store(
     degrades.
     """
     if workers > 1:
-        return parallel_sharded_store(
-            spec,
-            workers,
-            shards=shards,
-            perf=perf,
-            trace_rate=trace_rate,
-            span_rate=span_rate,
-            stall_threshold_s=stall_threshold_s,
-            restart_budget=restart_budget,
-            worker_timeout_s=worker_timeout_s,
-            degraded=degraded,
+        n, transport = workers, "auto"
+    elif shards > 1:
+        n, transport = shards, "loopback"
+    else:
+        return ViperStore(spec.build(perf), perf)
+    return parallel_sharded_store(
+        spec,
+        n,
+        transport=transport,
+        perf=perf,
+        trace_rate=trace_rate,
+        span_rate=span_rate,
+        stall_threshold_s=stall_threshold_s,
+        restart_budget=restart_budget,
+        worker_timeout_s=worker_timeout_s,
+        degraded=degraded,
+    )
+
+
+def _bad_engine_flags(args: argparse.Namespace) -> bool:
+    """Report (and return True for) a ``--shards``/``--workers`` mix the
+    engine cannot build: each worker process serves exactly one shard."""
+    if args.workers > 1 and args.shards > args.workers:
+        print(
+            f"--shards {args.shards} exceeds --workers {args.workers}: "
+            "each worker process serves exactly one shard",
+            file=sys.stderr,
         )
-    if shards > 1:
-        return ShardedStore(spec.build, shards, perf=perf)
-    return ViperStore(spec.build(perf), perf)
+        return True
+    return False
 
 
 def _retrain_profile(store, ops_run: int) -> tuple:
@@ -175,16 +187,12 @@ def _retrain_profile(store, ops_run: int) -> tuple:
     """
     from repro.perf.cost_model import CostModel
 
-    if isinstance(store, ParallelShardedStore):
-        stats = store.stats()
-        count, keys = stats.retrain_count, stats.retrain_keys
-    else:
-        stores = store.stores if isinstance(store, ShardedStore) else [store]
-        count = keys = 0
-        for child in stores:
-            stats = child.index.stats()
-            count += stats.retrain_count
-            keys += stats.retrain_keys
+    stats = (
+        store.stats()
+        if isinstance(store, ParallelShardedStore)
+        else store.index.stats()
+    )
+    count, keys = stats.retrain_count, stats.retrain_keys
     if count == 0 or ops_run == 0:
         return 0, 0.0
     stall_ns = (keys / count) * CostModel().retrain_key_ns
@@ -299,17 +307,10 @@ def _scaling_table(
     )
 
 
-def _shard_balance_table(store: ShardedStore) -> str:
-    total = sum(store.shard_ops) or 1
-    body = [
-        [s, f"{len(store.stores[s]):,}", f"{ops:,}", f"{100 * ops / total:.1f}%"]
-        for s, ops in enumerate(store.shard_ops)
-    ]
-    return format_table(
-        ["shard", "records", "ops routed", "share"],
-        body,
-        title=f"Shard balance ({store.shards} range partitions)",
-    )
+def _engine_desc(store: ParallelShardedStore) -> str:
+    if store.transport == "loopback":
+        return f"{store.workers} in-process shards"
+    return f"{store.workers} processes"
 
 
 def _worker_balance_table(store: ParallelShardedStore) -> str:
@@ -322,8 +323,7 @@ def _worker_balance_table(store: ParallelShardedStore) -> str:
     return format_table(
         ["worker", "ops routed", "share", "busy share"],
         body,
-        title=f"Worker balance ({store.workers} processes, "
-        f"{store.shards} range partitions)",
+        title=f"Worker balance ({_engine_desc(store)})",
     )
 
 
@@ -359,7 +359,7 @@ def _worker_health_table(store: ParallelShardedStore) -> str:
             "shard",
         ],
         body,
-        title=f"Worker health ({store.workers} processes, stall threshold "
+        title=f"Worker health ({_engine_desc(store)}, stall threshold "
         f"{store.health.stall_threshold_s:g}s, restart budget "
         f"{store.supervisor.restart_budget})",
     )
@@ -406,6 +406,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"one of {sorted(WORKLOADS)}",
             file=sys.stderr,
         )
+        return 2
+    if _bad_engine_flags(args):
         return 2
     workload = WORKLOADS[args.workload]
     keys = DATASETS[args.dataset](args.keys, seed=args.seed)
@@ -476,9 +478,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if parallel:
             print()
             print(_worker_balance_table(store))
-        elif args.shards > 1:
-            print()
-            print(_shard_balance_table(store))
         if args.threads:
             print()
             print(
@@ -523,10 +522,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         workload, args.ops, load, insert_pool, seed=args.seed
     )
 
-    if args.spans and args.workers < 2:
+    if _bad_engine_flags(args):
+        return 2
+    if args.spans and max(args.shards, args.workers) < 2:
         print(
-            "--spans needs --workers >= 2 (span tracing instruments the "
-            "process-parallel serving engine)",
+            "--spans needs --shards or --workers >= 2 (span tracing "
+            "instruments the sharded serving engine)",
             file=sys.stderr,
         )
         return 2
@@ -563,7 +564,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         progress = None
     all_spans = []
-    health_text = ""
     try:
         mark = perf.begin()
         store.bulk_load([(k, k) for k in load])
@@ -579,21 +579,17 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         recorder = result.recorder
         if parallel:
-            # Fold worker-side lifecycle events, metric series, profiler
-            # ledgers, and worker/event spans into the parent's
-            # instruments before any of them are summarised below.
-            store.drain_obs(
-                tracer=tracer,
-                metrics=metrics,
-                profiler=profiler,
-                spans=store.spans,
-            )
+            # Fold worker-side lifecycle events, metric series, and
+            # worker/event spans into the parent's instruments before any
+            # of them are summarised below.  The profiler already saw
+            # every op through the perf deltas folded into ``perf``.
+            store.drain_obs(tracer=tracer, metrics=metrics, spans=store.spans)
             if store.spans is not None:
                 all_spans = list(store.spans.spans)
             health_text = _worker_health_table(store)
-            index_stats = store.stats()
+            stats = store.stats()
         else:
-            index_stats = store.index.stats() if args.shards == 1 else None
+            stats = store.index.stats()
         retrain = _retrain_profile(store, len(recorder))
     finally:
         if parallel:
@@ -733,34 +729,28 @@ def cmd_report(args: argparse.Namespace) -> int:
     if parallel:
         print()
         print(_worker_balance_table(store))
-        if health_text:
-            print()
-            print(health_text)
-    elif args.shards > 1:
         print()
-        print(_shard_balance_table(store))
+        print(health_text)
     if args.spans:
         print()
         print(_span_report(all_spans, args.span_quantile))
-    if index_stats is not None:
-        stats = index_stats
-        print()
-        print(
-            format_table(
-                ["stat", "value"],
+    print()
+    print(
+        format_table(
+            ["stat", "value"],
+            [
+                ["leaf count", f"{stats.leaf_count:,}"],
                 [
-                    ["leaf count", f"{stats.leaf_count:,}"],
-                    [
-                        "depth avg/max",
-                        f"{stats.depth_avg:.2f} / {stats.depth_max}",
-                    ],
-                    ["retrains", f"{stats.retrain_count:,}"],
-                    ["retrained keys", f"{stats.retrain_keys:,}"],
-                    *[[k, f"{v:,}"] for k, v in sorted(stats.extra.items())],
+                    "depth avg/max",
+                    f"{stats.depth_avg:.2f} / {stats.depth_max}",
                 ],
-                title=f"Index structure ({spec.name})",
-            )
+                ["retrains", f"{stats.retrain_count:,}"],
+                ["retrained keys", f"{stats.retrain_keys:,}"],
+                *[[k, f"{v:,}"] for k, v in sorted(stats.extra.items())],
+            ],
+            title=f"Index structure ({spec.name})",
         )
+    )
     if scaling_text:
         print()
         print(scaling_text)
@@ -821,8 +811,9 @@ def _add_concurrency_flags(sub_parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=1,
-        help="range-partition the store across K shards "
-        "(each shard owns its own index instance)",
+        help="range-partition the store across K shards served in this "
+        "process (each shard owns its own index instance); with "
+        "--workers N, K may not exceed N",
     )
     sub_parser.add_argument(
         "--workers",
@@ -960,7 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--spans",
         action="store_true",
         help="record causal span trees (request -> batch -> shard -> "
-        "worker -> event) through the parallel engine; needs --workers >= 2",
+        "worker -> event) through the sharded engine; needs --shards or "
+        "--workers >= 2",
     )
     report.add_argument(
         "--span-sample",
@@ -989,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--top",
         action="store_true",
         help="live `top`-style line on stderr: progress plus per-worker "
-        "health while the run executes (parallel engine only)",
+        "health while the run executes (--shards or --workers only)",
     )
     report.add_argument(
         "--stall-threshold",

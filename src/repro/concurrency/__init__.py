@@ -1,5 +1,5 @@
 """Concurrency modeling: CC declarations, a discrete-event simulator,
-and range-partitioned sharding.
+and the range-sharded serving engine.
 
 * :mod:`repro.concurrency.spec` — :class:`ConcurrencySpec`, the per-index
   concurrency-control declaration (scheme, latch domains, blocking
@@ -9,14 +9,15 @@ and range-partitioned sharding.
   clock, charging latch waits, optimistic retries, and retrain stalls on
   top of the shared memory-bandwidth pool.  Figs 12/14 are produced by
   driving it with each index's measured single-thread profile.
-* :mod:`repro.concurrency.sharding` — :class:`ShardRouter`,
-  :class:`ShardedIndex`, and :class:`ShardedStore`: run any registry
-  spec across K range-partitioned shards with per-shard perf contexts,
-  bit-identically to the unsharded instance.
+* :mod:`repro.concurrency.sharding` — :class:`ShardRouter` and
+  ``merge_index_stats``: the range partition and the per-shard stats
+  merge.
 * :mod:`repro.concurrency.parallel` — :class:`ParallelShardedIndex` and
-  :class:`ParallelShardedStore`: the same partition executed across
-  worker *processes* with shared-memory op transport, turning the
-  simulated scaling projections into measured wall-clock numbers.
+  :class:`ParallelShardedStore`: one engine that runs any registry spec
+  across K range shards, bit-identically to the unsharded instance,
+  over one of two transports — worker *processes* with shared-memory op
+  transport (measured wall-clock scaling) or ``transport="loopback"``,
+  the same shards served in the caller's process (``--shards K``).
 * :mod:`repro.concurrency.supervise` — :class:`WorkerSupervisor` and
   :class:`FaultPlan`: fail-recover supervision for the parallel engine
   (respawn, rebuild, exactly-once replay, bounded backoff, degraded
@@ -43,13 +44,7 @@ from repro.concurrency.supervise import (
     FaultPlan,
     WorkerSupervisor,
 )
-from repro.concurrency.sharding import (
-    ShardRouter,
-    ShardedIndex,
-    ShardedStore,
-    SortedShardedIndex,
-    sharded_index,
-)
+from repro.concurrency.sharding import ShardRouter
 from repro.concurrency.parallel import (
     ParallelShardedIndex,
     ParallelShardedStore,
@@ -75,10 +70,6 @@ __all__ = [
     "simulate",
     "simulate_scaling",
     "ShardRouter",
-    "ShardedIndex",
-    "ShardedStore",
-    "SortedShardedIndex",
-    "sharded_index",
     "ParallelShardedIndex",
     "ParallelShardedStore",
     "ParallelSortedShardedIndex",

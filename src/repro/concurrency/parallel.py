@@ -1,57 +1,63 @@
-"""Process-parallel sharded serving engine: one worker process per shard.
+"""The sharded serving engine: one shard per worker, one of two transports.
 
-The in-process :class:`~repro.concurrency.sharding.ShardedIndex` proves
-the range-partitioning semantics but runs every shard on one interpreter
-— the GIL means K shards never buy wall-clock throughput.  This module
-executes the same partition across CPU cores: a persistent pool of
-worker processes, each owning one range partition of the key space,
-built **inside** the worker from a registry spec name (nothing large is
-ever pickled), serving batched op vectors shipped through
-``multiprocessing.shared_memory``-backed numpy uint64 arrays.
+A :class:`ShardRouter` splits the key space into K contiguous ranges and
+each shard owns one index (or Viper store) over its range, built
+**inside** the worker from a registry spec name (nothing large is ever
+pickled).  Sharding is invisible: for any spec and any K the engine
+answers bit-identically to the flat index, and ordered scans drain the
+start shard and spill into its right-hand neighbours.
 
-Transport
----------
+Transports
+----------
+``transport="shm"`` (and ``"auto"``) runs every shard in its own worker
+process, so K shards buy wall-clock throughput across cores;
+``"pipe"`` does the same without shared memory.  ``"loopback"`` keeps
+each shard's :class:`_WorkerState` in the caller's process behind a
+:class:`_Loopback`, which stands in for the worker's pipe and process:
+no fork, no segment, one interpreter.  Both transports serve a command
+through the same :meth:`_WorkerState.handle`, so scatter, fan-out,
+delta folding, health, spans and :attr:`~_ParallelEngine.worker_ops`
+are one code path; the loopback engine is what ``--shards K`` runs.
+
 Every request is one :class:`Command` record (op, payload, arg, replay
 token, span id), and every payload — request or reply — passes through
-one codec, :func:`_encode` / :func:`_decode`.  Per worker, one
+one codec, :func:`_encode` / :func:`_decode`.  Per process worker, one
 shared-memory segment holds three lanes: uint64 keys, uint64 values and
 a uint8 mask.  A list of uint64s (``None`` allowed, through the mask) or
 of uint64 ``(key, value)`` pairs that fits the segment is written into
 the lanes and travels as a small :class:`_Lanes` marker; anything else
 (strings, negative keys, scan runs, call arguments) is pickled through
-the pipe.  ``transport="pipe"`` allocates no segment, so everything is
-pickled.
+the pipe.  ``"pipe"`` and ``"loopback"`` allocate no segment.
 
 A ``get_many`` scatters keys by shard (one vectorized ``searchsorted`` +
 stable argsort, so in-shard order — and therefore duplicate semantics
-and simulated charges — match the in-process scatter exactly; a key
-outside uint64 routes through :meth:`ShardRouter.shard_of` instead),
-and gathers values back in key order.  Every batch ships in
-``capacity``-sized chunks whatever the transport, so the simulated
-ledger never depends on it.  All shipments go through one fan-out
-(:meth:`_ParallelEngine._fan_out`), which owns down-shard accounting,
-shard spans, replay tokens, the journal and :attr:`worker_ops`.
+and simulated charges — equal the input order; a key outside uint64
+routes through :meth:`ShardRouter.shard_of` instead), and gathers values
+back in key order.  Every batch ships in ``capacity``-sized chunks
+whatever the transport, so the simulated ledger never depends on it.
+All shipments go through one fan-out (:meth:`_ParallelEngine._fan_out`),
+which owns down-shard accounting, shard spans, replay tokens, the
+journal and :attr:`~_ParallelEngine.worker_ops`.
 
 Two clocks
 ----------
 The engine keeps the repo's simulated-hardware accounting intact: every
-worker brackets each command with ``perf.begin()/end()`` and ships the
+worker snapshots its ledger around each command and ships the
 :class:`~repro.perf.events.Counters` delta back with the reply; the
 parent folds it into its own :class:`~repro.perf.context.PerfContext`
 **before** the caller's ``perf.end``.  ``execute_ops``, ``repro bench``,
-and ``repro report`` therefore report the same simulated numbers as the
-shared-perf in-process sharding — while :attr:`wall_recorder` and
+and ``repro report`` therefore report the same simulated numbers on
+either transport — while :attr:`wall_recorder` and
 :func:`measure_scaling` measure real wall-clock, which is the number
-that improves as workers are added on a multi-core host.
+that improves as process workers are added on a multi-core host.
 
 Observability
 -------------
-Each worker runs its own :class:`~repro.obs.trace.Tracer`,
-:class:`~repro.obs.metrics.MetricsRegistry`, and
-:class:`~repro.perf.breakdown.Profiler`; :meth:`drain_obs` ships them
-back and merges into parent-side instances (``Tracer.absorb``,
-``MetricsRegistry.merge_from``, ``Profiler.absorb``) so ``repro report
---workers K`` shows one unified lifecycle/metrics view.
+Each worker runs its own :class:`~repro.obs.trace.Tracer` and
+:class:`~repro.obs.metrics.MetricsRegistry`; :meth:`drain_obs` ships
+them back and merges into parent-side instances (``Tracer.absorb``,
+``MetricsRegistry.merge_from``) so ``repro report --shards K`` and
+``--workers K`` show one unified lifecycle/metrics view.
 
 With ``span_rate > 0`` the engine additionally records a **causal span
 tree** per sampled request (:mod:`repro.obs.spans`): the request span
@@ -68,20 +74,23 @@ threshold, and feeds each worker's flight-recorder ring into
 
 Fault tolerance
 ---------------
-With ``restart_budget > 0`` the engine is fail-*recover* instead of
-fail-stop: a worker that dies (or overruns ``worker_timeout_s``) is
+With ``restart_budget > 0`` a process engine is fail-*recover* instead
+of fail-stop: a worker that dies (or overruns ``worker_timeout_s``) is
 respawned, its partition rebuilt from the retained bulk part plus an
 ordered journal of acknowledged mutation commands, and the in-flight
 command re-issued exactly once — callers never observe the failure.
 Every mutation carries a monotone replay ``token``; the parent keeps
 each payload it sent, so a re-issue or a journal replay simply encodes
-it again.  Once the budget is spent the engine degrades per
-``degraded``: ``"fail"`` latches broken (the pre-supervision default),
-``"partial"`` serves the surviving shards with ``None`` holes for reads
-and :class:`~repro.errors.ShardUnavailableError` for writes.  See
-:mod:`repro.concurrency.supervise` for the policy and the deterministic
-:class:`~repro.concurrency.supervise.FaultPlan` injection harness, which
-a worker plays through a connection wrapper only when it has directives.
+it again.  The bulk parts and the journal are kept only while the budget
+is above 0, since nothing else reads them.  Once the budget is spent
+the engine degrades per ``degraded``: ``"fail"`` latches broken (the
+pre-supervision default), ``"partial"`` serves the surviving shards with
+``None`` holes for reads and :class:`~repro.errors.ShardUnavailableError`
+for writes.  See :mod:`repro.concurrency.supervise` for the policy and
+the deterministic :class:`~repro.concurrency.supervise.FaultPlan`
+injection harness, which a worker plays through a connection wrapper
+only when it has directives (process transports only: a scripted kill
+of a loopback shard would kill the caller).
 """
 
 from __future__ import annotations
@@ -97,12 +106,7 @@ from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.concurrency.sharding import (
-    ShardRouter,
-    ShardedStore,
-    merge_index_stats,
-    sharded_index,
-)
+from repro.concurrency.sharding import ShardRouter, merge_index_stats
 from repro.concurrency.supervise import (
     DEFAULT_BACKOFF_BASE_S,
     DEFAULT_BACKOFF_CAP_S,
@@ -123,7 +127,6 @@ from repro.obs.health import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.trace import Tracer
-from repro.perf.breakdown import Profiler
 from repro.perf.context import PerfContext
 from repro.perf.latency import LatencyRecorder
 
@@ -242,7 +245,7 @@ def _decode(wire: Any, seg: Optional[_Segment]) -> Any:
 
 
 class _WorkerState:
-    """Everything one worker process owns: its shard, perf, obs."""
+    """Everything one worker owns: its shard, perf, obs, replay books."""
 
     def __init__(self, cfg: dict):
         from repro.registry import resolve  # deferred: avoids import cycle
@@ -261,7 +264,12 @@ class _WorkerState:
             )
             self.perf.tracer = self.tracer
         self.metrics = MetricsRegistry()
-        self.profiler = Profiler(self.perf)
+        self.cmds_total = self.metrics.counter(
+            "repro_worker_cmds_total", worker=str(self.worker_id)
+        )
+        self.wall_hist = self.metrics.histogram(
+            "repro_worker_cmd_wall_ns", worker=str(self.worker_id)
+        )
         # Span recorder: rate 1.0 worker-side — the head-based sampling
         # decision was already made by the parent; a command only
         # arrives traced when its request was sampled.  The seed offset
@@ -282,36 +290,19 @@ class _WorkerState:
             if self.tracer is not None:
                 self.spans.bind_tracer(self.tracer)
 
-        spec = resolve(cfg["spec"])
-        overrides = cfg["overrides"]
-
-        def factory(ctx: PerfContext) -> Index:
-            return spec.build(ctx, **overrides)
-
-        sub_shards = cfg["sub_shards"]
+        index = resolve(cfg["spec"]).build(self.perf, **cfg["overrides"])
+        #: The shard's index, for ``stats`` (the store's, in store mode).
+        self.index: Index = index
+        self.target: Any = index
         if cfg["store"]:
-            if sub_shards > 1:
-                self.target: Any = ShardedStore(
-                    factory,
-                    sub_shards,
-                    perf=self.perf,
-                    record_bytes=cfg["record_bytes"],
-                    slots_per_page=cfg["slots_per_page"],
-                )
-            else:
-                from repro.store.viper import ViperStore
+            from repro.store.viper import ViperStore
 
-                self.target = ViperStore(
-                    factory(self.perf),
-                    self.perf,
-                    record_bytes=cfg["record_bytes"],
-                    slots_per_page=cfg["slots_per_page"],
-                )
-        else:
-            if sub_shards > 1:
-                self.target = sharded_index(factory, sub_shards, perf=self.perf)
-            else:
-                self.target = factory(self.perf)
+            self.target = ViperStore(
+                index,
+                self.perf,
+                record_bytes=cfg["record_bytes"],
+                slots_per_page=cfg["slots_per_page"],
+            )
 
         self.seg: Optional[_Segment] = None
         if cfg["shm_name"] is not None:
@@ -332,19 +323,59 @@ class _WorkerState:
             self.seg = _Segment(shm, cfg["capacity"])
 
         self.pending_items: List[Tuple[int, Any]] = []
+        #: Heartbeat: commands served and wall ns spent serving them.
+        self.served = 0
+        self.busy_ns = 0.0
+        # Idempotent replay: highest mutation token applied so far.
+        # Tokens at or below it are acknowledged without re-applying, so
+        # a journal replay that races a late duplicate can never
+        # double-apply.
+        self.last_token = 0
 
     # -- command handlers ---------------------------------------------
 
-    def _stats(self) -> IndexStats:
-        target = self.target
-        if isinstance(target, ShardedStore):
-            return merge_index_stats(
-                [s.index.stats() for s in target.stores],
-                [len(s) for s in target.stores],
+    def handle(self, cmd: Command) -> tuple:
+        """Serve one command end to end; returns the reply record.
+
+        ``("ok", wire reply, perf delta, wall ns, heartbeat)``, or
+        ``("err", exception, traceback)``.  Both transports call this,
+        so the replay-token check, the worker span, the perf bracket,
+        the codec, the metrics and the heartbeat are one code path.
+        """
+        if cmd.token is not None and cmd.token <= self.last_token:
+            self.served += 1
+            return ("ok", DUP_MARKER, None, 0.0, (self.served, self.busy_ns))
+        spans = self.spans
+        wspan = None
+        if spans is not None and cmd.span is not None:
+            wspan = spans.start(f"cmd:{cmd.op}", "worker", parent=cmd.span)
+            spans.current = wspan
+        t0 = time.perf_counter()
+        mark = self.perf.begin()
+        try:
+            payload = _decode(cmd.payload, self.seg)
+            reply = _encode(self.serve(cmd.op, payload, cmd.arg), self.seg)
+        except BaseException as exc:
+            if spans is not None:
+                spans.current = None
+            return ("err", _pickle_safe(exc), traceback.format_exc())
+        if cmd.token is not None:
+            self.last_token = cmd.token
+        counters = self.perf.counters.delta(mark)
+        wall_ns = (time.perf_counter() - t0) * 1e9
+        if wspan is not None:
+            spans.current = None
+            spans.finish(
+                wspan,
+                ops=len(payload) if type(payload) is list else 1,
+                sim_ns=self.perf.cost_model.time_ns(counters),
             )
-        if hasattr(target, "index"):  # plain ViperStore
-            return target.index.stats()
-        return target.stats()
+        self.cmds_total.inc()
+        self.wall_hist.record(wall_ns)
+        delta = {k: v for k, v in counters.as_dict().items() if v}
+        self.served += 1
+        self.busy_ns += wall_ns
+        return ("ok", reply, delta, wall_ns, (self.served, self.busy_ns))
 
     def serve(self, op: str, payload: Any, arg: Any) -> Any:
         """Apply one decoded command to the shard; returns the reply."""
@@ -370,7 +401,7 @@ class _WorkerState:
             if arg == "range":
                 return list(target.range(*payload))
             if arg == "stats":
-                return self._stats()
+                return self.index.stats()
             return getattr(target, arg)(*payload)
         if op == "obs":
             return self._obs_payload()
@@ -382,8 +413,6 @@ class _WorkerState:
             "trace_counts": dict(self.tracer.counts) if self.tracer else {},
             "trace_records": list(self.tracer.records) if self.tracer else [],
             "metrics": self.metrics,
-            "profiler_counters": self.profiler.total,
-            "profiler_ops": self.profiler.op_count,
             "spans": list(self.spans.spans) if self.spans else [],
         }
 
@@ -399,6 +428,9 @@ class _WorkerState:
 #: (idempotent dedup; the parent treats it as a no-op ack).
 DUP_MARKER = "__repro_dup__"
 
+#: A worker's first message: its shard is built.
+_READY = ("ok", "ready", None, 0.0, None)
+
 
 def _worker_main(conn, cfg: dict) -> None:
     """Worker process entry: build the shard, then serve until ``close``."""
@@ -410,68 +442,61 @@ def _worker_main(conn, cfg: dict) -> None:
         finally:
             conn.close()
         return
-    conn.send(("ok", "ready", None, 0.0, None))
+    conn.send(_READY)
     if cfg["fault"]:  # scripted faults (tests / bench_recovery) only
         conn = FaultInjector(conn, cfg["fault"], state.incarnation)
-    ops_total = state.metrics.counter(
-        "repro_worker_cmds_total", worker=str(state.worker_id)
-    )
-    wall_hist = state.metrics.histogram(
-        "repro_worker_cmd_wall_ns", worker=str(state.worker_id)
-    )
-    seg = state.seg
-    served = 0
-    busy_ns = 0.0
-    # Idempotent replay: highest mutation token applied so far.  Tokens
-    # at or below it are acknowledged without re-applying, so a journal
-    # replay that races a late duplicate can never double-apply.
-    last_token = 0
-
     while True:
         try:
             cmd = conn.recv()
         except (EOFError, OSError):
             break
         if cmd.op == "close":
-            conn.send(("ok", None, None, 0.0, (served, busy_ns)))
+            conn.send(("ok", None, None, 0.0, (state.served, state.busy_ns)))
             break
-        if cmd.token is not None and cmd.token <= last_token:
-            served += 1
-            conn.send(("ok", DUP_MARKER, None, 0.0, (served, busy_ns)))
-            continue
-        wspan = None
-        if state.spans is not None and cmd.span is not None:
-            wspan = state.spans.start(
-                f"cmd:{cmd.op}", "worker", parent=cmd.span
-            )
-            state.spans.current = wspan
-        t0 = time.perf_counter()
-        mark = state.perf.begin()
-        try:
-            payload = _decode(cmd.payload, seg)
-            reply = _encode(state.serve(cmd.op, payload, cmd.arg), seg)
-        except BaseException as exc:
-            if state.spans is not None:
-                state.spans.current = None
-            conn.send(("err", _pickle_safe(exc), traceback.format_exc()))
-            continue
-        if cmd.token is not None:
-            last_token = cmd.token
-        measured = state.perf.end(mark)
-        wall_ns = (time.perf_counter() - t0) * 1e9
-        ops = len(payload) if type(payload) is list else 1
-        if wspan is not None:
-            state.spans.current = None
-            state.spans.finish(wspan, ops=ops, sim_ns=measured.time_ns)
-        ops_total.inc()
-        wall_hist.record(wall_ns)
-        state.profiler.record_measured(cmd.op, measured, ops=ops or 1)
-        delta = {k: v for k, v in measured.counters.as_dict().items() if v}
-        served += 1
-        busy_ns += wall_ns
-        conn.send(("ok", reply, delta, wall_ns, (served, busy_ns)))
+        conn.send(state.handle(cmd))
     state.close()
     conn.close()
+
+
+class _Loopback:
+    """A shard served in the caller's process.
+
+    Stands in for both the worker's pipe and its process: ``send``
+    serves the command through :meth:`_WorkerState.handle` and ``recv``
+    returns the reply.  Nothing is forked, no segment exists (payloads
+    pass by reference), and the shard is always ready, so the engine's
+    poll, deadline and recovery branches never fire.
+    """
+
+    def __init__(self, cfg: dict):
+        self.state: Optional[_WorkerState] = _WorkerState(cfg)
+        self._reply: Any = _READY
+
+    def send(self, cmd: Command) -> None:
+        if cmd.op == "close":
+            self.kill()
+        else:
+            self._reply = self.state.handle(cmd)
+
+    def recv(self):
+        reply, self._reply = self._reply, None
+        return reply
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        return True
+
+    def is_alive(self) -> bool:
+        return self.state is not None
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        pass
+
+    def kill(self) -> None:
+        if self.state is not None:
+            self.state.close()
+            self.state = None
+
+    terminate = close = kill
 
 
 def _pickle_safe(exc: BaseException) -> Optional[BaseException]:
@@ -543,17 +568,17 @@ def _finalize_pool(handles: List[_WorkerHandle]) -> None:
 
 
 class _ParallelEngine:
-    """Shared machinery: worker pool, transport, scatter/gather, obs.
+    """Shared machinery: shard pool, transport, scatter/gather, obs.
 
     Not used directly — see :class:`ParallelShardedIndex` /
-    :class:`ParallelShardedStore`.
+    :class:`ParallelShardedStore`.  ``workers`` is the shard count; with
+    ``transport="loopback"`` the shards run in the caller's process.
     """
 
     def __init__(
         self,
         spec,
         workers: int,
-        shards: Optional[int] = None,
         perf: Optional[PerfContext] = None,
         overrides: Optional[dict] = None,
         capacity: int = DEFAULT_CAPACITY,
@@ -578,21 +603,25 @@ class _ParallelEngine:
 
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
-        if transport not in ("auto", "shm", "pipe"):
+        if transport not in ("auto", "shm", "pipe", "loopback"):
             raise ReproError(
-                f"transport must be auto/shm/pipe, got {transport!r}"
+                f"transport must be auto/shm/pipe/loopback, got {transport!r}"
+            )
+        if transport == "loopback" and fault_plan is not None:
+            raise ReproError(
+                "fault_plan needs a process transport: a scripted kill of "
+                "a loopback shard would kill the caller's own process"
             )
         if worker_timeout_s is not None and worker_timeout_s <= 0:
             raise ReproError(
                 f"worker_timeout_s must be > 0, got {worker_timeout_s}"
             )
         spec = resolve(spec) if isinstance(spec, str) else spec
-        shards = workers if shards is None else max(shards, workers)
         overrides = dict(overrides or {})
 
         self.spec = spec
         self.workers = workers
-        self.shards = shards
+        self.transport = transport
         self.perf = perf if perf is not None else PerfContext()
         #: A cheap local instance for name/sortedness/capability probing.
         self.probe = spec.build(PerfContext(), **overrides)
@@ -635,7 +664,9 @@ class _ParallelEngine:
         #: Monotone per-worker mutation tokens (idempotent replay).
         self._tokens = [0] * workers
         self._incarnations = [0] * workers
-        #: Retained bulk partition per worker — the rebuild recipe.
+        #: Retained bulk partition per worker — the rebuild recipe, kept
+        #: (with the journal) only when a recovery can read it.
+        self._recoverable = restart_budget > 0
         self._base_items: List[Optional[List[Tuple[int, Any]]]] = (
             [None] * workers
         )
@@ -656,13 +687,7 @@ class _ParallelEngine:
         methods = multiprocessing.get_all_start_methods()
         self._start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(self._start_method)
-        use_shm = transport != "pipe"
-        # Sub-shard split: worker w owns shards[w] in-process sub-shards
-        # so --shards K > --workers N still builds K range partitions.
-        base, extra = divmod(shards, workers)
-        self._sub_shards = [
-            base + (1 if w < extra else 0) for w in range(workers)
-        ]
+        use_shm = transport in ("auto", "shm")
         self._overrides = overrides
         self._record_bytes = record_bytes
         self._slots_per_page = slots_per_page
@@ -696,12 +721,12 @@ class _ParallelEngine:
     # -- worker lifecycle ----------------------------------------------
 
     def _spawn_handle(self, w: int, seg: Optional[_Segment]) -> _WorkerHandle:
-        """Start one worker process over ``seg`` (shared across respawns)."""
+        """Start worker ``w`` — a process over ``seg`` (shared across
+        respawns), or a loopback shard."""
         cfg = {
             "worker": w,
             "spec": self.spec.cli_name,
             "overrides": self._overrides,
-            "sub_shards": self._sub_shards[w],
             "store": self._store_mode,
             "record_bytes": self._record_bytes,
             "slots_per_page": self._slots_per_page,
@@ -716,6 +741,9 @@ class _ParallelEngine:
                 self._fault_plan.for_worker(w) if self._fault_plan else []
             ),
         }
+        if self.transport == "loopback":
+            shard = _Loopback(cfg)
+            return _WorkerHandle(w, shard, shard, None)
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -935,7 +963,7 @@ class _ParallelEngine:
         for i, h, ops, cmd, span in inflight:
             try:
                 replies[i] = self._recv(h)
-                if mutate:
+                if mutate and self._recoverable:
                     self._journal[h.worker_id].append(cmd._replace(span=None))
             except ShardUnavailableError as exc:
                 self._count_unavailable(h.worker_id, ops)
@@ -1211,7 +1239,8 @@ class _ParallelEngine:
         # parts[w] + its (now reset) mutation journal.  A death while
         # shipping rebuilds the *whole* part and marks w done, so every
         # round below skips it.
-        self._base_items = parts
+        if self._recoverable:
+            self._base_items = parts
         self._journal = [[] for _ in range(self.workers)]
         self._bulk_done = set()
         step = self._capacity
@@ -1246,11 +1275,10 @@ class _ParallelEngine:
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
         spans: Optional[SpanRecorder] = None,
     ) -> List[dict]:
-        """Pull every worker's tracer/metrics/profiler/span state and merge
-        it into the given parent-side instances.  Returns the raw payloads.
+        """Pull every worker's tracer/metrics/span state and merge it into
+        the given parent-side instances.  Returns the raw payloads.
 
         Pass ``spans=engine.spans`` (or any recorder) to fold worker-side
         worker/event spans into the parent's request trees — their ids are
@@ -1262,8 +1290,6 @@ class _ParallelEngine:
                 tracer.absorb(p["trace_counts"], p["trace_records"])
             if metrics is not None:
                 metrics.merge_from(p["metrics"])
-            if profiler is not None:
-                profiler.absorb(p["profiler_counters"], p["profiler_ops"])
             if spans is not None:
                 spans.absorb(p.get("spans", ()))
         # Engine-side recovery telemetry (restarts, recovery latency,
@@ -1338,12 +1364,11 @@ class _ParallelEngine:
 
 
 class ParallelShardedIndex(_ParallelEngine, Index):
-    """A registry index executed across worker processes, one per shard.
+    """A registry index range-partitioned across shards, one per worker.
 
-    Same contract as the in-process
-    :class:`~repro.concurrency.sharding.ShardedIndex` — bit-identical
-    answers for any worker count (``tests/test_parallel_engine.py``) —
-    but each shard runs on its own core.  Build via
+    Bit-identical answers to the flat index for any worker count and
+    either transport (``tests/test_parallel_engine.py``); over a process
+    transport each shard runs on its own core.  Build via
     :func:`parallel_sharded_index`, which picks the sorted variant.
     """
 
@@ -1417,10 +1442,9 @@ def parallel_sharded_index(
 ) -> ParallelShardedIndex:
     """A :class:`ParallelShardedIndex` over ``spec``, sorted-aware.
 
-    Mirrors :func:`~repro.concurrency.sharding.sharded_index`: probes a
-    local instance and returns the sorted variant when the child supports
-    ordered scans, so ``isinstance(x, SortedIndex)`` gates scans exactly
-    as for the in-process wrapper.
+    Probes a local instance and returns the sorted variant when the
+    child supports ordered scans, so ``isinstance(x, SortedIndex)``
+    gates scans exactly as for the unsharded index.
     """
     from repro.registry import resolve
 
@@ -1435,14 +1459,12 @@ def parallel_sharded_index(
 
 
 class ParallelShardedStore(_ParallelEngine):
-    """K Viper stores behind the one-store API, one worker process each.
+    """K Viper stores behind the one-store API, one worker each.
 
-    The store analogue of :class:`ParallelShardedIndex` and the
-    process-parallel analogue of
-    :class:`~repro.concurrency.sharding.ShardedStore`: each worker owns a
-    :class:`~repro.store.viper.ViperStore` (its own index *and* its own
-    simulated NVM device) over its range partition.  ``.index`` exposes a
-    local representative instance so
+    The store analogue of :class:`ParallelShardedIndex`: each worker
+    owns a :class:`~repro.store.viper.ViperStore` (its own index *and*
+    its own simulated NVM device) over its range partition.  ``.index``
+    exposes a local representative instance so
     :class:`~repro.bench.runner.StoreAdapter` and the CLI name/sortedness
     probes keep working unchanged.
     """
@@ -1525,7 +1547,6 @@ def measure_scaling(
     worker_counts: Sequence[int],
     batch_size: int = 2048,
     store: bool = True,
-    shards: Optional[int] = None,
     transport: str = "auto",
     overrides: Optional[dict] = None,
 ) -> List[dict]:
@@ -1548,7 +1569,6 @@ def measure_scaling(
         engine = maker(
             spec,
             workers=w,
-            shards=shards,
             transport=transport,
             overrides=overrides,
         )

@@ -1,36 +1,22 @@
-"""Range-partitioned sharding: run any registry index across K shards.
+"""Range partitioning: the router and the stats merge behind the engine.
 
-The scaling path the ROADMAP names: instead of one index instance
-serving every key, a :class:`ShardRouter` splits the u64 key space into
-K contiguous ranges, and a :class:`ShardedIndex` / :class:`ShardedStore`
-runs one independent index (or Viper store) per range behind the
-original single-instance API.  Because the partition is by key *range*,
-ordered scans stay ordered: a scan drains the start shard and continues
-into its right-hand neighbours.
-
-Shard transparency is a hard contract (``tests/test_sharding.py``): for
-any registry spec and any K, the sharded wrapper returns bit-identical
-get/put/scan results — sharding changes *where* work runs, never what it
-answers.
-
-Each shard can carry its own :class:`~repro.perf.context.PerfContext`
-(the default), modelling one worker core per shard; the helpers
-:func:`~repro.perf.context.merged_counters` and
-:func:`~repro.perf.context.merged_elapsed_ns` combine the per-shard
-ledgers into one experiment view.  Passing an explicit ``perf`` makes
-every shard share that clock instead — what ``repro bench --shards``
-does so the measurement loop keeps working unchanged.
+A :class:`ShardRouter` splits the u64 key space into K contiguous
+ranges; :func:`merge_index_stats` folds per-shard
+:class:`~repro.core.interfaces.IndexStats` into one view.  The sharded
+engine itself — scatter, gather, scan spill — lives in
+:mod:`repro.concurrency.parallel`, over worker processes or in-process
+loopback shards.  Because the partition is by key *range*, ordered scans
+stay ordered: a scan drains the start shard and continues into its
+right-hand neighbours.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.interfaces import Index, IndexStats, SortedIndex
+from repro.core.interfaces import IndexStats
 from repro.errors import InvalidConfigurationError
-from repro.perf.context import PerfContext, merged_counters, merged_elapsed_ns
-from repro.store.viper import ViperStore
 
 _KEY_SPACE = 1 << 64
 
@@ -124,10 +110,8 @@ def merge_index_stats(
     """Merge per-shard :class:`IndexStats`: counts sum, depths aggregate.
 
     ``weights`` carries each shard's live key count so the per-key
-    averages (depth, error) combine population-weighted.  Shared by the
-    in-process :class:`ShardedIndex` and the process-parallel engine
-    (:mod:`repro.concurrency.parallel`), whose workers ship their stats
-    across the pipe for the same merge.
+    averages (depth, error) combine population-weighted; the engine
+    (:mod:`repro.concurrency.parallel`) merges its shards' stats here.
     """
     live = list(zip(parts, weights))
     total = sum(n for _, n in live)
@@ -152,362 +136,3 @@ def merge_index_stats(
             else:
                 out.extra[k] = v
     return out
-
-
-def _scatter_get_many(
-    children: Sequence, router: ShardRouter, keys: Sequence[int]
-) -> List[Optional[Any]]:
-    """Batch lookup through per-shard ``get_many``, answers in key order."""
-    by_shard: List[List[int]] = [[] for _ in range(router.shards)]
-    positions: List[List[int]] = [[] for _ in range(router.shards)]
-    for pos, key in enumerate(keys):
-        s = router.shard_of(key)
-        by_shard[s].append(key)
-        positions[s].append(pos)
-    out: List[Optional[Any]] = [None] * len(keys)
-    for s, shard_keys in enumerate(by_shard):
-        if not shard_keys:
-            continue
-        for pos, value in zip(positions[s], children[s].get_many(shard_keys)):
-            out[pos] = value
-    return out
-
-
-class ShardedIndex(Index):
-    """K independent index instances behind the one-index API.
-
-    Build with :func:`sharded_index` (which picks the sorted variant when
-    the child index supports ordered scans).  Until ``bulk_load`` the
-    router splits the key space uniformly; ``bulk_load`` re-routes on
-    equal-population boundaries of the loaded keys.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[PerfContext], Index],
-        shards: int,
-        perf: Optional[PerfContext] = None,
-    ):
-        super().__init__(perf)
-        if shards < 1:
-            raise InvalidConfigurationError(
-                f"shards must be >= 1, got {shards}"
-            )
-        #: One context per shard, or the shared one K times over.
-        self.perfs: List[PerfContext] = [
-            perf if perf is not None else PerfContext() for _ in range(shards)
-        ]
-        self.children: List[Index] = [
-            factory(ctx) for ctx in self.perfs
-        ]
-        self.router = ShardRouter(shards)
-        self.name = f"sharded[{self.children[0].name}]x{shards}"
-        self.insert_is_upsert = self.children[0].insert_is_upsert
-
-    # -- construction -------------------------------------------------
-
-    def bulk_load(self, items: Sequence[Tuple[int, Any]]) -> None:
-        self.router = ShardRouter.from_keys(
-            [k for k, _ in items], len(self.children)
-        )
-        for child, part in zip(
-            self.children, self.router.partition(items)
-        ):
-            child.bulk_load(part)
-
-    # -- routing ------------------------------------------------------
-
-    def _child(self, key: int) -> Index:
-        return self.children[self.router.shard_of(key)]
-
-    def get(self, key: int) -> Optional[Any]:
-        return self._child(key).get(key)
-
-    def get_many(self, keys: Sequence[int]) -> List[Optional[Any]]:
-        return _scatter_get_many(self.children, self.router, keys)
-
-    def insert(self, key: int, value: Any) -> None:
-        self._child(key).insert(key, value)
-
-    def insert_many(self, items: Sequence[Tuple[int, Any]]) -> None:
-        for child, part in zip(
-            self.children, self.router.partition(items)
-        ):
-            if part:
-                child.insert_many(part)
-
-    def upsert(self, key: int, value: Any) -> Optional[Any]:
-        return self._child(key).upsert(key, value)
-
-    def upsert_many(
-        self, items: Sequence[Tuple[int, Any]]
-    ) -> List[Optional[Any]]:
-        by_shard = self.router.partition(items)
-        positions: List[List[int]] = [[] for _ in range(self.router.shards)]
-        for pos, (key, _) in enumerate(items):
-            positions[self.router.shard_of(key)].append(pos)
-        out: List[Optional[Any]] = [None] * len(items)
-        for child, part, pos_list in zip(
-            self.children, by_shard, positions
-        ):
-            if part:
-                for pos, old in zip(pos_list, child.upsert_many(part)):
-                    out[pos] = old
-        return out
-
-    def update(self, key: int, value: Any) -> bool:
-        return self._child(key).update(key, value)
-
-    def delete(self, key: int) -> bool:
-        return self._child(key).delete(key)
-
-    # -- metadata -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(len(child) for child in self.children)
-
-    def size_bytes(self) -> int:
-        return sum(child.size_bytes() for child in self.children)
-
-    def key_store_bytes(self) -> int:
-        return sum(child.key_store_bytes() for child in self.children)
-
-    def stats(self) -> IndexStats:
-        """Per-shard stats merged: counts sum, depths aggregate."""
-        return merge_index_stats(
-            [child.stats() for child in self.children],
-            [len(child) for child in self.children],
-        )
-
-    # -- shard-level accounting ---------------------------------------
-
-    def merged_counters(self):
-        return merged_counters(self.perfs)
-
-    def elapsed_ns(self, parallel: bool = True) -> float:
-        return merged_elapsed_ns(self.perfs, parallel=parallel)
-
-
-class SortedShardedIndex(ShardedIndex, SortedIndex):
-    """Sharded wrapper over a sorted child: range/scan stay ordered."""
-
-    def range(self, lo: int, hi: int) -> Iterator[Tuple[int, Any]]:
-        first = self.router.shard_of(lo)
-        for child in self.children[first:]:
-            yield from child.range(lo, hi)
-
-    def scan(self, start: int, count: int) -> List[Tuple[int, Any]]:
-        out: List[Tuple[int, Any]] = []
-        first = self.router.shard_of(start)
-        for child in self.children[first:]:
-            out.extend(child.scan(start, count - len(out)))
-            if len(out) >= count:
-                break
-        return out
-
-    def scan_many(
-        self, starts: Sequence[int], count: int
-    ) -> List[List[Tuple[int, Any]]]:
-        """Batch scan: per-shard vectorized scans merged in shard order.
-
-        Starts are grouped by their first shard and served with one
-        ``scan_many`` per shard; because shards partition the key space
-        by range, concatenating each start's per-shard runs left to right
-        *is* the k-way merge.  Scans that drain their shard spill right
-        exactly like scalar :meth:`scan` — grouped by ``(shard,
-        remaining)`` so each spill is one batched child call — and every
-        child sees the same ``(start, remaining)`` requests sequential
-        scans would issue, so per-shard charge totals stay bit-identical.
-        """
-        results: List[List[Tuple[int, Any]]] = [[] for _ in starts]
-        pending = [
-            (i, self.router.shard_of(start), count)
-            for i, start in enumerate(starts)
-        ]
-        last = len(self.children) - 1
-        while pending:
-            groups: dict = {}
-            for i, shard, rem in pending:
-                groups.setdefault((shard, rem), []).append(i)
-            pending = []
-            for (shard, rem), members in sorted(groups.items()):
-                runs = self.children[shard].scan_many(
-                    [starts[i] for i in members], rem
-                )
-                for i, run in zip(members, runs):
-                    results[i].extend(run)
-                    if len(results[i]) < count and shard < last:
-                        pending.append(
-                            (i, shard + 1, count - len(results[i]))
-                        )
-        return results
-
-
-def sharded_index(
-    factory: Callable[[PerfContext], Index],
-    shards: int,
-    perf: Optional[PerfContext] = None,
-) -> ShardedIndex:
-    """A :class:`ShardedIndex` over ``factory``, sorted-aware.
-
-    Probes one child instance: when the child is a
-    :class:`~repro.core.interfaces.SortedIndex`, the returned wrapper is
-    a :class:`SortedShardedIndex`, so ``isinstance(x, SortedIndex)``
-    gates scans exactly as for the unsharded index.
-    """
-    probe_ctx = PerfContext()
-    cls = (
-        SortedShardedIndex
-        if isinstance(factory(probe_ctx), SortedIndex)
-        else ShardedIndex
-    )
-    return cls(factory, shards, perf=perf)
-
-
-class ShardedStore:
-    """K Viper stores behind the one-store API, range-routed.
-
-    The store analogue of :class:`ShardedIndex`: each shard owns one
-    :class:`~repro.store.viper.ViperStore` (its own index instance *and*
-    its own simulated NVM device) on its own perf context — K workers
-    with private hardware — unless a shared ``perf`` is supplied for
-    single-clock measurement.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[PerfContext], Index],
-        shards: int,
-        perf: Optional[PerfContext] = None,
-        record_bytes: int = 208,
-        slots_per_page: int = 16,
-    ):
-        if shards < 1:
-            raise InvalidConfigurationError(
-                f"shards must be >= 1, got {shards}"
-            )
-        self.perfs: List[PerfContext] = [
-            perf if perf is not None else PerfContext() for _ in range(shards)
-        ]
-        self.stores: List[ViperStore] = [
-            ViperStore(
-                factory(ctx),
-                ctx,
-                record_bytes=record_bytes,
-                slots_per_page=slots_per_page,
-            )
-            for ctx in self.perfs
-        ]
-        self.router = ShardRouter(shards)
-        #: Ops routed per shard (router load balance observability).
-        self.shard_ops: List[int] = [0] * shards
-        self.index = self.stores[0].index  # representative, for naming
-        self.name = f"sharded[{self.index.name}]x{shards}"
-
-    @property
-    def shards(self) -> int:
-        return len(self.stores)
-
-    def _store(self, key: int) -> ViperStore:
-        s = self.router.shard_of(key)
-        self.shard_ops[s] += 1
-        return self.stores[s]
-
-    # -- operations ---------------------------------------------------
-
-    def bulk_load(self, items: List[Tuple[int, Any]]) -> None:
-        self.router = ShardRouter.from_keys(
-            [k for k, _ in items], self.shards
-        )
-        for store, part in zip(self.stores, self.router.partition(items)):
-            store.bulk_load(part)
-
-    def put(self, key: int, value: Any) -> None:
-        self._store(key).put(key, value)
-
-    def put_many(self, items: List[Tuple[int, Any]]) -> None:
-        for s, part in enumerate(self.router.partition(items)):
-            if part:
-                self.shard_ops[s] += len(part)
-                self.stores[s].put_many(part)
-
-    def get(self, key: int) -> Optional[Any]:
-        return self._store(key).get(key)
-
-    def get_many(self, keys: List[int]) -> List[Optional[Any]]:
-        for key in keys:
-            self.shard_ops[self.router.shard_of(key)] += 1
-        return _scatter_get_many(self.stores, self.router, keys)
-
-    def update(self, key: int, value: Any) -> bool:
-        return self._store(key).update(key, value)
-
-    def delete(self, key: int) -> bool:
-        return self._store(key).delete(key)
-
-    def scan(self, start_key: int, count: int) -> List[Tuple[int, Any]]:
-        """Cross-shard ordered scan: drain the start shard, spill right."""
-        out: List[Tuple[int, Any]] = []
-        first = self.router.shard_of(start_key)
-        for s in range(first, self.shards):
-            self.shard_ops[s] += 1
-            out.extend(self.stores[s].scan(start_key, count - len(out)))
-            if len(out) >= count:
-                break
-        return out
-
-    def scan_many(
-        self, starts: List[int], count: int
-    ) -> List[List[Tuple[int, Any]]]:
-        """Batch cross-shard scan; see ``SortedShardedIndex.scan_many``.
-
-        ``shard_ops`` counts one op per (scan, shard visited), exactly as
-        sequential :meth:`scan` calls would."""
-        results: List[List[Tuple[int, Any]]] = [[] for _ in starts]
-        pending = [
-            (i, self.router.shard_of(start), count)
-            for i, start in enumerate(starts)
-        ]
-        last = self.shards - 1
-        while pending:
-            groups: dict = {}
-            for i, shard, rem in pending:
-                groups.setdefault((shard, rem), []).append(i)
-            pending = []
-            for (shard, rem), members in sorted(groups.items()):
-                self.shard_ops[shard] += len(members)
-                runs = self.stores[shard].scan_many(
-                    [starts[i] for i in members], rem
-                )
-                for i, run in zip(members, runs):
-                    results[i].extend(run)
-                    if len(results[i]) < count and shard < last:
-                        pending.append(
-                            (i, shard + 1, count - len(results[i]))
-                        )
-        return results
-
-    def gc(self) -> int:
-        return sum(store.gc() for store in self.stores)
-
-    def __len__(self) -> int:
-        return sum(len(store) for store in self.stores)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._store(key)
-
-    def space_overhead(self) -> dict:
-        out: dict = {}
-        for store in self.stores:
-            for k, v in store.space_overhead().items():
-                out[k] = out.get(k, 0) + v
-        return out
-
-    # -- shard-level accounting ---------------------------------------
-
-    def merged_counters(self):
-        return merged_counters(self.perfs)
-
-    def elapsed_ns(self, parallel: bool = True) -> float:
-        """Merged shard clocks (max when shards run in parallel)."""
-        return merged_elapsed_ns(self.perfs, parallel=parallel)

@@ -92,18 +92,6 @@ class Profiler:
         """
         self._record(label, measured.time_ns, measured.counters, ops)
 
-    def absorb(self, counters: Counters, ops: int) -> None:
-        """Fold an already-aggregated ledger into the totals.
-
-        Cross-process merge path: the parallel engine's workers profile
-        their own command stream and ship ``(total counters, op count)``
-        back at drain time.  Only the aggregate side merges — the
-        worst-op heap stays local to each profiler, since per-op records
-        are not shipped.
-        """
-        self.total.add(counters)
-        self.op_count += ops
-
     def _record(
         self, label: str, time_ns: float, counters: Counters, ops: int = 1
     ) -> None:

@@ -102,30 +102,6 @@ class PerfContext:
         self.counters = Counters()
 
 
-def merged_counters(contexts: "list[PerfContext]") -> Counters:
-    """One ledger summing every context's events (sharded aggregates)."""
-    out = Counters()
-    for ctx in contexts:
-        out.add(ctx.counters)
-    return out
-
-
-def merged_elapsed_ns(
-    contexts: "list[PerfContext]", parallel: bool = True
-) -> float:
-    """Combine per-shard simulated clocks into one experiment clock.
-
-    ``parallel=True`` models shards executing concurrently (one worker
-    per shard): the experiment finishes when the *slowest* shard does,
-    so the merged clock is the max.  ``parallel=False`` models shards
-    sharing one worker: clocks add.
-    """
-    clocks = [ctx.elapsed_ns() for ctx in contexts]
-    if not clocks:
-        return 0.0
-    return max(clocks) if parallel else sum(clocks)
-
-
 #: A context used by indexes constructed without an explicit one.  It still
 #: counts (so standalone usage works), but experiments should always pass
 #: their own context to keep measurements isolated.

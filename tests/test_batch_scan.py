@@ -3,8 +3,9 @@
 ``scan_many(starts, count)`` must be indistinguishable from the scalar
 ``scan`` loop everywhere it is offered: same tuples, same order, and the
 same simulated hardware charges (counter deltas compare equal) — for
-every sorted registry spec, flat and through the Viper store, under
-in-process sharding and the process-parallel engine.  Edge cases pinned
+every sorted registry spec, flat and through the Viper store, and
+through the sharded engine over both its in-process loopback transport
+and worker processes.  Edge cases pinned
 here: scans spanning leaf boundaries, empty ranges past the last key,
 duplicate start keys, post-insert buffers, and hash indexes failing with
 :class:`UnsupportedOperationError`, never ``AttributeError``.
@@ -16,8 +17,10 @@ import pytest
 
 from repro import PerfContext, ViperStore
 from repro.bench.runner import IndexAdapter, execute_ops
-from repro.concurrency.parallel import parallel_sharded_index
-from repro.concurrency.sharding import ShardedStore, sharded_index
+from repro.concurrency.parallel import (
+    parallel_sharded_index,
+    parallel_sharded_store,
+)
 from repro.core.interfaces import SortedIndex
 from repro.errors import UnsupportedOperationError
 from repro.registry import has_native_batch_scan, resolve, specs
@@ -153,36 +156,41 @@ def test_sharded_scan_many_matches_scalar(spec, shards):
     probe = spec.build(PerfContext())
     if not isinstance(probe, SortedIndex):
         pytest.skip("hash index: covered by the raising tests")
-    index = sharded_index(spec, shards, perf=perf)
     keys = _keys(1200)
-    index.bulk_load([(k, k * 3) for k in keys])
     rng = random.Random(23)
     starts = rng.sample(keys, 50) + [0, keys[-1] + 5] + [keys[3]] * 4
-    # count=400 forces cross-shard spill at every shard count > 1.
-    for count in (0, 1, 50, 400):
-        _assert_parity(index, perf, starts, count, f"x{shards}")
+    with parallel_sharded_index(
+        spec, shards, perf=perf, transport="loopback"
+    ) as index:
+        index.bulk_load([(k, k * 3) for k in keys])
+        # count=400 forces cross-shard spill at every shard count > 1.
+        for count in (0, 1, 50, 400):
+            _assert_parity(index, perf, starts, count, f"x{shards}")
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_store_scan_many_matches_scalar(shards):
     perf = PerfContext()
-    store = ShardedStore(resolve("BTree"), shards, perf=perf)
     keys = _keys(1200)
-    store.bulk_load([(k, k * 3) for k in keys])
     rng = random.Random(29)
     starts = rng.sample(keys, 50) + [0, keys[-1] + 5] + [keys[3]] * 4
-    before = list(store.shard_ops)
-    store.scan_many(starts, 50)
-    mid = list(store.shard_ops)
-    for start in starts:
-        store.scan(start, 50)
-    after = list(store.shard_ops)
-    # Batched and scalar visit the same shards the same number of times.
-    assert [m - b for m, b in zip(mid, before)] == [
-        a - m for a, m in zip(after, mid)
-    ]
-    for count in (0, 1, 50, 400):
-        _assert_parity(store, perf, starts, count, f"store x{shards}")
+    with parallel_sharded_store(
+        "BTree", shards, perf=perf, transport="loopback"
+    ) as store:
+        store.bulk_load([(k, k * 3) for k in keys])
+        before = list(store.worker_ops)
+        store.scan_many(starts, 50)
+        mid = list(store.worker_ops)
+        for start in starts:
+            store.scan(start, 50)
+        after = list(store.worker_ops)
+        # Batched and scalar visit the same shards the same number of
+        # times.
+        assert [m - b for m, b in zip(mid, before)] == [
+            a - m for a, m in zip(after, mid)
+        ]
+        for count in (0, 1, 50, 400):
+            _assert_parity(store, perf, starts, count, f"store x{shards}")
 
 
 # ------------------------------------------------------------ parallel

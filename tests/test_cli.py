@@ -84,3 +84,35 @@ class TestDatasets:
     def test_unknown_dataset_rejected(self, capsys):
         assert main(["datasets", "--name", "nope"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
+
+
+class TestReport:
+    RUN = [
+        "report", "--index", "pgm", "--workload", "ycsb-a",
+        "--keys", "2000", "--ops", "500",
+    ]
+
+    @pytest.mark.parametrize(
+        "engine",
+        [["--shards", "2"], ["--workers", "2", "--spans"]],
+        ids=["shards", "workers-spans"],
+    )
+    def test_sharded_engine_report(self, capsys, engine):
+        assert main(self.RUN + engine) == 0
+        out = capsys.readouterr().out
+        assert "Worker balance" in out
+        assert "Worker health" in out
+        # The profiler counts each workload op once, on either transport.
+        assert "\n500 ops, " in out
+        if "--spans" in engine:
+            assert "Causal spans" in out
+
+    def test_more_shards_than_workers_rejected(self, capsys):
+        assert main(self.RUN + ["--shards", "4", "--workers", "2"]) == 2
+        assert "exceeds --workers 2" in capsys.readouterr().err
+
+    def test_spans_without_an_engine_rejected(self, capsys):
+        assert main(self.RUN + ["--spans"]) == 2
+        assert "--spans needs --shards or --workers" in (
+            capsys.readouterr().err
+        )

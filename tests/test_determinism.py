@@ -104,20 +104,22 @@ def test_simulator_streams_are_deterministic():
 
 
 def test_sharded_store_clock_is_deterministic():
-    from repro.concurrency import ShardedStore
-    from repro.registry import resolve
+    from repro import PerfContext
+    from repro.concurrency import parallel_sharded_store
 
     def once():
         keys = ycsb_keys(4000, seed=6)
-        store = ShardedStore(resolve("btree").build, 4)
-        store.bulk_load([(k, k) for k in keys])
-        for k in keys[:500]:
-            store.get(k)
-        return (
-            store.elapsed_ns(parallel=True),
-            store.elapsed_ns(parallel=False),
-            tuple(store.shard_ops),
-            store.merged_counters().as_dict(),
-        )
+        perf = PerfContext()
+        with parallel_sharded_store(
+            "btree", 4, perf=perf, transport="loopback"
+        ) as store:
+            store.bulk_load([(k, k) for k in keys])
+            for k in keys[:500]:
+                store.get(k)
+            return (
+                perf.elapsed_ns(),
+                tuple(store.worker_ops),
+                perf.counters.as_dict(),
+            )
 
     assert once() == once()

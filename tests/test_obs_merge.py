@@ -1,10 +1,9 @@
 """Observability merges must be drain-order independent.
 
-``drain_obs`` folds each worker's tracer/metrics/profiler/span state
-into the parent's instances in whatever order the workers reply.  That
-order is scheduling noise, so the merged state — counts, rendered
-metrics, profiler ledgers, span summaries — must be identical however
-the payloads are permuted.  (Record *lists* may be ordered differently;
+``drain_obs`` folds each worker's tracer/metrics/span state into the
+parent's instances in whatever order the workers reply.  That order is
+scheduling noise, so the merged state — counts, rendered metrics, span
+summaries — must be identical however the payloads are permuted.  (Record *lists* may be ordered differently;
 every aggregate view must not be.)
 """
 
@@ -12,7 +11,6 @@ import itertools
 
 import pytest
 
-from repro import PerfContext
 from repro.concurrency import parallel_sharded_index
 from repro.obs import (
     MetricsRegistry,
@@ -22,7 +20,6 @@ from repro.obs import (
     summarize_spans,
     trace_summary,
 )
-from repro.perf import Profiler
 from repro.registry import specs
 from repro.workloads import uniform_keys
 
@@ -31,24 +28,20 @@ def _merge(payloads):
     """Replicate drain_obs's merge into fresh parent-side instances."""
     tracer = Tracer(rate=0.0)
     metrics = MetricsRegistry()
-    profiler = Profiler(PerfContext())
     spans = SpanRecorder(rate=1.0, seed=0, prefix="p")
     for p in payloads:
         tracer.absorb(p["trace_counts"], p["trace_records"])
         metrics.merge_from(p["metrics"])
-        profiler.absorb(p["profiler_counters"], p["profiler_ops"])
         spans.absorb(p.get("spans", ()))
-    return tracer, metrics, profiler, spans
+    return tracer, metrics, spans
 
 
-def _state(tracer, metrics, profiler, spans):
+def _state(tracer, metrics, spans):
     """Every aggregate view a caller can observe after the merge."""
     return (
         tracer.counts,
         trace_summary(tracer.records),
         prometheus_text(metrics, tracer),
-        profiler.total.as_dict(),
-        profiler.op_count,
         sorted(s.span_id for s in spans.spans),
         summarize_spans(spans.spans),
     )
@@ -73,9 +66,8 @@ def worker_payloads():
     return payloads
 
 
-def test_payloads_carry_all_four_obs_channels(worker_payloads):
+def test_payloads_carry_every_obs_channel(worker_payloads):
     for p in worker_payloads:
-        assert p["profiler_ops"] > 0
         assert p["spans"]
         names = {name for name, _k, _l, _i in p["metrics"].collect()}
         assert "repro_worker_cmds_total" in names
@@ -91,19 +83,16 @@ def test_every_drain_order_yields_identical_state(worker_payloads):
 
 
 def test_merged_counts_are_the_sum_of_the_parts(worker_payloads):
-    tracer, _, profiler, spans = _merge(worker_payloads)
+    tracer, _, spans = _merge(worker_payloads)
     for etype in tracer.counts:
         assert tracer.counts[etype] == sum(
             p["trace_counts"].get(etype, 0) for p in worker_payloads
         )
-    assert profiler.op_count == sum(
-        p["profiler_ops"] for p in worker_payloads
-    )
     assert len(spans.spans) == sum(len(p["spans"]) for p in worker_payloads)
 
 
 def test_span_ids_stay_unique_across_workers(worker_payloads):
-    _, _, _, spans = _merge(worker_payloads)
+    _, _, spans = _merge(worker_payloads)
     ids = [s.span_id for s in spans.spans]
     assert len(ids) == len(set(ids))
     prefixes = {i.split("-", 1)[0] for i in ids}

@@ -1,11 +1,15 @@
-"""The process-parallel engine must be invisible, like sharding itself.
+"""The sharded engine must be invisible, like sharding itself.
 
 Contract under test: a :class:`~repro.concurrency.ParallelShardedIndex`
-(worker *processes*, shared-memory transport) returns bit-identical
-answers to the flat in-process index for every registry spec and every
-worker count — and it fails loudly (``WorkerDiedError``) instead of
-hanging when a worker dies, and leaks no shared-memory segments on
-close.
+returns bit-identical answers to the flat in-process index for every
+registry spec and every worker count, over worker *processes* (shared-
+memory transport) and over in-process loopback shards alike — and a
+process engine fails loudly (``WorkerDiedError``) instead of hanging
+when a worker dies, and leaks no shared-memory segments on close.
+
+Tests that take the ``transport`` fixture run over ``"shm"`` here and
+again over ``"loopback"`` in :class:`TestLoopback`; fault, recovery,
+shm-unlink and close-escalation tests need real processes.
 """
 
 import os
@@ -16,6 +20,7 @@ import pytest
 
 from repro import PerfContext, ViperStore
 from repro.concurrency import (
+    FaultPlan,
     ParallelShardedIndex,
     ParallelShardedStore,
     ParallelSortedShardedIndex,
@@ -25,7 +30,6 @@ from repro.concurrency import (
 from repro.core.interfaces import SortedIndex
 from repro.errors import ReproError, WorkerDiedError
 from repro.obs import MetricsRegistry, Tracer
-from repro.perf import Profiler
 from repro.registry import specs
 from repro.workloads import uniform_keys
 
@@ -44,15 +48,21 @@ def _spec_params():
     return [pytest.param(spec, id=spec.name) for spec in specs()]
 
 
+@pytest.fixture
+def transport():
+    """The engine transport under test (``TestLoopback`` overrides it)."""
+    return "shm"
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("spec", _spec_params())
-def test_engine_matches_flat_index(spec, workers):
+def test_engine_matches_flat_index(spec, workers, transport):
     load, extra = _keys()
     items = [(k, k * 3) for k in load]
 
     flat = spec.build(PerfContext())
     flat.bulk_load(items)
-    engine = parallel_sharded_index(spec, workers)
+    engine = parallel_sharded_index(spec, workers, transport=transport)
     try:
         engine.bulk_load(items)
 
@@ -89,14 +99,14 @@ def test_engine_matches_flat_index(spec, workers):
 
 
 @pytest.mark.parametrize("workers", (1, 3))
-def test_engine_store_matches_flat_store(workers):
+def test_engine_store_matches_flat_store(workers, transport):
     spec = next(s for s in specs() if s.name == "PGM")
     load, extra = _keys()
     items = [(k, f"v{k}") for k in load]
 
     flat = ViperStore(spec.build(PerfContext()), PerfContext())
     flat.bulk_load(items)
-    engine = parallel_sharded_store(spec, workers)
+    engine = parallel_sharded_store(spec, workers, transport=transport)
     try:
         engine.bulk_load(items)
         probe = list(load) + list(extra)
@@ -226,10 +236,12 @@ def test_close_unlinks_every_shm_segment():
         engine.get_many(load[:1])
 
 
-def test_drain_obs_merges_worker_state_into_parent():
+def test_drain_obs_merges_worker_state_into_parent(transport):
     spec = next(s for s in specs() if s.name == "PGM")
     load, extra = _keys()
-    engine = parallel_sharded_index(spec, 2, trace_rate=1.0, seed=7)
+    engine = parallel_sharded_index(
+        spec, 2, trace_rate=1.0, seed=7, transport=transport
+    )
     try:
         engine.bulk_load([(k, k) for k in load])
         engine.get_many(load)
@@ -237,19 +249,14 @@ def test_drain_obs_merges_worker_state_into_parent():
 
         tracer = Tracer(rate=0.0)
         metrics = MetricsRegistry()
-        profiler = Profiler(PerfContext())
-        payloads = engine.drain_obs(
-            tracer=tracer, metrics=metrics, profiler=profiler
-        )
+        payloads = engine.drain_obs(tracer=tracer, metrics=metrics)
         assert len(payloads) == 2
         # Worker-side lifecycle events land in the parent tracer...
         assert sum(tracer.counts.values()) > 0
-        # ...command metrics in the parent registry (per-worker labels)...
+        # ...and command metrics in the parent registry (per-worker
+        # labels).
         names = {name for name, _kind, _labels, _inst in metrics.collect()}
         assert "repro_worker_cmds_total" in names
-        # ...and measured work in the parent profiler.
-        assert profiler.op_count > 0
-        assert profiler.total.total() > 0
     finally:
         engine.close()
 
@@ -259,45 +266,42 @@ def test_drain_obs_merges_worker_state_into_parent():
 
 
 def test_engine_perf_charges_match_in_process_sharding():
-    """The simulated cost model must not notice the process boundary."""
-    from repro.concurrency import sharded_index
-
+    """The simulated cost model must not notice the process boundary:
+    worker processes bill exactly what loopback shards bill."""
     spec = next(s for s in specs() if s.name == "PGM")
     load, extra = _keys()
     items = [(k, k) for k in load]
     probe = list(load) + list(extra)
 
-    perf_local = PerfContext()
-    local = sharded_index(spec.build, 2, perf=perf_local)
-    local.bulk_load(items)
-    local.get_many(probe)
-
-    perf_engine = PerfContext()
-    engine = parallel_sharded_index(spec, 2, perf=perf_engine)
-    try:
-        engine.bulk_load(items)
-        engine.get_many(probe)
-    finally:
-        engine.close()
-
-    assert perf_engine.counters.as_dict() == perf_local.counters.as_dict()
-    assert perf_engine.counters.total() > 0
+    ledgers = {}
+    for transport in ("loopback", "shm"):
+        perf = PerfContext()
+        with parallel_sharded_index(
+            spec, 2, perf=perf, transport=transport
+        ) as engine:
+            engine.bulk_load(items)
+            engine.get_many(probe)
+        ledgers[transport] = perf.counters.as_dict()
+    assert ledgers["shm"] == ledgers["loopback"]
+    assert perf.counters.total() > 0
 
 
-def test_scan_many_waves_match_in_process_sharding():
+def test_scan_many_waves_match_in_process_sharding(transport):
     """Spill rounds chunked at a small capacity and shipped to every
-    worker at once still answer and bill exactly like in-process
-    sharding."""
-    from repro.concurrency import sharded_index
-
+    worker at once still answer and bill exactly like one unchunked
+    round of in-process shards."""
     spec = next(s for s in specs() if s.name == "PGM")
     load, _ = _keys()
     items = [(k, k) for k in sorted(load)]
     starts = sorted(load)[::7] + [0]
     perf_local, perf_engine = PerfContext(), PerfContext()
-    local = sharded_index(spec.build, 3, perf=perf_local)
+    local = parallel_sharded_index(
+        spec, 3, perf=perf_local, transport="loopback"
+    )
     local.bulk_load(items)
-    engine = parallel_sharded_index(spec, 3, perf=perf_engine, capacity=8)
+    engine = parallel_sharded_index(
+        spec, 3, perf=perf_engine, capacity=8, transport=transport
+    )
     try:
         engine.bulk_load(items)
         mark_local, mark_engine = perf_local.begin(), perf_engine.begin()
@@ -308,12 +312,13 @@ def test_scan_many_waves_match_in_process_sharding():
         )
     finally:
         engine.close()
+        local.close()
 
 
-def test_engine_utilization_and_balance_accounting():
+def test_engine_utilization_and_balance_accounting(transport):
     spec = next(s for s in specs() if s.name == "BTree")
     load, _ = _keys()
-    engine = parallel_sharded_index(spec, 2)
+    engine = parallel_sharded_index(spec, 2, transport=transport)
     try:
         engine.bulk_load([(k, k) for k in load])
         engine.get_many(load)
@@ -337,19 +342,17 @@ def test_engine_utilization_and_balance_accounting():
 
 
 @pytest.mark.parametrize("name", ("PGM", "ALEX"))
-def test_out_of_range_keys_match_sharded_index(name):
+def test_out_of_range_keys_match_sharded_index(name, transport):
     """Keys outside [0, 2^64) route like any other: the engine answers
-    exactly like in-process sharding, or raises the same typed error."""
-    from repro.concurrency import sharded_index
-
+    exactly like the flat index, or raises the same typed error."""
     spec = next(s for s in specs() if s.name == name)
     load, _ = _keys()
     items = [(k, k) for k in sorted(load)]
     bad = [-1, 2**64]
     probe = bad + sorted(load)[:3] + sorted(load)[-3:]
-    local = sharded_index(spec.build, 2, perf=PerfContext())
+    local = spec.build(PerfContext())
     local.bulk_load(items)
-    engine = parallel_sharded_index(spec, 2)
+    engine = parallel_sharded_index(spec, 2, transport=transport)
     try:
         engine.bulk_load(items)
         assert engine.get_many(probe) == local.get_many(probe)
@@ -376,6 +379,11 @@ def test_bad_configuration_rejected():
         ParallelShardedIndex("pgm", 2, transport="carrier-pigeon")
     with pytest.raises(ReproError):
         ParallelShardedStore("no-such-spec", 2)
+    # A scripted kill would SIGKILL the caller's own process.
+    with pytest.raises(ReproError, match="fault_plan"):
+        ParallelShardedStore(
+            "pgm", 2, transport="loopback", fault_plan=FaultPlan()
+        )
 
 
 def _walk_to_root(span, by_id):
@@ -384,7 +392,7 @@ def _walk_to_root(span, by_id):
     return span
 
 
-def test_traced_run_attaches_every_worker_event_to_its_request():
+def test_traced_run_attaches_every_worker_event_to_its_request(transport):
     """Acceptance: a traced 2-worker run yields a span tree where every
     worker-side lifecycle event is reachable from an originating
     request span."""
@@ -393,7 +401,7 @@ def test_traced_run_attaches_every_worker_event_to_its_request():
     spec = next(s for s in specs() if s.name == "PGM")
     load, extra = _keys()
     engine = parallel_sharded_index(
-        spec, 2, trace_rate=1.0, span_rate=1.0, seed=7
+        spec, 2, trace_rate=1.0, span_rate=1.0, seed=7, transport=transport
     )
     try:
         engine.bulk_load([(k, k) for k in load])
@@ -429,7 +437,7 @@ def test_traced_run_attaches_every_worker_event_to_its_request():
     assert all(by_id[w.parent_id].kind == "shard" for w in workers)
 
 
-def test_span_counts_match_untraced_event_counters_at_rate_one():
+def test_span_counts_match_untraced_event_counters_at_rate_one(transport):
     """Acceptance: at sample rate 1.0 the event-span population equals
     the exact (pre-sampling) lifecycle counters of an untraced run."""
     spec = next(s for s in specs() if s.name == "PGM")
@@ -437,7 +445,8 @@ def test_span_counts_match_untraced_event_counters_at_rate_one():
 
     def run(span_rate):
         engine = parallel_sharded_index(
-            spec, 2, trace_rate=1.0, span_rate=span_rate, seed=7
+            spec, 2, trace_rate=1.0, span_rate=span_rate, seed=7,
+            transport=transport,
         )
         try:
             engine.bulk_load([(k, k) for k in load])
@@ -467,10 +476,12 @@ def test_span_counts_match_untraced_event_counters_at_rate_one():
     assert sum(1 for s in spans if s.kind == "request") == api_calls
 
 
-def test_partial_span_rate_still_counts_every_request():
+def test_partial_span_rate_still_counts_every_request(transport):
     spec = next(s for s in specs() if s.name == "BTree")
     load, _ = _keys()
-    engine = parallel_sharded_index(spec, 2, span_rate=0.5, seed=3)
+    engine = parallel_sharded_index(
+        spec, 2, span_rate=0.5, seed=3, transport=transport
+    )
     try:
         engine.bulk_load([(k, k) for k in load])
         for _ in range(40):
@@ -514,10 +525,10 @@ def test_worker_death_dumps_flight_recorder():
         engine.close()
 
 
-def test_health_monitor_tracks_live_engine():
+def test_health_monitor_tracks_live_engine(transport):
     spec = next(s for s in specs() if s.name == "BTree")
     load, _ = _keys()
-    engine = parallel_sharded_index(spec, 2)
+    engine = parallel_sharded_index(spec, 2, transport=transport)
     try:
         engine.bulk_load([(k, k) for k in load])
         engine.get_many(load)
@@ -536,6 +547,91 @@ def test_health_monitor_tracks_live_engine():
         engine.close()
 
 
+def test_journal_stays_empty_at_restart_budget_zero(transport):
+    """At ``restart_budget=0`` nothing can read the bulk parts or the
+    mutation journal, so neither grows with writes."""
+    load, extra = _keys()
+    engine = parallel_sharded_store("pgm", 2, transport=transport)
+    try:
+        engine.bulk_load([(k, k) for k in sorted(load)])
+        engine.put_many([(k, k + 1) for k in extra])
+        engine.put(extra[0], 9)
+        engine.gc()
+        assert engine._base_items == [None, None]
+        assert engine._journal == [[], []]
+    finally:
+        engine.close()
+
+
+def test_loopback_starts_no_process_and_no_segment(capfd):
+    """Loopback shards live in the caller: no child process, no shared
+    memory, and neither close() nor finalization reports a leak."""
+    import gc
+    import multiprocessing
+
+    before = multiprocessing.active_children()
+    engine = parallel_sharded_index("btree", 3, transport="loopback")
+    assert multiprocessing.active_children() == before
+    assert [h.seg for h in engine._handles] == [None] * 3
+    load, _ = _keys()
+    engine.bulk_load([(k, k) for k in sorted(load)])
+    engine.close()
+    with pytest.raises(ReproError):
+        engine.get(load[0])
+    dropped = parallel_sharded_store("btree", 2, transport="loopback")
+    dropped.bulk_load([(k, k) for k in sorted(load)])
+    del dropped  # finalized without close()
+    gc.collect()
+    assert capfd.readouterr().err == ""
+
+
+class TestLoopback:
+    """The contract tests that need no real process, rerun with every
+    shard served in the caller's process (``transport="loopback"``)."""
+
+    @pytest.fixture
+    def transport(self):
+        return "loopback"
+
+    test_engine_matches_flat_index = staticmethod(
+        test_engine_matches_flat_index
+    )
+    test_engine_store_matches_flat_store = staticmethod(
+        test_engine_store_matches_flat_store
+    )
+    test_drain_obs_merges_worker_state_into_parent = staticmethod(
+        test_drain_obs_merges_worker_state_into_parent
+    )
+    test_scan_many_waves_match_in_process_sharding = staticmethod(
+        test_scan_many_waves_match_in_process_sharding
+    )
+    test_engine_utilization_and_balance_accounting = staticmethod(
+        test_engine_utilization_and_balance_accounting
+    )
+    test_out_of_range_keys_match_sharded_index = staticmethod(
+        test_out_of_range_keys_match_sharded_index
+    )
+    test_traced_run_attaches_every_worker_event_to_its_request = (
+        staticmethod(
+            test_traced_run_attaches_every_worker_event_to_its_request
+        )
+    )
+    test_span_counts_match_untraced_event_counters_at_rate_one = (
+        staticmethod(
+            test_span_counts_match_untraced_event_counters_at_rate_one
+        )
+    )
+    test_partial_span_rate_still_counts_every_request = staticmethod(
+        test_partial_span_rate_still_counts_every_request
+    )
+    test_health_monitor_tracks_live_engine = staticmethod(
+        test_health_monitor_tracks_live_engine
+    )
+    test_journal_stays_empty_at_restart_budget_zero = staticmethod(
+        test_journal_stays_empty_at_restart_budget_zero
+    )
+
+
 # --------------------------------------------------------- fault injection
 #
 # The supervision layer (repro.concurrency.supervise) converts the
@@ -545,7 +641,6 @@ def test_health_monitor_tracks_live_engine():
 # command replayed exactly once.  The contract under test: results after
 # recovery are bit-identical to a run where nothing failed.
 
-from repro.concurrency import FaultPlan  # noqa: E402
 from repro.errors import ShardUnavailableError  # noqa: E402
 
 

@@ -29,9 +29,8 @@ from repro.registry import (
 
 # ComposedIndex is the recombination framework, not a competitor: it has
 # no zero-argument configuration (callers supply the four dimensions), so
-# it has no registry spec.  ShardedIndex likewise wraps a child factory
-# across K range partitions rather than competing itself.
-EXEMPT = {repro.ComposedIndex, repro.ShardedIndex}
+# it has no registry spec.
+EXEMPT = {repro.ComposedIndex}
 
 
 def exported_index_classes():

@@ -1,7 +1,8 @@
 """Sharded execution must be invisible: K shards, same answers.
 
-The contract: a :class:`~repro.concurrency.ShardedStore` (or
-``sharded_index``) over any registry spec returns bit-identical
+The contract: the sharded engine over its in-process loopback transport
+(``parallel_sharded_store`` / ``parallel_sharded_index`` with
+``transport="loopback"``) over any registry spec returns bit-identical
 get/put/scan results to the unsharded instance, for any shard count —
 sharding partitions the key space, it never changes semantics.
 """
@@ -9,8 +10,12 @@ sharding partitions the key space, it never changes semantics.
 import pytest
 
 from repro import PerfContext, ViperStore
-from repro.concurrency import ShardRouter, ShardedStore, sharded_index
-from repro.concurrency.sharding import SortedShardedIndex
+from repro.concurrency import (
+    ParallelSortedShardedIndex,
+    ShardRouter,
+    parallel_sharded_index,
+    parallel_sharded_store,
+)
 from repro.core.interfaces import SortedIndex
 from repro.errors import InvalidConfigurationError
 from repro.registry import specs
@@ -40,9 +45,13 @@ def test_sharded_store_matches_unsharded(spec, shards):
 
     flat = ViperStore(spec.build(PerfContext()), PerfContext())
     flat.bulk_load(items)
-    sharded = ShardedStore(spec.build, shards)
-    sharded.bulk_load(items)
+    with parallel_sharded_store(spec, shards, transport="loopback") as sharded:
+        sharded.bulk_load(items)
+        _check_store_contract(flat, sharded, load, extra)
 
+
+def _check_store_contract(flat, sharded, load, extra):
+    """Answers, lengths and ops routed (``worker_ops``) match ``flat``."""
     updatable = flat.index.capabilities().updatable
     issued = 0
 
@@ -71,7 +80,7 @@ def test_sharded_store_matches_unsharded(spec, shards):
         issued += 10
 
     assert len(sharded) == len(flat)
-    assert sum(sharded.shard_ops) == issued
+    assert sum(sharded.worker_ops) == issued
 
     # Ordered scans must cross shard boundaries seamlessly.
     if isinstance(flat.index, SortedIndex):
@@ -89,24 +98,24 @@ def test_sharded_index_matches_unsharded(shards):
 
     flat = spec.build(PerfContext())
     flat.bulk_load(items)
-    sharded = sharded_index(spec.build, shards)
-    sharded.bulk_load(items)
-    assert isinstance(sharded, SortedShardedIndex)
+    with parallel_sharded_index(spec, shards, transport="loopback") as sharded:
+        sharded.bulk_load(items)
+        assert isinstance(sharded, ParallelSortedShardedIndex)
 
-    probe = list(load) + list(extra)
-    assert sharded.get_many(probe) == flat.get_many(probe)
-    for k in extra:
-        flat.insert(k, k * 3)
-        sharded.insert(k, k * 3)
-    assert sharded.get_many(probe) == flat.get_many(probe)
-    assert len(sharded) == len(flat)
-    assert sharded.stats().leaf_count >= shards
+        probe = list(load) + list(extra)
+        assert sharded.get_many(probe) == flat.get_many(probe)
+        for k in extra:
+            flat.insert(k, k * 3)
+            sharded.insert(k, k * 3)
+        assert sharded.get_many(probe) == flat.get_many(probe)
+        assert len(sharded) == len(flat)
+        assert sharded.stats().leaf_count >= shards
 
-    start = sorted(load)[7]
-    assert sharded.scan(start, 100) == flat.scan(start, 100)
-    assert list(sharded.range(start, start + 10**17)) == list(
-        flat.range(start, start + 10**17)
-    )
+        start = sorted(load)[7]
+        assert sharded.scan(start, 100) == flat.scan(start, 100)
+        assert list(sharded.range(start, start + 10**17)) == list(
+            flat.range(start, start + 10**17)
+        )
 
 
 class TestRouter:
@@ -160,26 +169,3 @@ class TestRouter:
         with pytest.raises(InvalidConfigurationError):
             ShardRouter(0)
 
-
-class TestMergedClocks:
-    def test_parallel_clock_is_max_serial_is_sum(self):
-        spec = next(s for s in specs() if s.name == "BTree")
-        load, _ = _keys()
-        sharded = ShardedStore(spec.build, 3)
-        sharded.bulk_load([(k, k) for k in load])
-        for k in load[:100]:
-            sharded.get(k)
-        per_shard = [p.elapsed_ns() for p in sharded.perfs]
-        assert sharded.elapsed_ns(parallel=True) == max(per_shard)
-        assert sharded.elapsed_ns(parallel=False) == pytest.approx(
-            sum(per_shard)
-        )
-
-    def test_shared_perf_mode_uses_one_clock(self):
-        spec = next(s for s in specs() if s.name == "BTree")
-        load, _ = _keys()
-        perf = PerfContext()
-        sharded = ShardedStore(spec.build, 3, perf=perf)
-        sharded.bulk_load([(k, k) for k in load])
-        assert all(p is perf for p in sharded.perfs)
-        assert sharded.elapsed_ns(parallel=True) == perf.elapsed_ns()
