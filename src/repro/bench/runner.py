@@ -358,7 +358,6 @@ def thread_scaling(
     ops_per_thread: int = 800,
     seed: int = 0,
     measured_runner: Optional[Callable[[Sequence[int]], List[dict]]] = None,
-    spans=None,
 ) -> List[dict]:
     """Project single-thread results onto N workers (Figs 12 and 14).
 
@@ -389,10 +388,6 @@ def thread_scaling(
     (minus a small handoff overhead once more than one thread contends).
     The gap between that column and the others is the reason the
     real-time benchmark harness uses processes, not threads.
-
-    A ``spans`` recorder (:class:`~repro.obs.spans.SpanRecorder`) is
-    forwarded to the ``sim`` projection so simulated per-op span trees
-    land beside the measured ones (diffable with the same exporters).
     """
     if projection not in ("analytic", "sim", "measured"):
         raise ValueError(
@@ -446,7 +441,6 @@ def thread_scaling(
             ops_per_thread=ops_per_thread,
             bandwidth=bandwidth,
             seed=seed,
-            spans=spans,
         ),
     ):
         gil_ns = mean_ns * (1.0 + (_GIL_SWITCH_OVERHEAD if t > 1 else 0.0))

@@ -26,18 +26,19 @@ from repro.concurrency.parallel import measure_scaling
 from repro.obs import (
     EngineTopView,
     EventType,
-    JsonlTraceSink,
     MetricsRegistry,
     ProgressReporter,
     SpanRecorder,
     Tracer,
     attribute_spans,
+    event_counts,
     prometheus_text,
     summarize_spans,
     trace_summary,
     write_chrome_trace,
     write_spans_jsonl,
 )
+from repro.obs.spans import SPAN_KINDS
 from repro.perf import Profiler
 from repro.registry import UnknownIndexError
 from repro.workloads import generate_operations
@@ -335,7 +336,7 @@ def _worker_health_table(store: ParallelShardedStore) -> str:
             row["worker"],
             f"{row['cmds_sent']:,}",
             f"{row['cmds_done']:,}",
-            f"{row['hb_busy_ms']:.1f}",
+            f"{row['busy_ms']:.1f}",
             (
                 f"{row['last_reply_age_s']:.2f}s"
                 if row["last_reply_age_s"] is not None
@@ -366,17 +367,23 @@ def _worker_health_table(store: ParallelShardedStore) -> str:
 
 
 def _span_report(all_spans, quantile: float) -> str:
-    """Span summary + tail-latency attribution over the wall-clock trees."""
+    """Span summary + tail-latency attribution over the wall-clock trees.
+
+    Simulated spans get their own rows: their durations are simulated
+    nanoseconds, which do not add to wall time."""
     summary = summarize_spans(all_spans)
     body = []
-    for kind in ("request", "batch", "shard", "worker", "recovery", "event"):
-        agg = summary.get(kind)
-        if agg:
+    for clock in ("wall", "sim"):
+        for kind in SPAN_KINDS:
+            agg = summary.get((kind, clock))
+            if agg is None:
+                continue
+            label = kind if clock == "wall" else f"{kind} (sim)"
             body.append(
-                [kind, f"{agg['spans']:,}", f"{agg['dur_ns'] / 1e6:.2f}"]
+                [label, f"{agg['spans']:,}", f"{agg['dur_ns'] / 1e6:.2f}"]
             )
-    for etype, n in sorted(summary.get("events", {}).items()):
-        body.append([f"  event:{etype}", f"{n:,}", "-"])
+            for etype, n in sorted(agg.get("events", {}).items()):
+                body.append([f"  event:{etype}", f"{n:,}", "-"])
     text = format_table(
         ["kind", "spans", "total ms"],
         body or [["(no spans recorded)", "-", "-"]],
@@ -533,13 +540,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 2
 
     perf = PerfContext()
-    tracer = Tracer(rate=args.sample, seed=args.seed)
-    perf.tracer = tracer
-    sink = None
-    if args.trace_out:
-        sink = JsonlTraceSink(open(args.trace_out, "w"))
-        tracer.add_sink(sink)
     metrics = MetricsRegistry()
+    # Exact lifecycle counts land in ``metrics``; sampled events (and,
+    # after the drain, the workers' spans) in ``tracer.spans``.
+    tracer = Tracer(rate=args.sample, seed=args.seed, metrics=metrics)
+    perf.tracer = tracer
     profiler = Profiler(perf)
 
     store = _build_store(
@@ -579,11 +584,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         recorder = result.recorder
         if parallel:
-            # Fold worker-side lifecycle events, metric series, and
+            # Fold worker-side lifecycle counts, metric series, and
             # worker/event spans into the parent's instruments before any
             # of them are summarised below.  The profiler already saw
             # every op through the perf deltas folded into ``perf``.
-            store.drain_obs(tracer=tracer, metrics=metrics, spans=store.spans)
+            store.drain_obs(metrics=metrics, spans=tracer.spans)
             if store.spans is not None:
                 all_spans = list(store.spans.spans)
             health_text = _worker_health_table(store)
@@ -664,8 +669,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 ops=ops,
                 retrain=retrain,
             )
-    if sink is not None:
-        sink.close()
+    event_spans = [s for s in tracer.spans.spans if s.kind == "event"]
+    if args.spans:
+        all_spans += tracer.spans.spans
 
     print(
         format_table(
@@ -705,17 +711,18 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     )
 
-    summary = trace_summary(tracer.records)
+    emitted = event_counts(metrics)
+    summary = trace_summary(event_spans)
     event_rows = [
         [
             etype,
-            f"{tracer.count(etype):,}",
+            f"{emitted[etype]:,}",
             f"{summary.get(etype, {}).get('events', 0):,}",
             f"{summary.get(etype, {}).get('keys', 0):,}",
             f"{summary.get(etype, {}).get('cost_ns', 0.0) / 1e3:.1f}",
         ]
         for etype in EventType.ALL
-        if tracer.count(etype)
+        if emitted.get(etype)
     ]
     print()
     print(
@@ -759,10 +766,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.prom_out:
         with open(args.prom_out, "w") as fp:
-            fp.write(prometheus_text(metrics, tracer))
+            fp.write(prometheus_text(metrics))
         print(f"\nwrote Prometheus exposition to {args.prom_out}")
     if args.trace_out:
-        print(f"wrote JSONL trace to {args.trace_out}")
+        n = write_spans_jsonl(event_spans, args.trace_out)
+        print(f"wrote {n} lifecycle event spans to {args.trace_out}")
     if args.span_out:
         n = write_spans_jsonl(all_spans, args.span_out)
         print(f"wrote {n} spans to {args.span_out}")

@@ -53,23 +53,25 @@ that improves as process workers are added on a multi-core host.
 
 Observability
 -------------
-Each worker runs its own :class:`~repro.obs.trace.Tracer` and
-:class:`~repro.obs.metrics.MetricsRegistry`; :meth:`drain_obs` ships
-them back and merges into parent-side instances (``Tracer.absorb``,
-``MetricsRegistry.merge_from``) so ``repro report --shards K`` and
-``--workers K`` show one unified lifecycle/metrics view.
+Each worker keeps a :class:`~repro.obs.metrics.MetricsRegistry` and a
+:class:`~repro.obs.spans.SpanRecorder`, which its
+:class:`~repro.obs.trace.Tracer` writes lifecycle counts and sampled
+event spans into.  :meth:`drain_obs` takes that one ``{metrics, spans}``
+payload from each worker, which then starts fresh, and merges it into
+parent-side instances, so ``repro report --shards K`` and ``--workers
+K`` show one unified lifecycle/metrics view.
 
 With ``span_rate > 0`` the engine additionally records a **causal span
 tree** per sampled request (:mod:`repro.obs.spans`): the request span
 fans into batch and shard spans parent-side, the shard's span id rides
 the command's ``span`` field, and the worker opens a worker-kind child
-span around ``serve`` so tracer lifecycle events (RETRAIN, LATCH_WAIT,
+span around ``serve`` so lifecycle event spans (RETRAIN, NODE_ALLOC,
 ...) attach to the originating request after :meth:`drain_obs`.
 Tracing off (``span_rate=0.0``, the default) takes a single ``is None``
 branch per request — the shipment hot loops are untouched.
-Independently, a :class:`~repro.obs.health.HealthMonitor` keeps
-per-worker heartbeats (piggybacked on every reply), flags stalls past a
-threshold, and feeds each worker's flight-recorder ring into
+Independently, a :class:`~repro.obs.health.HealthMonitor` sums the
+wall ns every reply carries into per-worker busy time, flags stalls past
+a threshold, and feeds each worker's flight-recorder ring into
 :class:`~repro.errors.WorkerDiedError` postmortems.
 
 Fault tolerance
@@ -256,39 +258,22 @@ class _WorkerState:
         # worker's ids never collide with its dead predecessor's.
         self.incarnation = cfg.get("incarnation", 0)
         self.perf = PerfContext()
+        # The parent made the sampling decision (a command carries a span
+        # id only when its request was sampled); the prefix keeps span
+        # ids globally unique, across respawns too.
+        prefix = f"w{self.worker_id}"
+        if self.incarnation:
+            prefix = f"w{self.worker_id}r{self.incarnation}"
+        self.spans = SpanRecorder(prefix=prefix, worker=self.worker_id)
         self.tracer: Optional[Tracer] = None
         if cfg["trace_rate"] > 0.0:
             self.tracer = Tracer(
                 rate=cfg["trace_rate"],
                 seed=cfg["seed"] + self.worker_id + 7919 * self.incarnation,
+                spans=self.spans,
             )
             self.perf.tracer = self.tracer
-        self.metrics = MetricsRegistry()
-        self.cmds_total = self.metrics.counter(
-            "repro_worker_cmds_total", worker=str(self.worker_id)
-        )
-        self.wall_hist = self.metrics.histogram(
-            "repro_worker_cmd_wall_ns", worker=str(self.worker_id)
-        )
-        # Span recorder: rate 1.0 worker-side — the head-based sampling
-        # decision was already made by the parent; a command only
-        # arrives traced when its request was sampled.  The seed offset
-        # keeps recorders distinct; the prefix keeps ids globally unique.
-        self.spans: Optional[SpanRecorder] = None
-        if cfg.get("spans"):
-            prefix = f"w{self.worker_id}"
-            if self.incarnation:
-                prefix = f"w{self.worker_id}r{self.incarnation}"
-            self.spans = SpanRecorder(
-                rate=1.0,
-                seed=cfg["seed"]
-                + 101 * (self.worker_id + 1)
-                + 7919 * self.incarnation,
-                prefix=prefix,
-                worker=self.worker_id,
-            )
-            if self.tracer is not None:
-                self.spans.bind_tracer(self.tracer)
+        self._fresh_metrics()
 
         index = resolve(cfg["spec"]).build(self.perf, **cfg["overrides"])
         #: The shard's index, for ``stats`` (the store's, in store mode).
@@ -323,9 +308,6 @@ class _WorkerState:
             self.seg = _Segment(shm, cfg["capacity"])
 
         self.pending_items: List[Tuple[int, Any]] = []
-        #: Heartbeat: commands served and wall ns spent serving them.
-        self.served = 0
-        self.busy_ns = 0.0
         # Idempotent replay: highest mutation token applied so far.
         # Tokens at or below it are acknowledged without re-applying, so
         # a journal replay that races a late duplicate can never
@@ -334,30 +316,43 @@ class _WorkerState:
 
     # -- command handlers ---------------------------------------------
 
+    def _fresh_metrics(self) -> None:
+        """Start a new registry and re-fetch the cached instruments, so
+        the per-command path never looks a series up."""
+        self.metrics = MetricsRegistry()
+        worker = str(self.worker_id)
+        self.cmds_total = self.metrics.counter(
+            "repro_worker_cmds_total", worker=worker
+        )
+        self.wall_hist = self.metrics.histogram(
+            "repro_worker_cmd_wall_ns", worker=worker
+        )
+        if self.tracer is not None:
+            self.tracer.metrics = self.metrics
+
     def handle(self, cmd: Command) -> tuple:
         """Serve one command end to end; returns the reply record.
 
-        ``("ok", wire reply, perf delta, wall ns, heartbeat)``, or
-        ``("err", exception, traceback)``.  Both transports call this,
-        so the replay-token check, the worker span, the perf bracket,
-        the codec, the metrics and the heartbeat are one code path.
+        ``("ok", wire reply, perf delta, wall ns)``, or ``("err",
+        exception, traceback)``.  Both transports call this, so the
+        replay-token check, the worker span, the perf bracket, the codec
+        and the metrics are one code path.
         """
         if cmd.token is not None and cmd.token <= self.last_token:
-            self.served += 1
-            return ("ok", DUP_MARKER, None, 0.0, (self.served, self.busy_ns))
+            return ("ok", DUP_MARKER, None, 0.0)
         spans = self.spans
         wspan = None
-        if spans is not None and cmd.span is not None:
-            wspan = spans.start(f"cmd:{cmd.op}", "worker", parent=cmd.span)
-            spans.current = wspan
+        if cmd.span is not None:
+            wspan = spans.current = spans.start(
+                f"cmd:{cmd.op}", "worker", parent=cmd.span
+            )
         t0 = time.perf_counter()
         mark = self.perf.begin()
         try:
             payload = _decode(cmd.payload, self.seg)
             reply = _encode(self.serve(cmd.op, payload, cmd.arg), self.seg)
         except BaseException as exc:
-            if spans is not None:
-                spans.current = None
+            spans.current = None
             return ("err", _pickle_safe(exc), traceback.format_exc())
         if cmd.token is not None:
             self.last_token = cmd.token
@@ -373,9 +368,7 @@ class _WorkerState:
         self.cmds_total.inc()
         self.wall_hist.record(wall_ns)
         delta = {k: v for k, v in counters.as_dict().items() if v}
-        self.served += 1
-        self.busy_ns += wall_ns
-        return ("ok", reply, delta, wall_ns, (self.served, self.busy_ns))
+        return ("ok", reply, delta, wall_ns)
 
     def serve(self, op: str, payload: Any, arg: Any) -> Any:
         """Apply one decoded command to the shard; returns the reply."""
@@ -408,13 +401,12 @@ class _WorkerState:
         raise ReproError(f"unknown worker command {op!r}")
 
     def _obs_payload(self) -> dict:
-        return {
-            "worker": self.worker_id,
-            "trace_counts": dict(self.tracer.counts) if self.tracer else {},
-            "trace_records": list(self.tracer.records) if self.tracer else [],
-            "metrics": self.metrics,
-            "spans": list(self.spans.spans) if self.spans else [],
-        }
+        """Hand over what was collected since the last drain and start
+        fresh (span ids keep counting, so they never repeat)."""
+        payload = {"metrics": self.metrics, "spans": self.spans.spans}
+        self.spans.spans = []
+        self._fresh_metrics()
+        return payload
 
     def close(self) -> None:
         if self.seg is not None:
@@ -429,7 +421,7 @@ class _WorkerState:
 DUP_MARKER = "__repro_dup__"
 
 #: A worker's first message: its shard is built.
-_READY = ("ok", "ready", None, 0.0, None)
+_READY = ("ok", "ready", None, 0.0)
 
 
 def _worker_main(conn, cfg: dict) -> None:
@@ -451,7 +443,7 @@ def _worker_main(conn, cfg: dict) -> None:
         except (EOFError, OSError):
             break
         if cmd.op == "close":
-            conn.send(("ok", None, None, 0.0, (state.served, state.busy_ns)))
+            conn.send(("ok", None, None, 0.0))
             break
         conn.send(state.handle(cmd))
     state.close()
@@ -635,8 +627,6 @@ class _ParallelEngine:
         self.wall_recorder = LatencyRecorder()
         #: Ops routed per worker (balance observability).
         self.worker_ops = [0] * workers
-        #: Worker-reported wall ns spent serving commands.
-        self.busy_ns = [0.0] * workers
         #: Causal span recorder (None = tracing off: no per-request cost
         #: beyond one ``is None`` check).
         self.spans: Optional[SpanRecorder] = (
@@ -644,7 +634,7 @@ class _ParallelEngine:
             if span_rate > 0.0
             else None
         )
-        #: Heartbeats, stall detection, flight recorders (always on —
+        #: Reply books, stall detection, flight recorders (always on —
         #: it only touches the per-command send/reply path).
         self.health = HealthMonitor(
             workers,
@@ -692,7 +682,6 @@ class _ParallelEngine:
         self._record_bytes = record_bytes
         self._slots_per_page = slots_per_page
         self._trace_rate = trace_rate
-        self._span_on = span_rate > 0.0
         self._seed = seed
         self._handles: List[_WorkerHandle] = []
         try:
@@ -734,7 +723,6 @@ class _ParallelEngine:
             "capacity": self._capacity,
             "start_method": self._start_method,
             "trace_rate": self._trace_rate,
-            "spans": self._span_on,
             "seed": self._seed,
             "incarnation": self._incarnations[w],
             "fault": (
@@ -898,19 +886,18 @@ class _ParallelEngine:
         h.sent_t = None
         if reply[0] == "err":
             _, exc, tb = reply
-            self.health.reply(h.worker_id, 0.0, None)
+            self.health.reply(h.worker_id, 0.0)
             if exc is not None:
                 raise exc
             raise ReproError(
                 f"shard worker {h.worker_id} failed serving {cmd_name!r}:\n{tb}"
             )
-        _, wire, delta, wall_ns, heartbeat = reply
-        self.health.reply(h.worker_id, wall_ns, heartbeat)
+        _, wire, delta, wall_ns = reply
+        self.health.reply(h.worker_id, wall_ns)
         if delta:
             counters = self.perf.counters
             for name, v in delta.items():
                 setattr(counters, name, getattr(counters, name) + v)
-        self.busy_ns[h.worker_id] += wall_ns
         return _decode(wire, h.seg)
 
     def _fan_out(
@@ -1273,37 +1260,44 @@ class _ParallelEngine:
 
     def drain_obs(
         self,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
     ) -> List[dict]:
-        """Pull every worker's tracer/metrics/span state and merge it into
-        the given parent-side instances.  Returns the raw payloads.
+        """Take every worker's ``{metrics, spans}`` collected since the
+        last drain and merge it into the given parent-side instances.
+        Returns the raw payloads.
 
-        Pass ``spans=engine.spans`` (or any recorder) to fold worker-side
-        worker/event spans into the parent's request trees — their ids are
-        globally unique by prefix, so parent links resolve after the merge.
+        Lifecycle counts arrive as ``repro_trace_events_total`` series in
+        the metrics.  Pass ``spans=engine.spans`` (or any recorder) to
+        fold worker-side worker/event spans into the parent's request
+        trees — their ids are globally unique by prefix, so parent links
+        resolve after the merge.
         """
         payloads = self._broadcast(Command("obs"))
         for p in payloads:
-            if tracer is not None:
-                tracer.absorb(p["trace_counts"], p["trace_records"])
             if metrics is not None:
                 metrics.merge_from(p["metrics"])
             if spans is not None:
-                spans.absorb(p.get("spans", ()))
+                spans.absorb(p["spans"])
         # Engine-side recovery telemetry (restarts, recovery latency,
         # shard-unavailable counts) lives in the parent, not a worker.
         if metrics is not None:
             metrics.merge_from(self.metrics)
+            self.metrics = MetricsRegistry()
         return payloads
+
+    @property
+    def busy_ns(self) -> List[float]:
+        """Per-worker wall ns spent serving commands (summed replies)."""
+        return [wh.busy_ns for wh in self.health.workers]
 
     def worker_utilization(self) -> List[float]:
         """Per-worker share of total worker-side serving time (balance)."""
-        total = sum(self.busy_ns)
+        busy = self.busy_ns
+        total = sum(busy)
         if total <= 0:
             return [0.0] * self.workers
-        return [b / total for b in self.busy_ns]
+        return [b / total for b in busy]
 
     def close(self) -> None:
         """Shut the pool down; workers detach and the parent unlinks every

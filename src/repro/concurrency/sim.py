@@ -255,15 +255,17 @@ def simulate(
     schedule with ``failure=None`` is untouched.
 
     A ``tracer`` (an :class:`repro.obs.trace.Tracer`) receives
-    ``LATCH_WAIT`` / ``RETRAIN_STALL`` lifecycle events timestamped on
-    the simulated clock; sampling applies as usual.
+    ``LATCH_WAIT`` / ``RETRAIN_STALL`` / ``WORKER_RESTART`` lifecycle
+    events on the simulated clock: each is counted exactly, and a
+    sampled one becomes a ``clock="sim"`` event span under its op's
+    span (parentless when the op was not span-sampled).
 
     A ``spans`` recorder (:class:`repro.obs.spans.SpanRecorder`) gets one
-    ``clock="sim"`` request span per sampled op — the thread as its
-    worker, latch-wait/retrain-stall child events under it — so a
-    simulated trace is diffable against a measured one with the same
-    exporters and attribution tooling.  The span recorder's RNG is its
-    own; attaching it never perturbs the event schedule.
+    ``clock="sim"`` request span per sampled op, the thread as its
+    worker, so a simulated trace is diffable against a measured one with
+    the same exporters and attribution tooling.  The span recorder's and
+    the tracer's RNGs are their own; attaching them never perturbs the
+    event schedule.
     """
     cm = cost_model or CostModel()
     threads = len(streams)
@@ -341,10 +343,18 @@ def simulate(
         start, _, t, i = heapq.heappop(heap)
         key, is_write = streams[t][i]
         now = start
-        rspan: Optional[str] = None
-        op_events: List[tuple] = []
+        op: Optional[Span] = None
         if spans is not None and spans.sample():
-            rspan = spans.next_id()
+            op = Span(
+                span_id=spans.next_id(),
+                parent_id=None,
+                name=f"op:{'write' if is_write else 'read'}",
+                kind="request",
+                start_ns=start,
+                clock="sim",
+                worker=t,
+                attrs={"key": key, "thread": t, "op_index": i},
+            )
 
         # Worker failure(s) due before this op: each costs a rebuild
         # window; the op waits out whatever part of it is still ahead.
@@ -353,22 +363,14 @@ def simulate(
                 recover_at = next_fail[t] + failure.rebuild_ns
                 failures += 1
                 if recover_at > now:
-                    waited = recover_at - now
-                    recovery_stall += waited
+                    recovery_stall += recover_at - now
                     now = recover_at
-                    if rspan is not None:
-                        op_events.append(
-                            (
-                                "event:worker_restart",
-                                now,
-                                waited,
-                                {"reason": "rebuild"},
-                            )
-                        )
                 if tracer is not None:
                     tracer.emit(
                         EventType.WORKER_RESTART,
                         recover_at,
+                        parent=op,
+                        clock="sim",
                         index=index_name,
                         leaf=t,
                         reason="mtbf",
@@ -387,13 +389,11 @@ def simulate(
                 tracer.emit(
                     EventType.RETRAIN_STALL,
                     now,
+                    parent=op,
+                    clock="sim",
                     index=index_name,
                     reason="wait",
                     cost_ns=waited,
-                )
-            if rspan is not None:
-                op_events.append(
-                    ("event:retrain_stall", now, waited, {"reason": "wait"})
                 )
 
         rng = rngs[t]
@@ -412,22 +412,12 @@ def simulate(
                     tracer.emit(
                         EventType.LATCH_WAIT,
                         now,
+                        parent=op,
+                        clock="sim",
                         index=index_name,
                         leaf=domain,
                         reason="write" if is_write else "read",
                         cost_ns=waited,
-                    )
-                if rspan is not None:
-                    op_events.append(
-                        (
-                            "event:latch_wait",
-                            now,
-                            waited,
-                            {
-                                "leaf": domain,
-                                "reason": "write" if is_write else "read",
-                            },
-                        )
                     )
             counters.latch_acquire += 1
             now += latch_ns
@@ -456,49 +446,17 @@ def simulate(
                         tracer.emit(
                             EventType.RETRAIN_STALL,
                             end,
+                            parent=op,
+                            clock="sim",
                             index=index_name,
                             reason="retrain",
                             cost_ns=stall_ns,
                         )
-                    if rspan is not None:
-                        op_events.append(
-                            (
-                                "event:retrain_stall",
-                                end,
-                                stall_ns,
-                                {"reason": "retrain"},
-                            )
-                        )
             domain_free_at[domain] = end
 
-        if rspan is not None:
-            spans.add(
-                Span(
-                    span_id=rspan,
-                    parent_id=None,
-                    name=f"op:{'write' if is_write else 'read'}",
-                    kind="request",
-                    start_ns=start,
-                    dur_ns=end - start,
-                    clock="sim",
-                    worker=t,
-                    attrs={"key": key, "thread": t, "op_index": i},
-                )
-            )
-            for ev_name, ev_ts, ev_cost, ev_attrs in op_events:
-                spans.add(
-                    Span(
-                        span_id=spans.next_id(),
-                        parent_id=rspan,
-                        name=ev_name,
-                        kind="event",
-                        start_ns=ev_ts,
-                        dur_ns=0.0,
-                        clock="sim",
-                        worker=t,
-                        attrs=dict(ev_attrs, cost_ns=ev_cost),
-                    )
-                )
+        if op is not None:
+            op.dur_ns = end - start
+            spans.add(op)
 
         recorder.record(end - start)
         if schedule is not None:

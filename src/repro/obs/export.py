@@ -1,87 +1,47 @@
-"""Exporters: JSONL trace files and Prometheus-style text exposition.
+"""Exporters: JSONL span files, Chrome trace JSON, Prometheus text.
 
 Formats:
 
-* **JSONL trace** — one :class:`~repro.obs.trace.TraceEvent` per line as
-  a JSON object; round-trips exactly through
-  :func:`write_trace_jsonl` / :func:`read_trace_jsonl`.
 * **JSONL spans** — one :class:`~repro.obs.spans.Span` per line;
   round-trips through :func:`write_spans_jsonl` / :func:`read_spans_jsonl`.
+  A lifecycle trace is the event-kind spans of a run written this way,
+  and :func:`trace_summary` aggregates them per event type.
 * **Chrome trace-event JSON** — :func:`write_chrome_trace` renders a
   span list as a ``chrome://tracing`` / Perfetto-loadable timeline, one
   process row per engine process, one thread lane per worker.
 * **Prometheus text** — ``# HELP``/``# TYPE`` headers, counters/gauges
-  verbatim, histograms rendered as summaries (``quantile`` labels plus
-  ``_sum``/``_count``), tracer lifecycle counts as
-  ``repro_trace_events_total{event=...}``; label values are escaped.
+  verbatim (the tracer's exact lifecycle counts are the
+  ``repro_trace_events_total{event=...}`` counter family), histograms
+  rendered as summaries (``quantile`` labels plus ``_sum``/``_count``);
+  label values are escaped.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.spans import Span, children_index, roots
-from repro.obs.trace import TraceEvent, Tracer
 from repro.perf.histogram import LogHistogram
 
-# ------------------------------------------------------------- JSONL trace
 
+def trace_summary(spans: Iterable[Span]) -> Dict[str, dict]:
+    """Aggregate the event-kind spans per event type: count, keys, cost,
+    indexes (other kinds are skipped).
 
-class JsonlTraceSink:
-    """A tracer sink that streams each sampled event to a JSONL file.
-
-    >>> sink = JsonlTraceSink(open("trace.jsonl", "w"))
-    >>> tracer.add_sink(sink)
-    ...
-    >>> sink.close()
-    """
-
-    def __init__(self, fp: IO[str]):
-        self._fp = fp
-
-    def __call__(self, event: TraceEvent) -> None:
-        self._fp.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        self._fp.close()
-
-
-def write_trace_jsonl(events: Iterable[TraceEvent], path: str) -> int:
-    """Write ``events`` to ``path`` as JSONL; returns the event count."""
-    n = 0
-    with open(path, "w") as fp:
-        sink = JsonlTraceSink(fp)
-        for event in events:
-            sink(event)
-            n += 1
-    return n
-
-
-def read_trace_jsonl(path: str) -> List[TraceEvent]:
-    """Parse a JSONL trace file back into :class:`TraceEvent` records."""
-    events: List[TraceEvent] = []
-    with open(path) as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-    return events
-
-
-def trace_summary(events: Iterable[TraceEvent]) -> Dict[str, dict]:
-    """Aggregate a trace per event type: count, keys, cost, indexes.
-
-    Computed from the *records* (not the tracer's exact counters), so a
-    summary of events written to JSONL and a summary of the parsed file
-    are identical — the round-trip contract the tests pin.
+    Computed from the *records* (not the exact counters), so a summary
+    of spans written to JSONL and a summary of the parsed file are
+    identical — the round-trip contract the tests pin.
     """
     out: Dict[str, dict] = {}
-    for event in events:
-        agg = out.get(event.etype)
+    for span in spans:
+        if span.kind != "event":
+            continue
+        attrs = span.attrs
+        agg = out.get(attrs["etype"])
         if agg is None:
-            agg = out[event.etype] = {
+            agg = out[attrs["etype"]] = {
                 "events": 0,
                 "keys": 0,
                 "count": 0,
@@ -89,11 +49,11 @@ def trace_summary(events: Iterable[TraceEvent]) -> Dict[str, dict]:
                 "by_index": {},
             }
         agg["events"] += 1
-        agg["keys"] += event.keys
-        agg["count"] += event.count
-        agg["cost_ns"] += event.cost_ns
+        agg["keys"] += attrs["keys"]
+        agg["count"] += attrs["count"]
+        agg["cost_ns"] += attrs["cost_ns"]
         by_index = agg["by_index"]
-        by_index[event.index] = by_index.get(event.index, 0) + 1
+        by_index[attrs["index"]] = by_index.get(attrs["index"], 0) + 1
     return out
 
 
@@ -253,7 +213,10 @@ def _fmt(value: float) -> str:
 HELP_TEXT: Dict[str, str] = {
     "repro_ops_total": "Operations executed, by kind and target index.",
     "repro_op_latency_ns": "Simulated per-operation latency (ns).",
-    "repro_trace_events_total": "Sampled lifecycle events, by event type.",
+    "repro_trace_events_total": (
+        "Lifecycle events emitted, by event type (the exact count, "
+        "before sampling)."
+    ),
     "repro_worker_cmds_total": "Commands served by each shard worker.",
     "repro_worker_cmd_wall_ns": "Worker-side wall time per command (ns).",
 }
@@ -261,42 +224,25 @@ HELP_TEXT: Dict[str, str] = {
 _GENERIC_HELP = "repro metric (no description registered)."
 
 
-def prometheus_text(
-    registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-) -> str:
-    """Render metrics (and tracer lifecycle counts) as Prometheus text."""
+def prometheus_text(registry: MetricsRegistry) -> str:
+    """Render a registry's metrics as Prometheus text."""
     lines: List[str] = []
     seen_types = set()
-    if registry is not None:
-        for name, kind, labels, instrument in registry.collect():
-            if name not in seen_types:
-                seen_types.add(name)
-                prom_kind = "summary" if kind == "histogram" else kind
-                lines.append(
-                    f"# HELP {name} {HELP_TEXT.get(name, _GENERIC_HELP)}"
-                )
-                lines.append(f"# TYPE {name} {prom_kind}")
-            if isinstance(instrument, (Counter, Gauge)):
-                lines.append(f"{name}{_labels_text(labels)} {_fmt(instrument.value)}")
-            elif isinstance(instrument, LogHistogram):
-                for q in SUMMARY_QUANTILES:
-                    labelled = dict(labels, quantile=str(q))
-                    value = instrument.quantile(q) if len(instrument) else "NaN"
-                    lines.append(f"{name}{_labels_text(labelled)} {_fmt(value)}")
-                lines.append(
-                    f"{name}_sum{_labels_text(labels)} {_fmt(instrument.total)}"
-                )
-                lines.append(
-                    f"{name}_count{_labels_text(labels)} {instrument.count}"
-                )
-    if tracer is not None:
-        name = "repro_trace_events_total"
-        lines.append(f"# HELP {name} {HELP_TEXT[name]}")
-        lines.append(f"# TYPE {name} counter")
-        for etype in sorted(tracer.counts):
+    for name, kind, labels, instrument in registry.collect():
+        if name not in seen_types:
+            seen_types.add(name)
+            prom_kind = "summary" if kind == "histogram" else kind
+            lines.append(f"# HELP {name} {HELP_TEXT.get(name, _GENERIC_HELP)}")
+            lines.append(f"# TYPE {name} {prom_kind}")
+        if isinstance(instrument, (Counter, Gauge)):
+            lines.append(f"{name}{_labels_text(labels)} {_fmt(instrument.value)}")
+        elif isinstance(instrument, LogHistogram):
+            for q in SUMMARY_QUANTILES:
+                labelled = dict(labels, quantile=str(q))
+                value = instrument.quantile(q) if len(instrument) else "NaN"
+                lines.append(f"{name}{_labels_text(labelled)} {_fmt(value)}")
             lines.append(
-                f"{name}{_labels_text({'event': etype})} "
-                f"{tracer.counts[etype]}"
+                f"{name}_sum{_labels_text(labels)} {_fmt(instrument.total)}"
             )
+            lines.append(f"{name}_count{_labels_text(labels)} {instrument.count}")
     return "\n".join(lines) + ("\n" if lines else "")

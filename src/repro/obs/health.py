@@ -3,10 +3,11 @@
 Three mechanisms, all parent-side (a dead worker cannot be asked for a
 postmortem, so everything needed for one is recorded before the death):
 
-* **Heartbeats** — every worker reply piggybacks ``(commands served,
-  busy wall ns)``; :class:`HealthMonitor` keeps the latest per worker
-  plus the wall time of the last reply, so "when did worker 3 last
-  answer" is always answerable without extra round trips.
+* **Reply books** — every worker reply carries the wall ns the worker
+  spent serving the command; :class:`HealthMonitor` counts commands
+  sent and done, sums that busy time, and keeps the time of the last
+  reply per worker, so "when did worker 3 last answer" and "how busy
+  was it" are answerable without extra round trips.
 * **Stall detection** — while the parent waits on a reply it ticks
   :meth:`HealthMonitor.waiting`; the first tick past
   ``stall_threshold_s`` marks the in-flight command stalled and counts
@@ -72,8 +73,7 @@ class WorkerHealth:
         "worker_id",
         "cmds_sent",
         "cmds_done",
-        "hb_cmds",
-        "hb_busy_ns",
+        "busy_ns",
         "last_reply_t",
         "stalls",
         "stalled",
@@ -84,10 +84,8 @@ class WorkerHealth:
         self.worker_id = worker_id
         self.cmds_sent = 0
         self.cmds_done = 0
-        #: Latest heartbeat: commands the worker says it has served.
-        self.hb_cmds = 0
-        #: Latest heartbeat: total worker-side serving wall ns.
-        self.hb_busy_ns = 0.0
+        #: Total worker-side serving wall ns, summed over replies.
+        self.busy_ns = 0.0
         self.last_reply_t: Optional[float] = None
         self.stalls = 0
         self.stalled = False
@@ -95,7 +93,7 @@ class WorkerHealth:
 
 
 class HealthMonitor:
-    """Per-worker heartbeats, stall detection, and flight recorders.
+    """Per-worker reply books, stall detection, and flight recorders.
 
     ``clock`` is injectable (defaults to ``time.monotonic``) so stall
     logic is testable without sleeping.
@@ -135,15 +133,12 @@ class HealthMonitor:
         wh.in_flight = entry
         self._flights[worker].append(entry)
 
-    def reply(
-        self, worker: int, wall_ns: float, heartbeat: Optional[tuple]
-    ) -> None:
-        """A reply arrived from ``worker`` with its piggybacked heartbeat."""
+    def reply(self, worker: int, wall_ns: float) -> None:
+        """A reply arrived from ``worker``, which spent ``wall_ns`` on it."""
         wh = self.workers[worker]
         wh.last_reply_t = self.clock()
         wh.stalled = False
-        if heartbeat is not None:
-            wh.hb_cmds, wh.hb_busy_ns = heartbeat
+        wh.busy_ns += wall_ns
         entry = wh.in_flight
         if entry is not None:
             # The build-ready handshake replies without a tracked send;
@@ -202,8 +197,7 @@ class HealthMonitor:
                 "worker": wh.worker_id,
                 "cmds_sent": wh.cmds_sent,
                 "cmds_done": wh.cmds_done,
-                "hb_cmds": wh.hb_cmds,
-                "hb_busy_ms": wh.hb_busy_ns / 1e6,
+                "busy_ms": wh.busy_ns / 1e6,
                 "last_reply_age_s": (
                     now - wh.last_reply_t if wh.last_reply_t is not None else None
                 ),

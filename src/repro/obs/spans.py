@@ -1,7 +1,7 @@
 """Causal span tracing: request -> batch -> shard -> worker -> event.
 
-The PR 4 tracer answers "which lifecycle events fired"; this module
-answers "*whose* request paid for them".  A :class:`Span` is a named
+The tracer counts which lifecycle events fired; this module records
+"*whose* request paid for them".  A :class:`Span` is a named
 interval with an explicit parent, so one logical request through the
 process-parallel serving engine becomes a tree:
 
@@ -13,18 +13,20 @@ process-parallel serving engine becomes a tree:
   from send to reply (transport + queueing + worker time).
 * **worker** — the command execution inside the worker process,
   measured worker-side (ships back through ``drain_obs``).
-* **event** — a structural lifecycle event (RETRAIN, LATCH_WAIT,
-  NODE_ALLOC...) that fired while the worker span was active, attached
-  via :meth:`SpanRecorder.bind_tracer`.
+* **event** — a sampled structural lifecycle event (RETRAIN,
+  LATCH_WAIT, NODE_ALLOC...), recorded by a
+  :class:`~repro.obs.trace.Tracer` under the recorder's
+  :attr:`~SpanRecorder.current` span (the worker span being served).
 
-Sampling is **head-based** and reuses the PR 4 Tracer seed discipline:
+Sampling is **head-based** and reuses the Tracer's seed discipline:
 the decision is made once per request from a seeded
 ``random.Random`` — either the whole tree is recorded or none of it —
 and :attr:`SpanRecorder.requests` counts every request exactly at any
 rate, so span counts can be pinned against untraced counters.
 
 Span ids are deterministic ``"<prefix>-<seq>"`` strings; each process
-uses its own prefix (parent ``p``, worker ``w3``, simulator ``sim``),
+uses its own prefix (engine ``p``, tracer ``t``, worker ``w3``,
+simulator ``sim``),
 so ids stay globally unique after a cross-process
 :meth:`SpanRecorder.absorb` without any coordination.
 
@@ -40,10 +42,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-#: The span taxonomy, outermost first (see module docstring).
-SPAN_KINDS = ("request", "batch", "shard", "worker", "event")
+#: The span taxonomy, outermost first (see module docstring); the
+#: engine's supervisor adds ``recovery`` episodes beside the requests.
+SPAN_KINDS = ("request", "batch", "shard", "worker", "recovery", "event")
 
 
 def _now_ns() -> float:
@@ -126,7 +129,7 @@ class SpanRecorder:
         self.sampled_requests = 0
         #: Finished spans, in completion order (absorbed spans appended).
         self.spans: List[Span] = []
-        #: The active span new event spans attach under (worker-side:
+        #: The span a tracer's event spans attach under (worker-side:
         #: the command currently being served).
         self.current: Optional[Span] = None
 
@@ -175,56 +178,6 @@ class SpanRecorder:
     def add(self, span: Span) -> None:
         """Record a pre-built span (simulator spans carry their own clock)."""
         self.spans.append(span)
-
-    def event(
-        self,
-        name: str,
-        parent: Optional[str],
-        cost_ns: float = 0.0,
-        worker: Optional[int] = None,
-        **attrs,
-    ) -> Span:
-        """Record a point event under ``parent`` at the current wall time."""
-        span = Span(
-            span_id=self.next_id(),
-            parent_id=parent,
-            name=name,
-            kind="event",
-            start_ns=_now_ns(),
-            dur_ns=0.0,
-            worker=self.worker if worker is None else worker,
-            attrs=dict(attrs, cost_ns=cost_ns),
-        )
-        self.spans.append(span)
-        return span
-
-    # -- tracer integration --------------------------------------------
-
-    def bind_tracer(self, tracer) -> None:
-        """Attach every *sampled* lifecycle event as an event span.
-
-        The sink fires from ``Tracer.emit`` after the tracer's own
-        sampling decision; the event span attaches under
-        :attr:`current` (the command span being served), or parentless
-        when no sampled request is active — lifecycle events are never
-        silently dropped just because their request was not sampled.
-        """
-
-        def sink(ev) -> None:
-            parent = self.current.span_id if self.current is not None else None
-            self.event(
-                f"event:{ev.etype}",
-                parent,
-                cost_ns=ev.cost_ns,
-                etype=ev.etype,
-                sim_ts_ns=ev.ts_ns,
-                index=ev.index,
-                reason=ev.reason,
-                keys=ev.keys,
-                count=ev.count,
-            )
-
-        tracer.add_sink(sink)
 
     # -- merging -------------------------------------------------------
 
@@ -285,19 +238,20 @@ def subtree_events(
     return [s for s in walk(span, index) if s.kind == "event"]
 
 
-def summarize_spans(spans: Iterable[Span]) -> Dict[str, dict]:
-    """Per-kind ``{"spans": n, "dur_ns": total}`` plus per-event-type
-    counts under the ``"events"`` key."""
-    out: Dict[str, dict] = {
-        kind: {"spans": 0, "dur_ns": 0.0} for kind in SPAN_KINDS
-    }
-    events: Dict[str, int] = {}
+def summarize_spans(spans: Iterable[Span]) -> Dict[Tuple[str, str], dict]:
+    """Per-``(kind, clock)`` ``{"spans": n, "dur_ns": total}``; event
+    entries add per-type counts under ``"events"``.  Wall and simulated
+    spans never share an entry: their durations are on different clocks."""
+    out: Dict[Tuple[str, str], dict] = {}
     for span in spans:
-        agg = out.setdefault(span.kind, {"spans": 0, "dur_ns": 0.0})
+        agg = out.get((span.kind, span.clock))
+        if agg is None:
+            agg = out[(span.kind, span.clock)] = {"spans": 0, "dur_ns": 0.0}
+            if span.kind == "event":
+                agg["events"] = {}
         agg["spans"] += 1
         agg["dur_ns"] += span.dur_ns
         if span.kind == "event":
-            etype = span.attrs.get("etype", span.name)
-            events[etype] = events.get(etype, 0) + 1
-    out["events"] = events
-    return {k: v for k, v in out.items() if v and (k == "events" or v["spans"])}
+            etype = span.attrs["etype"]
+            agg["events"][etype] = agg["events"].get(etype, 0) + 1
+    return out

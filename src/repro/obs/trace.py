@@ -3,7 +3,7 @@
 The paper's structural claims — *which* dimension drives cost — hinge on
 events that end-of-run aggregates flatten away: when retrains fire, how
 splits cascade, where a buffer flush lands.  The tracer captures those
-moments as typed records on the simulated clock.
+moments on the simulated clock.
 
 Wiring: a :class:`Tracer` is attached to a
 :class:`~repro.perf.context.PerfContext` (``perf.tracer = tracer``), and
@@ -11,17 +11,20 @@ every instrumentation site calls ``perf.trace(EventType.X, ...)`` — a
 no-op attribute check when no tracer is attached, so the cost with
 tracing off is negligible and no index needs new plumbing.
 
-Sampling: ``Tracer(rate=0.01)`` records ~1% of events but **counts all
-of them** — ``tracer.count(EventType.RETRAIN)`` is always exact, which
-is what lets tests pin trace counts against the indexes' own internal
-counters even when record storage is sampled down.
+Sampling: ``Tracer(rate=0.01)`` records ~1% of events (as event spans)
+but **counts all of them** (in a metric counter) —
+``tracer.count(EventType.RETRAIN)`` is always exact, which is what lets
+tests pin trace counts against the indexes' own internal counters even
+when records are sampled down.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
+
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.spans import Span, SpanRecorder, _now_ns
 
 
 class EventType:
@@ -78,143 +81,136 @@ class EventType:
     )
 
 
-@dataclass
-class TraceEvent:
-    """One lifecycle event on the simulated clock."""
+#: The metric family holding every event type's exact emission count.
+EVENTS_TOTAL = "repro_trace_events_total"
 
-    #: Monotone per-tracer sequence number (order of emission).
-    seq: int
-    #: Simulated nanoseconds elapsed on the emitting context's clock.
-    ts_ns: float
-    #: One of :class:`EventType`.
-    etype: str
-    #: Name of the emitting index/store ("" when not applicable).
-    index: str = ""
-    #: Leaf/node/level position within the index (-1 when not applicable).
-    leaf: int = -1
-    #: Key range the event covered (None when unknown/not applicable).
-    key_lo: Optional[int] = None
-    key_hi: Optional[int] = None
-    #: Why the event fired ("leaf_full", "lsm_carry", "pressure", ...).
-    reason: str = ""
-    #: Live keys involved (retrained keys, flushed entries, moved records).
-    keys: int = 0
-    #: Structural multiplicity (leaves produced, pages allocated, ...).
-    count: int = 1
-    #: Simulated-time cost delta of the operation that emitted the event.
-    cost_ns: float = 0.0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TraceEvent":
-        return cls(**d)
+def event_counts(metrics: MetricsRegistry) -> Dict[str, int]:
+    """Exact per-type emission counts held in ``metrics``."""
+    return {
+        labels["event"]: int(counter.value)
+        for name, _kind, labels, counter in metrics.collect()
+        if name == EVENTS_TOTAL
+    }
 
 
 class Tracer:
-    """Sampling-aware collector of :class:`TraceEvent` records.
+    """Seeded lifecycle-event sampler that writes into two stores.
+
+    Every emission increments the exact
+    ``repro_trace_events_total{event=<etype>}`` counter in ``metrics``;
+    an emission that passes ``rate`` is also recorded once, as an
+    event-kind :class:`~repro.obs.spans.Span` named ``event:<etype>``,
+    in ``spans``.  The tracer itself stores nothing.
 
     Parameters
     ----------
     rate:
-        Default sampling rate in [0, 1]; 1.0 records every event.
-    rates:
-        Optional per-event-type overrides, e.g. ``{EventType.NODE_ALLOC:
-        0.0}`` to count (but never store) chatty allocation events.
+        Sampling rate in [0, 1]; 1.0 records every event.
     seed:
         Seed for the sampling RNG — sampling decisions are deterministic.
-    keep:
-        Whether to retain sampled events in :attr:`records` (disable when
-        a sink streams them to disk and memory matters).
+    metrics:
+        Registry the exact counts go to (a fresh one when omitted).
+    spans:
+        Recorder the sampled event spans go to (a fresh one when
+        omitted).  An event attaches under the recorder's
+        :attr:`~repro.obs.spans.SpanRecorder.current` span unless the
+        emitter passes an explicit ``parent``.
     """
 
     def __init__(
         self,
         rate: float = 1.0,
-        rates: Optional[Dict[str, float]] = None,
         seed: int = 0,
-        keep: bool = True,
+        metrics: Optional[MetricsRegistry] = None,
+        spans: Optional[SpanRecorder] = None,
     ):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"sampling rate must be in [0, 1], got {rate}")
-        for etype, r in (rates or {}).items():
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(
-                    f"sampling rate for {etype!r} must be in [0, 1], got {r}"
-                )
         self.rate = rate
-        self.rates: Dict[str, float] = dict(rates or {})
-        self.keep = keep
         self._rng = random.Random(seed)
-        self._seq = 0
-        #: Exact per-type emission counts (pre-sampling).
-        self.counts: Dict[str, int] = {}
-        #: Per-type counts of events that passed sampling.
-        self.sampled: Dict[str, int] = {}
-        #: Sampled events, in emission order (when ``keep``).
-        self.records: List[TraceEvent] = []
-        self._sinks: List[Callable[[TraceEvent], None]] = []
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.spans = spans if spans is not None else SpanRecorder(prefix="t")
 
-    def add_sink(self, sink: Callable[[TraceEvent], None]) -> None:
-        """Stream every sampled event to ``sink`` as it is emitted."""
-        self._sinks.append(sink)
+    @property
+    def metrics(self) -> MetricsRegistry:
+        return self._metrics
 
-    def emit(self, etype: str, ts_ns: float, **fields) -> None:
-        """Count the event; record it if it passes sampling.
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry) -> None:
+        # Counters are cached per event type; a new registry (a worker
+        # starting fresh after a drain) invalidates the cache.
+        self._metrics = registry
+        self._counters: Dict[str, Counter] = {}
 
-        Called via :meth:`repro.perf.context.PerfContext.trace`; the
-        count is incremented *before* the sampling decision so counts
-        stay exact at any rate.
+    def emit(
+        self,
+        etype: str,
+        ts_ns: float,
+        parent: Optional[Span] = None,
+        clock: str = "wall",
+        index: str = "",
+        leaf: int = -1,
+        key_lo: Optional[int] = None,
+        key_hi: Optional[int] = None,
+        reason: str = "",
+        keys: int = 0,
+        count: int = 1,
+        cost_ns: float = 0.0,
+    ) -> None:
+        """Count the event; record it as an event span if it is sampled.
+
+        Called via :meth:`repro.perf.context.PerfContext.trace` (and by
+        the concurrency simulator directly, with its op span as
+        ``parent`` and ``clock="sim"``).  ``ts_ns`` is the simulated
+        timestamp; a ``"sim"`` span starts there, a ``"wall"`` span at
+        the current wall time.  The count is incremented *before* the
+        sampling decision so it stays exact at any rate.
+
+        The record's attrs: ``index`` (emitting index/store), ``leaf``
+        (leaf/node/level position, -1 when not applicable),
+        ``key_lo``/``key_hi`` (key range covered), ``reason`` (why it
+        fired: "leaf_full", "lsm_carry", ...), ``keys`` (live keys
+        involved), ``count`` (structural multiplicity: leaves produced,
+        pages allocated, ...) and ``cost_ns`` (simulated cost of the
+        emitting operation), plus ``etype`` and ``sim_ts_ns``.
         """
-        self.counts[etype] = self.counts.get(etype, 0) + 1
-        rate = self.rates.get(etype, self.rate)
+        counter = self._counters.get(etype)
+        if counter is None:
+            counter = self._counters[etype] = self._metrics.counter(
+                EVENTS_TOTAL, event=etype
+            )
+        counter.inc()
+        rate = self.rate
         if rate < 1.0 and (rate <= 0.0 or self._rng.random() >= rate):
             return
-        self._seq += 1
-        event = TraceEvent(seq=self._seq, ts_ns=ts_ns, etype=etype, **fields)
-        self.sampled[etype] = self.sampled.get(etype, 0) + 1
-        if self.keep:
-            self.records.append(event)
-        for sink in self._sinks:
-            sink(event)
-
-    def absorb(
-        self, counts: Dict[str, int], records: List[TraceEvent]
-    ) -> None:
-        """Fold another tracer's output into this one (cross-process merge).
-
-        The parallel engine's workers each run their own tracer; at drain
-        time the parent absorbs the workers' exact counts and sampled
-        records.  Absorbed records are re-sequenced onto this tracer's
-        monotone ``seq`` (their own emission order is preserved) and
-        forwarded to any attached sinks, so a JSONL trace written by the
-        parent includes worker-side lifecycle events.
-        """
-        for etype, n in counts.items():
-            self.counts[etype] = self.counts.get(etype, 0) + n
-        for record in records:
-            self._seq += 1
-            record.seq = self._seq
-            self.sampled[record.etype] = self.sampled.get(record.etype, 0) + 1
-            if self.keep:
-                self.records.append(record)
-            for sink in self._sinks:
-                sink(record)
+        spans = self.spans
+        if parent is None:
+            parent = spans.current
+        spans.add(
+            Span(
+                span_id=spans.next_id(),
+                parent_id=None if parent is None else parent.span_id,
+                name=f"event:{etype}",
+                kind="event",
+                start_ns=ts_ns if clock == "sim" else _now_ns(),
+                clock=clock,
+                worker=spans.worker if parent is None else parent.worker,
+                attrs={
+                    "etype": etype,
+                    "sim_ts_ns": ts_ns,
+                    "index": index,
+                    "leaf": leaf,
+                    "key_lo": key_lo,
+                    "key_hi": key_hi,
+                    "reason": reason,
+                    "keys": keys,
+                    "count": count,
+                    "cost_ns": cost_ns,
+                },
+            )
+        )
 
     def count(self, etype: str) -> int:
         """Exact number of ``etype`` emissions (independent of sampling)."""
-        return self.counts.get(etype, 0)
-
-    def total_count(self) -> int:
-        return sum(self.counts.values())
-
-    def summary(self) -> Dict[str, Dict[str, int]]:
-        """Per-type ``{"emitted": exact, "sampled": stored}`` counts."""
-        return {
-            etype: {
-                "emitted": self.counts.get(etype, 0),
-                "sampled": self.sampled.get(etype, 0),
-            }
-            for etype in sorted(self.counts)
-        }
+        return event_counts(self._metrics).get(etype, 0)

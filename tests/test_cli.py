@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import INDEXES, WORKLOADS, main
@@ -116,3 +119,69 @@ class TestReport:
         assert "--spans needs --shards or --workers" in (
             capsys.readouterr().err
         )
+
+
+def _table(out: str, title: str):
+    """The body rows of the titled table in ``out``, as cell lists."""
+    lines = out.split(title + "\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    return [re.split(r"\s{2,}", line.strip()) for line in lines[2:]]
+
+
+class TestReportTelemetry:
+    """The report's tables agree with the files it writes."""
+
+    RUN = [
+        "report", "--index", "alex", "--workload", "ycsb-a",
+        "--keys", "2000", "--ops", "400", "--threads", "1,4",
+    ]
+
+    def test_span_table_keeps_sim_spans_on_their_own_rows(
+        self, capsys, tmp_path
+    ):
+        spans = tmp_path / "spans.jsonl"
+        argv = ["--shards", "2", "--spans", "--span-out", str(spans)]
+        assert main(self.RUN + argv) == 0
+        rows = _table(capsys.readouterr().out, "Causal spans")
+        records = [json.loads(line) for line in spans.read_text().splitlines()]
+        wall_requests = sum(
+            1 for r in records if (r["kind"], r["clock"]) == ("request", "wall")
+        )
+        sim_requests = sum(
+            1 for r in records if (r["kind"], r["clock"]) == ("request", "sim")
+        )
+        assert sim_requests > 0
+        (request_row,) = [r for r in rows if r[0] == "request"]
+        assert int(request_row[1].replace(",", "")) == wall_requests
+        assert not any(r[0].startswith("event:event:") for r in rows)
+
+    @pytest.mark.parametrize(
+        "engine", [[], ["--workers", "2"]], ids=["flat", "workers"]
+    )
+    def test_trace_and_prom_files_match_lifecycle_table(
+        self, capsys, tmp_path, engine
+    ):
+        trace, prom = tmp_path / "trace.jsonl", tmp_path / "metrics.prom"
+        argv = [
+            "--sample", "0.5", "--trace-out", str(trace),
+            "--prom-out", str(prom),
+        ]
+        assert main(self.RUN + argv + engine) == 0
+        rows = _table(capsys.readouterr().out, "Lifecycle events")
+        assert rows and rows[0][0] != "(no"
+        exported = {
+            m.group(1): float(m.group(2))
+            for m in re.finditer(
+                r'^repro_trace_events_total\{event="([^"]+)"\} (\S+)$',
+                prom.read_text(),
+                re.M,
+            )
+        }
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert all(line["kind"] == "event" for line in lines)
+        assert set(exported) == {row[0] for row in rows}
+        for etype, emitted, sampled, *_ in rows:
+            assert exported[etype] == int(emitted.replace(",", ""))
+            in_file = sum(1 for line in lines if line["attrs"]["etype"] == etype)
+            assert in_file == int(sampled.replace(",", ""))
+        # Sampling at 0.5 keeps some events and drops others.
+        assert 0 < len(lines) < sum(exported.values())

@@ -163,10 +163,12 @@ class TestTraceIntegration:
         assert tracer.count(EventType.LATCH_WAIT) > 0
         assert tracer.count(EventType.RETRAIN_STALL) >= result.retrain_stalls
         record = next(
-            r for r in tracer.records if r.etype == EventType.LATCH_WAIT
+            s for s in tracer.spans.spans
+            if s.attrs["etype"] == EventType.LATCH_WAIT
         )
-        assert record.index == "XIndex"
-        assert record.cost_ns > 0
+        assert record.clock == "sim"
+        assert record.attrs["index"] == "XIndex"
+        assert record.attrs["cost_ns"] > 0
 
 
 class TestScaling:
@@ -266,13 +268,13 @@ class TestFailureModel:
         )
         assert tracer.count(EventType.WORKER_RESTART) == result.failures
         restarts = [
-            r for r in tracer.records
-            if r.etype == EventType.WORKER_RESTART
+            s.attrs for s in tracer.spans.spans
+            if s.attrs["etype"] == EventType.WORKER_RESTART
         ]
         assert restarts
-        assert all(0 <= r.leaf < 3 for r in restarts)
-        assert all(r.cost_ns == 20_000.0 for r in restarts)
-        assert all(r.ts_ns <= result.makespan_ns for r in restarts)
+        assert all(0 <= r["leaf"] < 3 for r in restarts)
+        assert all(r["cost_ns"] == 20_000.0 for r in restarts)
+        assert all(r["sim_ts_ns"] <= result.makespan_ns for r in restarts)
 
     def test_scaling_passthrough(self):
         curve = simulate_scaling(

@@ -1,6 +1,6 @@
 """Observability merges must be drain-order independent.
 
-``drain_obs`` folds each worker's tracer/metrics/span state into the
+``drain_obs`` folds each worker's ``{metrics, spans}`` payload into the
 parent's instances in whatever order the workers reply.  That order is
 scheduling noise, so the merged state — counts, rendered metrics, span
 summaries — must be identical however the payloads are permuted.  (Record *lists* may be ordered differently;
@@ -13,9 +13,11 @@ import pytest
 
 from repro.concurrency import parallel_sharded_index
 from repro.obs import (
+    EventType,
     MetricsRegistry,
     SpanRecorder,
     Tracer,
+    event_counts,
     prometheus_text,
     summarize_spans,
     trace_summary,
@@ -26,22 +28,20 @@ from repro.workloads import uniform_keys
 
 def _merge(payloads):
     """Replicate drain_obs's merge into fresh parent-side instances."""
-    tracer = Tracer(rate=0.0)
     metrics = MetricsRegistry()
     spans = SpanRecorder(rate=1.0, seed=0, prefix="p")
     for p in payloads:
-        tracer.absorb(p["trace_counts"], p["trace_records"])
         metrics.merge_from(p["metrics"])
-        spans.absorb(p.get("spans", ()))
-    return tracer, metrics, spans
+        spans.absorb(p["spans"])
+    return metrics, spans
 
 
-def _state(tracer, metrics, spans):
+def _state(metrics, spans):
     """Every aggregate view a caller can observe after the merge."""
     return (
-        tracer.counts,
-        trace_summary(tracer.records),
-        prometheus_text(metrics, tracer),
+        event_counts(metrics),
+        trace_summary(spans.spans),
+        prometheus_text(metrics),
         sorted(s.span_id for s in spans.spans),
         summarize_spans(spans.spans),
     )
@@ -68,12 +68,13 @@ def worker_payloads():
 
 def test_payloads_carry_every_obs_channel(worker_payloads):
     for p in worker_payloads:
+        assert set(p) == {"metrics", "spans"}
         assert p["spans"]
         names = {name for name, _k, _l, _i in p["metrics"].collect()}
         assert "repro_worker_cmds_total" in names
     # Lifecycle events fire on retrain thresholds, so not every worker
     # necessarily saw one — but the run as a whole must have.
-    assert any(p["trace_counts"] for p in worker_payloads)
+    assert any(event_counts(p["metrics"]) for p in worker_payloads)
 
 
 def test_every_drain_order_yields_identical_state(worker_payloads):
@@ -83,16 +84,18 @@ def test_every_drain_order_yields_identical_state(worker_payloads):
 
 
 def test_merged_counts_are_the_sum_of_the_parts(worker_payloads):
-    tracer, _, spans = _merge(worker_payloads)
-    for etype in tracer.counts:
-        assert tracer.counts[etype] == sum(
-            p["trace_counts"].get(etype, 0) for p in worker_payloads
+    metrics, spans = _merge(worker_payloads)
+    merged = event_counts(metrics)
+    assert merged
+    for etype, n in merged.items():
+        assert n == sum(
+            event_counts(p["metrics"]).get(etype, 0) for p in worker_payloads
         )
     assert len(spans.spans) == sum(len(p["spans"]) for p in worker_payloads)
 
 
 def test_span_ids_stay_unique_across_workers(worker_payloads):
-    _, _, spans = _merge(worker_payloads)
+    _, spans = _merge(worker_payloads)
     ids = [s.span_id for s in spans.spans]
     assert len(ids) == len(set(ids))
     prefixes = {i.split("-", 1)[0] for i in ids}
@@ -100,14 +103,22 @@ def test_span_ids_stay_unique_across_workers(worker_payloads):
 
 
 def test_synthetic_tracer_absorb_commutes():
-    payload_a = ({"retrain": 3, "latch_wait": 1}, [])
-    payload_b = ({"retrain": 2}, [])
-    ab, ba = Tracer(rate=0.0), Tracer(rate=0.0)
-    ab.absorb(*payload_a)
-    ab.absorb(*payload_b)
-    ba.absorb(*payload_b)
-    ba.absorb(*payload_a)
-    assert ab.counts == ba.counts == {"retrain": 5, "latch_wait": 1}
+    def tracer_metrics(emits):
+        tracer = Tracer(rate=0.0)
+        for etype in emits:
+            tracer.emit(etype, 0.0)
+        return tracer.metrics
+
+    a = tracer_metrics([EventType.RETRAIN] * 3 + [EventType.LATCH_WAIT])
+    b = tracer_metrics([EventType.RETRAIN] * 2)
+    ab, ba = MetricsRegistry(), MetricsRegistry()
+    ab.merge_from(a)
+    ab.merge_from(b)
+    ba.merge_from(b)
+    ba.merge_from(a)
+    assert event_counts(ab) == event_counts(ba) == {
+        "retrain": 5, "latch_wait": 1
+    }
 
 
 def test_synthetic_metrics_merge_commutes():

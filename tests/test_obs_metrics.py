@@ -220,8 +220,8 @@ class TestPrometheusText:
         tracer = Tracer(rate=0.0)  # counts survive even with keep-nothing
         for _ in range(9):
             tracer.emit(EventType.RETRAIN, 0.0)
-        text = prometheus_text(tracer=tracer)
-        assert 'repro_trace_events_total{event="retrain"} 9' in text
+        text = prometheus_text(tracer.metrics)
+        assert 'repro_trace_events_total{event="retrain"} 9.0' in text
 
     def test_label_values_escaped(self):
         reg = MetricsRegistry()
@@ -247,8 +247,10 @@ class TestPrometheusText:
     def test_tracer_section_has_help_and_escaped_labels(self):
         tracer = Tracer(rate=0.0)
         tracer.emit('odd"event\\', 0.0)
-        text = prometheus_text(tracer=tracer)
+        text = prometheus_text(tracer.metrics)
+        # The exported value is the exact count, not the sampled one.
         assert "# HELP repro_trace_events_total " in text
+        assert "before sampling" in text
         assert "# TYPE repro_trace_events_total counter" in text
         assert 'event="odd\\"event\\\\"' in text
 

@@ -79,18 +79,26 @@ class TestSpanRecorder:
 
     def test_event_carries_cost_and_parent(self):
         rec = SpanRecorder(worker=2)
-        ev = rec.event("event:retrain", "p-1", cost_ns=123.0, reason="merge")
+        tracer = Tracer(rate=1.0, spans=rec)
+        parent = rec.start("cmd:insert_many", "worker", parent="p-1")
+        tracer.emit(
+            EventType.RETRAIN, 5.0, parent=parent, cost_ns=123.0,
+            reason="merge",
+        )
+        (ev,) = rec.spans
         assert ev.kind == "event"
-        assert ev.parent_id == "p-1"
+        assert ev.name == "event:retrain"
+        assert ev.parent_id == parent.span_id
         assert ev.dur_ns == 0.0
         assert ev.worker == 2
+        assert ev.attrs["etype"] == EventType.RETRAIN
+        assert ev.attrs["sim_ts_ns"] == 5.0
         assert ev.attrs["cost_ns"] == 123.0
         assert ev.attrs["reason"] == "merge"
 
-    def test_bind_tracer_attaches_events_under_current_span(self):
+    def test_tracer_attaches_events_under_current_span(self):
         rec = SpanRecorder(prefix="w0", worker=0)
-        tracer = Tracer(rate=1.0)
-        rec.bind_tracer(tracer)
+        tracer = Tracer(rate=1.0, spans=rec)
 
         cmd = rec.start("cmd:get_many", "worker", parent="p-9")
         rec.current = cmd
@@ -157,10 +165,20 @@ class TestTreeTools:
 
     def test_summarize_counts_kinds_and_event_types(self):
         summary = summarize_spans(_tree())
-        assert summary["request"] == {"spans": 1, "dur_ns": 100.0}
-        assert summary["shard"]["spans"] == 2
-        assert summary["events"] == {"retrain": 1}
-        assert "batch" in summary
+        assert summary[("request", "wall")] == {"spans": 1, "dur_ns": 100.0}
+        assert summary[("shard", "wall")]["spans"] == 2
+        assert summary[("event", "wall")]["events"] == {"retrain": 1}
+        assert ("batch", "wall") in summary
+        # Simulated spans keep their own entries: sim ns are not wall ns.
+        sim = [
+            Span("sim-1", None, "op:read", "request", 0.0, 7.0, clock="sim"),
+            Span("sim-2", "sim-1", "event:latch_wait", "event", 3.0,
+                 clock="sim", attrs={"etype": "latch_wait"}),
+        ]
+        summary = summarize_spans(_tree() + sim)
+        assert summary[("request", "wall")] == {"spans": 1, "dur_ns": 100.0}
+        assert summary[("request", "sim")] == {"spans": 1, "dur_ns": 7.0}
+        assert summary[("event", "sim")]["events"] == {"latch_wait": 1}
 
 
 # ---------------------------------------------------------------- exports
@@ -324,9 +342,15 @@ class TestSimulatorSpans:
 
     def test_contention_events_attach_to_their_op(self):
         rec = SpanRecorder(rate=1.0, seed=3, prefix="sim")
-        _simulate(spans=rec)
+        tracer = Tracer(rate=1.0, spans=rec)
+        _simulate(spans=rec, tracer=tracer)
         events = [s for s in rec.spans if s.kind == "event"]
         assert events  # global_lock at 4 threads must contend
+        # At rate 1.0 every counted event is one event span, on sim time.
+        assert len(events) == tracer.count(EventType.LATCH_WAIT) + (
+            tracer.count(EventType.RETRAIN_STALL)
+        )
+        assert all(ev.clock == "sim" for ev in events)
         index = children_index(rec.spans)
         by_id = {s.span_id: s for s in rec.spans}
         for ev in events:
@@ -334,6 +358,7 @@ class TestSimulatorSpans:
             assert parent.kind == "request"
             assert ev.worker == parent.worker
             assert ev.attrs["cost_ns"] > 0.0
+            assert parent.start_ns <= ev.start_ns <= parent.end_ns
         assert {e.name for e in events} <= {
             "event:latch_wait", "event:retrain_stall"
         }
@@ -383,22 +408,26 @@ class TestHealthMonitor:
         mon = HealthMonitor(2, clock=clock)
         mon.sent(0, "get_many", span_id="p-7")
         clock.t = 1.0
-        mon.reply(0, 2.5e6, (12, 9.9e6))
+        mon.reply(0, 2.5e6)
+        mon.sent(0, "get_many")
+        mon.reply(0, 1.5e6)
         wh = mon.workers[0]
-        assert (wh.cmds_sent, wh.cmds_done) == (1, 1)
-        assert (wh.hb_cmds, wh.hb_busy_ns) == (12, 9.9e6)
+        assert (wh.cmds_sent, wh.cmds_done) == (2, 2)
+        assert wh.busy_ns == 4.0e6  # the replies' wall ns, summed
         assert wh.last_reply_t == 1.0
-        (entry,) = mon.flight(0)
+        entry = mon.flight(0)[0]
         assert entry.status == "ok"
         assert entry.span_id == "p-7"
         assert entry.wall_ns == 2.5e6
 
     def test_untracked_reply_is_heartbeat_only(self):
-        # The build-ready handshake replies without a tracked send.
+        # The build-ready handshake replies without a tracked send: it
+        # proves liveness but is not a command done.
         mon = HealthMonitor(1, clock=FakeClock())
-        mon.reply(0, 0.0, (0, 0.0))
+        mon.reply(0, 0.0)
         wh = mon.workers[0]
         assert (wh.cmds_sent, wh.cmds_done) == (0, 0)
+        assert wh.busy_ns == 0.0
         assert wh.last_reply_t is not None
 
     def test_stall_fires_once_then_recovers(self):
@@ -412,7 +441,7 @@ class TestHealthMonitor:
         assert mon.waiting(0) is False  # same command: no re-warn
         assert mon.stalled_workers() == [0]
         assert mon.workers[0].stalls == 1
-        mon.reply(0, 1e6, (1, 1e6))
+        mon.reply(0, 1e6)
         assert mon.stalled_workers() == []
         assert mon.flight(0)[0].status == "stalled-ok"
 
@@ -433,7 +462,7 @@ class TestHealthMonitor:
         mon = HealthMonitor(1, flight_capacity=3, clock=FakeClock())
         for i in range(5):
             mon.sent(0, f"cmd{i}")
-            mon.reply(0, 1.0, (i + 1, 1.0))
+            mon.reply(0, 1.0)
         entries = mon.flight(0)
         assert len(entries) == 3
         assert [e.cmd for e in entries] == ["cmd2", "cmd3", "cmd4"]
@@ -444,13 +473,13 @@ class TestHealthMonitor:
         mon = HealthMonitor(2, clock=clock)
         mon.sent(1, "get_many")
         clock.t = 2.0
-        mon.reply(1, 3e6, (1, 3e6))
+        mon.reply(1, 3e6)
         clock.t = 6.0
         snap = mon.snapshot()
         assert snap[0]["last_reply_age_s"] is None
         assert snap[1]["last_reply_age_s"] == pytest.approx(4.0)
         assert snap[1]["cmds_done"] == 1
-        assert snap[1]["hb_busy_ms"] == pytest.approx(3.0)
+        assert snap[1]["busy_ms"] == pytest.approx(3.0)
         assert snap[1]["worker"] == 1
 
     def test_format_flight(self):

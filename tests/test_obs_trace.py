@@ -1,4 +1,9 @@
-"""Lifecycle tracing: emission contracts, sampling, exporter round-trips."""
+"""Lifecycle tracing: emission contracts, sampling, exporter round-trips.
+
+A :class:`Tracer` counts every event exactly in the
+``repro_trace_events_total`` counter of its registry and records each
+sampled one as an event span in its span recorder.
+"""
 
 import random
 
@@ -8,13 +13,12 @@ from repro import registry
 from repro.bench.runner import run_index_ops
 from repro.obs import (
     EventType,
-    TraceEvent,
     Tracer,
-    read_trace_jsonl,
+    event_counts,
+    read_spans_jsonl,
     trace_summary,
-    write_trace_jsonl,
+    write_spans_jsonl,
 )
-from repro.obs.export import JsonlTraceSink
 from repro.perf import PerfContext
 from repro.workloads.datasets import DATASETS
 from repro.workloads.ycsb import (
@@ -39,6 +43,15 @@ STRUCTURAL = [
     for s in registry.specs()
     if s.category in ("traditional", "hash")
 ]
+
+
+def _records(tracer, etype=None):
+    """The tracer's sampled event spans (of one type, if given)."""
+    return [
+        s
+        for s in tracer.spans.spans
+        if s.kind == "event" and etype in (None, s.attrs["etype"])
+    ]
 
 
 def _write_heavy_run(cli_name: str, n_load=1_000, n_ops=3_000, rate=1.0):
@@ -66,13 +79,19 @@ class TestTracerBasics:
         assert tracer.count(EventType.RETRAIN) == 2
         assert tracer.count(EventType.LEAF_SPLIT) == 1
         assert tracer.count(EventType.NVM_GC) == 0
-        assert tracer.total_count() == 3
-        assert [e.etype for e in tracer.records] == [
+        assert sum(event_counts(tracer.metrics).values()) == 3
+        records = _records(tracer)
+        assert [e.attrs["etype"] for e in records] == [
             EventType.RETRAIN,
             EventType.RETRAIN,
             EventType.LEAF_SPLIT,
         ]
-        assert [e.seq for e in tracer.records] == [1, 2, 3]
+        assert [e.name for e in records] == [
+            "event:retrain", "event:retrain", "event:leaf_split"
+        ]
+        assert [e.span_id for e in records] == ["t-1", "t-2", "t-3"]
+        assert [e.attrs["keys"] for e in records] == [10, 20, 0]
+        assert all(e.kind == "event" and e.clock == "wall" for e in records)
 
     def test_no_tracer_is_noop(self):
         perf = PerfContext()
@@ -85,13 +104,14 @@ class TestTracerBasics:
         perf.tracer = Tracer()
         perf.charge(Event.DRAM_HOP, 10)
         perf.trace(EventType.RETRAIN)
-        assert perf.tracer.records[0].ts_ns == pytest.approx(perf.elapsed_ns())
+        (record,) = _records(perf.tracer)
+        assert record.attrs["sim_ts_ns"] == pytest.approx(perf.elapsed_ns())
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             Tracer(rate=1.5)
         with pytest.raises(ValueError):
-            Tracer(rates={EventType.RETRAIN: -0.1})
+            Tracer(rate=-0.1)
 
 
 class TestSampling:
@@ -100,8 +120,8 @@ class TestSampling:
         for _ in range(4_000):
             tracer.emit(EventType.NODE_ALLOC, 0.0)
         assert tracer.count(EventType.NODE_ALLOC) == 4_000
-        sampled = len(tracer.records)
-        assert sampled == tracer.sampled[EventType.NODE_ALLOC]
+        sampled = len(_records(tracer, EventType.NODE_ALLOC))
+        assert sampled == len(tracer.spans.spans)
         # Honours the rate: a binomial(4000, 0.25) stays well inside this.
         assert 700 < sampled < 1_300
 
@@ -110,31 +130,22 @@ class TestSampling:
         for _ in range(100):
             tracer.emit(EventType.RETRAIN, 0.0)
         assert tracer.count(EventType.RETRAIN) == 100
-        assert tracer.records == []
+        assert tracer.spans.spans == []
 
     def test_sampling_deterministic_for_seed(self):
         def run(seed):
             tracer = Tracer(rate=0.5, seed=seed)
             for i in range(500):
                 tracer.emit(EventType.RETRAIN, float(i))
-            return [e.seq for e in tracer.records]
+            return [e.attrs["sim_ts_ns"] for e in _records(tracer)]
 
         assert run(5) == run(5)
         assert run(5) != run(6)
 
-    def test_per_type_rate_override(self):
-        tracer = Tracer(rate=1.0, rates={EventType.NODE_ALLOC: 0.0})
-        for _ in range(50):
-            tracer.emit(EventType.NODE_ALLOC, 0.0)
-            tracer.emit(EventType.RETRAIN, 0.0)
-        assert tracer.count(EventType.NODE_ALLOC) == 50
-        assert all(e.etype == EventType.RETRAIN for e in tracer.records)
-        assert len(tracer.records) == 50
-
     def test_index_counters_exact_even_when_sampled(self):
         index, tracer = _write_heavy_run("alex", rate=0.1)
         assert tracer.count(EventType.RETRAIN) == index.stats().retrain_count
-        assert len(tracer.records) < tracer.total_count()
+        assert len(_records(tracer)) < sum(event_counts(tracer.metrics).values())
 
 
 class TestEveryIndexEmits:
@@ -148,7 +159,7 @@ class TestEveryIndexEmits:
     @pytest.mark.parametrize("cli_name", STRUCTURAL)
     def test_structural_indexes_emit_lifecycle_events(self, cli_name):
         _, tracer = _write_heavy_run(cli_name)
-        assert tracer.total_count() > 0
+        assert sum(event_counts(tracer.metrics).values()) > 0
 
     def test_composed_split_counter_matches_trace(self):
         index, tracer = _write_heavy_run("alex")
@@ -170,8 +181,6 @@ class TestAcceptance100k:
         tracer = Tracer(rate=1.0)
         perf.tracer = tracer
         path = str(tmp_path / "trace.jsonl")
-        sink = JsonlTraceSink(open(path, "w"))
-        tracer.add_sink(sink)
         index = spec.build(perf)
         keys = DATASETS["ycsb"](120_000, seed=42)
         load, insert_pool = split_load_and_inserts(keys, 0.25, seed=42)
@@ -180,19 +189,20 @@ class TestAcceptance100k:
             self.MIXED, 100_000, load, insert_pool, seed=42
         )
         run_index_ops(index, ops, perf)
-        sink.close()
+        # The ``repro report --trace-out`` format: the event spans.
+        write_spans_jsonl(_records(tracer), path)
 
         stats = index.stats()
-        events = read_trace_jsonl(path)
+        events = [e.attrs for e in read_spans_jsonl(path)]
         retrains = sum(
             1
             for e in events
-            if e.etype == EventType.RETRAIN and e.index == index.name
+            if e["etype"] == EventType.RETRAIN and e["index"] == index.name
         )
         splits = sum(
             1
             for e in events
-            if e.etype == EventType.LEAF_SPLIT and e.index == index.name
+            if e["etype"] == EventType.LEAF_SPLIT and e["index"] == index.name
         )
         assert stats.retrain_count > 0
         assert retrains == stats.retrain_count
@@ -218,48 +228,28 @@ class TestExportRoundTrip:
             reason="model_refit_split",
         )
         tracer.emit(EventType.NVM_GC, 30.0, index="viper[A]", keys=12)
-        return tracer.records
+        return _records(tracer)
 
     def test_jsonl_round_trip_identical_records(self, tmp_path):
         events = self._events()
         path = str(tmp_path / "t.jsonl")
-        assert write_trace_jsonl(events, path) == 3
-        parsed = read_trace_jsonl(path)
+        assert write_spans_jsonl(events, path) == 3
+        parsed = read_spans_jsonl(path)
         assert parsed == events
+        split = parsed[1].attrs
+        assert (split["leaf"], split["key_lo"], split["key_hi"]) == (3, 1, 99)
+        assert (split["count"], split["reason"]) == (2, "model_refit_split")
 
     def test_round_trip_summary_identical(self, tmp_path):
         events = self._events()
         path = str(tmp_path / "t.jsonl")
-        write_trace_jsonl(events, path)
-        assert trace_summary(read_trace_jsonl(path)) == trace_summary(events)
-
-    def test_streaming_sink_equals_batch_write(self, tmp_path):
-        events = self._events()
-        streamed = str(tmp_path / "streamed.jsonl")
-        tracer = Tracer()
-        sink = JsonlTraceSink(open(streamed, "w"))
-        tracer.add_sink(sink)
-        for e in events:
-            tracer.emit(
-                e.etype,
-                e.ts_ns,
-                index=e.index,
-                leaf=e.leaf,
-                key_lo=e.key_lo,
-                key_hi=e.key_hi,
-                reason=e.reason,
-                keys=e.keys,
-                count=e.count,
-                cost_ns=e.cost_ns,
-            )
-        sink.close()
-        assert read_trace_jsonl(streamed) == events
-
-    def test_event_dict_round_trip(self):
-        event = TraceEvent(
-            seq=1, ts_ns=5.0, etype=EventType.BUFFER_FLUSH, keys=3
-        )
-        assert TraceEvent.from_dict(event.to_dict()) == event
+        write_spans_jsonl(events, path)
+        summary = trace_summary(read_spans_jsonl(path))
+        assert summary == trace_summary(events)
+        assert summary[EventType.RETRAIN] == {
+            "events": 1, "keys": 5, "count": 1, "cost_ns": 3.5,
+            "by_index": {"A": 1},
+        }
 
 
 class TestStoreEvents:
@@ -283,8 +273,8 @@ class TestStoreEvents:
         # is unreachable by the cursor until gc returns it to the free list.
         assert reclaimed == 20 + 12
         assert tracer.count(EventType.NVM_GC) == 1
-        event = [e for e in tracer.records if e.etype == EventType.NVM_GC][0]
-        assert event.keys == 32
+        (event,) = _records(tracer, EventType.NVM_GC)
+        assert event.attrs["keys"] == 32
         # A second pass finds nothing new.
         assert store.gc() == 0
         # Reclaimed slots are actually reused by subsequent puts.
@@ -314,10 +304,8 @@ class TestStoreEvents:
         device = PMemDevice(slots_per_page=4, perf=perf)
         device.allocate_page()
         device.allocate_slots(9)
-        allocs = [
-            e for e in tracer.records if e.etype == EventType.NODE_ALLOC
-        ]
-        assert [a.count for a in allocs] == [1, 3]
+        allocs = _records(tracer, EventType.NODE_ALLOC)
+        assert [a.attrs["count"] for a in allocs] == [1, 3]
 
 
 class TestRunnerIntegration:

@@ -29,7 +29,7 @@ from repro.concurrency import (
 )
 from repro.core.interfaces import SortedIndex
 from repro.errors import ReproError, WorkerDiedError
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, event_counts
 from repro.registry import specs
 from repro.workloads import uniform_keys
 
@@ -247,12 +247,11 @@ def test_drain_obs_merges_worker_state_into_parent(transport):
         engine.get_many(load)
         engine.insert_many([(k, k) for k in extra])
 
-        tracer = Tracer(rate=0.0)
         metrics = MetricsRegistry()
-        payloads = engine.drain_obs(tracer=tracer, metrics=metrics)
+        payloads = engine.drain_obs(metrics=metrics)
         assert len(payloads) == 2
-        # Worker-side lifecycle events land in the parent tracer...
-        assert sum(tracer.counts.values()) > 0
+        # Worker-side lifecycle counts land in the parent registry...
+        assert sum(event_counts(metrics).values()) > 0
         # ...and command metrics in the parent registry (per-worker
         # labels).
         names = {name for name, _kind, _labels, _inst in metrics.collect()}
@@ -263,6 +262,48 @@ def test_drain_obs_merges_worker_state_into_parent(transport):
     # Simulated charges flow back continuously (not only at drain time):
     # the engine's own PerfContext saw the workers' counter deltas.
     assert engine.perf.counters.total() > 0
+
+
+def test_drain_obs_hands_over_each_event_once(transport):
+    """A drain takes what the workers collected since the last one: a
+    second drain with no work in between changes nothing, and a drain
+    after more work adds exactly that work's events — the same totals
+    and span ids as one drain at the end."""
+    spec = next(s for s in specs() if s.name == "PGM")
+    keys = uniform_keys(1_200, seed=11)
+    load, first, more = keys[:500], keys[500:600], keys[600:]
+
+    def run(early_drains):
+        engine = parallel_sharded_index(
+            spec, 2, trace_rate=1.0, span_rate=1.0, seed=7,
+            transport=transport,
+        )
+        metrics = MetricsRegistry()
+        try:
+            engine.bulk_load([(k, k) for k in load])
+            engine.insert_many([(k, k) for k in first])
+            for _ in range(early_drains):
+                engine.drain_obs(metrics=metrics, spans=engine.spans)
+            if early_drains:
+                counts = event_counts(metrics)
+                assert counts
+                ids = [s.span_id for s in engine.spans.spans]
+                engine.drain_obs(metrics=metrics, spans=engine.spans)
+                assert event_counts(metrics) == counts
+                assert [s.span_id for s in engine.spans.spans] == ids
+            engine.insert_many([(k, k) for k in more])
+            engine.drain_obs(metrics=metrics, spans=engine.spans)
+            if early_drains:
+                assert event_counts(metrics) != counts  # new events landed
+            return event_counts(metrics), [s.span_id for s in engine.spans.spans]
+        finally:
+            engine.close()
+
+    drained_counts, drained_ids = run(early_drains=2)
+    once_counts, once_ids = run(early_drains=0)
+    assert len(drained_ids) == len(set(drained_ids))
+    assert drained_counts == once_counts
+    assert sorted(drained_ids) == sorted(once_ids)
 
 
 def test_engine_perf_charges_match_in_process_sharding():
@@ -452,15 +493,15 @@ def test_span_counts_match_untraced_event_counters_at_rate_one(transport):
             engine.bulk_load([(k, k) for k in load])
             engine.get_many(load)
             engine.insert_many([(k, k) for k in extra])
-            tracer = Tracer(rate=0.0)
-            engine.drain_obs(tracer=tracer, spans=engine.spans)
+            metrics = MetricsRegistry()
+            engine.drain_obs(metrics=metrics, spans=engine.spans)
             spans = list(engine.spans.spans) if engine.spans else []
-            return tracer, spans, engine.spans
+            return metrics, spans, engine.spans
         finally:
             engine.close()
 
     _, spans, recorder = run(span_rate=1.0)
-    untraced_tracer, _, untraced_recorder = run(span_rate=0.0)
+    untraced_metrics, _, untraced_recorder = run(span_rate=0.0)
     assert untraced_recorder is None  # rate 0: the no-op fast path
 
     by_etype = {}
@@ -468,7 +509,7 @@ def test_span_counts_match_untraced_event_counters_at_rate_one(transport):
         if s.kind == "event":
             etype = s.attrs["etype"]
             by_etype[etype] = by_etype.get(etype, 0) + 1
-    assert by_etype == untraced_tracer.counts
+    assert by_etype == event_counts(untraced_metrics)
 
     # Every engine API call became exactly one sampled request span.
     api_calls = 3  # bulk_load + get_many + insert_many
@@ -538,9 +579,9 @@ def test_health_monitor_tracks_live_engine(transport):
             assert row["cmds_sent"] == row["cmds_done"] > 0
             assert row["last_reply_age_s"] is not None
             assert row["stalls"] == 0 and not row["stalled"]
-        # Heartbeats agree with the parent's own books.
-        for wh, ops in zip(engine.health.workers, engine.worker_ops):
-            assert wh.hb_cmds == wh.cmds_done
+        # The engine's busy time is the monitor's summed reply wall ns.
+        assert engine.busy_ns == [wh.busy_ns for wh in engine.health.workers]
+        assert all(b > 0.0 for b in engine.busy_ns)
         assert engine.health.stalled_workers() == []
         assert all(engine.health.flight(w) for w in range(2))
     finally:
@@ -601,6 +642,9 @@ class TestLoopback:
     )
     test_drain_obs_merges_worker_state_into_parent = staticmethod(
         test_drain_obs_merges_worker_state_into_parent
+    )
+    test_drain_obs_hands_over_each_event_once = staticmethod(
+        test_drain_obs_hands_over_each_event_once
     )
     test_scan_many_waves_match_in_process_sharding = staticmethod(
         test_scan_many_waves_match_in_process_sharding
@@ -770,13 +814,21 @@ def test_kill_budget_zero_partial_mode_serves_survivors():
         metrics = MetricsRegistry()
         engine.drain_obs(metrics=metrics)
         names = {
-            name: inst
+            name: inst.value
             for name, _k, labels, inst in metrics.collect()
             if name in ("repro_worker_down_total",
                         "repro_shard_unavailable_total")
         }
         assert set(names) == {
             "repro_worker_down_total", "repro_shard_unavailable_total"
+        }
+        # Engine-side series are handed over once: a second drain with
+        # nothing new leaves them unchanged.
+        engine.drain_obs(metrics=metrics)
+        assert names == {
+            name: inst.value
+            for name, _k, labels, inst in metrics.collect()
+            if name in names
         }
     finally:
         engine.close()
@@ -888,8 +940,11 @@ def test_recovery_emits_events_metrics_and_spans():
     try:
         engine.bulk_load(items)
         engine.get_many(sorted(load))
-        assert tracer.counts.get("worker_restart") == 1
-        assert tracer.counts.get("worker_recovered") == 1
+        assert tracer.count("worker_restart") == 1
+        assert tracer.count("worker_recovered") == 1
+        assert [s.name for s in tracer.spans.spans] == [
+            "event:worker_restart", "event:worker_recovered"
+        ]
         metrics = MetricsRegistry()
         engine.drain_obs(metrics=metrics)
         by_name = {
