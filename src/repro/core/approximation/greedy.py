@@ -7,12 +7,14 @@ maximum-error guarantee but, because the line is forced through the first
 point, it can need more segments — which is why the paper swaps it for
 Opt-PLA when benchmarking FITing-tree's *other* dimensions (§III-A1).
 
-The vectorized fast path evaluates the error-bound window with numpy:
-per-point slope bounds ``(dy ± eps) / dx`` become array expressions, the
-running window is ``maximum.accumulate`` / ``minimum.accumulate``, and a
-segment break is the first index where the accumulated bounds cross.
-Every float operation matches the scalar loop bit for bit, so the two
-paths produce identical segment boundaries *and* identical models.
+The fit evaluates the error-bound window with numpy: per-point slope
+bounds ``(dy ± eps) / dx`` become array expressions, the running window
+is ``maximum.accumulate`` / ``minimum.accumulate``, and a segment break
+is the first index where the accumulated bounds cross.  Every float
+operation matches the point-by-point loop of the published algorithm bit
+for bit, so both give identical segment boundaries *and* models; that
+loop is kept as a test oracle (``tests/oracles/greedy_scalar.py``).
+Keys must be exact ``uint64`` integers; others raise ``InvalidKeysError``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.core.approximation.base import (
     LinearModel,
     Segment,
 )
-from repro.errors import InvalidConfigurationError
+from repro.errors import InvalidConfigurationError, InvalidKeysError
 
 #: Initial block size for the doubling scan of one segment's tail.
 _BLOCK = 1024
@@ -38,58 +40,27 @@ class GreedyPLAApproximator(Approximator):
     name = "Greedy-PLA"
     bounded_error = True
 
-    def __init__(self, eps: int = 32, vectorized: bool = True):
+    def __init__(self, eps: int = 32):
         if eps < 0:
             raise InvalidConfigurationError(f"eps must be >= 0, got {eps}")
         self.eps = eps
-        self.vectorized = vectorized
 
     def fit(self, keys: Sequence[int]) -> Approximation:
+        """Blockwise evaluation of the point-by-point window.
+
+        For the segment anchored at ``start`` the window after absorbing
+        point ``i`` is exactly ``(cummax(lo)[i], cummin(hi)[i])``, and the
+        break happens at the first ``i`` whose accumulated bounds cross.
+        Blocks double so one segment's tail is scanned O(len) total even
+        when recomputed.
+        """
         if not len(keys):
             raise InvalidConfigurationError("cannot approximate an empty key set")
         arr = _vec.validate_fit_keys(keys, self.name)
-        if self.vectorized and arr is not None:
-            return self._fit_np(keys, arr)
-        return self._fit_scalar(keys)
-
-    # -- scalar path ----------------------------------------------------
-
-    def _fit_scalar(self, keys: Sequence[int]) -> Approximation:
-        segments: List[Segment] = []
-        n = len(keys)
-        start = 0
-        slope_lo = float("-inf")
-        slope_hi = float("inf")
-        i = 1
-        while i < n:
-            dx = float(keys[i] - keys[start])
-            dy = float(i - start)
-            lo = (dy - self.eps) / dx
-            hi = (dy + self.eps) / dx
-            new_lo = max(slope_lo, lo)
-            new_hi = min(slope_hi, hi)
-            if new_lo > new_hi:
-                segments.append(self._close(keys, start, i, slope_lo, slope_hi))
-                start = i
-                slope_lo = float("-inf")
-                slope_hi = float("inf")
-            else:
-                slope_lo, slope_hi = new_lo, new_hi
-            i += 1
-        segments.append(self._close(keys, start, n, slope_lo, slope_hi))
-        return Approximation(segments, n)
-
-    # -- vectorized path ------------------------------------------------
-
-    def _fit_np(self, keys: Sequence[int], arr) -> Approximation:
-        """Same decisions as :meth:`_fit_scalar`, evaluated blockwise.
-
-        For the segment anchored at ``start`` the scalar loop's window
-        after absorbing point ``i`` is exactly
-        ``(cummax(lo)[i], cummin(hi)[i])``, and the break happens at the
-        first ``i`` whose accumulated bounds cross.  Blocks double so one
-        segment's tail is scanned O(len) total even when recomputed.
-        """
+        if arr is None:
+            raise InvalidKeysError(
+                f"{self.name}: fit keys must be integers in the uint64 key space"
+            )
         np = _vec.np
         segments: List[Segment] = []
         n = len(keys)

@@ -4,6 +4,13 @@ The paper (§IV-A): "After dividing the stored data into fixed segments, LSA
 is used to generate a linear model for each segment."  LSA provides no
 maximum-error guarantee, which is the root of both its tail-latency problem
 and its segments-vs-error conflict.
+
+Chunks of exact ``uint64`` keys are fitted by numpy's closed form
+(:func:`repro.core.approximation.vectorized.fit_least_squares_np`), other
+chunks by :func:`fit_least_squares`, which LSA-gap and the leaf strategies
+also call for short runs.  The fixed chunking gives the same segment
+boundaries either way; the coefficients differ only by pairwise vs.
+sequential summation (last ulp).
 """
 
 from __future__ import annotations
@@ -51,30 +58,22 @@ def fit_least_squares(keys: Sequence[int], base_key: int) -> Tuple[float, float]
 
 
 class LSAApproximator(Approximator):
-    """Split keys into fixed chunks of ``segment_size`` and fit each by LSA.
-
-    ``vectorized=True`` (the default) uses numpy's closed-form least
-    squares per chunk when the keys convert exactly to uint64.  The fixed
-    chunking means segment boundaries are identical either way; the model
-    coefficients can differ from the scalar loop only in the last ulp
-    (pairwise vs. sequential summation).
-    """
+    """Split keys into fixed chunks of ``segment_size`` and fit each by LSA."""
 
     name = "LSA"
     bounded_error = False
 
-    def __init__(self, segment_size: int = 256, vectorized: bool = True):
+    def __init__(self, segment_size: int = 256):
         if segment_size < 1:
             raise InvalidConfigurationError(
                 f"segment_size must be >= 1, got {segment_size}"
             )
         self.segment_size = segment_size
-        self.vectorized = vectorized
 
     def fit(self, keys: Sequence[int]) -> Approximation:
         if not keys:
             raise InvalidConfigurationError("cannot approximate an empty key set")
-        arr = _vec.as_u64(keys) if self.vectorized else None
+        arr = _vec.as_u64(keys)
         segments = []
         for start in range(0, len(keys), self.segment_size):
             if arr is not None:

@@ -6,6 +6,11 @@ slot the (rescaled) model predicts for it.  This actively changes the
 stored data's CDF to match the model, so the prediction error collapses to
 collision-induced shifts — LSA-gap achieves both a small error and few
 segments simultaneously, which passive approximators cannot.
+
+Placement runs in one numpy pass for runs of at least 64 exact ``uint64``
+keys, and point by point for other runs and for runs whose numpy
+placement overflows the slot array; both give the same layout wherever
+both apply (checked by ``tests/test_batch_api.py``).
 """
 
 from __future__ import annotations
@@ -40,16 +45,11 @@ class GappedSegment(Segment):
         start: int,
         keys: Sequence[int],
         density: float,
-        vectorized: bool = True,
     ):
         n = len(keys)
         slots = max(n, math.ceil(n / density))
         base = int(keys[0])
-        arr = (
-            _vec.as_u64(keys)
-            if vectorized and n >= _vec.MIN_VECTOR_KEYS
-            else None
-        )
+        arr = _vec.as_u64(keys) if n >= _vec.MIN_VECTOR_KEYS else None
         if arr is not None:
             slope, intercept = _vec.fit_least_squares_np(arr, base)
         else:
@@ -59,25 +59,8 @@ class GappedSegment(Segment):
 
         placed = self._place_np(arr, model, slots) if arr is not None else None
         if placed is None:
-            slot_keys: List[Optional[int]] = [None] * slots
-            max_err = 0
-            sum_err = 0
-            last = -1
-            for key in keys:
-                predicted = model.predict_clamped(key, slots)
-                slot = predicted if predicted > last else last + 1
-                if slot >= slots:
-                    slot_keys.extend([None] * (slot - slots + 1))
-                    slots = slot + 1
-                slot_keys[slot] = key
-                last = slot
-                err = abs(slot - predicted)
-                sum_err += err
-                if err > max_err:
-                    max_err = err
-            slot_pos = keys_u64 = None
-        else:
-            slot_keys, slots, max_err, sum_err, slot_pos, keys_u64 = placed
+            placed = self._place_scalar(keys, model, slots) + (None,)
+        slot_keys, slots, max_err, sum_err, slot_pos = placed
 
         self.first_key = first_key
         self.start = start
@@ -88,22 +71,43 @@ class GappedSegment(Segment):
         self.slots = slots
         self.slot_keys = slot_keys
         self.occupied = n
-        # Retained by the vectorized placement so GappedLeaf can build its
-        # numpy slot storage by fancy indexing instead of re-scanning the
-        # slot list; None when placement ran scalar.
+        # Kept from the numpy placement so GappedLeaf can build its slot
+        # storage by fancy indexing instead of re-scanning the slot list;
+        # None when placement ran point by point.
         self.slot_pos = slot_pos
-        self.keys_u64 = keys_u64
+        self.keys_u64 = arr if slot_pos is not None else None
 
     @staticmethod
-    def _place_np(arr, model, slots):
-        """Vectorized model-guided placement; ``None`` -> scalar fallback.
+    def _place_scalar(keys: Sequence[int], model: LinearModel, slots: int):
+        """Point-by-point placement: ``(slot_keys, slots, max_err, sum_err)``;
+        a slot at or past the end grows the array (and the model clamp)."""
+        slot_keys: List[Optional[int]] = [None] * slots
+        max_err = 0
+        sum_err = 0
+        last = -1
+        for key in keys:
+            predicted = model.predict_clamped(key, slots)
+            slot = predicted if predicted > last else last + 1
+            if slot >= slots:
+                slot_keys.extend([None] * (slot - slots + 1))
+                slots = slot + 1
+            slot_keys[slot] = key
+            last = slot
+            err = abs(slot - predicted)
+            sum_err += err
+            if err > max_err:
+                max_err = err
+        return slot_keys, slots, max_err, sum_err
 
-        The scalar recurrence ``slot_i = max(pred_i, slot_{i-1} + 1)``
-        unrolls to ``slot_i = i + cummax(pred_i - i)`` — exact in integer
-        space.  The rare overflow case (a slot landing at/after the end,
-        which the scalar loop handles by growing the array *and* widening
-        the model clamp for later keys) is left to the scalar loop so the
-        two paths never diverge.
+    @staticmethod
+    def _place_np(arr, model: LinearModel, slots: int):
+        """``_place_scalar``'s tuple plus each key's slot, or ``None``.
+
+        The recurrence ``slot_i = max(pred_i, slot_{i-1} + 1)`` unrolls to
+        ``slot_i = i + cummax(pred_i - i)`` — exact in integer space.  A
+        slot landing at or past the end (which the point-by-point loop
+        answers by growing the array *and* widening the model clamp for
+        later keys) returns ``None`` so the two never diverge.
         """
         np = _vec.np
         pred = _vec.predict_clamped_many(model, arr, slots)
@@ -112,12 +116,12 @@ class GappedSegment(Segment):
         idx = np.arange(arr.size, dtype=np.int64)
         slot = idx + np.maximum.accumulate(pred - idx)
         if int(slot[-1]) >= slots:
-            return None  # scalar loop would have extended the slot array
+            return None
         err = slot - pred  # placement only ever pushes keys rightward
         slot_keys: List[Optional[int]] = [None] * slots
         for s, k in zip(slot.tolist(), arr.tolist()):
             slot_keys[s] = k
-        return slot_keys, slots, int(err.max()), int(err.sum()), slot, arr
+        return slot_keys, slots, int(err.max()), int(err.sum()), slot
 
     def predict(self, key: int) -> int:
         return self.model.predict_clamped(key, self.slots)
@@ -149,7 +153,6 @@ class LSAGapApproximator(Approximator):
         self,
         segment_size: int = 4096,
         density: float = 0.7,
-        vectorized: bool = True,
     ):
         if segment_size < 1:
             raise InvalidConfigurationError(
@@ -161,7 +164,6 @@ class LSAGapApproximator(Approximator):
             )
         self.segment_size = segment_size
         self.density = density
-        self.vectorized = vectorized
 
     def fit(self, keys: Sequence[int]) -> Approximation:
         if not len(keys):
@@ -170,13 +172,7 @@ class LSAGapApproximator(Approximator):
         for start in range(0, len(keys), self.segment_size):
             chunk = keys[start : start + self.segment_size]
             segments.append(
-                GappedSegment(
-                    int(chunk[0]),
-                    start,
-                    chunk,
-                    self.density,
-                    vectorized=self.vectorized,
-                )
+                GappedSegment(int(chunk[0]), start, chunk, self.density)
             )
         return Approximation(segments, len(keys))
 

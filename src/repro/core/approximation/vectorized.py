@@ -1,15 +1,18 @@
-"""Shared numpy fast-path helpers for the approximation algorithms.
+"""Shared numpy helpers for the approximation algorithms.
 
-Every vectorized path here mirrors a scalar loop elsewhere in this
-package *operation for operation*: the same IEEE-754 double arithmetic in
-the same order, the same round-half-even integer rounding, the same
-clamping.  That is what lets the fits guarantee **bit-identical segment
-boundaries** between the scalar and vectorized implementations (pinned by
-``tests/test_batch_api.py``).
+Every helper here mirrors a point-by-point loop *operation for
+operation*: the same IEEE-754 double arithmetic in the same order, the
+same round-half-even integer rounding, the same clamping.  That is what
+lets the fits guarantee **bit-identical segment boundaries** against the
+reference loops (pinned by ``tests/test_batch_api.py``).  Two of those
+loops still run in production: :func:`repro.core.approximation.lsa.
+fit_least_squares` and LSA-gap's point-by-point placement.  The greedy
+PLA loop and the list-backed gapped leaf survive only as test oracles
+under ``tests/oracles/``.
 
 Inputs numpy cannot hold exactly (floats, negatives, keys past 2^64)
-degrade to ``None``, and the approximators fall back to their
-pure-Python loops.
+convert to ``None``: LSA and LSA-gap then run their loops, while
+Greedy-PLA and the gapped leaf raise ``InvalidKeysError``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def validate_fit_keys(keys: Sequence[int], algo: str):
     """Reject NaN or non-strictly-ascending fit input with a clear error.
 
     Returns the exact ``uint64`` array when one could be built (so callers
-    can reuse it for their vectorized path) or ``None`` otherwise.
+    can fit on it) or ``None`` otherwise.
     Raises :class:`~repro.errors.InvalidKeysError` — a ``ReproError`` —
     instead of letting the segmentation loops silently produce broken
     segments (division by a zero/negative key delta).
@@ -66,7 +69,7 @@ def validate_fit_keys(keys: Sequence[int], algo: str):
                 f"{algo}: fit keys must be strictly ascending and unique"
             )
         return arr
-    # Scalar path: mixed/float/object input.
+    # Mixed/float/object input.
     prev = None
     for k in keys:
         if k != k:  # NaN is the only value unequal to itself

@@ -322,14 +322,15 @@ class ComposedIndex(UpdatableIndex):
         self._n -= 1
         if self.leaves[idx].n == 0:
             # Drop the emptied leaf; the structure must forget its fence.
-            first_key = self.leaves[idx].first_key
+            # An empty leaf may have no first key, so the event reports
+            # the fence the structure routed by.
             del self.leaves[idx]
             self._merge_count += 1
             self.perf.trace(
                 EventType.LEAF_MERGE,
                 index=self.name,
                 leaf=idx,
-                key_lo=first_key,
+                key_lo=self.structure.fences[idx],
                 reason="leaf_emptied",
             )
             if self.leaves:

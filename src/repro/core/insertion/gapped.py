@@ -7,18 +7,19 @@ target insertion position.  There is little or no key movement when
 inserting a new key" (§IV-D).  When occupancy crosses the density limit
 the leaf reports FULL and the retraining policy expands or splits it.
 
-Two storage backends share every algorithm above the slot level:
+The slot array is a numpy ``uint64`` key array plus a boolean occupancy
+array: gap/occupied scans are ``argmax``/``argmin`` on bool slices (numpy
+short-circuits these) and shifts are slice copies.  The charges are
+those of the original ``List[Optional[int]]`` slot array scanned with
+Python while-loops — same ``DRAM_SEQ`` stride counts, same ``KEY_MOVE``
+totals, same ``_move_ema`` float arithmetic — so retrain triggers fire
+at exactly the same inserts.  That list-backed leaf is kept as a test
+oracle (``tests/oracles/gapped_list.py``), held equal charge for charge
+by ``tests/test_batch_insert.py::TestGappedLeafEquivalence``.
 
-* scalar (``vectorized=False``) — a ``List[Optional[int]]`` slot array
-  scanned with Python while-loops, the original implementation.
-* vectorized (default) — a numpy ``uint64`` key array plus a boolean
-  occupancy array; gap/occupied scans become ``argmax``/``argmin`` on
-  bool slices (numpy short-circuits these) and shifts become slice
-  copies.  The charge formulas are written to be **bit-identical** to the
-  scalar loops — same ``DRAM_SEQ`` stride counts, same ``KEY_MOVE``
-  totals, same ``_move_ema`` float arithmetic — so retrain triggers fire
-  at exactly the same inserts (pinned by
-  ``tests/test_batch_insert.py::TestGappedLeafEquivalence``).
+A key the ``uint64`` array cannot store as an equal value (negative,
+>= 2^64, or not an integer) raises ``InvalidKeysError`` when the leaf is
+built or before an insert moves any slot.
 """
 
 from __future__ import annotations
@@ -43,8 +44,16 @@ _SCAN_STRIDE = 16
 #: more than the per-key loop it replaces.
 _MIN_BATCH = 8
 
-#: Exclusive upper bound of the vectorized backend's ``uint64`` keys.
+#: Exclusive upper bound of the ``uint64`` keys.
 _U64_LIMIT = 1 << 64
+
+
+def _storable(key: Any) -> bool:
+    """Whether the ``uint64`` key array stores ``key`` as an equal value."""
+    try:
+        return 0 <= key < _U64_LIMIT and int(key) == key
+    except TypeError:
+        return False
 
 
 class GappedLeaf(Leaf):
@@ -63,7 +72,6 @@ class GappedLeaf(Leaf):
         values: List[Any],
         perf: PerfContext,
         upper_density: float = 0.8,
-        vectorized: bool = True,
     ):
         super().__init__(perf)
         if not 0.0 < upper_density <= 1.0:
@@ -85,38 +93,27 @@ class GappedLeaf(Leaf):
         self._occupied = segment.n
         self._first = segment.first_key
         self.upper_density = upper_density
+        self._init_slots(segment, values)
 
-        self._slot_keys: Optional[List[Optional[int]]] = None
-        self._np_keys = None
-        self._np_occ = None
-        if vectorized:
-            self._init_vectorized(segment, values)
-        if self._np_keys is None:
-            # Scalar storage (requested, or inexact keys).
-            self._slot_keys = list(segment.slot_keys)
-            self._slot_values: List[Any] = [None] * self._slots
-            vi = 0
-            for i, k in enumerate(self._slot_keys):
-                if k is not None:
-                    self._slot_values[i] = values[vi]
-                    vi += 1
+    def _init_slots(self, segment: GappedSegment, values: List[Any]) -> None:
+        """Build the key/occupancy arrays, touching only occupied slots.
 
-    def _init_vectorized(self, segment: GappedSegment, values: List[Any]) -> None:
-        """Build numpy key/occupancy arrays, touching only occupied slots.
-
-        Reuses the slot positions the segment's vectorized placement
-        already computed when available; otherwise derives them from the
-        slot list with one ``flatnonzero`` instead of a per-slot loop.
+        Reuses the slot positions the segment's numpy placement already
+        computed when available; otherwise derives them from the slot
+        list with one ``flatnonzero`` instead of a per-slot loop.
         """
         np = _vec.np
-        pos = getattr(segment, "slot_pos", None)
-        compact = getattr(segment, "keys_u64", None)
-        if pos is None or compact is None:
+        pos = segment.slot_pos
+        compact = segment.keys_u64
+        if pos is None:
             compact = _vec.as_u64(
                 [k for k in segment.slot_keys if k is not None]
             )
             if compact is None:
-                return  # inexact keys: keep scalar storage
+                raise InvalidKeysError(
+                    f"{type(self).__name__}: keys must be integers in the "
+                    "uint64 key space"
+                )
             occ = np.fromiter(
                 (k is not None for k in segment.slot_keys),
                 dtype=bool,
@@ -137,103 +134,48 @@ class GappedLeaf(Leaf):
     # -- storage accessors ------------------------------------------------
 
     def _key_at(self, i: int) -> int:
-        if self._np_keys is not None:
-            return int(self._np_keys[i])
-        return self._slot_keys[i]  # type: ignore[return-value]
+        return int(self._np_keys[i])
 
     def slot_layout(self) -> List[Optional[int]]:
-        """The slot array as ``key-or-None`` per slot (both backends)."""
-        if self._np_keys is not None:
-            return [
-                int(k) if o else None
-                for k, o in zip(self._np_keys.tolist(), self._np_occ.tolist())
-            ]
-        return list(self._slot_keys)  # type: ignore[arg-type]
+        """The slot array as ``key-or-None`` per slot."""
+        return [
+            k if o else None
+            for k, o in zip(self._np_keys.tolist(), self._np_occ.tolist())
+        ]
 
     # -- slot scanning helpers (each charges per stride scanned) ----------
 
     def _charge_scan(self, distance: int) -> None:
         self.perf.charge(Event.DRAM_SEQ, 1 + distance // _SCAN_STRIDE)
 
-    def _occupied_le(self, i: int) -> int:
-        """Nearest occupied slot index <= i, or -1."""
+    def _find_le(self, i: int, occupied: bool) -> int:
+        """Nearest slot index <= i that is occupied (or a gap), or -1."""
         j = min(i, self._slots - 1)
-        if self._np_occ is not None:
-            if j < 0:
-                self._charge_scan(0)
-                return -1
-            seg = self._np_occ[j::-1]
-            off = int(_vec.np.argmax(seg))
-            if seg[off]:
-                self._charge_scan(off)
-                return j - off
-            self._charge_scan(j + 1)
+        if j < 0:
+            self._charge_scan(0)
             return -1
-        start = j
-        while j >= 0 and self._slot_keys[j] is None:
-            j -= 1
-        self._charge_scan(start - j)
-        return j
+        seg = self._np_occ[j::-1]
+        off = int(seg.argmax() if occupied else seg.argmin())
+        if seg[off] == occupied:
+            self._charge_scan(off)
+            return j - off
+        self._charge_scan(j + 1)
+        return -1
 
-    def _occupied_ge(self, i: int) -> int:
-        """Nearest occupied slot index >= i, or -1."""
+    def _find_ge(self, i: int, occupied: bool) -> int:
+        """Nearest slot index >= i that is occupied (or a gap), or -1."""
         n = self._slots
         j = max(i, 0)
-        if self._np_occ is not None:
-            if j >= n:
-                self._charge_scan(0)
-                return -1
-            seg = self._np_occ[j:]
-            off = int(_vec.np.argmax(seg))
-            if seg[off]:
-                self._charge_scan(off)
-                return j + off
-            self._charge_scan(n - j)
+        if j >= n:
+            self._charge_scan(0)
             return -1
-        start = j
-        while j < n and self._slot_keys[j] is None:
-            j += 1
-        self._charge_scan(j - start)
-        return j if j < n else -1
-
-    def _gap_le(self, i: int) -> int:
-        j = min(i, self._slots - 1)
-        if self._np_occ is not None:
-            if j < 0:
-                self._charge_scan(0)
-                return -1
-            seg = self._np_occ[j::-1]
-            off = int(_vec.np.argmin(seg))
-            if not seg[off]:
-                self._charge_scan(off)
-                return j - off
-            self._charge_scan(j + 1)
-            return -1
-        start = j
-        while j >= 0 and self._slot_keys[j] is not None:
-            j -= 1
-        self._charge_scan(start - j)
-        return j
-
-    def _gap_ge(self, i: int) -> int:
-        n = self._slots
-        j = max(i, 0)
-        if self._np_occ is not None:
-            if j >= n:
-                self._charge_scan(0)
-                return -1
-            seg = self._np_occ[j:]
-            off = int(_vec.np.argmin(seg))
-            if not seg[off]:
-                self._charge_scan(off)
-                return j + off
-            self._charge_scan(n - j)
-            return -1
-        start = j
-        while j < n and self._slot_keys[j] is not None:
-            j += 1
-        self._charge_scan(j - start)
-        return j if j < n else -1
+        seg = self._np_occ[j:]
+        off = int(seg.argmax() if occupied else seg.argmin())
+        if seg[off] == occupied:
+            self._charge_scan(off)
+            return j + off
+        self._charge_scan(n - j)
+        return -1
 
     # -- gap-aware rank search ---------------------------------------------
 
@@ -243,9 +185,9 @@ class GappedLeaf(Leaf):
         slots = self._slots
         charge(Event.MODEL_EVAL)
         p = self.model.predict_clamped(key, slots)
-        j = self._occupied_le(p)
+        j = self._find_le(p, True)
         if j == -1:
-            j = self._occupied_ge(p + 1)
+            j = self._find_ge(p + 1, True)
             if j == -1:
                 return -1  # empty leaf
             charge(Event.COMPARE)
@@ -266,7 +208,7 @@ class GappedLeaf(Leaf):
             q = j + step
             if q >= slots:
                 q = slots - 1
-            c = self._occupied_le(q)
+            c = self._find_le(q, True)
             if c > j:
                 charge(Event.COMPARE)
                 if self._key_at(c) <= key:
@@ -288,9 +230,9 @@ class GappedLeaf(Leaf):
             q = b - step
             if q < 0:
                 q = 0
-            c = self._occupied_le(q)
+            c = self._find_le(q, True)
             if c == -1:
-                c = self._occupied_ge(q + 1)
+                c = self._find_ge(q + 1, True)
                 if c == b:
                     return -1  # nothing occupied left of b
                 charge(Event.COMPARE)
@@ -311,9 +253,9 @@ class GappedLeaf(Leaf):
         charge = self.perf.charge
         while True:
             mid = (lo + hi) // 2
-            c = self._occupied_le(mid)
+            c = self._find_le(mid, True)
             if c <= lo:
-                c = self._occupied_ge(mid + 1)
+                c = self._find_ge(mid + 1, True)
                 if c >= hi:
                     return lo
             charge(Event.COMPARE)
@@ -355,7 +297,7 @@ class GappedLeaf(Leaf):
         halving of the slot array) rather than the scalar per-probe
         ledger.
         """
-        if self._np_keys is None or len(keys) < _MIN_BATCH:
+        if len(keys) < _MIN_BATCH:
             return [self.get(k) for k in keys]
         qs = _vec.as_u64(keys)
         if qs is None:
@@ -390,16 +332,16 @@ class GappedLeaf(Leaf):
         vectorized pass — the same ``cummax`` placement bulk load uses —
         so the per-key gap hunt disappears.  Returns the number of new
         keys, or ``None`` when the batch should take the per-key path
-        instead (scalar backend, tiny run, inexact keys, or the batch
-        would cross the density limit, where per-key FULL semantics must
-        decide the retrain point).
+        instead (tiny run, inexact keys, or the batch would cross the
+        density limit, where per-key FULL semantics must decide the
+        retrain point).
 
         Like every batch fast path the event bill is a coarse aggregate;
         the re-spread also restores gap locality, so ``_move_ema`` decays
         as a run of free inserts would (see ``docs/performance.md`` on
         batch-vs-scalar cost parity).
         """
-        if self._np_keys is None or len(items) < _MIN_BATCH:
+        if len(items) < _MIN_BATCH:
             return None
         if self._move_ema > self.MOVE_EMA_LIMIT:
             return None  # per-key path reports FULL -> retrain
@@ -488,13 +430,13 @@ class GappedLeaf(Leaf):
             old = self._slot_values[r]
             self._slot_values[r] = value
             return InsertResult.UPDATED, old
-        if self._np_keys is not None and not 0 <= key < _U64_LIMIT:
-            # Checked before any slot moves: the uint64 key array cannot
-            # hold the key, and a failed store after a shift would leave
-            # a duplicated slot behind.
+        if not _storable(key):
+            # Checked before any slot moves: the uint64 key array would
+            # store a different value (or fail), and a failed store after
+            # a shift would leave a duplicated slot behind.
             raise InvalidKeysError(
-                f"{type(self).__name__}: key {key!r} is outside the uint64 "
-                "key space"
+                f"{type(self).__name__}: key {key!r} is not an integer in "
+                "the uint64 key space"
             )
         if self.density() >= self.upper_density:
             return InsertResult.FULL, None
@@ -504,7 +446,7 @@ class GappedLeaf(Leaf):
             return InsertResult.FULL, None
 
         slots = self._slots
-        nr = self._occupied_ge(r + 1)  # next occupied after rank
+        nr = self._find_ge(r + 1, True)  # next occupied after rank
         if nr == -1:
             nr = slots
         if nr - r > 1:
@@ -517,8 +459,8 @@ class GappedLeaf(Leaf):
             return InsertResult.INSERTED, None
 
         # No gap at the insertion point: shift toward the nearest gap.
-        gap_left = self._gap_le(r) if r >= 0 else -1
-        gap_right = self._gap_ge(nr)
+        gap_left = self._find_le(r, False) if r >= 0 else -1
+        gap_right = self._find_ge(nr, False)
         use_left = gap_left != -1 and (
             gap_right == -1 or (r - gap_left) <= (gap_right - nr)
         )
@@ -544,36 +486,18 @@ class GappedLeaf(Leaf):
         """Move ``hi - lo`` slots one position toward ``lo`` (left) or
         ``hi`` (right); one ``KEY_MOVE`` per slot either way."""
         if left:
-            if self._np_keys is not None:
-                self._np_keys[lo:hi] = self._np_keys[lo + 1 : hi + 1].copy()
-                self._np_occ[lo:hi] = self._np_occ[lo + 1 : hi + 1].copy()
-                self._slot_values[lo:hi] = self._slot_values[lo + 1 : hi + 1]
-                self.perf.charge(Event.KEY_MOVE, hi - lo)
-            else:
-                charge = self.perf.charge
-                for i in range(lo, hi):
-                    self._slot_keys[i] = self._slot_keys[i + 1]
-                    self._slot_values[i] = self._slot_values[i + 1]
-                    charge(Event.KEY_MOVE)
+            self._np_keys[lo:hi] = self._np_keys[lo + 1 : hi + 1].copy()
+            self._np_occ[lo:hi] = self._np_occ[lo + 1 : hi + 1].copy()
+            self._slot_values[lo:hi] = self._slot_values[lo + 1 : hi + 1]
         else:
-            if self._np_keys is not None:
-                self._np_keys[lo + 1 : hi + 1] = self._np_keys[lo:hi].copy()
-                self._np_occ[lo + 1 : hi + 1] = self._np_occ[lo:hi].copy()
-                self._slot_values[lo + 1 : hi + 1] = self._slot_values[lo:hi]
-                self.perf.charge(Event.KEY_MOVE, hi - lo)
-            else:
-                charge = self.perf.charge
-                for i in range(hi, lo, -1):
-                    self._slot_keys[i] = self._slot_keys[i - 1]
-                    self._slot_values[i] = self._slot_values[i - 1]
-                    charge(Event.KEY_MOVE)
+            self._np_keys[lo + 1 : hi + 1] = self._np_keys[lo:hi].copy()
+            self._np_occ[lo + 1 : hi + 1] = self._np_occ[lo:hi].copy()
+            self._slot_values[lo + 1 : hi + 1] = self._slot_values[lo:hi]
+        self.perf.charge(Event.KEY_MOVE, hi - lo)
 
     def _place(self, slot: int, key: int, value: Any) -> None:
-        if self._np_keys is not None:
-            self._np_keys[slot] = key
-            self._np_occ[slot] = True
-        else:
-            self._slot_keys[slot] = key
+        self._np_keys[slot] = key
+        self._np_occ[slot] = True
         self._slot_values[slot] = value
         self._occupied += 1
         if key < self._first:
@@ -587,8 +511,8 @@ class GappedLeaf(Leaf):
         slice — no per-slot gap skipping.  Charges nothing, exactly like
         the ``items()``-based default it replaces.
         """
-        if self._np_keys is None or self._occupied == 0:
-            return super().scan_from(lo, limit)
+        if self._occupied == 0:
+            return []
         np = _vec.np
         pos = np.flatnonzero(self._np_occ)
         compact = self._np_keys[pos]
@@ -601,18 +525,11 @@ class GappedLeaf(Leaf):
         ]
 
     def items(self) -> List[Tuple[int, Any]]:
-        if self._np_keys is not None:
-            np = _vec.np
-            pos = np.flatnonzero(self._np_occ)
-            values = self._slot_values
-            return [
-                (k, values[p])
-                for p, k in zip(pos.tolist(), self._np_keys[pos].tolist())
-            ]
+        pos = _vec.np.flatnonzero(self._np_occ)
+        values = self._slot_values
         return [
-            (k, self._slot_values[i])
-            for i, k in enumerate(self._slot_keys)
-            if k is not None
+            (k, values[p])
+            for p, k in zip(pos.tolist(), self._np_keys[pos].tolist())
         ]
 
     @property
@@ -625,16 +542,16 @@ class GappedLeaf(Leaf):
         r = self._rank_slot(key)
         if r == -1 or self._key_at(r) != key:
             return False
-        if self._np_keys is not None:
-            self._np_occ[r] = False
-        else:
-            self._slot_keys[r] = None
-        self._slot_values[r] = None
+        self._clear(r)
         self._occupied -= 1
         if key == self._first and self._occupied:
-            nxt = self._occupied_ge(r + 1)
+            nxt = self._find_ge(r + 1, True)
             self._first = self._key_at(nxt)
         return True
+
+    def _clear(self, slot: int) -> None:
+        self._np_occ[slot] = False
+        self._slot_values[slot] = None
 
     def size_bytes(self) -> int:
         # Slot array + occupancy bitmap + model.

@@ -106,7 +106,6 @@ class GappedStrategy(InsertionStrategy):
         self,
         density: float = 0.7,
         upper_density: float = 0.8,
-        vectorized: bool = True,
     ):
         if not 0.0 < density <= upper_density <= 1.0:
             raise InvalidConfigurationError(
@@ -115,19 +114,10 @@ class GappedStrategy(InsertionStrategy):
             )
         self.density = density
         self.upper_density = upper_density
-        self.vectorized = vectorized
 
     def make_leaf(self, keys, values, segment, perf) -> Leaf:
         if isinstance(segment, GappedSegment) and segment.n == len(keys):
             gapped = segment
         else:
-            gapped = GappedSegment(
-                keys[0], 0, keys, self.density, vectorized=self.vectorized
-            )
-        return GappedLeaf(
-            gapped,
-            list(values),
-            perf,
-            self.upper_density,
-            vectorized=self.vectorized,
-        )
+            gapped = GappedSegment(keys[0], 0, keys, self.density)
+        return GappedLeaf(gapped, list(values), perf, self.upper_density)

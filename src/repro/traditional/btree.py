@@ -141,25 +141,31 @@ class BPlusTree(UpdatableIndex):
 
     def _descend(
         self, key: Key
-    ) -> Tuple[_LeafNode, List[_InnerNode], List[int], int]:
+    ) -> Tuple[_LeafNode, List[_InnerNode], List[int], int, Optional[Key]]:
         """Uncharged root-to-leaf walk for the batch paths.
 
-        Returns ``(leaf, path, slots, compares)``; the caller bills the
-        walk as a coarse aggregate afterwards — one hop per level plus
+        Returns ``(leaf, path, slots, compares, fence)``; the caller bills
+        the walk as a coarse aggregate afterwards — one hop per level plus
         one comparison per halving of each inner node — instead of
         charging every probe individually as :meth:`_find_leaf` does.
+        ``fence`` is the separator that bounds the leaf from above (None
+        for the last leaf): a later key below it routes to the same leaf.
+        It is not the next leaf's first key, which a delete can raise.
         """
         node = self._root
         path: List[_InnerNode] = []
         slots: List[int] = []
         compares = 0
+        fence: Optional[Key] = None
         while isinstance(node, _InnerNode):
             slot = bisect_right(node.keys, key)
+            if slot < len(node.keys):
+                fence = node.keys[slot]
             path.append(node)
             slots.append(slot)
             compares += max(1, len(node.keys).bit_length())
             node = node.children[slot]
-        return node, path, slots, compares
+        return node, path, slots, compares, fence
 
     def _leaf_rank(self, leaf: _LeafNode, key: Key) -> int:
         """Rightmost index with leaf.keys[i] <= key, or -1."""
@@ -190,8 +196,8 @@ class BPlusTree(UpdatableIndex):
         """Sorted-batch probe with leaf caching.
 
         The batch is probed in key order, so consecutive keys usually hit
-        the leaf already in hand (checked against the next leaf's fence)
-        and the root-to-leaf walk runs once per *leaf* touched rather
+        the leaf already in hand (checked against its upper fence) and
+        the root-to-leaf walk runs once per *leaf* touched rather
         than once per key.  Results are exactly the per-key loop's; like
         every batch fast path the in-leaf search is billed as a coarse
         aggregate — one comparison per halving of the touched leaf — on
@@ -203,16 +209,15 @@ class BPlusTree(UpdatableIndex):
         results: List[Optional[Value]] = [None] * n
         order = sorted(range(n), key=keys.__getitem__)
         leaf: Optional[_LeafNode] = None
+        fence: Optional[Key] = None
         compares = 0
         hops = 0
         for i in order:
             key = keys[i]
-            if leaf is not None:
-                nxt = leaf.next
-                if nxt is not None and (not nxt.keys or key >= nxt.keys[0]):
-                    leaf = None
+            if fence is not None and key >= fence:
+                leaf = None
             if leaf is None:
-                leaf, _, _, walk = self._descend(key)
+                leaf, _, _, walk, fence = self._descend(key)
                 compares += walk
                 hops += self._height
             idx = bisect_right(leaf.keys, key) - 1
@@ -334,6 +339,7 @@ class BPlusTree(UpdatableIndex):
         batch_keys = [k for k, _ in items]
         order = sorted(range(n), key=batch_keys.__getitem__)
         leaf: Optional[_LeafNode] = None
+        fence: Optional[Key] = None
         path: List[_InnerNode] = []
         slots: List[int] = []
         compares = 0
@@ -341,12 +347,10 @@ class BPlusTree(UpdatableIndex):
         moves = 0
         for j in order:
             key, value = items[j]
-            if leaf is not None:
-                nxt = leaf.next
-                if nxt is not None and (not nxt.keys or key >= nxt.keys[0]):
-                    leaf = None
+            if fence is not None and key >= fence:
+                leaf = None
             if leaf is None:
-                leaf, path, slots, walk = self._descend(key)
+                leaf, path, slots, walk, fence = self._descend(key)
                 compares += walk
                 hops += self._height
             idx = bisect_right(leaf.keys, key) - 1

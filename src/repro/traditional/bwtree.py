@@ -226,6 +226,11 @@ class BwTree(UpdatableIndex):
 
     def insert(self, key: Key, value: Value) -> None:
         pid = self._route(key)
+        if key < self._fences[0]:
+            # The first page takes every key below its fence; lowering the
+            # fence keeps it a lower bound, so a split of that page still
+            # files the new right page after it.
+            self._fences[0] = key
         existed = self._exists(pid, key)
         self.perf.charge(Event.ALLOC)
         self.perf.charge(Event.DRAM_SEQ)  # the CAS on the mapping slot

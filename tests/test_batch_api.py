@@ -1,16 +1,18 @@
-"""Contract tests for the batch API and the vectorized fit fast paths.
+"""Contract tests for the batch API and the numpy approximator fits.
 
 Two guarantees pinned here:
 
 1. ``get_many``/``contains_many`` agree with the per-key ``get`` loop for
    *every* registry index, on sorted, shuffled, duplicate-heavy, absent,
    and empty batches — native fast paths and scalar fallbacks alike.
-2. The vectorized approximator fits produce **identical segment
-   boundaries** to the scalar implementations on realistic key
-   distributions (YCSB, OSM) — the bit-identity claim the fast paths are
-   built on.
+2. The numpy approximator fits agree with their point-by-point
+   references on realistic key distributions (YCSB, OSM): Greedy-PLA bit
+   for bit with ``tests/oracles/greedy_scalar.py``, LSA with
+   ``fit_least_squares`` to the last ulps, and LSA-gap's numpy placement
+   with its point-by-point placement slot for slot.
 """
 
+import math
 import random
 
 import pytest
@@ -22,8 +24,11 @@ from repro.core.approximation import (
     LSAGapApproximator,
 )
 from repro.core.approximation.base import LinearModel
+from repro.core.approximation.lsa import fit_least_squares
+from repro.core.approximation.lsa_gap import GappedSegment
 from repro.registry import has_native_batch, specs
 from repro.workloads import osm_keys, ycsb_keys
+from tests.oracles.greedy_scalar import greedy_fit_scalar
 
 SPECS = list(specs())
 
@@ -117,36 +122,54 @@ class TestVectorizedFitIdentity:
     @pytest.mark.parametrize("eps", [4, 32])
     def test_greedy_identical_segments_and_models(self, dataset, eps):
         keys = _keysets()[dataset]
-        vec = GreedyPLAApproximator(eps=eps, vectorized=True).fit(keys)
-        sca = GreedyPLAApproximator(eps=eps, vectorized=False).fit(keys)
+        vec = GreedyPLAApproximator(eps=eps).fit(keys)
+        sca = greedy_fit_scalar(keys, eps)
         assert _boundaries(vec) == _boundaries(sca)
         for a, b in zip(vec.segments, sca.segments):
-            # Greedy's vectorized window math is bit-identical, so the
-            # closing slope — not just the boundary — matches exactly.
-            assert a.model.slope == b.model.slope
+            # The blockwise window math is bit-identical, so the closing
+            # slope — not just the boundary — matches exactly.
+            assert a.model == b.model
             assert a.max_error == b.max_error
             assert a.avg_error == b.avg_error
 
     @pytest.mark.parametrize("dataset", ["ycsb", "osm"])
     def test_lsa_identical_boundaries(self, dataset):
         keys = _keysets()[dataset]
-        vec = LSAApproximator(segment_size=256, vectorized=True).fit(keys)
-        sca = LSAApproximator(segment_size=256, vectorized=False).fit(keys)
-        assert _boundaries(vec) == _boundaries(sca)
-        for a, b in zip(vec.segments, sca.segments):
-            # Chunked least squares: boundaries exact, coefficients can
-            # differ only by pairwise-vs-sequential summation (last ulp).
-            assert a.model.slope == pytest.approx(b.model.slope, rel=1e-12)
-            assert a.model.intercept == pytest.approx(
-                b.model.intercept, rel=1e-12, abs=1e-9
+        approx = LSAApproximator(segment_size=256).fit(keys)
+        assert [(s.start, s.n) for s in approx.segments] == [
+            (start, len(keys[start : start + 256]))
+            for start in range(0, len(keys), 256)
+        ]
+        for seg in approx.segments:
+            chunk = keys[seg.start : seg.start + seg.n]
+            slope, intercept = fit_least_squares(chunk, chunk[0])
+            # Pairwise vs. sequential summation: equal to the last ulps.
+            assert seg.model.base_key == chunk[0]
+            assert seg.model.slope == pytest.approx(slope, rel=1e-12)
+            assert seg.model.intercept == pytest.approx(
+                intercept, rel=1e-12, abs=1e-9
             )
 
     @pytest.mark.parametrize("dataset", ["ycsb", "osm"])
     def test_lsa_gap_identical_boundaries(self, dataset):
         keys = _keysets()[dataset]
-        vec = LSAGapApproximator(segment_size=1024, vectorized=True).fit(keys)
-        sca = LSAGapApproximator(segment_size=1024, vectorized=False).fit(keys)
-        assert _boundaries(vec) == _boundaries(sca)
+        density = 0.7
+        approx = LSAGapApproximator(segment_size=1024, density=density).fit(keys)
+        compared = 0
+        for seg in approx.segments:
+            chunk = keys[seg.start : seg.start + seg.n]
+            slots = max(seg.n, math.ceil(seg.n / density))
+            scalar = GappedSegment._place_scalar(chunk, seg.model, slots)
+            # Whichever placement ran, the segment holds the point-by-point
+            # layout and errors.
+            assert (seg.slot_keys, seg.slots) == scalar[:2]
+            assert seg.max_error == scalar[2]
+            assert seg.avg_error == scalar[3] / seg.n
+            placed = GappedSegment._place_np(_vec.as_u64(chunk), seg.model, slots)
+            if placed is not None:
+                assert placed[:4] == scalar
+                compared += 1
+        assert compared, "the numpy placement never applied"
 
     def test_measure_errors_matches_scalar_loop(self):
         rng = random.Random(5)

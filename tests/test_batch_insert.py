@@ -1,4 +1,4 @@
-"""Contract tests for the batch write APIs and the vectorized gapped leaf.
+"""Contract tests for the batch write APIs and the numpy gapped leaf.
 
 Three guarantees pinned here:
 
@@ -6,12 +6,12 @@ Three guarantees pinned here:
    the per-key write loop for *every* registry index — same lookups, same
    lengths, same scans, same device occupancy — on batches mixing fresh
    keys, upserts, and in-batch duplicates (where the last write wins).
-2. The vectorized ``GappedLeaf`` storage backend is **bit-identical** to
-   the scalar one: same insert results, same per-operation event charges,
-   same slot layout, same retrain trigger points.  Unlike the batch APIs
-   (whose event bills are coarse aggregates — see ``docs/performance.md``)
-   this is a storage-backend swap under an unchanged algorithm, so exact
-   parity is the contract.
+2. ``GappedLeaf``'s numpy slot array is **bit-identical** to the
+   list-backed oracle (``tests/oracles/gapped_list.py``): same insert
+   results, same per-operation event charges, same slot layout, same
+   retrain trigger points.  Unlike the batch APIs (whose event bills are
+   coarse aggregates — see ``docs/performance.md``) this is a storage swap
+   under an unchanged algorithm, so exact parity is the contract.
 3. The bulk NVM primitives (``allocate_slots``/``write_records``) produce
    the same addresses and charge totals as the sequential walk they
    replace.
@@ -38,6 +38,7 @@ from repro.store.pmem import PMemDevice
 from repro.store.viper import ViperStore
 from repro.workloads import generate_operations, osm_keys, ycsb_keys
 from repro.workloads.ycsb import WorkloadSpec
+from tests.oracles.gapped_list import ListGappedLeaf
 
 SPECS = list(specs())
 UPDATABLE = [s for s in SPECS if s.build().capabilities().updatable]
@@ -230,18 +231,23 @@ class TestUpsert:
 
 
 def _leaf_pair(keys, density=0.6, upper_density=0.85):
+    """The list-backed oracle and the numpy leaf over the same segment."""
     segment = GappedSegment(keys[0], 0, list(keys), density)
     values = [k * 2 for k in keys]
     perf_s = PerfContext()
-    scalar = GappedLeaf(
-        segment, list(values), perf_s, upper_density, vectorized=False
-    )
+    scalar = ListGappedLeaf(segment, list(values), perf_s, upper_density)
     perf_v = PerfContext()
-    vector = GappedLeaf(
-        segment, list(values), perf_v, upper_density, vectorized=True
-    )
-    assert vector._np_keys is not None, "vectorized backend did not engage"
+    vector = GappedLeaf(segment, list(values), perf_v, upper_density)
     return scalar, perf_s, vector, perf_v
+
+
+def _assert_same(scalar, perf_s, vector, perf_v, where):
+    """Full counters, move EMA, slot layout and items all agree."""
+    assert perf_s.counters == perf_v.counters, f"charges diverged {where}"
+    assert scalar._move_ema == vector._move_ema, f"move EMA diverged {where}"
+    assert scalar.slot_layout() == vector.slot_layout(), f"layout {where}"
+    assert scalar.items() == vector.items(), f"items diverged {where}"
+    assert (scalar.n, scalar.first_key) == (vector.n, vector.first_key)
 
 
 def _realistic_keys(dataset, n=2_500):
@@ -250,13 +256,13 @@ def _realistic_keys(dataset, n=2_500):
 
 
 class TestGappedLeafEquivalence:
-    """The vectorized backend must be *bit-identical* to the scalar one."""
+    """The numpy leaf must be *bit-identical* to the list-backed oracle."""
 
     @pytest.mark.parametrize("dataset", ["ycsb", "osm"])
     def test_inserts_charge_identically_until_full(self, dataset):
         keys = _realistic_keys(dataset)
         scalar, perf_s, vector, perf_v = _leaf_pair(keys)
-        assert perf_s.counters == perf_v.counters  # construction is free
+        _assert_same(scalar, perf_s, vector, perf_v, "at construction")
         rng = random.Random(77)
         key_set = set(keys)
         news = [k for k in rng.sample(range(1, 2**48), 4_000) if k not in key_set]
@@ -265,16 +271,12 @@ class TestGappedLeafEquivalence:
             rs = scalar.insert(k, k)
             rv = vector.insert(k, k)
             assert rs is rv, f"diverged at insert {i}"
-            assert perf_s.counters == perf_v.counters, f"charges diverged at {i}"
-            assert scalar._move_ema == vector._move_ema
+            _assert_same(scalar, perf_s, vector, perf_v, f"at insert {i}")
             if rs is InsertResult.FULL:
                 full_at = i
                 break
         assert full_at is not None, "workload never filled the leaf"
-        assert scalar.slot_layout() == vector.slot_layout()
-        assert scalar.items() == vector.items()
         assert scalar.density() == vector.density()
-        assert scalar.first_key == vector.first_key
 
     @pytest.mark.parametrize("dataset", ["ycsb", "osm"])
     def test_mixed_ops_identical(self, dataset):
@@ -304,11 +306,7 @@ class TestGappedLeafEquivalence:
                 out_s = scalar.get(k)
                 out_v = vector.get(k)
             assert out_s == out_v, f"{op} diverged at op {i}"
-            assert perf_s.counters == perf_v.counters, f"charges diverged at {i}"
-        assert scalar.slot_layout() == vector.slot_layout()
-        assert scalar.items() == vector.items()
-        assert scalar.n == vector.n
-        assert scalar._move_ema == vector._move_ema
+            _assert_same(scalar, perf_s, vector, perf_v, f"at {op} {i}")
 
     def test_get_many_matches_scalar_loop(self):
         keys = _realistic_keys("ycsb", n=1_500)

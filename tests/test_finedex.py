@@ -119,6 +119,19 @@ class TestFINEdexIndex:
         avg_retrained = stats.retrain_keys / stats.retrain_count
         assert avg_retrained < len(idx) / 2
 
+    def test_deleting_every_key_drops_the_emptied_leaves(self):
+        """An emptied leaf has no first key; deleting its last key must
+        still drop it and its fence."""
+        idx = FINEdexIndex(perf=PerfContext())
+        idx.bulk_load([(k, k) for k in range(10, 51, 10)])
+        for k in range(10, 51, 10):
+            assert idx.delete(k)
+        assert len(idx) == 0
+        assert idx.leaves == []
+        assert idx.scan(0, 3) == []
+        idx.insert(7, "x")
+        assert idx.scan(0, 3) == [(7, "x")]
+
     def test_capabilities(self):
         caps = FINEdexIndex.capabilities()
         assert caps.concurrent_write is True

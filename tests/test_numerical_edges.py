@@ -29,6 +29,8 @@ from repro.core.approximation.lsa import fit_least_squares
 from repro.errors import InvalidKeysError, ReproError
 
 U64_MAX = 2**64 - 1
+#: Sorted key sets a uint64 key array cannot hold exactly.
+NOT_UINT64 = [[-5, 3, 7], [1, 2, 2**64], [1.0, 2.5, 3.0]]
 
 
 def high_keys(n, seed=0):
@@ -130,7 +132,6 @@ class TestFitInputValidation:
 
     APPROXIMATORS = [
         GreedyPLAApproximator(eps=8),
-        GreedyPLAApproximator(eps=8, vectorized=False),
         OptPLAApproximator(eps=8),
     ]
 
@@ -163,6 +164,11 @@ class TestFitInputValidation:
         approx = approximator.fit(list(range(0, 1000, 3)))
         assert approx.n_keys == len(range(0, 1000, 3))
 
+    @pytest.mark.parametrize("keys", NOT_UINT64)
+    def test_greedy_rejects_keys_outside_uint64(self, keys):
+        with pytest.raises(InvalidKeysError):
+            GreedyPLAApproximator(eps=8).fit(keys)
+
 
 class TestPrecisionInvariant:
     @given(
@@ -191,7 +197,7 @@ class TestOutOfRangeKeys:
         "put": lambda t, k: t.put(k, 5),
     }
 
-    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("bad", [-1, 2**64, 5.5])
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_alex_rejects_before_moving_a_slot(self, call, bad):
         index = ALEXIndex(perf=PerfContext())
@@ -203,3 +209,10 @@ class TestOutOfRangeKeys:
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(index) == len(set(keys)) == len(self.LOADED)
         assert len(target) == len(self.LOADED)
+
+    @pytest.mark.parametrize("keys", NOT_UINT64)
+    def test_alex_bulk_load_rejects_keys_outside_uint64(self, keys):
+        index = ALEXIndex(perf=PerfContext())
+        with pytest.raises(InvalidKeysError):
+            index.bulk_load([(k, k) for k in keys])
+        assert len(index) == 0

@@ -42,6 +42,20 @@ class TestBPlusTreeInternals:
             b.insert(k, k)
         assert list(a.range(0, 10**6)) == list(b.range(0, 10**6))
 
+    def test_batch_upsert_routes_by_fence_after_delete(self):
+        """Deleting a leaf's first key raises it above the parent
+        separator; a batch key between the two belongs to that leaf, not
+        to the cached leaf on its left."""
+        tree = BPlusTree(perf=PerfContext())
+        tree.bulk_load([(k, k) for k in range(0, 1000, 10)])
+        assert tree._root.keys[0] == 240  # the second leaf starts at 240
+        tree.delete(240)
+        tree.insert_many([(k, "u") for k in range(0, 150, 10)] + [(245, "new")])
+        assert tree.get(245) == "new"
+        tree.insert(245, "again")
+        assert len(tree) == 100
+        assert [k for k, _ in tree.scan(230, 5)] == [230, 245, 250, 260, 270]
+
 
 class TestSkipListInternals:
     def test_deterministic_given_seed(self):
@@ -110,6 +124,18 @@ class TestMasstreeBytes:
 
 
 class TestBwTreeInternals:
+    def test_keys_below_the_first_fence_survive_a_split(self):
+        """Keys below the bulk-loaded minimum land in the first page; when
+        it splits, the new right page must be filed after it."""
+        tree = BwTree(perf=PerfContext())
+        tree.bulk_load([(1000, "a")])
+        for k in range(300):
+            tree.insert(k, k)
+        tree.insert(5, "x")
+        assert len(tree) == 301
+        assert tree.scan(0, 3) == [(0, 0), (1, 1), (2, 2)]
+        assert [k for k, _ in tree.range(0, 2000)] == list(range(300)) + [1000]
+
     def test_delta_chain_length_bounded(self):
         tree = BwTree(node_size=64, consolidate_after=6, perf=PerfContext())
         tree.bulk_load([(i, i) for i in range(0, 2000, 2)])
