@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
+import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import (
     Approximation,
     Approximator,
@@ -112,6 +113,7 @@ class SplineApproximator(Approximator):
         self.eps = eps
 
     def fit(self, keys: Sequence[int]) -> Approximation:
+        _vec.validate_fit_keys(keys, self.name)
         spline = build_spline(keys, self.eps)
         knots = spline.knots
         segments: List[Segment] = []

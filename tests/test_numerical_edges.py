@@ -24,6 +24,7 @@ from repro.core.approximation import (
     LSAApproximator,
     LSAGapApproximator,
     OptPLAApproximator,
+    SplineApproximator,
 )
 from repro.core.approximation.lsa import fit_least_squares
 from repro.errors import InvalidKeysError, ReproError
@@ -132,6 +133,7 @@ class TestFitInputValidation:
 
     APPROXIMATORS = [
         GreedyPLAApproximator(eps=8),
+        SplineApproximator(eps=8),
         OptPLAApproximator(eps=8),
     ]
 
