@@ -307,14 +307,14 @@ def measure_baseline(case: Tuple[str, str], seed: int = 0) -> dict:
     retrain cadence (``retrain_every`` writes between retrains,
     ``retrain_stall_ns`` per blocking retrain) for the simulator.
     """
-    from repro.bench import run_store_ops
+    from repro.bench import StoreAdapter, execute_ops
     from repro.perf import CostModel
 
     table_key, name = case
     factory = BASELINE_CASES[table_key][name]
     load, ops = baseline_workload(table_key, seed)
     store, perf = loaded_store(factory, load)
-    recorder, bytes_per_op = run_store_ops(store, ops, perf)
+    result = execute_ops(StoreAdapter(store), ops, perf)
     stats = store.index.stats()
     if stats.retrain_count:
         retrain_every = max(1, len(ops) // stats.retrain_count)
@@ -325,9 +325,9 @@ def measure_baseline(case: Tuple[str, str], seed: int = 0) -> dict:
         retrain_every, retrain_stall_ns = 0, 0.0
     return {
         "name": name,
-        "mean_ns": recorder.mean(),
-        "p999_ns": recorder.p999(),
-        "bytes_per_op": bytes_per_op,
+        "mean_ns": result.latency.mean(),
+        "p999_ns": result.latency.quantile(0.999),
+        "bytes_per_op": result.bytes_per_op,
         "ops": len(ops),
         "retrain_every": retrain_every,
         "retrain_stall_ns": retrain_stall_ns,

@@ -24,7 +24,13 @@ import json
 
 from _common import dataset, loaded_store, run_once
 from repro import PerfContext, ViperStore
-from repro.bench import format_table, run_store_ops, thread_scaling, write_result
+from repro.bench import (
+    StoreAdapter,
+    execute_ops,
+    format_table,
+    thread_scaling,
+    write_result,
+)
 from repro.concurrency import parallel_sharded_store
 from repro.registry import resolve
 from repro.workloads import READ_ONLY, WRITE_ONLY, generate_operations
@@ -46,8 +52,8 @@ def _read_profile(spec):
     keys = dataset("ycsb", KEYS)
     ops = generate_operations(READ_ONLY, OPS, list(keys), seed=SEED)
     store, perf = loaded_store(spec.build, keys)
-    recorder, bytes_per_op = run_store_ops(store, ops, perf)
-    return recorder, bytes_per_op, len(ops)
+    result = execute_ops(StoreAdapter(store), ops, perf)
+    return result.latency, result.bytes_per_op, len(ops)
 
 
 def _write_profile(spec):
@@ -57,14 +63,20 @@ def _write_profile(spec):
         WRITE_ONLY, len(inserts) - 1, load, inserts, seed=SEED
     )
     store, perf = loaded_store(spec.build, load)
-    recorder, bytes_per_op = run_store_ops(store, ops, perf)
+    result = execute_ops(StoreAdapter(store), ops, perf)
     stats = store.index.stats()
     if stats.retrain_count:
         retrain_every = max(1, len(ops) // stats.retrain_count)
         retrain_stall_ns = stats.retrain_keys / stats.retrain_count * 14.0
     else:
         retrain_every, retrain_stall_ns = 0, 0.0
-    return recorder, bytes_per_op, len(ops), retrain_every, retrain_stall_ns
+    return (
+        result.latency,
+        result.bytes_per_op,
+        len(ops),
+        retrain_every,
+        retrain_stall_ns,
+    )
 
 
 def _sharded_run(spec):
@@ -76,8 +88,8 @@ def _sharded_run(spec):
         spec, SHARDS, perf=perf, transport="loopback"
     ) as store:
         store.bulk_load([(k, k) for k in keys])
-        recorder, _ = run_store_ops(store, ops, perf)
-    return recorder.throughput_mops() * 1e6
+        latency = execute_ops(StoreAdapter(store), ops, perf).latency
+    return 1e9 / latency.mean()
 
 
 def measure_concurrency() -> dict:
@@ -85,15 +97,15 @@ def measure_concurrency() -> dict:
     indexes = {}
     for cli_name in CASES:
         spec = resolve(cli_name)
-        read_rec, read_bytes, _ = _read_profile(spec)
-        write_rec, write_bytes, wops, r_every, r_stall = _write_profile(spec)
+        read_lat, read_bytes, _ = _read_profile(spec)
+        write_lat, write_bytes, wops, r_every, r_stall = _write_profile(spec)
         read_curve = thread_scaling(
-            read_rec.mean(), read_rec.p999(), read_bytes, THREADS,
+            read_lat.mean(), read_lat.quantile(0.999), read_bytes, THREADS,
             projection="sim", concurrency=spec.concurrency,
             write_fraction=0.0, seed=SEED,
         )
         write_curve = thread_scaling(
-            write_rec.mean(), write_rec.p999(), write_bytes, THREADS,
+            write_lat.mean(), write_lat.quantile(0.999), write_bytes, THREADS,
             projection="sim", concurrency=spec.concurrency,
             write_fraction=1.0, retrain_every=r_every,
             retrain_stall_ns=r_stall, seed=SEED,

@@ -10,7 +10,7 @@ competitive because conflicts are absorbed by tiny child nodes.
 """
 
 from _common import EXTENSIONS, N_OPS, SMALL_N, dataset, loaded_store, run_once
-from repro.bench import format_table, run_store_ops, write_result
+from repro.bench import StoreAdapter, execute_ops, format_table, write_result
 from repro.registry import resolve
 from repro.workloads import READ_ONLY, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
@@ -34,7 +34,7 @@ def run_lipp_comparison():
     results = {}
     for name, factory in CANDIDATES.items():
         store, perf = loaded_store(factory, load)
-        read_rec, _ = run_store_ops(store, read_ops, perf)
+        read_lat = execute_ops(StoreAdapter(store), read_ops, perf).latency
 
         mark = perf.begin()
         for k in inserts:
@@ -43,16 +43,16 @@ def run_lipp_comparison():
 
         stats = store.index.stats()
         results[name] = {
-            "read_mops": read_rec.throughput_mops(),
-            "read_p999": read_rec.p999(),
+            "read_mops": 1e3 / read_lat.mean(),
+            "read_p999": read_lat.quantile(0.999),
             "insert_ns": insert_ns,
             "depth": stats.depth_avg,
         }
         rows.append(
             [
                 name,
-                f"{read_rec.throughput_mops():.3f}",
-                f"{read_rec.p999() / 1000:.2f}",
+                f"{1e3 / read_lat.mean():.3f}",
+                f"{read_lat.quantile(0.999) / 1000:.2f}",
                 f"{insert_ns:.0f}",
                 f"{stats.depth_avg:.2f}",
             ]

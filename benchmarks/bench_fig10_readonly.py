@@ -20,9 +20,10 @@ from _common import (
 )
 from repro.bench import (
     BenchResult,
+    StoreAdapter,
+    execute_ops,
     format_bars,
     format_table,
-    run_store_ops,
     write_result,
 )
 from repro.workloads import READ_ONLY, generate_operations
@@ -36,9 +37,12 @@ def run_readonly(dataset_name: str):
         ops = generate_operations(READ_ONLY, N_OPS, keys, seed=10)
         for name, factory in READ_CASE.items():
             store, perf = loaded_store(factory, keys)
-            recorder, bytes_per_op = run_store_ops(store, ops, perf)
-            result = BenchResult.from_recorder(
-                name, f"{dataset_name}-{SIZE_LABELS[n]}", recorder, bytes_per_op
+            run = execute_ops(StoreAdapter(store), ops, perf)
+            result = BenchResult.from_histogram(
+                name,
+                f"{dataset_name}-{SIZE_LABELS[n]}",
+                run.latency,
+                run.bytes_per_op,
             )
             results.append(result)
             rows.append(

@@ -14,7 +14,13 @@ from _common import (
     loaded_store,
     run_once,
 )
-from repro.bench import BenchResult, format_table, run_store_ops, write_result
+from repro.bench import (
+    BenchResult,
+    StoreAdapter,
+    execute_ops,
+    format_table,
+    write_result,
+)
 from repro.workloads import READ_ONLY, generate_operations
 
 
@@ -25,8 +31,10 @@ def run_face():
     results = {}
     for name, factory in READ_CASE.items():
         store, perf = loaded_store(factory, keys)
-        recorder, bytes_per_op = run_store_ops(store, ops, perf)
-        result = BenchResult.from_recorder(name, "face", recorder, bytes_per_op)
+        run = execute_ops(StoreAdapter(store), ops, perf)
+        result = BenchResult.from_histogram(
+            name, "face", run.latency, run.bytes_per_op
+        )
         results[name] = result
         rows.append(
             [

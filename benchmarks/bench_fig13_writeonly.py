@@ -23,7 +23,13 @@ from _common import (
     pool_map,
     run_once,
 )
-from repro.bench import BenchResult, format_table, run_store_ops, write_result
+from repro.bench import (
+    BenchResult,
+    StoreAdapter,
+    execute_ops,
+    format_table,
+    write_result,
+)
 from repro.workloads import WRITE_ONLY, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
 
@@ -36,9 +42,9 @@ def _measure_cell(cell):
     n_ops = len(inserts) - 1
     ops = generate_operations(WRITE_ONLY, n_ops, load, inserts, seed=13)
     store, perf = loaded_store(WRITE_CASE[name], load)
-    recorder, bytes_per_op = run_store_ops(store, ops, perf)
-    result = BenchResult.from_recorder(
-        name, f"write-{SIZE_LABELS[n]}", recorder, bytes_per_op
+    run = execute_ops(StoreAdapter(store), ops, perf)
+    result = BenchResult.from_histogram(
+        name, f"write-{SIZE_LABELS[n]}", run.latency, run.bytes_per_op
     )
     return n, name, result
 

@@ -14,7 +14,13 @@ from _common import (
     loaded_store,
     run_once,
 )
-from repro.bench import BenchResult, format_table, run_store_ops, write_result
+from repro.bench import (
+    BenchResult,
+    StoreAdapter,
+    execute_ops,
+    format_table,
+    write_result,
+)
 from repro.workloads import YCSB_A, YCSB_B, YCSB_D, YCSB_F, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
 
@@ -30,9 +36,9 @@ def run_mixed():
         ops = generate_operations(spec, N_OPS, load, insert_pool, seed=15)
         for name, factory in WRITE_CASE.items():
             store, perf = loaded_store(factory, load)
-            recorder, bytes_per_op = run_store_ops(store, ops, perf)
-            result = BenchResult.from_recorder(
-                name, spec.name, recorder, bytes_per_op
+            run = execute_ops(StoreAdapter(store), ops, perf)
+            result = BenchResult.from_histogram(
+                name, spec.name, run.latency, run.bytes_per_op
             )
             results[(spec.name, name)] = result
             rows.append(

@@ -14,7 +14,7 @@ Run:  python examples/compare_indexes.py [n_keys]
 import sys
 
 from repro import PerfContext, ViperStore, ycsb_keys
-from repro.bench import format_table, run_store_ops
+from repro.bench import StoreAdapter, execute_ops, format_table
 from repro.registry import specs
 from repro.workloads import YCSB_B, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
@@ -49,14 +49,14 @@ def main(n_keys: int = 50_000) -> None:
             workload = ops
         store = ViperStore(index, perf)
         store.bulk_load([(k, k) for k in load])
-        recorder, _ = run_store_ops(store, workload, perf)
-        hops = perf.counters.dram_hop / max(1, len(recorder))
+        latency = execute_ops(StoreAdapter(store), workload, perf).latency
+        hops = perf.counters.dram_hop / max(1, len(latency))
         rows.append(
             [
                 name,
-                f"{recorder.throughput_mops():.3f}",
-                f"{recorder.p50() / 1000:.2f}",
-                f"{recorder.p999() / 1000:.2f}",
+                f"{1e3 / latency.mean():.3f}",
+                f"{latency.quantile(0.5) / 1000:.2f}",
+                f"{latency.quantile(0.999) / 1000:.2f}",
                 f"{hops:.1f}",
             ]
         )

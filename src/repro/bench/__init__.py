@@ -2,8 +2,9 @@
 
 * :mod:`repro.bench.runner` — the unified operation executor: an
   ``OpKind``-dispatched loop over an :class:`~repro.bench.runner.OpTarget`
-  adapter (bare index or Viper store), with per-kind latency breakdowns,
-  plus build/recovery measurement and the multi-thread scaling model.
+  adapter (bare index or Viper store) that records per-kind latency
+  histograms into a metrics registry, plus build/recovery measurement
+  and the multi-thread scaling model.
 * :mod:`repro.bench.metrics` — result records (throughput, tail latency).
 * :mod:`repro.bench.report` — fixed-width table rendering and result-file
   output used by every ``benchmarks/bench_*`` module.
@@ -18,8 +19,6 @@ from repro.bench.runner import (
     StoreAdapter,
     execute_ops,
     measure_build,
-    run_index_ops,
-    run_store_ops,
     thread_scaling,
 )
 from repro.bench.report import format_bars, format_table, write_result
@@ -33,8 +32,6 @@ __all__ = [
     "StoreAdapter",
     "execute_ops",
     "measure_build",
-    "run_index_ops",
-    "run_store_ops",
     "thread_scaling",
     "format_table",
     "format_bars",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.perf.latency import LatencyRecorder
+from repro.perf.histogram import LogHistogram
 
 
 @dataclass
@@ -23,23 +23,24 @@ class BenchResult:
     extra: dict = field(default_factory=dict)
 
     @classmethod
-    def from_recorder(
+    def from_histogram(
         cls,
         index: str,
         workload: str,
-        recorder: LatencyRecorder,
+        latency: LogHistogram,
         bytes_per_op: float = 0.0,
         **extra,
     ) -> "BenchResult":
+        mean = latency.mean()
         return cls(
             index=index,
             workload=workload,
-            ops=len(recorder),
-            throughput_mops=recorder.throughput_mops(),
-            mean_ns=recorder.mean(),
-            p50_ns=recorder.p50(),
-            p99_ns=recorder.p99(),
-            p999_ns=recorder.p999(),
+            ops=len(latency),
+            throughput_mops=1e3 / mean,
+            mean_ns=mean,
+            p50_ns=latency.quantile(0.5),
+            p99_ns=latency.quantile(0.99),
+            p999_ns=latency.quantile(0.999),
             bytes_per_op=bytes_per_op,
             extra=dict(extra),
         )

@@ -6,11 +6,17 @@ an ``OpKind -> handler`` dispatch table maps each workload operation onto
 adapter calls.  Adding an execution backend (a sharded store, a remote
 stub) means writing one adapter — the workload semantics, the capability
 checks, and the per-kind latency accounting are shared.
+
+Latency lands in one place: the ``repro_op_latency_ns{target,kind}``
+histograms of the run's :class:`~repro.obs.metrics.MetricsRegistry`,
+one record per scalar op or batched call.  A histogram's count is its
+kind's op count, and mean latency gives throughput (``1e3 / mean`` is
+Mops/s).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.interfaces import Index, SortedIndex
@@ -20,7 +26,7 @@ from repro.obs.progress import ProgressReporter
 from repro.perf.bandwidth import BandwidthModel
 from repro.perf.breakdown import Profiler
 from repro.perf.context import PerfContext
-from repro.perf.latency import LatencyRecorder
+from repro.perf.histogram import LogHistogram
 from repro.store.viper import ViperStore
 from repro.workloads.ycsb import Operation, OpKind
 
@@ -155,24 +161,23 @@ OP_HANDLERS: Dict[OpKind, Callable[[OpTarget, Operation], None]] = {
 class ExecutionResult:
     """Everything one executor pass measures."""
 
-    recorder: LatencyRecorder
+    #: The run's registry: ``repro_op_latency_ns{target,kind}`` (each
+    #: series' count is that kind's op count) and ``repro_bytes_total``.
+    metrics: MetricsRegistry
+    #: The ``repro_op_latency_ns`` series by kind (only kinds that occurred).
+    by_kind: Dict[OpKind, LogHistogram]
+    #: Every op's latency: the merge of ``by_kind``.
+    latency: LogHistogram
     bytes_per_op: float
-    #: Latency breakdown per operation kind (only kinds that occurred).
-    by_kind: Dict[OpKind, LatencyRecorder] = field(default_factory=dict)
 
     def kind_summary(self) -> List[Tuple[str, int, float, float]]:
         """Rows of ``(kind, ops, mean ns, p99.9 ns)`` sorted by time share."""
         rows = [
-            (kind.value, len(rec), rec.mean(), rec.p999())
-            for kind, rec in self.by_kind.items()
+            (kind.value, len(hist), hist.mean(), hist.quantile(0.999))
+            for kind, hist in self.by_kind.items()
         ]
         rows.sort(key=lambda r: -(r[1] * r[2]))
         return rows
-
-    #: ``recorder, bytes_per_op = execute_ops(...)`` keeps working at the
-    #: pre-refactor call sites.
-    def __iter__(self):
-        return iter((self.recorder, self.bytes_per_op))
 
 
 def execute_ops(
@@ -181,7 +186,6 @@ def execute_ops(
     perf: PerfContext,
     profiler: Optional[Profiler] = None,
     batch_size: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> ExecutionResult:
     """Execute ``ops`` against ``target``, measuring each on ``perf``.
@@ -199,22 +203,34 @@ def execute_ops(
     only while consecutive ops share the same ``scan_length`` (YCSB
     draws it per op) and only on scan-capable targets — unsorted
     targets keep the scalar path so they still fail with
-    :class:`UnsupportedOperationError`.  Each batched op is recorded at the batch's
-    amortised per-op latency, so recorder lengths and bytes/op stay
-    comparable to ``batch_size=1``.  Batched measurements reach the
-    profiler with ``ops=len(batch)`` so its per-op attribution splits
-    the coarse charge across the run.
+    :class:`UnsupportedOperationError`.  A batched call is one weighted
+    histogram record of its amortised per-op latency, so op counts and
+    bytes/op stay comparable to ``batch_size=1``.  Batched measurements
+    reach the profiler with ``ops=len(batch)`` so its per-op attribution
+    splits the coarse charge across the run.
 
-    ``metrics`` merges the run's per-kind counts, bytes, and latency
-    histograms into a :class:`~repro.obs.metrics.MetricsRegistry` after
-    the loop (zero per-op overhead); ``progress`` emits throttled live
+    The records land in the run's own
+    :class:`~repro.obs.metrics.MetricsRegistry`, returned as
+    ``result.metrics``; ``progress`` emits throttled live
     progress/throughput lines while the loop runs.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    recorder = LatencyRecorder()
-    by_kind: Dict[OpKind, LatencyRecorder] = {}
+    metrics = MetricsRegistry()
+    bytes_total = metrics.counter("repro_bytes_total", target=target.name)
+    by_kind: Dict[OpKind, LogHistogram] = {}
     total_bytes = 0
+
+    def kind_hist(kind: OpKind) -> LogHistogram:
+        hist = by_kind.get(kind)
+        if hist is None:
+            hist = by_kind[kind] = metrics.histogram(
+                "repro_op_latency_ns", target=target.name, kind=kind.value
+            )
+        return hist
+
+    def done() -> int:
+        return sum(len(hist) for hist in by_kind.values())
 
     batch: List[Operation] = []
     batch_kind: Optional[OpKind] = None
@@ -230,15 +246,10 @@ def execute_ops(
             # Mirrors _do_write: the key doubles as the value.
             target.put_many([(op.key, op.key) for op in batch])
         measured = perf.end(mark)
-        per_op_ns = measured.time_ns / len(batch)
-        kind_rec = by_kind.get(batch_kind)
-        if kind_rec is None:
-            kind_rec = by_kind[batch_kind] = LatencyRecorder()
-        for _ in batch:
-            recorder.record(per_op_ns)
-            kind_rec.record(per_op_ns)
+        n = len(batch)
+        kind_hist(batch_kind).record(measured.time_ns / n, n)
         if profiler is not None:
-            profiler.record_measured(batch_kind.value, measured, ops=len(batch))
+            profiler.record_measured(batch_kind.value, measured, ops=n)
         batch.clear()
         batch_kind = None
         return measured.bytes
@@ -263,7 +274,7 @@ def execute_ops(
             if len(batch) >= batch_size:
                 total_bytes += flush_batch()
                 if progress is not None:
-                    progress.maybe(len(recorder), perf)
+                    progress.maybe(done(), perf)
             continue
         if batch:
             total_bytes += flush_batch()
@@ -271,61 +282,22 @@ def execute_ops(
         mark = perf.begin()
         handler(target, op)
         measured = perf.end(mark)
-        recorder.record(measured.time_ns)
-        kind_rec = by_kind.get(op.kind)
-        if kind_rec is None:
-            kind_rec = by_kind[op.kind] = LatencyRecorder()
-        kind_rec.record(measured.time_ns)
+        kind_hist(op.kind).record(measured.time_ns)
         total_bytes += measured.bytes
         if profiler is not None:
             profiler.record_measured(op.kind.value, measured)
         if progress is not None:
-            progress.maybe(len(recorder), perf)
+            progress.maybe(done(), perf)
     if batch:
         total_bytes += flush_batch()
     if progress is not None:
-        progress.finish(len(recorder), perf)
-    if metrics is not None:
-        metrics.counter("repro_bytes_total", target=target.name).inc(total_bytes)
-        for kind, kind_rec in by_kind.items():
-            metrics.counter(
-                "repro_ops_total", target=target.name, kind=kind.value
-            ).inc(len(kind_rec))
-            metrics.histogram(
-                "repro_op_latency_ns", target=target.name, kind=kind.value
-            ).merge(kind_rec.histogram)
-    bytes_per_op = total_bytes / max(1, len(recorder))
-    return ExecutionResult(recorder, bytes_per_op, by_kind)
-
-
-def run_index_ops(
-    index: Index,
-    ops: Iterable[Operation],
-    perf: PerfContext,
-    profiler: Optional[Profiler] = None,
-    batch_size: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-    progress: Optional[ProgressReporter] = None,
-) -> ExecutionResult:
-    """Execute ``ops`` against a bare index; unpacks as (latencies, bytes/op)."""
-    return execute_ops(
-        IndexAdapter(index), ops, perf, profiler, batch_size, metrics, progress
-    )
-
-
-def run_store_ops(
-    store: ViperStore,
-    ops: Iterable[Operation],
-    perf: PerfContext,
-    profiler: Optional[Profiler] = None,
-    batch_size: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-    progress: Optional[ProgressReporter] = None,
-) -> ExecutionResult:
-    """Execute ``ops`` end-to-end through the Viper store."""
-    return execute_ops(
-        StoreAdapter(store), ops, perf, profiler, batch_size, metrics, progress
-    )
+        progress.finish(done(), perf)
+    bytes_total.inc(total_bytes)
+    latency = LogHistogram()
+    for hist in by_kind.values():
+        latency.merge(hist)
+    bytes_per_op = total_bytes / max(1, len(latency))
+    return ExecutionResult(metrics, by_kind, latency, bytes_per_op)
 
 
 def measure_build(

@@ -20,7 +20,7 @@ import sys
 import time
 
 from repro import PerfContext, ViperStore, registry
-from repro.bench import format_table, run_store_ops, thread_scaling
+from repro.bench import StoreAdapter, execute_ops, format_table, thread_scaling
 from repro.concurrency import ParallelShardedStore, parallel_sharded_store
 from repro.concurrency.parallel import measure_scaling
 from repro.obs import (
@@ -118,6 +118,29 @@ def _parse_threads(text: str) -> list:
     return counts
 
 
+def _ranged(cast, ok, expected: str):
+    """An argparse ``type=`` that casts a flag's value and range-checks
+    it, so a bad value fails at parse time like ``--threads`` does."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_AT_LEAST_0 = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _ranged(float, lambda v: v > 0.0, "a number > 0")
+_RATE = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_QUANTILE = _ranged(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+
+
 def _build_store(
     spec,
     perf,
@@ -203,7 +226,7 @@ def _retrain_profile(store, ops_run: int) -> tuple:
 def _scaling_table(
     spec,
     workload,
-    recorder,
+    latency,
     bytes_per_op,
     args,
     store,
@@ -214,7 +237,7 @@ def _scaling_table(
     """Project the measured single-thread profile onto ``--threads``."""
     write_fraction = workload.update + workload.insert + workload.rmw
     retrain_every, retrain_stall_ns = retrain or _retrain_profile(
-        store, len(recorder)
+        store, len(latency)
     )
     measured_runner = None
     if args.projection == "measured":
@@ -229,8 +252,8 @@ def _scaling_table(
             )
 
     rows = thread_scaling(
-        recorder.mean(),
-        recorder.p999(),
+        latency.mean(),
+        latency.quantile(0.999),
         bytes_per_op,
         args.threads,
         projection=args.projection,
@@ -448,10 +471,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             else None
         )
         wall_start = time.perf_counter()
-        recorder, bytes_per_op = run_store_ops(
-            store, ops, perf, batch_size=args.batch_size, progress=progress
+        result = execute_ops(
+            StoreAdapter(store),
+            ops,
+            perf,
+            batch_size=args.batch_size,
+            progress=progress,
         )
         wall_s = time.perf_counter() - wall_start
+        latency, bytes_per_op = result.latency, result.bytes_per_op
 
         body = [
             ["index", spec.name],
@@ -459,12 +487,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ["batch size", args.batch_size],
             ["shards", args.shards],
             ["dataset", f"{args.dataset} ({len(load):,} loaded keys)"],
-            ["operations", f"{len(recorder):,}"],
+            ["operations", f"{len(latency):,}"],
             ["build (sim ms)", f"{build_ns / 1e6:.2f}"],
-            ["throughput (sim Mops/s)", f"{recorder.throughput_mops():.3f}"],
-            ["mean latency (sim ns)", f"{recorder.mean():.0f}"],
-            ["p50 (sim ns)", f"{recorder.p50():.0f}"],
-            ["p99.9 (sim ns)", f"{recorder.p999():.0f}"],
+            ["throughput (sim Mops/s)", f"{1e3 / latency.mean():.3f}"],
+            ["mean latency (sim ns)", f"{latency.mean():.0f}"],
+            ["p50 (sim ns)", f"{latency.quantile(0.5):.0f}"],
+            ["p99.9 (sim ns)", f"{latency.quantile(0.999):.0f}"],
             ["bytes/op", f"{bytes_per_op:.0f}"],
         ]
         if parallel:
@@ -472,7 +500,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             body.append(
                 [
                     "throughput (wall Mops/s)",
-                    f"{len(recorder) / wall_s / 1e6:.3f}",
+                    f"{len(latency) / wall_s / 1e6:.3f}",
                 ]
             )
         print(
@@ -491,7 +519,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 _scaling_table(
                     spec,
                     workload,
-                    recorder,
+                    latency,
                     bytes_per_op,
                     args,
                     store,
@@ -573,16 +601,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         mark = perf.begin()
         store.bulk_load([(k, k) for k in load])
         build_ns = perf.end(mark).time_ns
-        result = run_store_ops(
-            store,
+        result = execute_ops(
+            StoreAdapter(store),
             ops,
             perf,
             profiler=profiler,
             batch_size=args.batch_size,
-            metrics=metrics,
             progress=progress,
         )
-        recorder = result.recorder
+        metrics.merge_from(result.metrics)
+        latency = result.latency
         if parallel:
             # Fold worker-side lifecycle counts, metric series, and
             # worker/event spans into the parent's instruments before any
@@ -595,7 +623,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             stats = store.stats()
         else:
             stats = store.index.stats()
-        retrain = _retrain_profile(store, len(recorder))
+        retrain = _retrain_profile(store, len(latency))
     finally:
         if parallel:
             store.close()
@@ -620,8 +648,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             results = simulate_scaling(
                 spec.concurrency,
                 OpProfile(
-                    mean_ns=recorder.mean(),
-                    p999_ns=recorder.p999(),
+                    mean_ns=latency.mean(),
+                    p999_ns=latency.quantile(0.999),
                     bytes_per_op=result.bytes_per_op,
                     retrain_every=retrain_every,
                     retrain_stall_ns=retrain_stall_ns,
@@ -661,7 +689,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             scaling_text = _scaling_table(
                 spec,
                 workload,
-                recorder,
+                latency,
                 result.bytes_per_op,
                 args,
                 store,
@@ -680,10 +708,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                 ["index", spec.name],
                 ["workload", workload.name],
                 ["dataset", f"{args.dataset} ({len(load):,} loaded keys)"],
-                ["operations", f"{len(recorder):,}"],
+                ["operations", f"{len(latency):,}"],
                 ["trace sampling", f"{args.sample:g}"],
                 ["build (sim ms)", f"{build_ns / 1e6:.2f}"],
-                ["throughput (sim Mops/s)", f"{recorder.throughput_mops():.3f}"],
+                ["throughput (sim Mops/s)", f"{1e3 / latency.mean():.3f}"],
             ],
             title="Run (simulated hardware)",
         )
@@ -692,13 +720,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     kind_rows = [
         [
             kind.value,
-            f"{len(rec):,}",
-            f"{rec.mean():.0f}",
-            f"{rec.p50():.0f}",
-            f"{rec.p99():.0f}",
-            f"{rec.p999():.0f}",
+            f"{len(hist):,}",
+            f"{hist.mean():.0f}",
+            f"{hist.quantile(0.5):.0f}",
+            f"{hist.quantile(0.99):.0f}",
+            f"{hist.quantile(0.999):.0f}",
         ]
-        for kind, rec in sorted(
+        for kind, hist in sorted(
             result.by_kind.items(), key=lambda kv: -len(kv[1])
         )
     ]
@@ -817,7 +845,7 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 def _add_concurrency_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--shards",
-        type=int,
+        type=_AT_LEAST_1,
         default=1,
         help="range-partition the store across K shards served in this "
         "process (each shard owns its own index instance); with "
@@ -825,7 +853,7 @@ def _add_concurrency_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
     sub_parser.add_argument(
         "--workers",
-        type=int,
+        type=_AT_LEAST_1,
         default=1,
         help="serve through N real worker processes (one range partition "
         "each, shared-memory op transport); simulated numbers are "
@@ -833,7 +861,7 @@ def _add_concurrency_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
     sub_parser.add_argument(
         "--restart-budget",
-        type=int,
+        type=_AT_LEAST_0,
         default=0,
         help="recovery attempts per worker before the engine degrades: a "
         "dead (or timed-out) worker is respawned, its partition rebuilt "
@@ -842,7 +870,7 @@ def _add_concurrency_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
     sub_parser.add_argument(
         "--worker-timeout",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help="per-command deadline; a worker that overruns it is killed "
@@ -895,12 +923,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--dataset", default="ycsb", choices=sorted(DATASETS), help="key set"
     )
-    bench.add_argument("--keys", type=int, default=50_000)
-    bench.add_argument("--ops", type=int, default=20_000)
+    bench.add_argument("--keys", type=_AT_LEAST_1, default=50_000)
+    bench.add_argument("--ops", type=_AT_LEAST_1, default=20_000)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--batch-size",
-        type=int,
+        type=_AT_LEAST_1,
         default=1,
         help="group runs of consecutive reads into get_many batches, "
         "consecutive writes into put_many batches, and consecutive "
@@ -925,19 +953,19 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--dataset", default="ycsb", choices=sorted(DATASETS), help="key set"
     )
-    report.add_argument("--keys", type=int, default=50_000)
-    report.add_argument("--ops", type=int, default=20_000)
+    report.add_argument("--keys", type=_AT_LEAST_1, default=50_000)
+    report.add_argument("--ops", type=_AT_LEAST_1, default=20_000)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument(
         "--batch-size",
-        type=int,
+        type=_AT_LEAST_1,
         default=1,
         help="batch consecutive reads/writes/scans (get_many/put_many/"
         "scan_many) up to this size (1 = per-key dispatch)",
     )
     report.add_argument(
         "--sample",
-        type=float,
+        type=_RATE,
         default=1.0,
         help="lifecycle-trace sampling rate in [0, 1] "
         "(event counts stay exact at any rate)",
@@ -964,14 +992,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--span-sample",
-        type=float,
+        type=_RATE,
         default=1.0,
         help="head-based span sampling rate in [0, 1]: a request is "
         "recorded whole or not at all (request counts stay exact)",
     )
     report.add_argument(
         "--span-quantile",
-        type=float,
+        type=_QUANTILE,
         default=0.9,
         help="attribute the slowest (1 - q) fraction of requests in the "
         "tail-latency table (default 0.9 = slowest 10%%)",

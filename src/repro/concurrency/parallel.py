@@ -47,7 +47,7 @@ worker snapshots its ledger around each command and ships the
 parent folds it into its own :class:`~repro.perf.context.PerfContext`
 **before** the caller's ``perf.end``.  ``execute_ops``, ``repro bench``,
 and ``repro report`` therefore report the same simulated numbers on
-either transport — while :attr:`wall_recorder` and
+either transport — while :attr:`wall_latency` and
 :func:`measure_scaling` measure real wall-clock, which is the number
 that improves as process workers are added on a multi-core host.
 
@@ -56,7 +56,9 @@ Observability
 Each worker keeps a :class:`~repro.obs.metrics.MetricsRegistry` and a
 :class:`~repro.obs.spans.SpanRecorder`, which its
 :class:`~repro.obs.trace.Tracer` writes lifecycle counts and sampled
-event spans into.  :meth:`drain_obs` takes that one ``{metrics, spans}``
+event spans into; the worker's own series is
+``repro_worker_cmd_wall_ns{worker}``, whose count is the commands it
+served.  :meth:`drain_obs` takes that one ``{metrics, spans}``
 payload from each worker, which then starts fresh, and merges it into
 parent-side instances, so ``repro report --shards K`` and ``--workers
 K`` show one unified lifecycle/metrics view.
@@ -130,7 +132,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanRecorder
 from repro.obs.trace import Tracer
 from repro.perf.context import PerfContext
-from repro.perf.latency import LatencyRecorder
+from repro.perf.histogram import LogHistogram
 
 #: Max keys per worker per shipment; larger batches are macro-chunked.
 #: 2^16 entries keep a segment at ~1.1 MB (8+8+1 bytes per slot).
@@ -317,15 +319,12 @@ class _WorkerState:
     # -- command handlers ---------------------------------------------
 
     def _fresh_metrics(self) -> None:
-        """Start a new registry and re-fetch the cached instruments, so
-        the per-command path never looks a series up."""
+        """Start a new registry and re-fetch the cached instrument, so
+        the per-command path never looks a series up.  Its count is the
+        commands served."""
         self.metrics = MetricsRegistry()
-        worker = str(self.worker_id)
-        self.cmds_total = self.metrics.counter(
-            "repro_worker_cmds_total", worker=worker
-        )
         self.wall_hist = self.metrics.histogram(
-            "repro_worker_cmd_wall_ns", worker=worker
+            "repro_worker_cmd_wall_ns", worker=str(self.worker_id)
         )
         if self.tracer is not None:
             self.tracer.metrics = self.metrics
@@ -365,7 +364,6 @@ class _WorkerState:
                 ops=len(payload) if type(payload) is list else 1,
                 sim_ns=self.perf.cost_model.time_ns(counters),
             )
-        self.cmds_total.inc()
         self.wall_hist.record(wall_ns)
         delta = {k: v for k, v in counters.as_dict().items() if v}
         return ("ok", reply, delta, wall_ns)
@@ -623,8 +621,9 @@ class _ParallelEngine:
         self._store_mode = store
         self._closed = False
         self._broken: Optional[str] = None
-        #: Wall nanoseconds per op for every batched shipment (parent side).
-        self.wall_recorder = LatencyRecorder()
+        #: Wall nanoseconds per op, one record per batched shipment
+        #: (parent side).
+        self.wall_latency = LogHistogram()
         #: Ops routed per worker (balance observability).
         self.worker_ops = [0] * workers
         #: Causal span recorder (None = tracing off: no per-request cost
@@ -1108,7 +1107,7 @@ class _ParallelEngine:
                     for pos, v in zip(order.tolist(), gathered):
                         out[base + pos] = v
             self._finish(batch)
-            self.wall_recorder.record(
+            self.wall_latency.record(
                 (time.perf_counter() - t0) * 1e9 / len(chunk)
             )
         self._finish(req)
@@ -1192,7 +1191,7 @@ class _ParallelEngine:
                         if len(results[i]) < count and w + 1 < self.workers:
                             pending.append((i, w + 1, count - len(results[i])))
                     ops += len(members)
-                self.wall_recorder.record(
+                self.wall_latency.record(
                     (time.perf_counter() - t0) * 1e9 / ops
                 )
             self._finish(batch)
@@ -1303,9 +1302,10 @@ class _ParallelEngine:
         """Shut the pool down; workers detach and the parent unlinks every
         shared-memory segment (no leaked ``/dev/shm`` entries).
 
-        A worker that ignores the handshake past ``close_timeout_s`` is
-        escalated ``terminate`` → ``kill``; pids that survive both are
-        reported to stderr instead of silently leaking.
+        Workers get the close handshake and ``close_timeout_s`` to exit;
+        the finalizer then escalates any laggard ``terminate`` → ``kill``
+        and reports pids that survive both to stderr instead of silently
+        leaking them.
         """
         if self._closed:
             return
@@ -1319,23 +1319,6 @@ class _ParallelEngine:
         deadline = time.monotonic() + self._close_timeout_s
         for h in self._handles:
             h.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        laggards = [h for h in self._handles if h.proc.is_alive()]
-        for h in laggards:
-            h.proc.terminate()
-        for h in laggards:
-            h.proc.join(timeout=1)
-        stubborn = [h for h in laggards if h.proc.is_alive()]
-        for h in stubborn:
-            h.proc.kill()
-        for h in stubborn:
-            h.proc.join(timeout=1)
-        leaked = [h.proc.pid for h in stubborn if h.proc.is_alive()]
-        if leaked:  # pragma: no cover - kill-resistant process
-            print(
-                f"[repro] worker process(es) survived close escalation "
-                f"(terminate+kill): pids {leaked}",
-                file=sys.stderr,
-            )
         self._finalizer()
 
     def __enter__(self):
@@ -1551,7 +1534,7 @@ def measure_scaling(
     12/14 ``--projection measured`` branches delegate to — the
     closed-loop validation of the analytic/simulated projections.  Rows
     carry ``throughput_mops`` (wall), ``wall_s``, ``mean_ns`` and
-    ``p999_ns`` (per-op wall, from the engine's shipment recorder), and
+    ``p999_ns`` (per-op wall, from the engine's :attr:`wall_latency`), and
     ``utilization`` (per-worker busy share, min..max).
     """
     from repro.bench.runner import IndexAdapter, StoreAdapter, execute_ops
@@ -1574,7 +1557,7 @@ def measure_scaling(
             t0 = time.perf_counter()
             execute_ops(target, ops, PerfContext(), batch_size=batch_size)
             wall_s = time.perf_counter() - t0
-            recorder = engine.wall_recorder
+            latency = engine.wall_latency
             util = engine.worker_utilization()
             rows.append(
                 {
@@ -1583,8 +1566,8 @@ def measure_scaling(
                     "throughput_mops": len(ops) / wall_s / 1e6,
                     "mean_ns": wall_s * 1e9 / max(1, len(ops)),
                     "p999_ns": (
-                        recorder.p999()
-                        if len(recorder)
+                        latency.quantile(0.999)
+                        if len(latency)
                         else wall_s * 1e9 / max(1, len(ops))
                     ),
                     "utilization": util,

@@ -37,7 +37,7 @@ from repro.obs.trace import EventType
 from repro.perf.bandwidth import BandwidthModel
 from repro.perf.cost_model import CostModel
 from repro.perf.events import Counters, Event
-from repro.perf.latency import LatencyRecorder
+from repro.perf.histogram import LogHistogram
 
 from repro.concurrency.spec import ConcurrencySpec
 
@@ -151,7 +151,7 @@ class SimResult:
     #: Aggregate throughput over the makespan.
     throughput_mops: float
     #: Per-op latency distribution (waits included).
-    recorder: LatencyRecorder
+    latency: LogHistogram
     #: Total time threads spent waiting for latches held by others.
     latch_wait_ns: float = 0.0
     #: Total time threads spent stalled behind blocking retrains.
@@ -174,11 +174,11 @@ class SimResult:
 
     @property
     def p999_ns(self) -> float:
-        return self.recorder.p999()
+        return self.latency.quantile(0.999)
 
     @property
     def mean_ns(self) -> float:
-        return self.recorder.mean()
+        return self.latency.mean()
 
     @property
     def latch_wait_share(self) -> float:
@@ -306,7 +306,7 @@ def simulate(
     )
 
     counters = Counters()
-    recorder = LatencyRecorder()
+    latency = LogHistogram()
     latch_wait = 0.0
     stall_wait = 0.0
     stalls = 0
@@ -458,7 +458,7 @@ def simulate(
             op.dur_ns = end - start
             spans.add(op)
 
-        recorder.record(end - start)
+        latency.record(end - start)
         if schedule is not None:
             schedule.append((t, start, end))
         finish[t] = end
@@ -473,7 +473,7 @@ def simulate(
         ops=total_ops,
         makespan_ns=makespan,
         throughput_mops=throughput,
-        recorder=recorder,
+        latency=latency,
         latch_wait_ns=latch_wait,
         retrain_stall_ns=stall_wait,
         retrain_stalls=stalls,

@@ -211,13 +211,11 @@ def _fmt(value: float) -> str:
 
 #: ``# HELP`` text for the metric families the library itself emits.
 HELP_TEXT: Dict[str, str] = {
-    "repro_ops_total": "Operations executed, by kind and target index.",
     "repro_op_latency_ns": "Simulated per-operation latency (ns).",
     "repro_trace_events_total": (
         "Lifecycle events emitted, by event type (the exact count, "
         "before sampling)."
     ),
-    "repro_worker_cmds_total": "Commands served by each shard worker.",
     "repro_worker_cmd_wall_ns": "Worker-side wall time per command (ns).",
 }
 

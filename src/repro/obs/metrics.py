@@ -4,15 +4,16 @@ The registry is the aggregate side of the observability layer (the trace
 is the event side): named metrics with label sets, cheap to update on
 hot paths, exported as Prometheus text or rendered by ``repro report``.
 
-* :class:`Counter` — monotone float accumulator (ops executed, bytes).
+* :class:`Counter` — monotone float accumulator (bytes, lifecycle events).
 * :class:`Gauge` — last-write-wins value (leaf count, buffer fill).
-* Histograms are :class:`~repro.perf.histogram.LogHistogram` — the same
-  backend :class:`~repro.perf.latency.LatencyRecorder` uses, so per-
-  OpKind latency recorders merge straight into the registry.
+* Histograms are :class:`~repro.perf.histogram.LogHistogram`, the repo's
+  one latency store: the executor records each op straight into its
+  ``repro_op_latency_ns`` series, so a histogram's count is the op count
+  and no counter repeats it.
 
 Metric identity is ``(name, sorted label items)``, Prometheus-style:
-``registry.counter("repro_ops_total", kind="read")`` and the same call
-with ``kind="insert"`` are distinct time series of one metric family.
+``registry.histogram("repro_op_latency_ns", kind="read")`` and the same
+call with ``kind="insert"`` are distinct time series of one metric family.
 """
 
 from __future__ import annotations

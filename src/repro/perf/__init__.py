@@ -15,7 +15,6 @@ from repro.perf.events import Event, Counters
 from repro.perf.cost_model import CostModel
 from repro.perf.context import PerfContext, Operation
 from repro.perf.histogram import LogHistogram
-from repro.perf.latency import LatencyRecorder
 from repro.perf.bandwidth import BandwidthModel
 from repro.perf.breakdown import OpProfile, Profiler
 
@@ -26,7 +25,6 @@ __all__ = [
     "PerfContext",
     "Operation",
     "LogHistogram",
-    "LatencyRecorder",
     "BandwidthModel",
     "Profiler",
     "OpProfile",

@@ -1,9 +1,12 @@
 """Log-bucketed histogram: O(1) record, bounded-relative-error quantiles.
 
-The sort-per-call percentile path in :mod:`repro.perf.latency` costs
-``O(n log n)`` on every report; serving stacks instead bucket samples on
-a logarithmic grid (HdrHistogram, Prometheus, DDSketch) so recording is a
-dict increment and any quantile is one pass over the occupied buckets.
+This is the repo's one latency store: the executor, the concurrency
+simulator, the parallel engine and the metrics registry all record into
+it.  A sort-per-call percentile costs ``O(n log n)`` on every report;
+serving stacks instead bucket samples on a logarithmic grid
+(HdrHistogram, Prometheus, DDSketch) so recording is a dict increment,
+a weighted ``record(v, n)`` stands for ``n`` equal samples, and any
+quantile is one pass over the occupied buckets.
 
 Bucketing uses :func:`math.frexp`, which decomposes ``v = m * 2**e``
 exactly — no ``log()`` rounding at bucket edges.  Each power-of-two range

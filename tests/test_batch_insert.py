@@ -397,9 +397,13 @@ def test_execute_ops_batches_writes_equivalently():
 
     scalar_index, scalar_result = run(1)
     batched_index, batched_result = run(16)
-    # Amortised recording keeps op counts comparable...
-    assert len(batched_result.recorder) == len(scalar_result.recorder)
+    # One weighted record per batched call keeps each kind's count the
+    # op count...
     assert set(batched_result.by_kind) == set(scalar_result.by_kind)
+    for kind, hist in scalar_result.by_kind.items():
+        assert len(batched_result.by_kind[kind]) == len(hist)
+    assert sum(map(len, batched_result.by_kind.values())) == len(ops)
+    assert len(batched_result.latency) == len(ops)
     # ...and the target ends in the same observable state.
     probes = [op.key for op in ops]
     assert batched_index.get_many(probes) == scalar_index.get_many(probes)

@@ -13,12 +13,10 @@ from repro.bench import (
     execute_ops,
     format_table,
     measure_build,
-    run_index_ops,
-    run_store_ops,
     thread_scaling,
 )
 from repro.errors import UnsupportedOperationError
-from repro.perf import BandwidthModel, LatencyRecorder, Profiler
+from repro.perf import BandwidthModel, LogHistogram, Profiler
 from repro.workloads import YCSB_A, READ_ONLY, generate_operations
 from repro.workloads.ycsb import OpKind, Operation
 
@@ -31,37 +29,37 @@ def small_store():
 
 
 class TestRunners:
-    def test_run_store_ops_counts_everything(self):
+    def test_store_run_counts_everything(self):
         store, perf = small_store()
         ops = generate_operations(READ_ONLY, 500, list(range(0, 2000, 2)), seed=1)
-        recorder, bytes_per_op = run_store_ops(store, ops, perf)
-        assert len(recorder) == 500
-        assert recorder.mean() > 0
-        assert bytes_per_op > 0
+        result = execute_ops(StoreAdapter(store), ops, perf)
+        assert len(result.latency) == 500
+        assert result.latency.mean() > 0
+        assert result.bytes_per_op > 0
 
-    def test_run_store_ops_mixed(self):
+    def test_store_run_mixed(self):
         store, perf = small_store()
         loaded = list(range(0, 2000, 2))
         inserts = list(range(1, 2000, 2))
         ops = generate_operations(YCSB_A, 400, loaded, inserts, seed=2)
-        recorder, _ = run_store_ops(store, ops, perf)
-        assert len(recorder) == 400
+        result = execute_ops(StoreAdapter(store), ops, perf)
+        assert len(result.latency) == 400
 
-    def test_run_index_ops_scan(self):
+    def test_index_run_scan(self):
         perf = PerfContext()
         index = BPlusTree(perf=perf)
         index.bulk_load([(i, i) for i in range(100)])
         ops = [Operation(OpKind.SCAN, 10, 5), Operation(OpKind.READ, 50)]
-        recorder, _ = run_index_ops(index, ops, perf)
-        assert len(recorder) == 2
+        result = execute_ops(IndexAdapter(index), ops, perf)
+        assert len(result.latency) == 2
 
     def test_rmw_costs_more_than_read(self):
         store, perf = small_store()
         read = [Operation(OpKind.READ, 100)] * 50
         rmw = [Operation(OpKind.RMW, 100)] * 50
-        rec_read, _ = run_store_ops(store, read, perf)
-        rec_rmw, _ = run_store_ops(store, rmw, perf)
-        assert rec_rmw.mean() > rec_read.mean()
+        read_lat = execute_ops(StoreAdapter(store), read, perf).latency
+        rmw_lat = execute_ops(StoreAdapter(store), rmw, perf).latency
+        assert rmw_lat.mean() > read_lat.mean()
 
     def test_measure_build(self):
         perf = PerfContext()
@@ -73,7 +71,7 @@ class TestRunners:
 
 
 class TestUnifiedExecutor:
-    """Both run_* entry points are thin wrappers over one dispatch loop."""
+    """Bare indexes and the store go through one dispatch loop."""
 
     def test_every_op_kind_has_a_handler(self):
         assert set(OP_HANDLERS) == set(OpKind)
@@ -81,13 +79,13 @@ class TestUnifiedExecutor:
     def test_rmw_on_absent_key_writes_the_key_not_none(self):
         store, perf = small_store()
         absent = 3001  # odd keys were never loaded
-        run_store_ops(store, [Operation(OpKind.RMW, absent)], perf)
+        execute_ops(StoreAdapter(store), [Operation(OpKind.RMW, absent)], perf)
         assert store.get(absent) == absent  # previously persisted None
 
     def test_rmw_on_present_key_preserves_the_stored_value(self):
         store, perf = small_store()
         store.put(100, "precious")
-        run_store_ops(store, [Operation(OpKind.RMW, 100)], perf)
+        execute_ops(StoreAdapter(store), [Operation(OpKind.RMW, 100)], perf)
         assert store.get(100) == "precious"
 
     def test_scan_on_hash_index_raises_unsupported(self):
@@ -98,22 +96,22 @@ class TestUnifiedExecutor:
         ops = [Operation(OpKind.SCAN, 10, 5)]
         # Bare index: used to die with AttributeError (no .scan on CCEH).
         with pytest.raises(UnsupportedOperationError):
-            run_index_ops(index, ops, perf)
+            execute_ops(IndexAdapter(index), ops, perf)
         # Same contract through the store path.
         store = ViperStore(CCEH(perf=perf), perf)
         store.bulk_load([(i, i) for i in range(100)])
         with pytest.raises(UnsupportedOperationError):
-            run_store_ops(store, ops, perf)
+            execute_ops(StoreAdapter(store), ops, perf)
 
     def test_per_kind_latency_breakdown(self):
         store, perf = small_store()
         loaded = list(range(0, 2000, 2))
         inserts = list(range(1, 2000, 2))
         ops = generate_operations(YCSB_A, 400, loaded, inserts, seed=5)
-        result = run_store_ops(store, ops, perf)
+        result = execute_ops(StoreAdapter(store), ops, perf)
         assert set(result.by_kind) == {op.kind for op in ops}
-        assert sum(len(r) for r in result.by_kind.values()) == len(
-            result.recorder
+        assert sum(len(h) for h in result.by_kind.values()) == len(
+            result.latency
         )
         summary = result.kind_summary()
         assert {row[0] for row in summary} == {
@@ -136,9 +134,7 @@ class TestUnifiedExecutor:
         ops = [Operation(OpKind.READ, 100), Operation(OpKind.UPDATE, 100)]
         result = execute_ops(StoreAdapter(store), ops, perf, profiler)
         assert profiler.op_count == 2
-        assert profiler.total_time_ns() == pytest.approx(
-            result.recorder.total_time_ns()
-        )
+        assert profiler.total_time_ns() == pytest.approx(result.latency.total)
         labels = {p.label for p in profiler.worst()}
         assert labels == {"read", "update"}
 
@@ -148,10 +144,10 @@ class TestUnifiedExecutor:
         perf = PerfContext()
         index = BPlusTree(perf=perf)
         index.bulk_load([(i, i) for i in range(0, 100, 2)])
-        rec_idx, _ = run_index_ops(index, ops, perf)
+        idx_lat = execute_ops(IndexAdapter(index), ops, perf).latency
         store, perf2 = small_store()
-        rec_store, _ = run_store_ops(store, ops, perf2)
-        assert len(rec_idx) == len(rec_store) == 2
+        store_lat = execute_ops(StoreAdapter(store), ops, perf2).latency
+        assert len(idx_lat) == len(store_lat) == 2
         assert index.get(11) == 11
         assert store.get(11) == 11
 
@@ -175,12 +171,14 @@ class TestThreadScaling:
 
 
 class TestBenchResult:
-    def test_from_recorder(self):
-        rec = LatencyRecorder()
-        rec.extend([100.0, 200.0, 300.0])
-        result = BenchResult.from_recorder("X", "w", rec, 64.0, note="hi")
+    def test_from_histogram(self):
+        hist = LogHistogram()
+        for v in (100.0, 200.0, 300.0):
+            hist.record(v)
+        result = BenchResult.from_histogram("X", "w", hist, 64.0, note="hi")
         assert result.ops == 3
         assert result.mean_ns == pytest.approx(200.0)
+        assert result.throughput_mops == pytest.approx(5.0)  # 200 ns/op
         assert result.extra["note"] == "hi"
         assert len(result.row()) == 4
 

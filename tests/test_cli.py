@@ -120,6 +120,50 @@ class TestReport:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, value)
+            for command in ("bench", "report")
+            for flag, value in (
+                ("--keys", "0"),
+                ("--ops", "0"),
+                ("--batch-size", "0"),
+                ("--shards", "0"),
+                ("--workers", "0"),
+                ("--restart-budget", "-1"),
+                ("--worker-timeout", "0"),
+            )
+        ]
+        + [
+            ("report", "--sample", "1.5"),
+            ("report", "--span-sample", "2"),
+            ("report", "--span-quantile", "1.0"),
+        ],
+    )
+    def test_out_of_range_flag_fails_at_parse_time(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "engine", [[], ["--shards", "2"]], ids=["flat", "shards"]
+    )
+    def test_batched_op_counts_are_histogram_counts(self, tmp_path, engine):
+        prom = tmp_path / "metrics.prom"
+        argv = ["--batch-size", "64", "--prom-out", str(prom)]
+        assert main(self.RUN + argv + engine) == 0
+        text = prom.read_text()
+        counts = re.findall(
+            r"^repro_op_latency_ns_count\{[^}]*\} (\d+)$", text, re.M
+        )
+        assert len(counts) == 2  # read and update
+        assert sum(map(int, counts)) == 500  # --ops
+        assert "repro_ops_total" not in text
+
 
 def _table(out: str, title: str):
     """The body rows of the titled table in ``out``, as cell lists."""

@@ -16,7 +16,7 @@ from repro import (
     SkipList,
     ViperStore,
 )
-from repro.bench import run_store_ops
+from repro.bench import StoreAdapter, execute_ops
 from repro.workloads import YCSB_A, generate_operations, osm_keys, ycsb_keys
 from repro.workloads.ycsb import split_load_and_inserts
 
@@ -28,11 +28,11 @@ def run_experiment(factory):
     perf = PerfContext()
     store = ViperStore(factory(perf), perf)
     store.bulk_load([(k, k) for k in load])
-    recorder, bytes_per_op = run_store_ops(store, ops, perf)
+    result = execute_ops(StoreAdapter(store), ops, perf)
     return (
-        recorder.total_time_ns(),
-        recorder.p999(),
-        bytes_per_op,
+        result.latency.total,
+        result.latency.quantile(0.999),
+        result.bytes_per_op,
         perf.counters.as_dict(),
     )
 

@@ -71,7 +71,7 @@ def test_payloads_carry_every_obs_channel(worker_payloads):
         assert set(p) == {"metrics", "spans"}
         assert p["spans"]
         names = {name for name, _k, _l, _i in p["metrics"].collect()}
-        assert "repro_worker_cmds_total" in names
+        assert "repro_worker_cmd_wall_ns" in names
     # Lifecycle events fire on retrain thresholds, so not every worker
     # necessarily saw one — but the run as a whole must have.
     assert any(event_counts(p["metrics"]) for p in worker_payloads)
@@ -124,7 +124,7 @@ def test_synthetic_tracer_absorb_commutes():
 def test_synthetic_metrics_merge_commutes():
     def registry(n):
         reg = MetricsRegistry()
-        reg.counter("repro_worker_cmds_total", worker=str(n)).inc(n + 1)
+        reg.counter("repro_trace_events_total", event="retrain").inc(n + 1)
         reg.histogram("repro_worker_cmd_wall_ns", worker=str(n)).record(1e6 * n + 1)
         return reg
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.obs import Counter, Gauge, MetricsRegistry, Tracer, prometheus_text
 from repro.obs.trace import EventType
-from repro.perf import LatencyRecorder, LogHistogram, PerfContext
+from repro.perf import LogHistogram, PerfContext
 from repro.perf.breakdown import Profiler
 from repro.perf.events import Event
 
@@ -85,6 +85,22 @@ class TestLogHistogram:
         for q in (0.5, 0.99, 1.0):
             assert a.quantile(q) == both.quantile(q)
 
+    def test_weighted_record_equals_repeated_records(self):
+        rng = random.Random(11)
+        weighted, repeated = LogHistogram(), LogHistogram()
+        for _ in range(300):
+            value, n = rng.lognormvariate(6.0, 2.0), rng.randrange(1, 1025)
+            weighted.record(value, n)
+            for _ in range(n):
+                repeated.record(value)
+        assert weighted.count == repeated.count
+        assert list(weighted.buckets()) == list(repeated.buckets())
+        assert weighted.min() == repeated.min()
+        assert weighted.max() == repeated.max()
+        for q in (0.001, 0.5, 0.9, 0.99, 0.999, 1.0):
+            assert weighted.quantile(q) == repeated.quantile(q)
+        assert weighted.total == pytest.approx(repeated.total, rel=1e-12)
+
     def test_buckets_iterate_ascending(self):
         hist = LogHistogram()
         for v in (100.0, 1.0, 50.0, 1.0):
@@ -106,39 +122,6 @@ class TestLogHistogram:
         for q in (0.0, -0.5, 1.01):
             with pytest.raises(ValueError):
                 hist.quantile(q)
-
-
-class TestLatencyRecorderEquivalence:
-    """Satellite 1: the compat wrapper pins p50/p99/p999 behaviour."""
-
-    def test_percentiles_match_histogram_quantiles(self):
-        rng = random.Random(5)
-        samples = [rng.expovariate(1e-3) + 1.0 for _ in range(10_000)]
-        rec = LatencyRecorder()
-        rec.extend(samples)
-        for p, q in ((50.0, 0.5), (99.0, 0.99), (99.9, 0.999)):
-            assert rec.percentile(p) == rec.histogram.quantile(q)
-            exact = _exact_nearest_rank(samples, q)
-            assert (
-                exact
-                <= rec.percentile(p)
-                <= exact * (1.0 + LogHistogram.RELATIVE_ERROR)
-            )
-
-    def test_named_accessors_delegate(self):
-        rec = LatencyRecorder()
-        rec.extend(float(i) for i in range(1, 101))
-        assert rec.p50() == rec.percentile(50.0)
-        assert rec.p99() == rec.percentile(99.0)
-        assert rec.p999() == rec.percentile(99.9)
-
-    def test_merge_recorders(self):
-        a, b = LatencyRecorder(), LatencyRecorder()
-        a.extend([1.0, 2.0])
-        b.extend([3.0, 4.0])
-        a.merge(b)
-        assert len(a) == 4
-        assert a.mean() == pytest.approx(2.5)
 
 
 class TestMetricsRegistry:
@@ -197,11 +180,11 @@ class TestMetricsRegistry:
 class TestPrometheusText:
     def test_counter_and_gauge_lines(self):
         reg = MetricsRegistry()
-        reg.counter("repro_ops_total", target="alex", kind="read").inc(42)
+        reg.counter("repro_bytes_total", target="alex", kind="read").inc(42)
         reg.gauge("repro_leaves").set(7.0)
         text = prometheus_text(reg)
-        assert "# TYPE repro_ops_total counter" in text
-        assert 'repro_ops_total{kind="read",target="alex"} 42.0' in text
+        assert "# TYPE repro_bytes_total counter" in text
+        assert 'repro_bytes_total{kind="read",target="alex"} 42.0' in text
         assert "repro_leaves 7.0" in text
 
     def test_histogram_rendered_as_summary(self):
@@ -231,12 +214,12 @@ class TestPrometheusText:
 
     def test_help_lines_precede_type_lines(self):
         reg = MetricsRegistry()
-        reg.counter("repro_ops_total", target="alex", kind="read").inc()
+        reg.counter("repro_trace_events_total", event="retrain").inc()
         reg.histogram("repro_op_latency_ns", kind="read").record(5.0)
         reg.counter("repro_custom_total").inc()
         text = prometheus_text(reg)
         lines = text.splitlines()
-        for family in ("repro_ops_total", "repro_op_latency_ns"):
+        for family in ("repro_trace_events_total", "repro_op_latency_ns"):
             help_i = lines.index(
                 next(l for l in lines if l.startswith(f"# HELP {family} "))
             )
@@ -256,11 +239,11 @@ class TestPrometheusText:
 
     def test_help_emitted_once_per_family(self):
         reg = MetricsRegistry()
-        reg.counter("repro_ops_total", kind="read").inc()
-        reg.counter("repro_ops_total", kind="write").inc()
+        reg.counter("repro_bytes_total", kind="read").inc()
+        reg.counter("repro_bytes_total", kind="write").inc()
         text = prometheus_text(reg)
-        assert text.count("# HELP repro_ops_total") == 1
-        assert text.count("# TYPE repro_ops_total") == 1
+        assert text.count("# HELP repro_bytes_total") == 1
+        assert text.count("# TYPE repro_bytes_total") == 1
 
 
 

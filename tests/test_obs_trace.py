@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro import registry
-from repro.bench.runner import run_index_ops
+from repro.bench.runner import IndexAdapter, execute_ops
 from repro.obs import (
     EventType,
     Tracer,
@@ -22,6 +22,7 @@ from repro.obs import (
 from repro.perf import PerfContext
 from repro.workloads.datasets import DATASETS
 from repro.workloads.ycsb import (
+    OpKind,
     READ_ONLY,
     WRITE_ONLY,
     WorkloadSpec,
@@ -64,7 +65,7 @@ def _write_heavy_run(cli_name: str, n_load=1_000, n_ops=3_000, rate=1.0):
     load, insert_pool = split_load_and_inserts(keys, 0.2, seed=3)
     index.bulk_load([(k, k) for k in load])
     ops = generate_operations(WRITE_ONLY, n_ops, load, insert_pool, seed=3)
-    run_index_ops(index, ops, perf)
+    execute_ops(IndexAdapter(index), ops, perf)
     return index, tracer
 
 
@@ -188,7 +189,7 @@ class TestAcceptance100k:
         ops = generate_operations(
             self.MIXED, 100_000, load, insert_pool, seed=42
         )
-        run_index_ops(index, ops, perf)
+        execute_ops(IndexAdapter(index), ops, perf)
         # The ``repro report --trace-out`` format: the event spans.
         write_spans_jsonl(_records(tracer), path)
 
@@ -312,7 +313,7 @@ class TestRunnerIntegration:
     def test_metrics_and_progress_wiring(self, tmp_path):
         import io
 
-        from repro.obs import MetricsRegistry, ProgressReporter
+        from repro.obs import ProgressReporter
         from repro.traditional.btree import BPlusTree
 
         perf = PerfContext()
@@ -323,19 +324,16 @@ class TestRunnerIntegration:
         ops = generate_operations(
             READ_ONLY, 500, keys, None, seed=0
         )
-        metrics = MetricsRegistry()
         stream = io.StringIO()
         progress = ProgressReporter(total=500, every=100, stream=stream)
-        result = run_index_ops(
-            index, ops, perf, metrics=metrics, progress=progress
-        )
-        counted = metrics.counter(
-            "repro_ops_total", target=index.name, kind="read"
-        )
-        assert counted.value == len(result.recorder)
-        hist = metrics.histogram(
+        result = execute_ops(IndexAdapter(index), ops, perf, progress=progress)
+        hist = result.metrics.histogram(
             "repro_op_latency_ns", target=index.name, kind="read"
         )
-        assert hist.count == len(result.recorder)
+        assert hist is result.by_kind[OpKind.READ]
+        assert hist.count == len(result.latency) == 500
+        # The histogram's count is the op count: no counter repeats it.
+        families = {name for name, *_ in result.metrics.collect()}
+        assert families == {"repro_bytes_total", "repro_op_latency_ns"}
         out = stream.getvalue()
         assert "ops:" in out and "done" in out

@@ -253,9 +253,14 @@ def test_drain_obs_merges_worker_state_into_parent(transport):
         # Worker-side lifecycle counts land in the parent registry...
         assert sum(event_counts(metrics).values()) > 0
         # ...and command metrics in the parent registry (per-worker
-        # labels).
-        names = {name for name, _kind, _labels, _inst in metrics.collect()}
-        assert "repro_worker_cmds_total" in names
+        # labels; each series' count is the commands that worker served).
+        served = {
+            labels["worker"]: inst.count
+            for name, _kind, labels, inst in metrics.collect()
+            if name == "repro_worker_cmd_wall_ns"
+        }
+        assert set(served) == {"0", "1"}
+        assert all(n > 0 for n in served.values())
     finally:
         engine.close()
 

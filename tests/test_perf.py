@@ -9,8 +9,6 @@ from repro.perf import (
     CostModel,
     Counters,
     Event,
-    LatencyRecorder,
-    LogHistogram,
     PerfContext,
 )
 from repro.perf.cost_model import EVENT_BYTES, bytes_touched
@@ -84,45 +82,6 @@ class TestCostModel:
         c.nvm_read = 2
         c.dram_hop = 1
         assert bytes_touched(c) == 2 * EVENT_BYTES[Event.NVM_READ] + 64
-
-
-class TestLatencyRecorder:
-    def test_percentiles_nearest_rank(self):
-        # The histogram backend reports the bucket upper edge: within
-        # RELATIVE_ERROR (1/128) above the exact nearest-rank sample,
-        # never below it.  max() stays exact.
-        rec = LatencyRecorder()
-        rec.extend(float(i) for i in range(1, 1001))
-        err = LogHistogram.RELATIVE_ERROR
-        for reported, exact in (
-            (rec.p50(), 500.0),
-            (rec.p99(), 990.0),
-            (rec.p999(), 999.0),
-        ):
-            assert exact <= reported <= exact * (1.0 + err)
-        assert rec.max() == 1000.0
-        assert rec.mean() == pytest.approx(500.5)
-        assert len(rec) == 1000
-
-    def test_throughput(self):
-        rec = LatencyRecorder()
-        rec.extend([100.0] * 1000)  # 100 ns/op => 10 Mops
-        assert rec.throughput_mops() == pytest.approx(10.0)
-
-    def test_empty_recorder_raises(self):
-        rec = LatencyRecorder()
-        with pytest.raises(ValueError):
-            rec.p50()
-        with pytest.raises(ValueError):
-            rec.mean()
-
-    def test_bad_percentile_rejected(self):
-        rec = LatencyRecorder()
-        rec.record(1.0)
-        with pytest.raises(ValueError):
-            rec.percentile(0.0)
-        with pytest.raises(ValueError):
-            rec.percentile(101.0)
 
 
 class TestBandwidthModel:
