@@ -24,8 +24,10 @@ index):
 Usage::
 
     python benchmarks/bench_micro.py --quick            # CI smoke scale
-    python benchmarks/bench_micro.py --out BENCH_PR3.json
+    python benchmarks/bench_micro.py --out BENCH_MICRO.json
     python benchmarks/bench_micro.py --quick --check    # fail on regression
+
+The cyclic garbage collector is off while an index is measured.
 
 ``--check`` exits non-zero if a batch API is slower than its scalar
 counterpart on an index with a native batch path — the batch APIs' whole
@@ -37,6 +39,7 @@ bookkeeping, so parity minus that overhead is its ceiling).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -55,7 +58,8 @@ INDEXES = ("pgm", "rs", "btree", "alex")
 #: list; allow that bookkeeping overhead before calling it a regression.
 FALLBACK_FLOOR = 0.75
 
-#: Full-scale parameters (the committed BENCH_PR3.json numbers).
+#: Full-scale parameters (the committed BENCH_PR3.json and
+#: BENCH_MICRO.json numbers).
 FULL = {
     "n_keys": 1_000_000,
     "n_scalar": 5_000,
@@ -183,7 +187,16 @@ def run(scale: dict) -> dict:
         # One RNG stream per index so adding an index never shifts the
         # keys/queries of the others between runs.
         rng = random.Random(f"{SEED}:{alias}")
-        row = bench_index(alias, scale, rng)
+        # The cyclic collector stays off while an index is timed, as
+        # ``timeit`` keeps it: at 1M keys one full collection takes as
+        # long as a whole timed scalar loop, and where it lands depends
+        # on allocation counts, not on the path being measured.
+        gc.collect()
+        gc.disable()
+        try:
+            row = bench_index(alias, scale, rng)
+        finally:
+            gc.enable()
         results[alias] = row
         write_part = (
             f"  insert_many {row['insert_many_ops_s']:>11,.0f} op/s"

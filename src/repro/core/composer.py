@@ -179,7 +179,7 @@ class ComposedIndex(UpdatableIndex):
         run is stitched from whole-leaf extractions.
 
         A scan spanning N leaves is N ``Leaf.scan_from`` slice copies
-        (occupancy-mask compaction for gapped leaves, bounded merges for
+        (of the occupied-slot view for gapped leaves, bounded merges for
         buffered/fine-bin ones) instead of ``count`` iterator item
         probes.  Only the structure lookup charges events — exactly what
         the scalar ``range`` walk charges — so totals stay bit-identical

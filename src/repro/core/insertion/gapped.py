@@ -8,14 +8,21 @@ inserting a new key" (§IV-D).  When occupancy crosses the density limit
 the leaf reports FULL and the retraining policy expands or splits it.
 
 The slot array is a numpy ``uint64`` key array plus a boolean occupancy
-array: gap/occupied scans are ``argmax``/``argmin`` on bool slices (numpy
-short-circuits these) and shifts are slice copies.  The charges are
-those of the original ``List[Optional[int]]`` slot array scanned with
-Python while-loops — same ``DRAM_SEQ`` stride counts, same ``KEY_MOVE``
-totals, same ``_move_ema`` float arithmetic — so retrain triggers fire
-at exactly the same inserts.  That list-backed leaf is kept as a test
-oracle (``tests/oracles/gapped_list.py``), held equal charge for charge
-by ``tests/test_batch_insert.py::TestGappedLeafEquivalence``.
+array.  Every gap/occupied scan costs O(distance to the answer): a
+forward scan is ``argmax``/``argmin`` on a bool slice (numpy
+short-circuits these), and a backward scan tests the start slot, then
+walks back through forward-contiguous windows that double in size (numpy
+copies a reversed view whole, so a backward ``argmax`` would cost
+O(slot index)).  Shifts are slice copies.  The batch paths and ``items``
+share one cached occupied-slot view, ``(positions, keys)``, which every
+slot mutator drops and ``insert_batch`` replaces with the layout it just
+placed.  The charges are those of the original ``List[Optional[int]]``
+slot array scanned with Python while-loops — same ``DRAM_SEQ`` stride
+counts, same ``KEY_MOVE`` totals, same ``_move_ema`` float arithmetic —
+so retrain triggers fire at exactly the same inserts.  That list-backed
+leaf is kept as a test oracle (``tests/oracles/gapped_list.py``), held
+equal charge for charge by
+``tests/test_batch_insert.py::TestGappedLeafEquivalence``.
 
 A key the ``uint64`` array cannot store as an equal value (negative,
 >= 2^64, or not an integer) raises ``InvalidKeysError`` when the leaf is
@@ -30,6 +37,7 @@ import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa_gap import GappedSegment
 from repro.core.insertion.base import InsertResult, Leaf
+from repro.core.interfaces import KEY_LIMIT, scan_start
 from repro.errors import InvalidConfigurationError, InvalidKeysError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
@@ -40,18 +48,19 @@ _PAIR_BYTES = 16
 #: conservative).
 _SCAN_STRIDE = 16
 
+#: Slots in the first window of a backward scan; each further window
+#: doubles, so a scan ending ``d`` slots back touches O(d) slots.
+_BACK_WINDOW = 64
+
 #: Below this batch size ``get_many``'s occupied-array extraction costs
 #: more than the per-key loop it replaces.
 _MIN_BATCH = 8
-
-#: Exclusive upper bound of the ``uint64`` keys.
-_U64_LIMIT = 1 << 64
 
 
 def _storable(key: Any) -> bool:
     """Whether the ``uint64`` key array stores ``key`` as an equal value."""
     try:
-        return 0 <= key < _U64_LIMIT and int(key) == key
+        return 0 <= key < KEY_LIMIT and int(key) == key
     except TypeError:
         return False
 
@@ -127,6 +136,7 @@ class GappedLeaf(Leaf):
         keys_np[pos] = compact
         self._np_keys = keys_np
         self._np_occ = occ
+        self._view = None
         self._slot_values = [None] * self._slots
         for p, v in zip(pos.tolist(), values):
             self._slot_values[p] = v
@@ -134,7 +144,17 @@ class GappedLeaf(Leaf):
     # -- storage accessors ------------------------------------------------
 
     def _key_at(self, i: int) -> int:
-        return int(self._np_keys[i])
+        return self._np_keys.item(i)
+
+    def _occupied_slots(self) -> Tuple[Any, Any]:
+        """``(pos, keys)``: the occupied slots and their keys, ascending.
+
+        Built on first use and kept until a slot mutator drops it.
+        """
+        if self._view is None:
+            pos = _vec.np.flatnonzero(self._np_occ)
+            self._view = (pos, self._np_keys[pos])
+        return self._view
 
     def slot_layout(self) -> List[Optional[int]]:
         """The slot array as ``key-or-None`` per slot."""
@@ -154,11 +174,20 @@ class GappedLeaf(Leaf):
         if j < 0:
             self._charge_scan(0)
             return -1
-        seg = self._np_occ[j::-1]
-        off = int(seg.argmax() if occupied else seg.argmin())
-        if seg[off] == occupied:
-            self._charge_scan(off)
-            return j - off
+        occ = self._np_occ
+        if occ.item(j) == occupied:
+            self._charge_scan(0)
+            return j
+        hi, width = j, _BACK_WINDOW
+        while hi > 0:
+            lo = max(hi - width, 0)
+            seg = occ[lo:hi]
+            hits = (seg if occupied else ~seg).nonzero()[0]
+            if hits.size:
+                c = lo + hits.item(-1)
+                self._charge_scan(j - c)
+                return c
+            hi, width = lo, width * 2
         self._charge_scan(j + 1)
         return -1
 
@@ -171,7 +200,7 @@ class GappedLeaf(Leaf):
             return -1
         seg = self._np_occ[j:]
         off = int(seg.argmax() if occupied else seg.argmin())
-        if seg[off] == occupied:
+        if seg.item(off) == occupied:
             self._charge_scan(off)
             return j + off
         self._charge_scan(n - j)
@@ -307,8 +336,7 @@ class GappedLeaf(Leaf):
             self.perf.charge(Event.DRAM_HOP, n)
             return [None] * n
         np = _vec.np
-        pos = np.flatnonzero(self._np_occ)
-        compact = self._np_keys[pos]
+        pos, compact = self._occupied_slots()
         idx = np.searchsorted(compact, qs, side="right").astype(np.int64) - 1
         hit = (idx >= 0) & (compact[np.maximum(idx, 0)] == qs)
         self.perf.charge(Event.DRAM_HOP, n)
@@ -354,8 +382,7 @@ class GappedLeaf(Leaf):
         ks = ks[kidx]
         vs = [items[i][1] for i in kidx.tolist()]
 
-        pos = np.flatnonzero(self._np_occ)
-        existing = self._np_keys[pos]
+        pos, existing = self._occupied_slots()
         m = int(existing.size)
         if m:
             loc = np.searchsorted(existing, ks)
@@ -407,6 +434,7 @@ class GappedLeaf(Leaf):
         for s, v in zip(slot.tolist(), merged_vals):
             values[s] = v
         self._np_keys, self._np_occ, self._slot_values = keys_np, occ, values
+        self._view = (slot, merged)
         self._occupied += n_fresh
         if merged.size:
             first = int(merged[0])
@@ -493,30 +521,34 @@ class GappedLeaf(Leaf):
             self._np_keys[lo + 1 : hi + 1] = self._np_keys[lo:hi].copy()
             self._np_occ[lo + 1 : hi + 1] = self._np_occ[lo:hi].copy()
             self._slot_values[lo + 1 : hi + 1] = self._slot_values[lo:hi]
+        self._view = None
         self.perf.charge(Event.KEY_MOVE, hi - lo)
 
     def _place(self, slot: int, key: int, value: Any) -> None:
         self._np_keys[slot] = key
         self._np_occ[slot] = True
         self._slot_values[slot] = value
+        self._view = None
         self._occupied += 1
         if key < self._first:
             self._first = key
 
     def scan_from(self, lo: int, limit: int) -> List[Tuple[int, Any]]:
-        """Range extraction in one occupancy-mask/compaction pass.
+        """Range extraction from the occupied-slot view.
 
-        ``flatnonzero`` compacts the gapped slot array, ``searchsorted``
-        finds the first live key >= ``lo``, and the run comes out as one
-        slice — no per-slot gap skipping.  Charges nothing, exactly like
-        the ``items()``-based default it replaces.
+        ``searchsorted`` finds the first live key >= ``lo`` and the run
+        comes out as one slice — no per-slot gap skipping.  The search
+        value is an exact ``uint64``: numpy compares a Python int with a
+        ``uint64`` array as float64, which is inexact above 2^53.
+        Charges nothing, exactly like the ``items()``-based default it
+        replaces.
         """
-        if self._occupied == 0:
+        start = scan_start(lo)
+        if self._occupied == 0 or start is None:
             return []
         np = _vec.np
-        pos = np.flatnonzero(self._np_occ)
-        compact = self._np_keys[pos]
-        i = int(np.searchsorted(compact, lo, side="left"))
+        pos, compact = self._occupied_slots()
+        i = int(np.searchsorted(compact, np.uint64(start), side="left"))
         take = pos[i : i + limit].tolist()
         values = self._slot_values
         return [
@@ -525,12 +557,9 @@ class GappedLeaf(Leaf):
         ]
 
     def items(self) -> List[Tuple[int, Any]]:
-        pos = _vec.np.flatnonzero(self._np_occ)
+        pos, compact = self._occupied_slots()
         values = self._slot_values
-        return [
-            (k, values[p])
-            for p, k in zip(pos.tolist(), self._np_keys[pos].tolist())
-        ]
+        return [(k, values[p]) for p, k in zip(pos.tolist(), compact.tolist())]
 
     @property
     def capacity_slots(self) -> int:
@@ -552,6 +581,7 @@ class GappedLeaf(Leaf):
     def _clear(self, slot: int) -> None:
         self._np_occ[slot] = False
         self._slot_values[slot] = None
+        self._view = None
 
     def size_bytes(self) -> int:
         # Slot array + occupancy bitmap + model.

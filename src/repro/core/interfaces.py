@@ -7,6 +7,8 @@ values are arbitrary Python objects — in the Viper store they are
 
 from __future__ import annotations
 
+import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
@@ -17,6 +19,25 @@ from repro.perf.context import DEFAULT_CONTEXT, PerfContext
 
 Key = int
 Value = Any
+
+#: Exclusive upper bound of the uint64 key space.
+KEY_LIMIT = 1 << 64
+
+
+def scan_start(start: Any) -> Optional[int]:
+    """The smallest uint64 key at or above ``start``; ``None`` if none is.
+
+    An integer of any type converts exactly, any other number rounds up,
+    and a negative start clamps to 0, so a scan from ``start`` is a scan
+    from the returned key.
+    """
+    try:
+        s = operator.index(start)
+    except TypeError:
+        s = math.ceil(start)
+    if s >= KEY_LIMIT:
+        return None
+    return s if s > 0 else 0
 
 
 @dataclass(frozen=True)

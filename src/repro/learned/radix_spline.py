@@ -21,6 +21,7 @@ from repro.core.interfaces import (
     SortedIndex,
     Value,
     check_sorted_unique,
+    scan_start,
 )
 from repro.core.structures.base import (
     bounded_binary_search,
@@ -175,6 +176,12 @@ class RadixSplineIndex(SortedIndex):
     def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
         if self._spline is None:
             return
+        if not isinstance(lo, int):
+            # The radix table shifts key bits: search from the first
+            # integer key instead (an integer start keeps its charges).
+            lo = scan_start(lo)
+            if lo is None:
+                return
         pos = self._rank(lo)
         if pos < 0 or self._keys[pos] < lo:
             pos += 1
@@ -195,33 +202,22 @@ class RadixSplineIndex(SortedIndex):
         :func:`replay_rank_search` reproduce the scalar probe ledgers in
         pure integer arithmetic, and the batch's charges go out as four
         aggregate events — totals bit-identical to sequential
-        :meth:`scan`.  Inexact batches keep the per-start charged loop.
+        :meth:`scan`.  Inexact batches take the per-start :meth:`scan`.
         """
         if self._spline is None:
             return [[] for _ in starts]
-        limit = count if count > 0 else 1
-        keys = self._keys
-        values = self._values
-        n = len(keys)
-        out: List[List[Tuple[Key, Value]]] = []
         qs = (
             _vec.as_u64(starts)
             if self._keys_np is not None and self._knots_np is not None
             else None
         )
         if qs is None:
-            for start in starts:
-                pos = self._rank(start)
-                if pos < 0 or keys[pos] < start:
-                    pos += 1
-                take = min(limit, n - pos)
-                if take > 0:
-                    self.perf.charge(Event.DRAM_SEQ, take)
-                    out.append(list(zip(keys[pos : pos + take],
-                                        values[pos : pos + take])))
-                else:
-                    out.append([])
-            return out
+            return super().scan_many(starts, count)
+        limit = count if count > 0 else 1
+        keys = self._keys
+        values = self._values
+        n = len(keys)
+        out: List[List[Tuple[Key, Value]]] = []
         np = _vec.np
         astar = (
             np.searchsorted(self._keys_np, qs, side="right").astype(np.int64)

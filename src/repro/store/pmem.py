@@ -99,8 +99,10 @@ class PMemDevice:
             count=pages_needed,
             reason="vpage_bulk",
         )
+        # One int object per page, shared by the addresses of its slots.
+        pages = list(range(first, first + pages_needed))
         return [
-            (first + i // self.slots_per_page, i % self.slots_per_page)
+            (pages[i // self.slots_per_page], i % self.slots_per_page)
             for i in range(n)
         ]
 

@@ -281,12 +281,12 @@ class ViperStore:
         records = self.device.read_records(
             [location for run in runs for _, location in run]
         )
+        # A stored record is the (key, value) pair the scan returns, so
+        # each run is a slice of the records, not a copy of each one.
         out: List[List[Tuple[int, Any]]] = []
         i = 0
         for run in runs:
-            out.append(
-                [(key, records[i + j][1]) for j, (key, _) in enumerate(run)]
-            )
+            out.append(records[i : i + len(run)])
             i += len(run)
         return out
 

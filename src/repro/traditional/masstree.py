@@ -13,12 +13,14 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.core.interfaces import (
+    KEY_LIMIT,
     Capabilities,
     IndexStats,
     Key,
     UpdatableIndex,
     Value,
     check_sorted_unique,
+    scan_start,
 )
 from repro.perf.context import PerfContext
 from repro.traditional.btree import BPlusTree
@@ -168,7 +170,12 @@ class Masstree(UpdatableIndex):
 
     def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
         # uint64 keys all sit in layer 0 with empty suffixes, so the
-        # layer-0 B+tree's order is the key order.
+        # layer-0 B+tree's order is the key order.  The bounds narrow to
+        # the uint64 keys they admit, which the 8-byte encoding can hold.
+        lo = scan_start(lo)
+        if lo is None or hi < lo:
+            return
+        hi = int(min(hi, KEY_LIMIT - 1))  # hi >= lo >= 0: int() floors
         code_lo = _chunk_code(self._encode(lo))
         code_hi = _chunk_code(self._encode(hi))
         for code, entry in self._root.tree.range(code_lo, code_hi):

@@ -308,6 +308,37 @@ class TestGappedLeafEquivalence:
             assert out_s == out_v, f"{op} diverged at op {i}"
             _assert_same(scalar, perf_s, vector, perf_v, f"at {op} {i}")
 
+    def test_long_gap_runs_identical(self):
+        """Ops inside gap runs far longer than a backward scan's first
+        window: the runs free slot 0 and the last slot, and a live key
+        sits on both edges of the middle one."""
+        keys = _realistic_keys("ycsb", n=12_000)
+        scalar, perf_s, vector, perf_v = _leaf_pair(keys)
+        runs = [(0, 100), (3_000, 1_000), (len(keys) - 5_000, 5_000)]
+        for start, length in runs:
+            run = keys[start : start + length]
+            # Alternate keys first, so most deletes meet a short gap and
+            # the list oracle's slot walks stay cheap.
+            for k in run[::2] + run[1::2]:
+                assert scalar.delete(k) is vector.delete(k) is True
+            _assert_same(scalar, perf_s, vector, perf_v, f"after run {length}")
+        probes = [0, keys[-1] + 1]  # at slot 0 and at the last slot
+        for start, length in runs:
+            mid = start + length // 2
+            probes += keys[max(start - 1, 0) : start + 1]  # left edge
+            probes += [keys[mid], (keys[mid] + keys[mid + 1]) // 2]
+            probes += keys[start + length - 1 : start + length + 1]  # right
+        for k in probes:
+            for op, args in (
+                ("get", (k,)),
+                ("insert", (k, -k)),
+                ("upsert", (k, k + 1)),
+                ("delete", (k,)),
+            ):
+                out_s = getattr(scalar, op)(*args)
+                assert getattr(vector, op)(*args) == out_s, f"{op} {k}"
+                _assert_same(scalar, perf_s, vector, perf_v, f"at {op} {k}")
+
     def test_get_many_matches_scalar_loop(self):
         keys = _realistic_keys("ycsb", n=1_500)
         _, _, vector, _ = _leaf_pair(keys, density=0.5)

@@ -7,10 +7,12 @@ every sorted registry spec, flat and through the Viper store, and
 through the sharded engine over both its in-process loopback transport
 and worker processes.  Edge cases pinned
 here: scans spanning leaf boundaries, empty ranges past the last key,
-duplicate start keys, post-insert buffers, and hash indexes failing with
+duplicate start keys, post-insert buffers, hostile starts (negative,
+non-integer, at or past 2^64), and hash indexes failing with
 :class:`UnsupportedOperationError`, never ``AttributeError``.
 """
 
+import bisect
 import random
 
 import pytest
@@ -210,6 +212,32 @@ def test_parallel_scan_many_matches_scalar(name, workers):
             _assert_parity(engine, perf, starts, count, f"workers={workers}")
     finally:
         engine.close()
+
+
+# ------------------------------------------------------ hostile starts
+
+
+@pytest.mark.parametrize("spec", _spec_params())
+def test_hostile_scan_starts_match_oracle(spec):
+    """Every sorted spec returns the first keys at or above any start: a
+    negative start scans from the smallest key, a non-integer one from
+    the next integer, and one at or above 2^64 is empty."""
+    perf = PerfContext()
+    index = spec.build(perf)
+    if not isinstance(index, SortedIndex):
+        pytest.skip("hash index: covered by the raising tests")
+    keys = _keys()
+    index.bulk_load([(k, k * 3) for k in keys])
+    mid = keys[len(keys) // 2]
+    starts = [-5, -0.5, 0.5, mid - 0.5, mid + 0.5, float(mid),
+              keys[-1] + 0.5, 1.5e19, 2**64 - 1, 2**64, 2**64 + 10]
+    for count in (1, 50):
+        oracle = [
+            [(k, k * 3) for k in keys[bisect.bisect_left(keys, s) :][:count]]
+            for s in starts
+        ]
+        assert [index.scan(s, count) for s in starts] == oracle, count
+        _assert_parity(index, perf, starts, count, "hostile")
 
 
 # ------------------------------------------------------------- raising

@@ -8,9 +8,11 @@ and a ~3,000-key bulk load holding both ends of the key space (0 and
 operation.  Hash specs skip scans; read-only specs run ``bulk_load``,
 ``get_many`` and ``scan_many`` only.
 
-Keys are drawn where bugs live: live keys, recently deleted keys, a dense
-range, the whole key space and its ends.  A delete removes a run of
-consecutive live keys, so leaves lose their first keys and empty out.
+Keys are drawn where bugs live: live keys, recently deleted keys, two
+dense ranges, the whole key space and its ends.  One dense range sits at
+2^60, where a float64 cannot tell adjacent keys apart.  A delete removes
+a run of consecutive live keys, so leaves lose their first keys and
+empty out.
 """
 
 import bisect
@@ -23,6 +25,8 @@ from repro.registry import specs
 
 U64_MAX = 2**64 - 1
 EDGES = (0, 1, U64_MAX - 1, U64_MAX)
+#: Bases of the dense key ranges ``[base, base + 4096)``.
+DENSE = (0, 2**60)
 OPS = 300
 SPECS = list(specs())
 UPDATABLE = [s for s in SPECS if s.build().capabilities().updatable]
@@ -70,7 +74,7 @@ class _Model:
 def _fresh(rng):
     r = rng.random()
     if r < 0.6:
-        return rng.randrange(0, 4096)
+        return rng.choice(DENSE) + rng.randrange(0, 4096)
     if r < 0.9:
         return rng.randrange(0, 2**64)
     return rng.choice(EDGES)
@@ -81,8 +85,9 @@ def _start(rng, start):
         return []
     if start == "one":
         return [(_fresh(rng), -1)]
-    keys = set(rng.sample(range(1, 4096), 1_500))
-    keys.update(rng.randrange(1, U64_MAX) for _ in range(1_500))
+    keys = set(rng.sample(range(1, 4096), 1_000))
+    keys.update(DENSE[1] + k for k in rng.sample(range(4096), 1_000))
+    keys.update(rng.randrange(1, U64_MAX) for _ in range(1_000))
     keys.update((0, U64_MAX))
     return [(k, -k) for k in sorted(keys)]
 
