@@ -15,8 +15,8 @@ from repro.core.approximation import (
     OptPLAApproximator,
 )
 from repro.core.approximation.lsa_gap import GappedSegment
-from repro.core.insertion.base import rank_search
 from repro.core.insertion.gapped import GappedLeaf
+from repro.core.search import rank_search
 from repro.perf import Event, PerfContext
 
 CONFIGS = [

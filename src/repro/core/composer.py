@@ -33,6 +33,8 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
+    check_items,
+    check_key,
     check_sorted_unique,
 )
 from repro.core.retraining.base import RetrainPolicy
@@ -205,6 +207,7 @@ class ComposedIndex(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         if not self.leaves:
             self.leaves = [
                 self.insertion.make_leaf([key], [value], None, self.perf)
@@ -230,6 +233,7 @@ class ComposedIndex(UpdatableIndex):
         """Single-descent insert-or-overwrite: one structure lookup plus
         one in-leaf rank search resolves both the old value and the write
         target (the default would probe and then insert — two descents)."""
+        check_key(key)
         if not self.leaves:
             self.insert(key, value)
             return None
@@ -260,6 +264,7 @@ class ComposedIndex(UpdatableIndex):
         *remaining* suffix is re-routed, since retraining changes the
         leaf list.
         """
+        check_items(items)
         n = len(items)
         if not n:
             return

@@ -6,219 +6,7 @@ import enum
 from abc import ABC, abstractmethod
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.perf.context import PROBE_LOCALITY_KEYS, PerfContext, charge_probe
-from repro.perf.events import Event
-
-
-def rank_search(
-    keys: Any, lo: int, hi: int, key: int, guess: int, perf: PerfContext
-) -> int:
-    """Rightmost index in ``[lo, hi]`` with ``keys[i] <= key``; ``lo - 1`` if none.
-
-    ``keys[lo..hi]`` must be sorted and gap-free.  Exponential search from
-    ``guess``: the probe count scales with the prediction error, and each
-    probe that jumps beyond cache-line locality is charged as a cache
-    miss (see :func:`repro.perf.context.charge_probe`) — the mechanism
-    through which model quality reaches the simulated clock.
-    """
-    charge = perf.charge
-    if guess < lo:
-        guess = lo
-    elif guess > hi:
-        guess = hi
-    prev = guess
-    charge(Event.COMPARE)
-    if keys[guess] <= key:
-        a = guess
-        bound = 1
-        while guess + bound <= hi:
-            charge(Event.COMPARE)
-            charge_probe(perf, guess + bound - prev)
-            prev = guess + bound
-            if keys[guess + bound] <= key:
-                a = guess + bound
-                bound *= 2
-            else:
-                break
-        b = min(hi, guess + bound)
-        while a < b:
-            mid = (a + b + 1) // 2
-            charge(Event.COMPARE)
-            charge_probe(perf, mid - prev)
-            prev = mid
-            if keys[mid] <= key:
-                a = mid
-            else:
-                b = mid - 1
-        return a
-    b = guess
-    bound = 1
-    while guess - bound >= lo:
-        charge(Event.COMPARE)
-        charge_probe(perf, guess - bound - prev)
-        prev = guess - bound
-        if keys[guess - bound] > key:
-            b = guess - bound
-            bound *= 2
-        else:
-            break
-    a = guess - bound
-    if a < lo:
-        a = lo
-        charge(Event.COMPARE)
-        charge_probe(perf, a - prev)
-        prev = a
-        if keys[a] > key:
-            return lo - 1
-    # Invariant: keys[a] <= key < keys[b]; rightmost <= key is in [a, b-1].
-    hi2 = b - 1
-    while a < hi2:
-        mid = (a + hi2 + 1) // 2
-        charge(Event.COMPARE)
-        charge_probe(perf, mid - prev)
-        prev = mid
-        if keys[mid] <= key:
-            a = mid
-        else:
-            hi2 = mid - 1
-    return a
-
-
-def replay_rank_search(
-    lo: int, hi: int, guess: int, astar: int
-) -> Tuple[int, int, int, int]:
-    """``(compare, hop, seq, pos)`` that :func:`rank_search` would produce.
-
-    Every probe of :func:`rank_search` compares ``keys[x] <= key``, which
-    for a sorted gap-free ``keys[lo..hi]`` equals ``x <= astar`` where
-    ``astar`` is the true answer (the rightmost index with
-    ``keys[i] <= key``, ``lo - 1`` if none).  The whole probe trajectory
-    — and with it the event ledger — is therefore a pure function of
-    ``(lo, hi, guess, astar)``: batch paths obtain ``astar`` for every
-    query with one vectorized ``searchsorted`` and replay the charges
-    here without touching the key array.  Mirrors :func:`rank_search`
-    branch for branch; ``pos`` always equals the scalar return value.
-    """
-    compare = hop = seq = 0
-    if guess < lo:
-        guess = lo
-    elif guess > hi:
-        guess = hi
-    prev = guess
-    compare += 1
-    if guess <= astar:
-        a = guess
-        bound = 1
-        while guess + bound <= hi:
-            compare += 1
-            d = guess + bound - prev
-            if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-                hop += 1
-            else:
-                seq += 1
-            prev = guess + bound
-            if guess + bound <= astar:
-                a = guess + bound
-                bound *= 2
-            else:
-                break
-        b = min(hi, guess + bound)
-        while a < b:
-            mid = (a + b + 1) // 2
-            compare += 1
-            d = mid - prev
-            if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-                hop += 1
-            else:
-                seq += 1
-            prev = mid
-            if mid <= astar:
-                a = mid
-            else:
-                b = mid - 1
-        return compare, hop, seq, a
-    b = guess
-    bound = 1
-    while guess - bound >= lo:
-        compare += 1
-        d = guess - bound - prev
-        if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-            hop += 1
-        else:
-            seq += 1
-        prev = guess - bound
-        if guess - bound > astar:
-            b = guess - bound
-            bound *= 2
-        else:
-            break
-    a = guess - bound
-    if a < lo:
-        a = lo
-        compare += 1
-        d = a - prev
-        if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-            hop += 1
-        else:
-            seq += 1
-        prev = a
-        if a > astar:
-            return compare, hop, seq, lo - 1
-    hi2 = b - 1
-    while a < hi2:
-        mid = (a + hi2 + 1) // 2
-        compare += 1
-        d = mid - prev
-        if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-            hop += 1
-        else:
-            seq += 1
-        prev = mid
-        if mid <= astar:
-            a = mid
-        else:
-            hi2 = mid - 1
-    return compare, hop, seq, a
-
-
-#: d -> (compare, hop, seq) of an interior rank search (see
-#: :func:`rank_replay_charges`).
-_RANK_REPLAY_MEMO: dict = {}
-
-
-def rank_replay_charges(d: int) -> Tuple[int, int, int]:
-    """``(compare, hop, seq)`` of a rank search with error ``d``.
-
-    Valid when ``guess - (2|d| + 2) >= lo`` and
-    ``guess + (2|d| + 2) <= hi``: the gallop never exceeds a bound of
-    ``2|d|``, so no probe can leave ``[lo, hi]`` and no clamp branch can
-    fire — the trajectory, and with it the ledger, is then a pure
-    function of ``d = astar - guess``, shared across positions and
-    across indexes.
-    """
-    hit = _RANK_REPLAY_MEMO.get(d)
-    if hit is None:
-        span = 2 * abs(d) + 4
-        c, h, s, _ = replay_rank_search(0, 2 * span, span, span + d)
-        hit = _RANK_REPLAY_MEMO[d] = (c, h, s)
-    return hit
-
-
-#: (hi, guess, astar) -> charges for rank searches too close to a border
-#: for the translation-invariant memo (lo is always 0 at the call sites).
-_RANK_BORDER_MEMO: dict = {}
-
-
-def rank_border_charges(hi: int, guess: int, astar: int):
-    """Memoized :func:`replay_rank_search` charges over ``[0, hi]``."""
-    key = (hi, guess, astar)
-    hit = _RANK_BORDER_MEMO.get(key)
-    if hit is None:
-        if len(_RANK_BORDER_MEMO) > 65536:
-            _RANK_BORDER_MEMO.clear()
-        c, h, s, _ = replay_rank_search(0, hi, guess, astar)
-        hit = _RANK_BORDER_MEMO[key] = (c, h, s)
-    return hit
+from repro.perf.context import PerfContext
 
 
 class InsertResult(enum.Enum):

@@ -14,7 +14,8 @@ from bisect import bisect_left
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.approximation.base import LinearModel
-from repro.core.insertion.base import InsertResult, Leaf, rank_search
+from repro.core.insertion.base import InsertResult, Leaf
+from repro.core.search import rank_search
 from repro.errors import InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event

@@ -37,7 +37,7 @@ import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa_gap import GappedSegment
 from repro.core.insertion.base import InsertResult, Leaf
-from repro.core.interfaces import KEY_LIMIT, scan_start
+from repro.core.interfaces import is_uint64, scan_start
 from repro.errors import InvalidConfigurationError, InvalidKeysError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
@@ -55,14 +55,6 @@ _BACK_WINDOW = 64
 #: Below this batch size ``get_many``'s occupied-array extraction costs
 #: more than the per-key loop it replaces.
 _MIN_BATCH = 8
-
-
-def _storable(key: Any) -> bool:
-    """Whether the ``uint64`` key array stores ``key`` as an equal value."""
-    try:
-        return 0 <= key < KEY_LIMIT and int(key) == key
-    except TypeError:
-        return False
 
 
 class GappedLeaf(Leaf):
@@ -458,7 +450,7 @@ class GappedLeaf(Leaf):
             old = self._slot_values[r]
             self._slot_values[r] = value
             return InsertResult.UPDATED, old
-        if not _storable(key):
+        if not is_uint64(key):
             # Checked before any slot moves: the uint64 key array would
             # store a different value (or fail), and a failed store after
             # a shift would leave a duplicated slot behind.

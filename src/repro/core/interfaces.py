@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
-from repro.errors import UnsupportedOperationError
+from repro.errors import InvalidKeysError, UnsupportedOperationError
 from repro.perf.context import DEFAULT_CONTEXT, PerfContext
 
 Key = int
@@ -38,6 +38,37 @@ def scan_start(start: Any) -> Optional[int]:
     if s >= KEY_LIMIT:
         return None
     return s if s > 0 else 0
+
+
+def is_uint64(key: Any) -> bool:
+    """Whether ``key`` equals a uint64 key: an integral number in [0, 2^64).
+
+    The one test for a key that an 8-byte key slot can store as an equal
+    value; NaN, infinities and non-numbers fail it.
+    """
+    try:
+        return 0 <= key < KEY_LIMIT and int(key) == key
+    except TypeError:
+        return False
+
+
+def check_key(key: Any) -> None:
+    """Raise :class:`InvalidKeysError` if ``key`` is NaN.
+
+    NaN compares false with every key, so no ordered structure can place
+    it and no lookup finds it again.  Every insert and upsert calls this
+    before it changes anything.
+    """
+    if key != key:
+        raise InvalidKeysError(
+            f"key {key!r} is NaN: it has no place in the key order"
+        )
+
+
+def check_items(items: Sequence[Tuple[Any, Any]]) -> None:
+    """:func:`check_key` on every key of a batch, before any is applied."""
+    for key, _ in items:
+        check_key(key)
 
 
 @dataclass(frozen=True)
@@ -135,6 +166,7 @@ class Index(ABC):
         leaf-chain reuse) — see ``registry.has_native_batch_insert``.
         Read-only indexes raise ``UnsupportedOperationError``.
         """
+        check_items(items)
         for key, value in items:
             self.insert(key, value)
 
@@ -148,6 +180,7 @@ class Index(ABC):
         path override it so a put charges one lookup and one write, as in
         the paper's cost model.
         """
+        check_key(key)
         old = self.get(key)
         if old is None or self.insert_is_upsert:
             self.insert(key, value)
@@ -169,6 +202,7 @@ class Index(ABC):
         one traversal per key, not a probe pass plus a write pass — see
         ``registry.has_native_batch_upsert``.
         """
+        check_items(items)
         return [self.upsert(key, value) for key, value in items]
 
     def update(self, key: Key, value: Value) -> bool:

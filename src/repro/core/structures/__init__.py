@@ -16,7 +16,8 @@ fence key <= key", but charges different event mixes:
   table probe + a binary search within the prefix bucket.
 """
 
-from repro.core.structures.base import InternalStructure, exponential_search
+from repro.core.search import exponential_search
+from repro.core.structures.base import InternalStructure
 from repro.core.structures.rmi_structure import RMIStructure
 from repro.core.structures.btree_structure import BTreeStructure
 from repro.core.structures.lrs_structure import LRSStructure

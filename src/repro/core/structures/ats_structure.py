@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa import fit_least_squares
-from repro.core.structures.base import InternalStructure, exponential_search
+from repro.core.search import exponential_search
+from repro.core.structures.base import InternalStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event

@@ -1,4 +1,4 @@
-"""Base class and shared search helpers for internal structures."""
+"""Base class for internal structures."""
 
 from __future__ import annotations
 
@@ -6,251 +6,8 @@ from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
 import repro.core.approximation.vectorized as _vec
-from repro.errors import EmptyIndexError
-from repro.perf.context import (
-    DEFAULT_CONTEXT,
-    PROBE_LOCALITY_KEYS,
-    PerfContext,
-    charge_probe,
-)
+from repro.perf.context import DEFAULT_CONTEXT, PerfContext
 from repro.perf.events import Event
-
-
-def exponential_search(
-    fences: Sequence[int], key: int, guess: int, perf: PerfContext
-) -> int:
-    """Exact leaf index from a (possibly wrong) ``guess``.
-
-    Returns the index of the rightmost fence <= key (clamped to 0), the
-    same answer ``bisect_right(fences, key) - 1`` would give.  Each probe
-    charges a comparison plus a locality-dependent memory access, so a
-    better guess is genuinely cheaper — how prediction quality feeds the
-    simulated clock.
-    """
-    n = len(fences)
-    if n == 0:
-        raise EmptyIndexError("no fences to search")
-    if guess < 0:
-        guess = 0
-    elif guess >= n:
-        guess = n - 1
-
-    charge = perf.charge
-    prev = guess
-    charge(Event.COMPARE)
-    if fences[guess] <= key:
-        # Gallop right for the first fence > key.
-        bound = 1
-        while guess + bound < n:
-            charge(Event.COMPARE)
-            charge_probe(perf, guess + bound - prev)
-            prev = guess + bound
-            if fences[guess + bound] > key:
-                break
-            bound *= 2
-        lo = guess + bound // 2
-        hi = min(n - 1, guess + bound)
-    else:
-        # Gallop left for a fence <= key.
-        bound = 1
-        while guess - bound >= 0:
-            charge(Event.COMPARE)
-            charge_probe(perf, guess - bound - prev)
-            prev = guess - bound
-            if fences[guess - bound] <= key:
-                break
-            bound *= 2
-        lo = max(0, guess - bound)
-        hi = guess - bound // 2
-    # Binary search for rightmost fence <= key within [lo, hi].
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        charge(Event.COMPARE)
-        charge_probe(perf, mid - prev)
-        prev = mid
-        if fences[mid] <= key:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def replay_exponential_search(n, guess, astar):
-    """``(compare, hop, seq, pos)`` that :func:`exponential_search` emits.
-
-    Every probe compares ``fences[x] <= key``, which over sorted fences
-    equals ``x <= astar`` with ``astar = bisect_right(fences, key) - 1``
-    (``-1`` when the key precedes every fence) — so the trajectory and
-    ledger are pure functions of ``(n, guess, astar)``.  Batch paths
-    compute ``astar`` per query with one vectorized ``searchsorted`` and
-    replay the charges here; ``pos`` equals the scalar return value.
-    """
-    compare = hop = seq = 0
-    if guess < 0:
-        guess = 0
-    elif guess >= n:
-        guess = n - 1
-    prev = guess
-    compare += 1
-    if guess <= astar:
-        bound = 1
-        while guess + bound < n:
-            compare += 1
-            d = guess + bound - prev
-            if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-                hop += 1
-            else:
-                seq += 1
-            prev = guess + bound
-            if guess + bound > astar:
-                break
-            bound *= 2
-        lo = guess + bound // 2
-        hi = min(n - 1, guess + bound)
-    else:
-        bound = 1
-        while guess - bound >= 0:
-            compare += 1
-            d = guess - bound - prev
-            if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-                hop += 1
-            else:
-                seq += 1
-            prev = guess - bound
-            if guess - bound <= astar:
-                break
-            bound *= 2
-        lo = max(0, guess - bound)
-        hi = guess - bound // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        compare += 1
-        d = mid - prev
-        if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-            hop += 1
-        else:
-            seq += 1
-        prev = mid
-        if mid <= astar:
-            lo = mid
-        else:
-            hi = mid - 1
-    return compare, hop, seq, lo
-
-
-#: d -> (compare, hop, seq) of an interior exponential search (see
-#: :func:`exp_replay_charges`); trajectories this far from the borders
-#: depend only on the prediction error, so the memo is index-agnostic.
-_EXP_REPLAY_MEMO: dict = {}
-
-
-def exp_replay_charges(d: int):
-    """``(compare, hop, seq)`` of an exponential search with error ``d``.
-
-    Valid when every probe provably stays inside the fence array:
-    ``guess - (2|d| + 2) >= 0`` and ``guess + (2|d| + 2) <= n - 1``
-    (gallop bounds never exceed ``2|d|``, so neither loop condition nor
-    a lo/hi clamp can fire).  Interior trajectories are then translation
-    invariant — a pure function of ``d = astar - guess`` — which lets
-    batch paths bill thousands of searches from a tiny memo instead of
-    replaying each one.
-    """
-    hit = _EXP_REPLAY_MEMO.get(d)
-    if hit is None:
-        span = 2 * abs(d) + 4
-        c, h, s, _ = replay_exponential_search(2 * span + 1, span, span + d)
-        hit = _EXP_REPLAY_MEMO[d] = (c, h, s)
-    return hit
-
-
-#: (n, guess, astar) -> charges for searches too close to a border for
-#: the translation-invariant memo.  Border queries cluster within
-#: O(max_error) of the array ends, so the key space stays small; cleared
-#: defensively if a pathological workload ever grows it.
-_EXP_BORDER_MEMO: dict = {}
-
-
-def exp_border_charges(n: int, guess: int, astar: int):
-    """Memoized :func:`replay_exponential_search` charges for one query."""
-    key = (n, guess, astar)
-    hit = _EXP_BORDER_MEMO.get(key)
-    if hit is None:
-        if len(_EXP_BORDER_MEMO) > 65536:
-            _EXP_BORDER_MEMO.clear()
-        c, h, s, _ = replay_exponential_search(n, guess, astar)
-        hit = _EXP_BORDER_MEMO[key] = (c, h, s)
-    return hit
-
-
-def accumulate_replay_charges(d, guess, astar, lo, hi, charges_of_d, replay):
-    """Total ``(compare, hop, seq)`` for a batch of replayed searches.
-
-    ``d``/``guess``/``astar`` are parallel int64 arrays.  Queries whose
-    probe window provably stays inside ``[lo, hi]`` (margin
-    ``2|d| + 2``) share the memoized per-error ledger ``charges_of_d``;
-    the rare border queries replay individually via
-    ``replay(guess, astar) -> (compare, hop, seq)``.
-    """
-    np = _vec.np
-    margin = 2 * np.abs(d) + 2
-    safe = (guess - margin >= lo) & (guess + margin <= hi)
-    compare = hop = seq = 0
-    if not safe.all():
-        border = np.nonzero(~safe)[0]
-        for g, a in zip(guess[border].tolist(), astar[border].tolist()):
-            c, h, s = replay(g, a)
-            compare += c
-            hop += h
-            seq += s
-        d = d[safe]
-    if d.size:
-        vals, counts = np.unique(d, return_counts=True)
-        for dv, cnt in zip(vals.tolist(), counts.tolist()):
-            c, h, s = charges_of_d(dv)
-            compare += c * cnt
-            hop += h * cnt
-            seq += s * cnt
-    return compare, hop, seq
-
-
-def bounded_binary_search(
-    fences: Sequence[int], key: int, lo: int, hi: int, perf: PerfContext
-) -> int:
-    """Rightmost fence <= key within ``[lo, hi]``, charging per probe."""
-    charge = perf.charge
-    prev = (lo + hi + 1) // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        charge(Event.COMPARE)
-        charge_probe(perf, mid - prev)
-        prev = mid
-        if fences[mid] <= key:
-            lo = mid
-        else:
-            hi = mid - 1
-    return max(0, lo)
-
-
-def replay_bounded_binary_search(lo, hi, astar):
-    """``(compare, hop, seq, pos)`` that :func:`bounded_binary_search`
-    emits — same replay principle as :func:`replay_exponential_search`:
-    each probe's ``fences[mid] <= key`` equals ``mid <= astar``."""
-    compare = hop = seq = 0
-    prev = (lo + hi + 1) // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        compare += 1
-        d = mid - prev
-        if d > PROBE_LOCALITY_KEYS or d < -PROBE_LOCALITY_KEYS:
-            hop += 1
-        else:
-            seq += 1
-        prev = mid
-        if mid <= astar:
-            lo = mid
-        else:
-            hi = mid - 1
-    return compare, hop, seq, max(0, lo)
 
 
 class InternalStructure(ABC):

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.structures.base import (
-    InternalStructure,
-    bounded_binary_search,
-)
+from repro.core.search import bounded_binary_search
+from repro.core.structures.base import InternalStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event

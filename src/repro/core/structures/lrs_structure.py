@@ -15,13 +15,13 @@ from typing import List, Optional, Sequence
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import Approximation
 from repro.core.approximation.optpla import OptPLAApproximator
-from repro.core.structures.base import (
-    InternalStructure,
+from repro.core.search import (
     accumulate_replay_charges,
     exp_border_charges,
     exp_replay_charges,
     exponential_search,
 )
+from repro.core.structures.base import InternalStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event

@@ -26,7 +26,9 @@ class InvalidConfigurationError(ReproError):
 
 
 class InvalidKeysError(ReproError):
-    """A fit/build received keys it cannot model (NaN, unsorted, dupes)."""
+    """Keys an index cannot model or store: a NaN key, unsorted or
+    duplicate fit keys, or a key outside uint64 where a key slot must
+    hold it exactly."""
 
 
 class WorkerDiedError(ReproError):

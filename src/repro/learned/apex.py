@@ -34,6 +34,7 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
+    check_key,
     check_sorted_unique,
 )
 from repro.core.retraining.base import RetrainStats
@@ -176,6 +177,7 @@ class APEXIndex(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         if not self._nodes:
             self._append_node(_DataNode([key], [value], self.density))
             self._n = 1

@@ -33,6 +33,7 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
+    check_key,
     check_sorted_unique,
 )
 from repro.core.retraining.base import RetrainStats
@@ -172,6 +173,7 @@ class LIPPIndex(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         if self._root is None:
             self._root = self._build_subtree([key], [value], 0)
             self._n = 1

@@ -20,12 +20,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import Approximation
 from repro.core.approximation.optpla import OptPLAApproximator
-from repro.core.insertion.base import (
-    rank_border_charges,
-    rank_replay_charges,
-    rank_search,
-)
-from repro.core.structures.base import accumulate_replay_charges
 from repro.core.interfaces import (
     Capabilities,
     IndexStats,
@@ -33,9 +27,18 @@ from repro.core.interfaces import (
     SortedIndex,
     UpdatableIndex,
     Value,
+    check_items,
+    check_key,
     check_sorted_unique,
 )
 from repro.core.retraining.base import RetrainStats
+from repro.core.search import (
+    accumulate_replay_charges,
+    rank_border_charges,
+    rank_replay_charges,
+    rank_search,
+    scan_rank,
+)
 from repro.core.structures.lrs_structure import LRSStructure
 from repro.errors import InvalidConfigurationError
 from repro.obs.trace import EventType
@@ -168,10 +171,10 @@ class PGMIndex(SortedIndex):
         :func:`rank_border_charges`) without touching the key array, and
         the whole batch's charges are issued as four aggregate events.
         Totals stay bit-identical to sequential :meth:`scan` — the
-        replays reproduce the scalar probe trajectories exactly — while
-        skipping the per-probe ``charge`` calls and pointer-chasing list
-        probes that dominate scalar positioning.  Inexact batches keep
-        the per-start charged descent.
+        scalar searches charge from the same replays — while skipping
+        the per-start descent, model evaluation and ``bisect`` of scalar
+        positioning.  Inexact batches keep the per-start charged
+        descent.
         """
         if self._approx is None:
             return [[] for _ in starts]
@@ -433,6 +436,7 @@ class DynamicPGMIndex(UpdatableIndex):
         return out
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         self._put(key, value)
 
     def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
@@ -447,6 +451,7 @@ class DynamicPGMIndex(UpdatableIndex):
         copies either way — while the event bill is the coarse aggregate
         of the one merge (see ``docs/performance.md``).
         """
+        check_items(items)
         if len(items) <= 1:
             for key, value in items:
                 self._put(key, value)
@@ -468,16 +473,12 @@ class DynamicPGMIndex(UpdatableIndex):
         """In-place payload overwrite: a value update does not change the
         key set, so it must not grow the LSM (it would otherwise shadow
         the old version and bloat every future merge)."""
-        self.perf.charge(Event.DRAM_HOP)
-        for i, (k, v) in enumerate(self._buffer):
-            self.perf.charge(Event.COMPARE)
-            if k == key:
-                if v is _TOMBSTONE:
-                    return False
-                self._buffer[i] = (key, value)
-                return True
-            if k > key:
-                break
+        i = self._staged(key)
+        if i >= 0:
+            if self._buffer[i][1] is _TOMBSTONE:
+                return False
+            self._buffer[i] = (key, value)
+            return True
         for level in self._levels:
             if level is not None and level.set_value(key, value):
                 return True
@@ -491,14 +492,22 @@ class DynamicPGMIndex(UpdatableIndex):
 
     # -- queries ----------------------------------------------------------
 
-    def get(self, key: Key) -> Optional[Value]:
+    def _staged(self, key: Key) -> int:
+        """Index of ``key`` in the staging buffer, or -1.
+
+        Charged as a hop to the buffer plus the front-to-back scan that
+        stops at the first staged key >= ``key``.
+        """
         self.perf.charge(Event.DRAM_HOP)
-        for k, v in self._buffer:
-            self.perf.charge(Event.COMPARE)
-            if k == key:
-                return None if v is _TOMBSTONE else v
-            if k > key:
-                break
+        buffer = self._buffer
+        i = scan_rank(buffer, key, self.perf)
+        return i if i < len(buffer) and buffer[i][0] == key else -1
+
+    def get(self, key: Key) -> Optional[Value]:
+        i = self._staged(key)
+        if i >= 0:
+            v = self._buffer[i][1]
+            return None if v is _TOMBSTONE else v
         for level in self._levels:
             if level is None:
                 continue

@@ -13,7 +13,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.spline import SplineModel, build_spline
-from repro.core.insertion.base import rank_search, replay_rank_search
 from repro.core.interfaces import (
     Capabilities,
     IndexStats,
@@ -21,11 +20,14 @@ from repro.core.interfaces import (
     SortedIndex,
     Value,
     check_sorted_unique,
+    is_uint64,
     scan_start,
 )
-from repro.core.structures.base import (
+from repro.core.search import (
     bounded_binary_search,
+    rank_search,
     replay_bounded_binary_search,
+    replay_rank_search,
 )
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
@@ -139,6 +141,12 @@ class RadixSplineIndex(SortedIndex):
     def get(self, key: Key) -> Optional[Value]:
         if self._spline is None:
             return None
+        if not isinstance(key, int):
+            # The radix table shifts key bits: look up the equal integer
+            # key (an integer key keeps its charges), if there is one.
+            if not is_uint64(key):
+                return None
+            key = int(key)
         pos = self._rank(key)
         if pos >= 0 and self._keys[pos] == key:
             self.perf.charge(Event.DRAM_SEQ)

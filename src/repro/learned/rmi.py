@@ -14,7 +14,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa import fit_least_squares
-from repro.core.insertion.base import rank_search
 from repro.core.interfaces import (
     Capabilities,
     IndexStats,
@@ -23,6 +22,7 @@ from repro.core.interfaces import (
     Value,
     check_sorted_unique,
 )
+from repro.core.search import rank_search
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
 

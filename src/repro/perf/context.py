@@ -5,27 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.perf.cost_model import CostModel, bytes_touched
-from repro.perf.events import Counters, Event
-
-#: Keys per cache line (8-byte keys, 64-byte lines); probes that jump
-#: further than two lines from the previous probe are charged as cache
-#: misses rather than sequential accesses.
-PROBE_LOCALITY_KEYS = 16
-
-
-def charge_probe(perf: "PerfContext", distance: int) -> None:
-    """Charge one search probe at ``distance`` keys from the previous one.
-
-    Binary-search probes over a wide span land on unrelated cache lines
-    (a miss each); within a couple of lines they are effectively
-    sequential.  This is what makes an unbounded prediction error
-    expensive in the tail: the first log2(error/16) probes of the
-    correction search all miss.
-    """
-    if distance > PROBE_LOCALITY_KEYS or distance < -PROBE_LOCALITY_KEYS:
-        perf.charge(Event.DRAM_HOP)
-    else:
-        perf.charge(Event.DRAM_SEQ)
+from repro.perf.events import Counters
 
 
 class Operation:

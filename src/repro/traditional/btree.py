@@ -18,8 +18,11 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
+    check_items,
+    check_key,
     check_sorted_unique,
 )
+from repro.core.search import child_slot, node_rank
 from repro.errors import InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.obs.trace import EventType
@@ -111,20 +114,6 @@ class BPlusTree(UpdatableIndex):
 
     # -- traversal ----------------------------------------------------------
 
-    def _child_slot(self, inner: _InnerNode, key: Key) -> int:
-        """Binary search for the child covering ``key``, charging compares."""
-        charge = self.perf.charge
-        lo, hi = 0, len(inner.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            charge(Event.COMPARE)
-            charge(Event.DRAM_SEQ)
-            if key < inner.keys[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def _find_leaf(self, key: Key) -> Tuple[_LeafNode, List[_InnerNode], List[int]]:
         node = self._root
         path: List[_InnerNode] = []
@@ -132,7 +121,7 @@ class BPlusTree(UpdatableIndex):
         charge = self.perf.charge
         while isinstance(node, _InnerNode):
             charge(Event.DRAM_HOP)
-            slot = self._child_slot(node, key)
+            slot = child_slot(node.keys, key, self.perf)
             path.append(node)
             slots.append(slot)
             node = node.children[slot]
@@ -167,27 +156,11 @@ class BPlusTree(UpdatableIndex):
             node = node.children[slot]
         return node, path, slots, compares, fence
 
-    def _leaf_rank(self, leaf: _LeafNode, key: Key) -> int:
-        """Rightmost index with leaf.keys[i] <= key, or -1."""
-        charge = self.perf.charge
-        lo, hi = 0, len(leaf.keys) - 1
-        ans = -1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            charge(Event.COMPARE)
-            charge(Event.DRAM_SEQ)
-            if leaf.keys[mid] <= key:
-                ans = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return ans
-
     # -- queries ----------------------------------------------------------
 
     def get(self, key: Key) -> Optional[Value]:
         leaf, _, _ = self._find_leaf(key)
-        idx = self._leaf_rank(leaf, key)
+        idx = node_rank(leaf.keys, key, self.perf)
         if idx >= 0 and leaf.keys[idx] == key:
             return leaf.values[idx]
         return None
@@ -231,7 +204,7 @@ class BPlusTree(UpdatableIndex):
 
     def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
         leaf, _, _ = self._find_leaf(lo)
-        idx = self._leaf_rank(leaf, lo)
+        idx = node_rank(leaf.keys, lo, self.perf)
         if idx < 0 or (idx < len(leaf.keys) and leaf.keys[idx] < lo):
             idx += 1
         while leaf is not None:
@@ -252,7 +225,7 @@ class BPlusTree(UpdatableIndex):
         """Native batch scan: charged descent per start, sliced leaves.
 
         Positioning keeps the scalar charged walk (``_find_leaf`` +
-        ``_leaf_rank``); the per-record yield loop becomes one slice copy
+        ``node_rank``); the per-record yield loop becomes one slice copy
         per leaf visited, billed with an aggregate ``DRAM_SEQ`` covering
         the records taken.  The leaf-chain hop is only charged when the
         scan actually continues into the next leaf — exactly when the
@@ -263,7 +236,7 @@ class BPlusTree(UpdatableIndex):
         results: List[List[Tuple[Key, Value]]] = []
         for start in starts:
             leaf, _, _ = self._find_leaf(start)
-            idx = self._leaf_rank(leaf, start)
+            idx = node_rank(leaf.keys, start, self.perf)
             if idx < 0 or (idx < len(leaf.keys) and leaf.keys[idx] < start):
                 idx += 1
             out: List[Tuple[Key, Value]] = []
@@ -294,8 +267,9 @@ class BPlusTree(UpdatableIndex):
 
     def upsert(self, key: Key, value: Value) -> Optional[Value]:
         """One root-to-leaf descent resolves the old value and the write."""
+        check_key(key)
         leaf, path, slots = self._find_leaf(key)
-        idx = self._leaf_rank(leaf, key)
+        idx = node_rank(leaf.keys, key, self.perf)
         if idx >= 0 and leaf.keys[idx] == key:
             old = leaf.values[idx]
             leaf.values[idx] = value
@@ -330,6 +304,7 @@ class BPlusTree(UpdatableIndex):
         — one comparison per halving of the touched leaf — on top of the
         individually-charged descents (``docs/performance.md``).
         """
+        check_items(items)
         n = len(items)
         olds: List[Optional[Value]] = [None] * n
         if n < _MIN_BATCH:
@@ -432,7 +407,7 @@ class BPlusTree(UpdatableIndex):
 
     def delete(self, key: Key) -> bool:
         leaf, _, _ = self._find_leaf(key)
-        idx = self._leaf_rank(leaf, key)
+        idx = node_rank(leaf.keys, key, self.perf)
         if idx < 0 or leaf.keys[idx] != key:
             return False
         self.perf.charge(Event.KEY_MOVE, len(leaf.keys) - idx - 1)

@@ -24,8 +24,10 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
+    check_key,
     check_sorted_unique,
 )
+from repro.core.search import node_rank
 from repro.errors import InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.obs.trace import EventType
@@ -127,18 +129,10 @@ class BwTree(UpdatableIndex):
         n = max(2, len(self._fences))
         levels = max(1, math.ceil(math.log(n, self._INNER_FANOUT)))
         per_level_cmp = max(1, self._INNER_FANOUT.bit_length() - 1)
-        for _ in range(levels):
-            charge(Event.DRAM_HOP, 2)  # mapping slot + node
-            charge(Event.COMPARE, per_level_cmp)
-            charge(Event.DRAM_SEQ, per_level_cmp)
-        lo, hi = 0, len(self._fences) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._fences[mid] <= key:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self._pids[lo]
+        charge(Event.DRAM_HOP, 2 * levels)  # mapping slot + node per level
+        charge(Event.COMPARE, per_level_cmp * levels)
+        charge(Event.DRAM_SEQ, per_level_cmp * levels)
+        return self._pids[max(0, bisect_right(self._fences, key) - 1)]
 
     def _walk_chain(self, pid: int, key: Key):
         """Walk deltas newest-first; return ('hit', v) | ('del',) | base."""
@@ -155,21 +149,6 @@ class BwTree(UpdatableIndex):
             node = node.next
         return node
 
-    def _base_rank(self, base: _Base, key: Key) -> int:
-        charge = self.perf.charge
-        lo, hi = 0, len(base.keys) - 1
-        ans = -1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            charge(Event.COMPARE)
-            charge(Event.DRAM_SEQ)
-            if base.keys[mid] <= key:
-                ans = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return ans
-
     # -- queries ----------------------------------------------------------
 
     def get(self, key: Key) -> Optional[Value]:
@@ -177,7 +156,7 @@ class BwTree(UpdatableIndex):
         result = self._walk_chain(pid, key)
         if isinstance(result, tuple):
             return result[1] if result[0] == "hit" else None
-        idx = self._base_rank(result, key)
+        idx = node_rank(result.keys, key, self.perf)
         if idx >= 0 and result.keys[idx] == key:
             return result.values[idx]
         return None
@@ -221,10 +200,11 @@ class BwTree(UpdatableIndex):
         result = self._walk_chain(pid, key)
         if isinstance(result, tuple):
             return result[0] == "hit"
-        idx = self._base_rank(result, key)
+        idx = node_rank(result.keys, key, self.perf)
         return idx >= 0 and result.keys[idx] == key
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         pid = self._route(key)
         if key < self._fences[0]:
             # The first page takes every key below its fence; lowering the

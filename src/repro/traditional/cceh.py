@@ -19,6 +19,7 @@ from repro.core.interfaces import (
     Key,
     Index,
     Value,
+    check_key,
 )
 from repro.errors import InvalidConfigurationError, ReproError
 from repro.perf.context import PerfContext
@@ -120,6 +121,7 @@ class CCEH(Index):
         return None
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         for _ in range(64):  # split depth is bounded by the hash width
             h, segment, bucket = self._locate(key)
             self.perf.charge(Event.DRAM_HOP)

@@ -20,8 +20,10 @@ from repro.core.interfaces import (
     UpdatableIndex,
     Value,
     check_sorted_unique,
+    is_uint64,
     scan_start,
 )
+from repro.errors import InvalidKeysError
 from repro.perf.context import PerfContext
 from repro.traditional.btree import BPlusTree
 
@@ -142,20 +144,30 @@ class Masstree(UpdatableIndex):
 
     @staticmethod
     def _encode(key: Key) -> bytes:
+        """The 8-byte big-endian slice of a uint64 key.
+
+        Any other key raises ``InvalidKeysError``: truncating it would
+        file it under a different key.
+        """
+        if not is_uint64(key):
+            raise InvalidKeysError(
+                f"Masstree: key {key!r} is not a uint64 key"
+            )
         return int(key).to_bytes(8, "big")
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         check_sorted_unique(items)
+        entries = [
+            (_chunk_code(self._encode(k)), _InlineEntry(b"", v))
+            for k, v in items
+        ]
         self._root = _Layer(self.perf)
-        self._root.tree.bulk_load(
-            [
-                (_chunk_code(self._encode(k)), _InlineEntry(b"", v))
-                for k, v in items
-            ]
-        )
+        self._root.tree.bulk_load(entries)
         self._n = len(items)
 
     def get(self, key: Key) -> Optional[Value]:
+        if not is_uint64(key):
+            return None  # no stored key equals it
         return self.get_bytes(self._encode(key))
 
     def insert(self, key: Key, value: Value) -> None:
@@ -163,7 +175,7 @@ class Masstree(UpdatableIndex):
             self._n += 1
 
     def delete(self, key: Key) -> bool:
-        if self.delete_bytes(self._encode(key)):
+        if is_uint64(key) and self.delete_bytes(self._encode(key)):
             self._n -= 1
             return True
         return False

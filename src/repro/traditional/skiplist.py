@@ -18,6 +18,7 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
+    check_key,
     check_sorted_unique,
 )
 from repro.obs.trace import EventType
@@ -121,6 +122,7 @@ class SkipList(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         update = self._find_predecessors(key)
         node = update[0].forward[0]
         if node is not None and node.key == key:

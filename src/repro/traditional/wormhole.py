@@ -23,8 +23,10 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
+    check_key,
     check_sorted_unique,
 )
+from repro.core.search import node_rank
 from repro.errors import InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.obs.trace import EventType
@@ -82,28 +84,14 @@ class Wormhole(UpdatableIndex):
 
     def _route(self, key: Key) -> int:
         """MetaTrieHash longest-prefix-match: log2(keylen) hash probes."""
-        charge = self.perf.charge
-        for _ in range(_PROBES_PER_LOOKUP):
-            charge(Event.HASH)
-            charge(Event.DRAM_HOP)
+        self.perf.charge(Event.HASH, _PROBES_PER_LOOKUP)
+        self.perf.charge(Event.DRAM_HOP, _PROBES_PER_LOOKUP)
         idx = bisect_right(self._fences, key) - 1
         return max(0, idx)
 
     def _leaf_rank(self, leaf: _Leaf, key: Key) -> int:
-        charge = self.perf.charge
-        charge(Event.DRAM_HOP)
-        lo, hi = 0, len(leaf.keys) - 1
-        ans = -1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            charge(Event.COMPARE)
-            charge(Event.DRAM_SEQ)
-            if leaf.keys[mid] <= key:
-                ans = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return ans
+        self.perf.charge(Event.DRAM_HOP)
+        return node_rank(leaf.keys, key, self.perf)
 
     # -- queries ----------------------------------------------------------
 
@@ -151,6 +139,7 @@ class Wormhole(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
+        check_key(key)
         if not self._leaves:
             self._leaves = [_Leaf([key], [value])]
             self._fences = [key]

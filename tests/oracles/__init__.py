@@ -1,10 +1,14 @@
 """Reference implementations the production code is checked against.
 
 Each oracle is the straightforward point-by-point form of an algorithm
-whose production version is vectorized.  They run only in tests:
+whose production version is vectorized or replayed.  They run only in
+tests:
 
 * :mod:`tests.oracles.gapped_list` — ``GappedLeaf`` on a Python list slot
   array, equal to the numpy leaf charge for charge;
 * :mod:`tests.oracles.greedy_scalar` — the greedy PLA window, one point at
-  a time, equal to ``GreedyPLAApproximator`` bit for bit.
+  a time, equal to ``GreedyPLAApproximator`` bit for bit;
+* :mod:`tests.oracles.search_loops` — the sorted-array searches as loops
+  that read the keys and charge every probe, equal to
+  ``repro.core.search`` in answer and ledger.
 """

@@ -13,8 +13,8 @@ from repro.core.insertion import (
     InplaceLeaf,
     InsertResult,
 )
-from repro.core.insertion.base import rank_search
 from repro.core.insertion.strategies import fit_dense_model
+from repro.core.search import rank_search
 from repro.perf import PerfContext
 
 

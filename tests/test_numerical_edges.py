@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro import (
     ALEXIndex,
     BPlusTree,
+    Masstree,
     PGMIndex,
     PerfContext,
     RMIIndex,
@@ -27,7 +28,9 @@ from repro.core.approximation import (
     SplineApproximator,
 )
 from repro.core.approximation.lsa import fit_least_squares
+from repro.core.interfaces import SortedIndex
 from repro.errors import InvalidKeysError, ReproError
+from repro.registry import specs
 
 U64_MAX = 2**64 - 1
 #: Sorted key sets a uint64 key array cannot hold exactly.
@@ -188,8 +191,8 @@ class TestPrecisionInvariant:
 
 
 class TestOutOfRangeKeys:
-    """A key ALEX's uint64 slot array cannot hold fails typed, and the
-    index is left exactly as it was."""
+    """A key the uint64 key slots of ALEX or Masstree cannot hold fails
+    typed, and the index is left exactly as it was."""
 
     LOADED = [(k, k) for k in range(1000, 200000, 100)]
     CALLS = {
@@ -199,10 +202,8 @@ class TestOutOfRangeKeys:
         "put": lambda t, k: t.put(k, 5),
     }
 
-    @pytest.mark.parametrize("bad", [-1, 2**64, 5.5])
-    @pytest.mark.parametrize("call", sorted(CALLS))
-    def test_alex_rejects_before_moving_a_slot(self, call, bad):
-        index = ALEXIndex(perf=PerfContext())
+    def _rejects_before_any_change(self, make, call, bad):
+        index = make(perf=PerfContext())
         target = ViperStore(index, PerfContext()) if call == "put" else index
         target.bulk_load(self.LOADED)
         with pytest.raises(InvalidKeysError):
@@ -212,9 +213,84 @@ class TestOutOfRangeKeys:
         assert len(index) == len(set(keys)) == len(self.LOADED)
         assert len(target) == len(self.LOADED)
 
+    @pytest.mark.parametrize("bad", [-1, 2**64, 5.5])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_alex_rejects_before_moving_a_slot(self, call, bad):
+        self._rejects_before_any_change(ALEXIndex, call, bad)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 5.5])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_masstree_rejects_before_any_change(self, call, bad):
+        self._rejects_before_any_change(Masstree, call, bad)
+
     @pytest.mark.parametrize("keys", NOT_UINT64)
     def test_alex_bulk_load_rejects_keys_outside_uint64(self, keys):
         index = ALEXIndex(perf=PerfContext())
         with pytest.raises(InvalidKeysError):
             index.bulk_load([(k, k) for k in keys])
         assert len(index) == 0
+
+    @pytest.mark.parametrize("keys", NOT_UINT64)
+    def test_masstree_bulk_load_rejects_keys_outside_uint64(self, keys):
+        index = Masstree(perf=PerfContext())
+        index.bulk_load(self.LOADED)
+        with pytest.raises(InvalidKeysError):
+            index.bulk_load([(k, k) for k in keys])
+        assert index.scan(0, len(self.LOADED) + 1) == self.LOADED
+
+    def test_masstree_lookups_of_other_keys_find_nothing(self):
+        index = Masstree(perf=PerfContext())
+        index.bulk_load(self.LOADED)
+        for bad in (-0.5, 1000.5, 1e30, -1, 2**64, float("inf")):
+            assert index.get(bad) is None
+            assert not index.delete(bad)
+        assert index.contains_many([1000.5, 1000.0]) == [False, True]
+        assert len(index) == len(self.LOADED)
+
+
+NAN = float("nan")
+SPECS = specs()
+UPDATABLE = [s for s in SPECS if s.category != "learned-readonly"]
+SORTED = [s for s in SPECS if isinstance(s.build(PerfContext()), SortedIndex)]
+
+
+class TestNaNKeys:
+    """NaN has no place in a key order: every write of it fails typed,
+    before the index changes."""
+
+    LOADED = [(k, k) for k in range(0, 3000, 3)]
+    CALLS = {
+        "insert": lambda t: t.insert(NAN, 1),
+        "upsert": lambda t: t.upsert(NAN, 1),
+        "insert_many": lambda t: t.insert_many([(7, 1), (NAN, 1), (8, 1)]),
+        "upsert_many": lambda t: t.upsert_many([(7, 1), (NAN, 1), (8, 1)]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("spec", UPDATABLE, ids=lambda s: s.name)
+    def test_nan_write_rejected_before_any_change(self, spec, call):
+        index = spec.build(PerfContext())
+        index.bulk_load(self.LOADED)
+        keys = [k for k, _ in self.LOADED]
+        with pytest.raises(InvalidKeysError):
+            self.CALLS[call](index)
+        assert len(index) == len(keys)
+        assert index.get_many(keys) == keys
+        if isinstance(index, SortedIndex):
+            assert index.scan(0, len(keys) + 5) == self.LOADED
+
+
+@pytest.mark.parametrize("spec", SORTED, ids=lambda s: s.name)
+def test_non_integer_lookups_answer_exactly(spec):
+    """A key between two integers, or below 0, is absent; an integral
+    float finds its integer key; the batch answers like the loop."""
+    index = spec.build(PerfContext())
+    keys = list(range(0, 3000, 3))
+    index.bulk_load([(k, 2 * k) for k in keys])
+    sample = keys[::40] + [keys[-1]]
+    for k in sample:
+        assert index.get(k + 0.5) is None
+        assert index.get(float(k)) == index.get(k) == 2 * k
+    assert index.get(-0.5) is None
+    probes = [p for k in sample for p in (k, k + 0.5, float(k))] + [-0.5]
+    assert index.get_many(probes) == [index.get(p) for p in probes]
