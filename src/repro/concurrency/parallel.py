@@ -42,9 +42,9 @@ journal and :attr:`~_ParallelEngine.worker_ops`.
 Two clocks
 ----------
 The engine keeps the repo's simulated-hardware accounting intact: every
-worker snapshots its ledger around each command and ships the
-:class:`~repro.perf.events.Counters` delta back with the reply; the
-parent folds it into its own :class:`~repro.perf.context.PerfContext`
+worker snapshots its ledger around each command and ships the delta
+back with the reply as a flat list of event counts; the parent adds it
+element-wise into its own :class:`~repro.perf.context.PerfContext`
 **before** the caller's ``perf.end``.  ``execute_ops``, ``repro bench``,
 and ``repro report`` therefore report the same simulated numbers on
 either transport — while :attr:`wall_latency` and
@@ -106,6 +106,7 @@ import traceback
 import weakref
 from bisect import bisect_left
 from multiprocessing import shared_memory
+from operator import sub
 from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,7 +121,13 @@ from repro.concurrency.supervise import (
     _RecoveryFailed,
 )
 from repro.core.approximation.vectorized import as_u64
-from repro.core.interfaces import Index, IndexStats, SortedIndex
+from repro.core.interfaces import (
+    Index,
+    IndexStats,
+    SortedIndex,
+    check_uint64,
+    check_uint64_items,
+)
 from repro.errors import ReproError, ShardUnavailableError, WorkerDiedError
 from repro.obs.health import (
     DEFAULT_FLIGHT_CAPACITY,
@@ -355,17 +362,16 @@ class _WorkerState:
             return ("err", _pickle_safe(exc), traceback.format_exc())
         if cmd.token is not None:
             self.last_token = cmd.token
-        counters = self.perf.counters.delta(mark)
+        delta = list(map(sub, self.perf.counters.counts, mark))
         wall_ns = (time.perf_counter() - t0) * 1e9
         if wspan is not None:
             spans.current = None
             spans.finish(
                 wspan,
                 ops=len(payload) if type(payload) is list else 1,
-                sim_ns=self.perf.cost_model.time_ns(counters),
+                sim_ns=self.perf.cost_model.time_ns(delta),
             )
         self.wall_hist.record(wall_ns)
-        delta = {k: v for k, v in counters.as_dict().items() if v}
         return ("ok", reply, delta, wall_ns)
 
     def serve(self, op: str, payload: Any, arg: Any) -> Any:
@@ -893,10 +899,8 @@ class _ParallelEngine:
             )
         _, wire, delta, wall_ns = reply
         self.health.reply(h.worker_id, wall_ns)
-        if delta:
-            counters = self.perf.counters
-            for name, v in delta.items():
-                setattr(counters, name, getattr(counters, name) + v)
+        if delta is not None:
+            self.perf.counters.add(delta)
         return _decode(wire, h.seg)
 
     def _fan_out(
@@ -1454,7 +1458,12 @@ class ParallelShardedStore(_ParallelEngine):
 
     # -- operations ---------------------------------------------------
 
+    # A write's keys are checked here, before any shard sees the call,
+    # so a refused batch changes no shard (each shard's store would
+    # refuse only its own part).
+
     def bulk_load(self, items: Sequence[Tuple[int, Any]]) -> None:
+        check_uint64_items(items)
         self._bulk_load(items)
 
     def get(self, key: int) -> Optional[Any]:
@@ -1464,9 +1473,11 @@ class ParallelShardedStore(_ParallelEngine):
         return self._batch(keys)
 
     def put(self, key: int, value: Any) -> None:
+        check_uint64(key)
         self._keyed("put", key, value, mutate=True)
 
     def put_many(self, items: Sequence[Tuple[int, Any]]) -> None:
+        check_uint64_items(items)
         self._batch(items, "put")
 
     def update(self, key: int, value: Any) -> bool:

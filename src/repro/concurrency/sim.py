@@ -419,13 +419,13 @@ def simulate(
                         reason="write" if is_write else "read",
                         cost_ns=waited,
                     )
-            counters.latch_acquire += 1
+            counters.counts[Event.LATCH_ACQUIRE] += 1
             now += latch_ns
 
         if not is_write:
             now += bounce_ns
             if retry_p > 0.0 and rng.random() < retry_p:
-                counters.opt_retry += 1
+                counters.counts[Event.OPT_RETRY] += 1
                 retries += 1
                 now += retry_ns + service  # re-execute the read
         end = now + service

@@ -132,9 +132,6 @@ class GappedSegment(Segment):
         hi = min(self.slots - 1, pos + self.max_error)
         return lo, hi
 
-    def gap_fraction(self) -> float:
-        return 1.0 - self.occupied / self.slots if self.slots else 0.0
-
     def __repr__(self) -> str:
         return (
             f"GappedSegment(first_key={self.first_key}, n={self.n}, "

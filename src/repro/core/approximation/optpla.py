@@ -76,10 +76,6 @@ class OptimalPLA:
         self._pmax: Tuple[float, float] = (0.0, 0.0)  # on the max-slope line
         self._pmin: Tuple[float, float] = (0.0, 0.0)  # on the min-slope line
 
-    @property
-    def n_points(self) -> int:
-        return self._n
-
     def add(self, x: float, y: float) -> bool:
         """Try to absorb point ``(x, y)``; False means the segment is full."""
         if self._n == 0:
@@ -197,10 +193,6 @@ class OptimalPLA:
         ) / (self._smax - self._smin)
         yi = self._pmax[1] + self._smax * (xi - self._pmax[0])
         return slope, yi - slope * xi
-
-    def origin(self) -> Tuple[float, float]:
-        """The global ``(x0, y0)`` this segment's local frame is based on."""
-        return self._x0, self._y0
 
 
 class OptPLAApproximator(Approximator):

@@ -231,7 +231,3 @@ class FineBinLeaf(Leaf):
             + len(self._bins) * (self.bin_capacity * _PAIR_BYTES + 16)
             + 24
         )
-
-    def bin_stats(self) -> Tuple[int, int]:
-        """``(bins allocated, keys currently binned)``."""
-        return len(self._bins), self._bin_keys_total

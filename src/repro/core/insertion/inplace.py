@@ -69,9 +69,6 @@ class InplaceLeaf(Leaf):
     def n(self) -> int:
         return self._right - self._left
 
-    def free_space(self) -> int:
-        return self._capacity - self.n
-
     def _predict_index(self, key: int) -> int:
         self.perf.charge(Event.MODEL_EVAL)
         local = self.model.predict_clamped(key, max(1, self.n))

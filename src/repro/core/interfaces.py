@@ -52,6 +52,36 @@ def is_uint64(key: Any) -> bool:
         return False
 
 
+def check_uint64(key: Any) -> None:
+    """Raise :class:`InvalidKeysError` unless :func:`is_uint64` accepts
+    ``key``.
+
+    A store checks a write's keys with this before it allocates or
+    persists anything, so a refused call leaves no record behind.
+    """
+    if not is_uint64(key):
+        raise InvalidKeysError(
+            f"key {key!r} is not an integer in the uint64 key space"
+        )
+
+
+def check_uint64_items(items: Sequence[Tuple[Any, Any]]) -> None:
+    """:func:`check_uint64` on every key of a batch, before any is applied.
+
+    A batch of in-range Python ints, the common case, passes three
+    C-level scans (types, min, max) instead of one call per key.
+    """
+    keys = [key for key, _ in items]
+    if (
+        set(map(type, keys)) == {int}
+        and min(keys) >= 0
+        and max(keys) < KEY_LIMIT
+    ):
+        return
+    for key in keys:
+        check_uint64(key)
+
+
 def check_key(key: Any) -> None:
     """Raise :class:`InvalidKeysError` if ``key`` is NaN.
 

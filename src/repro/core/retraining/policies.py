@@ -114,10 +114,6 @@ class ExpandOrSplitPolicy(RetrainPolicy):
         self.split_error_threshold = split_error_threshold
         self.max_leaf_keys = max_leaf_keys
 
-    def _make_gapped(self, keys, values, perf) -> GappedLeaf:
-        segment = GappedSegment(keys[0], 0, keys, self.density)
-        return GappedLeaf(segment, list(values), perf)
-
     def retrain_leaf(self, index: "ComposedIndex", leaf_pos: int) -> List[Leaf]:
         leaf = index.leaves[leaf_pos]
         items = leaf.items()

@@ -11,6 +11,7 @@ degenerates (Fig 11).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 from repro.core.search import bounded_binary_search
@@ -64,6 +65,11 @@ class RadixTableStructure(InternalStructure):
     def bucket_of(self, key: int) -> int:
         if key <= self._min_key:
             return 0
+        if type(key) is not int:
+            # Fences are integers, so a fence is <= key exactly when it
+            # is <= floor(key): bucket by the floor (past every fence,
+            # bucket by the last one).
+            key = math.floor(key) if key < math.inf else self.fences[-1]
         b = (key - self._min_key) >> self._shift
         slots = 1 << self.r_bits
         return slots - 1 if b >= slots else b

@@ -13,10 +13,6 @@ class UnsupportedOperationError(ReproError):
     """
 
 
-class KeyNotFoundError(ReproError):
-    """A key required to exist was absent (update/delete of missing key)."""
-
-
 class EmptyIndexError(ReproError):
     """The operation requires a non-empty index."""
 

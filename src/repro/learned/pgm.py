@@ -571,12 +571,6 @@ class DynamicPGMIndex(UpdatableIndex):
 
     # -- metadata -----------------------------------------------------------
 
-    def items_count_raw(self) -> int:
-        """Total stored pairs including shadowed ones and tombstones."""
-        return len(self._buffer) + sum(
-            len(level) for level in self._levels if level is not None
-        )
-
     def size_bytes(self) -> int:
         total = len(self._buffer) * 16
         for level in self._levels:

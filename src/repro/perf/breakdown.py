@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, List, Optional, Tuple
 
 from repro.perf.context import PerfContext
@@ -25,8 +26,9 @@ class OpProfile:
     label: str
     time_ns: float
     counters: Counters
-    #: The event kind contributing the most simulated time to this op.
-    dominant: str = ""
+    #: The :class:`Event` id contributing the most simulated time to
+    #: this op (``Event.NAMES[dominant]`` spells it).
+    dominant: int
 
 
 class Profiler:
@@ -99,9 +101,7 @@ class Profiler:
         self.op_count += ops
         if ops > 1:
             time_ns /= ops
-            counters = counters.copy()
-            for name in Event.ALL:
-                setattr(counters, name, getattr(counters, name) / ops)
+            counters = Counters([count / ops for count in counters.counts])
         profile = OpProfile(label, time_ns, counters, self._dominant_of(counters))
         self._seq += 1
         entry = (time_ns, self._seq, profile)
@@ -112,26 +112,23 @@ class Profiler:
 
     # -- reporting ----------------------------------------------------------
 
-    def _dominant_of(self, counters: Counters) -> str:
-        weights = self.perf.cost_model.weights()
-        best, best_ns = "", -1.0
-        for name in Event.ALL:
-            ns = getattr(counters, name) * weights[name]
-            if ns > best_ns:
-                best, best_ns = name, ns
-        return best
+    def _dominant_of(self, counters: Counters) -> int:
+        """The first event id with the largest simulated time."""
+        ns = list(map(mul, counters.counts, self.perf.cost_model.weights()))
+        return ns.index(max(ns))
 
     def time_by_event(self) -> dict:
         """Aggregate simulated nanoseconds attributed to each event kind."""
-        weights = self.perf.cost_model.weights()
         return {
-            name: getattr(self.total, name) * weights[name]
-            for name in Event.ALL
-            if getattr(self.total, name)
+            name: count * weight
+            for name, count, weight in zip(
+                Event.NAMES, self.total.counts, self.perf.cost_model.weights()
+            )
+            if count
         }
 
     def total_time_ns(self) -> float:
-        return self.perf.cost_model.time_ns(self.total)
+        return self.perf.cost_model.time_ns(self.total.counts)
 
     def mean_time_ns(self) -> float:
         if self.op_count == 0:
@@ -166,6 +163,6 @@ class Profiler:
             w = worst[0]
             lines.append(
                 f"worst op: {w.label or '(unlabelled)'} at {w.time_ns:.0f} ns, "
-                f"dominated by {w.dominant}"
+                f"dominated by {Event.NAMES[w.dominant]}"
             )
         return "\n".join(lines)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from operator import sub
+from typing import List, Optional
 
 from repro.perf.cost_model import CostModel, bytes_touched
 from repro.perf.events import Counters
@@ -35,7 +36,6 @@ class PerfContext:
     def __init__(self, cost_model: Optional[CostModel] = None):
         self.cost_model = cost_model or CostModel()
         self.counters = Counters()
-        self._mark: Optional[Counters] = None
         #: Optional lifecycle-event tracer (see :mod:`repro.obs.trace`).
         #: ``None`` by default so instrumented code pays one attribute
         #: load and a falsy check when tracing is off.
@@ -43,9 +43,9 @@ class PerfContext:
 
     # -- charging -----------------------------------------------------
 
-    def charge(self, event: str, n: int = 1) -> None:
-        """Record ``n`` occurrences of ``event`` (an :class:`Event` name)."""
-        setattr(self.counters, event, getattr(self.counters, event) + n)
+    def charge(self, event: int, n: int = 1) -> None:
+        """Record ``n`` occurrences of ``event`` (an :class:`Event` id)."""
+        self.counters.counts[event] += n
 
     # -- lifecycle tracing --------------------------------------------
 
@@ -62,21 +62,22 @@ class PerfContext:
 
     # -- measurement --------------------------------------------------
 
-    def begin(self) -> Counters:
+    def begin(self) -> List[int]:
         """Snapshot the ledger; pass the result to :meth:`end`."""
-        return self.counters.copy()
+        return self.counters.counts[:]
 
-    def end(self, mark: Counters) -> Operation:
+    def end(self, mark: List[int]) -> Operation:
         """Finish a measurement started at ``mark``."""
-        delta = self.counters.delta(mark)
-        return Operation(delta, self.cost_model.time_ns(delta), bytes_touched(delta))
+        delta = Counters(map(sub, self.counters.counts, mark))
+        counts = delta.counts
+        return Operation(delta, self.cost_model.time_ns(counts), bytes_touched(counts))
 
     def elapsed_ns(self) -> float:
         """Total simulated time accumulated since construction/reset."""
-        return self.cost_model.time_ns(self.counters)
+        return self.cost_model.time_ns(self.counters.counts)
 
     def total_bytes(self) -> int:
-        return bytes_touched(self.counters)
+        return bytes_touched(self.counters.counts)
 
     def reset(self) -> None:
         self.counters = Counters()

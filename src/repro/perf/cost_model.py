@@ -16,8 +16,10 @@ results depend on their *ratios*, which is what the defaults preserve.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
+from typing import Iterable, Tuple
 
-from repro.perf.events import Counters, Event
+from repro.perf.events import Event
 
 
 @dataclass(frozen=True)
@@ -37,27 +39,22 @@ class CostModel:
     latch_acquire_ns: float = 20.0
     opt_retry_ns: float = 30.0
 
-    def weights(self) -> dict:
-        """Event name -> nanoseconds, aligned with :class:`Event` names."""
-        return {
-            Event.DRAM_HOP: self.dram_hop_ns,
-            Event.DRAM_SEQ: self.dram_seq_ns,
-            Event.COMPARE: self.compare_ns,
-            Event.MODEL_EVAL: self.model_eval_ns,
-            Event.KEY_MOVE: self.key_move_ns,
-            Event.HASH: self.hash_ns,
-            Event.NVM_READ: self.nvm_read_ns,
-            Event.NVM_WRITE: self.nvm_write_ns,
-            Event.ALLOC: self.alloc_ns,
-            Event.RETRAIN_KEY: self.retrain_key_ns,
-            Event.LATCH_ACQUIRE: self.latch_acquire_ns,
-            Event.OPT_RETRY: self.opt_retry_ns,
-        }
+    def __post_init__(self) -> None:
+        # Built once: every measured op prices its delta with it.
+        object.__setattr__(
+            self,
+            "_weights",
+            tuple(getattr(self, f"{name}_ns") for name in Event.NAMES),
+        )
 
-    def time_ns(self, counters: Counters) -> float:
-        """Simulated time for a bag of events."""
-        w = self.weights()
-        return sum(getattr(counters, name) * w[name] for name in Event.ALL)
+    def weights(self) -> Tuple[float, ...]:
+        """Nanoseconds per event, indexed by :class:`Event` id."""
+        return self._weights
+
+    def time_ns(self, counts: Iterable[int]) -> float:
+        """Simulated time for a bag of events (counts in :class:`Event`
+        id order): each count times its weight, summed in id order."""
+        return sum(map(mul, counts, self._weights))
 
     def scaled(self, factor: float) -> "CostModel":
         """A cost model with every latency multiplied by ``factor``."""
@@ -70,27 +67,29 @@ class CostModel:
         )
 
 
-#: Bytes moved from memory per event, used by the bandwidth contention model.
-EVENT_BYTES = {
-    Event.DRAM_HOP: 64,
-    Event.DRAM_SEQ: 16,
-    Event.COMPARE: 0,
-    Event.MODEL_EVAL: 0,
-    Event.KEY_MOVE: 16,
-    Event.HASH: 0,
-    Event.NVM_READ: 256,
-    Event.NVM_WRITE: 256,
-    Event.ALLOC: 64,
-    Event.RETRAIN_KEY: 16,
-    # The latch word / version stamp lives on one cacheline that bounces
-    # between the contending cores.
-    Event.LATCH_ACQUIRE: 64,
-    Event.OPT_RETRY: 64,
-}
+#: Bytes moved from memory per event, indexed by :class:`Event` id; used
+#: by the bandwidth contention model.
+EVENT_BYTES = tuple(
+    {
+        Event.DRAM_HOP: 64,
+        Event.DRAM_SEQ: 16,
+        Event.COMPARE: 0,
+        Event.MODEL_EVAL: 0,
+        Event.KEY_MOVE: 16,
+        Event.HASH: 0,
+        Event.NVM_READ: 256,
+        Event.NVM_WRITE: 256,
+        Event.ALLOC: 64,
+        Event.RETRAIN_KEY: 16,
+        # The latch word / version stamp lives on one cacheline that
+        # bounces between the contending cores.
+        Event.LATCH_ACQUIRE: 64,
+        Event.OPT_RETRY: 64,
+    }[event]
+    for event in range(len(Event.NAMES))
+)
 
 
-def bytes_touched(counters: Counters) -> int:
+def bytes_touched(counts: Iterable[int]) -> int:
     """Total bytes of memory traffic implied by a bag of events."""
-    return sum(
-        getattr(counters, name) * EVENT_BYTES[name] for name in Event.ALL
-    )
+    return sum(map(mul, counts, EVENT_BYTES))

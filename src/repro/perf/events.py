@@ -25,81 +25,115 @@ about explicitly:
 
 from __future__ import annotations
 
+from operator import add, sub
+from typing import Iterable, Iterator
+
 
 class Event:
-    """Namespace of event names; values are the keys used in :class:`Counters`."""
+    """Event ids: each names one slot of :attr:`Counters.counts`.
 
-    DRAM_HOP = "dram_hop"
-    DRAM_SEQ = "dram_seq"
-    COMPARE = "compare"
-    MODEL_EVAL = "model_eval"
-    KEY_MOVE = "key_move"
-    HASH = "hash"
-    NVM_READ = "nvm_read"
-    NVM_WRITE = "nvm_write"
-    ALLOC = "alloc"
-    RETRAIN_KEY = "retrain_key"
-    LATCH_ACQUIRE = "latch_acquire"
-    OPT_RETRY = "opt_retry"
+    Indexes charge with these constants (``perf.charge(Event.NVM_READ)``),
+    never with a name string; :data:`NAMES` spells an id for export.
+    """
 
-    ALL = (
-        DRAM_HOP,
-        DRAM_SEQ,
-        COMPARE,
-        MODEL_EVAL,
-        KEY_MOVE,
-        HASH,
-        NVM_READ,
-        NVM_WRITE,
-        ALLOC,
-        RETRAIN_KEY,
-        LATCH_ACQUIRE,
-        OPT_RETRY,
+    DRAM_HOP = 0
+    DRAM_SEQ = 1
+    COMPARE = 2
+    MODEL_EVAL = 3
+    KEY_MOVE = 4
+    HASH = 5
+    NVM_READ = 6
+    NVM_WRITE = 7
+    ALLOC = 8
+    RETRAIN_KEY = 9
+    LATCH_ACQUIRE = 10
+    OPT_RETRY = 11
+
+    #: Export name of every event, indexed by id.
+    NAMES = (
+        "dram_hop",
+        "dram_seq",
+        "compare",
+        "model_eval",
+        "key_move",
+        "hash",
+        "nvm_read",
+        "nvm_write",
+        "alloc",
+        "retrain_key",
+        "latch_acquire",
+        "opt_retry",
     )
 
 
-class Counters:
-    """A mutable bag of event counts.
+_ZEROS = (0,) * len(Event.NAMES)
 
-    Implemented with one integer slot per event rather than a dict so that
-    the hot ``charge`` path and snapshot deltas stay cheap in CPython.
+
+def _count(event: int) -> property:
+    """The named, assignable view of one event's slot."""
+
+    def read(self: "Counters"):
+        return self.counts[event]
+
+    def write(self: "Counters", n) -> None:
+        self.counts[event] = n
+
+    return property(read, write, doc=f"Count of ``{Event.NAMES[event]}`` events.")
+
+
+class Counters:
+    """Event counts: one flat list, ``counts``, indexed by :class:`Event` id.
+
+    A charge is one indexed add on ``counts``, a snapshot one list copy,
+    and a delta one ``map(sub)``.  ``counts`` is an exact ``list`` rather
+    than a subclass because CPython specializes item access on exact
+    lists only.  Each event also reads and assigns by name
+    (``counters.nvm_read``), and iterating a ``Counters`` yields its
+    counts in id order.
     """
 
-    __slots__ = tuple(Event.ALL)
+    __slots__ = ("counts",)
 
-    def __init__(self) -> None:
-        for name in Event.ALL:
-            setattr(self, name, 0)
+    def __init__(self, counts: Iterable[int] = _ZEROS) -> None:
+        self.counts = list(counts)
+
+    dram_hop = _count(Event.DRAM_HOP)
+    dram_seq = _count(Event.DRAM_SEQ)
+    compare = _count(Event.COMPARE)
+    model_eval = _count(Event.MODEL_EVAL)
+    key_move = _count(Event.KEY_MOVE)
+    hash = _count(Event.HASH)
+    nvm_read = _count(Event.NVM_READ)
+    nvm_write = _count(Event.NVM_WRITE)
+    alloc = _count(Event.ALLOC)
+    retrain_key = _count(Event.RETRAIN_KEY)
+    latch_acquire = _count(Event.LATCH_ACQUIRE)
+    opt_retry = _count(Event.OPT_RETRY)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.counts)
 
     def copy(self) -> "Counters":
-        out = Counters()
-        for name in Event.ALL:
-            setattr(out, name, getattr(self, name))
-        return out
+        return Counters(self.counts)
 
-    def delta(self, earlier: "Counters") -> "Counters":
+    def delta(self, earlier: Iterable[int]) -> "Counters":
         """Return a new ``Counters`` holding ``self - earlier`` per event."""
-        out = Counters()
-        for name in Event.ALL:
-            setattr(out, name, getattr(self, name) - getattr(earlier, name))
-        return out
+        return Counters(map(sub, self.counts, earlier))
 
-    def add(self, other: "Counters") -> None:
-        for name in Event.ALL:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+    def add(self, other: Iterable[int]) -> None:
+        self.counts[:] = map(add, self.counts, other)
 
     def total(self) -> int:
-        return sum(getattr(self, name) for name in Event.ALL)
+        return sum(self.counts)
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in Event.ALL}
+        """Event name -> count, in :class:`Event` id order."""
+        return dict(zip(Event.NAMES, self.counts))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Counters):
             return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in Event.ALL
-        )
+        return self.counts == other.counts
 
     def __repr__(self) -> str:
         nonzero = {k: v for k, v in self.as_dict().items() if v}

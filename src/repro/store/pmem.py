@@ -128,20 +128,27 @@ class PMemDevice:
         self._torn.discard((page_id, slot))
 
     def write_records(
-        self, records: Sequence[Tuple[int, int, int, Any]]
+        self,
+        locations: Sequence[Tuple[int, int]],
+        records: Sequence[Tuple[int, Any]],
     ) -> None:
-        """Persist ``(page_id, slot, key, value)`` records with one batched
+        """Persist each ``(key, value)`` record at the ``(page_id, slot)``
+        in the same position of ``locations``, with one batched
         ``NVM_WRITE`` charge covering every record's blocks (the total is
-        identical to per-record :meth:`write_record` calls)."""
+        identical to per-record :meth:`write_record` calls).
+
+        A record that is already a tuple is stored as it is, so the device
+        and the caller share one pair instead of holding two equal copies.
+        """
         if not records:
             return
-        for page_id, slot, key, value in records:
+        for (page_id, slot), record in zip(locations, records):
             page = self._page(page_id)
             if not 0 <= slot < self.slots_per_page:
                 raise DeviceError(f"bad slot {slot}")
             if page.slots[slot] is None:
                 page.used += 1
-            page.slots[slot] = (key, value)
+            page.slots[slot] = tuple(record)
             self._torn.discard((page_id, slot))
         self.perf.charge(
             Event.NVM_WRITE, self._blocks_per_record * len(records)
@@ -257,6 +264,3 @@ class PMemDevice:
 
     def used_bytes(self) -> int:
         return sum(p.used for p in self._pages) * self.record_bytes
-
-    def allocated_bytes(self) -> int:
-        return len(self._pages) * self.slots_per_page * self.record_bytes

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.core.interfaces import Index, SortedIndex
+from repro.core.interfaces import (
+    Index,
+    SortedIndex,
+    check_uint64,
+    check_uint64_items,
+)
 from repro.errors import CrashedError, UnsupportedOperationError
 from repro.obs.trace import EventType
 from repro.perf.context import PerfContext
@@ -93,15 +98,13 @@ class ViperStore:
         Records are placed with one bulk slot allocation and persisted
         with one batched NVM write — the charge totals are identical to
         the per-record path, issued in two calls instead of ``2n``.
+        Every key is checked first: a batch holding a key outside uint64
+        raises ``InvalidKeysError`` and persists nothing.
         """
         self._check_alive()
+        check_uint64_items(items)
         locations = self._allocate_slots(len(items))
-        self.device.write_records(
-            [
-                (page, slot, key, value)
-                for (page, slot), (key, value) in zip(locations, items)
-            ]
-        )
+        self.device.write_records(locations, items)
         self.index.bulk_load(
             [(key, loc) for (key, _), loc in zip(items, locations)]
         )
@@ -114,8 +117,11 @@ class ViperStore:
         repoints the index in a single descent (indexes without a native
         single-descent path fall back to probe-then-write internally), so
         a put costs one lookup and one write — not the get *plus* insert
-        double traversal it used to."""
+        double traversal it used to.  A key outside uint64 raises
+        ``InvalidKeysError`` before a slot is allocated: a record persisted
+        for a key the index then refused would resurface at recovery."""
         self._check_alive()
+        check_uint64(key)
         page, slot = self._allocate_slot()
         self.device.write_record(page, slot, key, value)
         old = self.index.upsert(key, (page, slot))
@@ -135,19 +141,16 @@ class ViperStore:
         the index side is one ``insert_many`` (or, for non-upsert
         indexes, per-occurrence in-place updates).  In-batch duplicates
         chain correctly either way: the second occurrence frees the first
-        occurrence's record, and the last value wins.
+        occurrence's record, and the last value wins.  The whole batch's
+        keys are checked before any slot is allocated, as in :meth:`put`.
         """
         self._check_alive()
         if not items:
             return
+        check_uint64_items(items)
         if type(self.index).upsert_many is not Index.upsert_many:
             locations = self._allocate_slots(len(items))
-            self.device.write_records(
-                [
-                    (page, slot, key, value)
-                    for (page, slot), (key, value) in zip(locations, items)
-                ]
-            )
+            self.device.write_records(locations, items)
             olds = self.index.upsert_many(
                 [(key, loc) for (key, _), loc in zip(items, locations)]
             )
@@ -159,12 +162,7 @@ class ViperStore:
             return
         existing = self.index.get_many([key for key, _ in items])
         locations = self._allocate_slots(len(items))
-        self.device.write_records(
-            [
-                (page, slot, key, value)
-                for (page, slot), (key, value) in zip(locations, items)
-            ]
-        )
+        self.device.write_records(locations, items)
         if self.index.insert_is_upsert:
             self.index.insert_many(
                 [(key, loc) for (key, _), loc in zip(items, locations)]

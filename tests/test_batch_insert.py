@@ -388,9 +388,7 @@ class TestBulkNVMPrimitives:
         addrs_b = bulk_dev.allocate_slots(20)
         for (p, s), i in zip(addrs_a, range(20)):
             seq_dev.write_record(p, s, i, -i)
-        bulk_dev.write_records(
-            [(p, s, i, -i) for (p, s), i in zip(addrs_b, range(20))]
-        )
+        bulk_dev.write_records(addrs_b, [(i, -i) for i in range(20)])
         assert perf_a.counters == perf_b.counters
         assert bulk_dev.used_bytes() == seq_dev.used_bytes()
         for (p, s), i in zip(addrs_b, range(20)):

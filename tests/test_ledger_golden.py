@@ -1,0 +1,115 @@
+"""Golden simulated ledgers: every spec's event counts, pinned to a file.
+
+The simulated clock is the paper's figures, so a change to how the
+ledger is kept (or to anything that charges it) must leave every count
+exactly where it was.  Each pass below builds a fresh
+:class:`~repro.perf.context.PerfContext`, bulk-loads 2,000 seeded YCSB
+keys, and runs a seeded 1,000-op stream through ``execute_ops`` at
+``batch_size`` 1 and 64; the context's ``as_dict()`` at the end must
+equal the committed file.  Updatable specs run YCSB-A and read-only
+specs YCSB-C, on the bare index and on a :class:`ViperStore`.  ALEX, PGM
+and BTree also run through a 2-shard loopback
+:class:`ParallelShardedStore`, which pins the engine's delta path (each
+shard's ledger delta folded into the caller's context).
+
+The counts are integers, so the file holds on every Python.  Regenerate
+it only for a change that is meant to move simulated numbers::
+
+    PYTHONPATH=src python tests/test_ledger_golden.py --write
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from repro.bench import IndexAdapter, StoreAdapter, execute_ops
+from repro.concurrency.parallel import ParallelShardedStore
+from repro.perf.context import PerfContext
+from repro.registry import resolve, specs
+from repro.store.viper import ViperStore
+from repro.workloads import YCSB_A, YCSB_C, generate_operations, ycsb_keys
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "ledger_golden.json")
+KEYS = 2_000
+OPS = 1_000
+SEED = 7
+BATCH_SIZES = (1, 64)
+ENGINE_SPECS = ("ALEX", "PGM", "BTree")
+
+
+def _stream(spec):
+    updatable = spec.build().capabilities().updatable
+    keys = sorted(ycsb_keys(KEYS, seed=SEED))
+    workload = YCSB_A if updatable else YCSB_C
+    return keys, generate_operations(workload, OPS, keys, seed=SEED)
+
+
+def _run(spec, target_kind, batch_size):
+    keys, ops = _stream(spec)
+    items = [(k, k) for k in keys]
+    perf = PerfContext()
+    if target_kind == "engine":
+        store = ParallelShardedStore(spec, 2, perf=perf, transport="loopback")
+        try:
+            store.bulk_load(items)
+            execute_ops(StoreAdapter(store), ops, perf, batch_size=batch_size)
+        finally:
+            store.close()
+    elif target_kind == "store":
+        store = ViperStore(spec.build(perf), perf)
+        store.bulk_load(items)
+        execute_ops(StoreAdapter(store), ops, perf, batch_size=batch_size)
+    else:
+        index = spec.build(perf)
+        index.bulk_load(items)
+        execute_ops(IndexAdapter(index), ops, perf, batch_size=batch_size)
+    return perf.counters.as_dict()
+
+
+def _passes():
+    """``(id, spec name, target kind, batch size)`` of every pass."""
+    out = []
+    for spec in specs():
+        for kind in ("index", "store"):
+            for bs in BATCH_SIZES:
+                out.append((f"{spec.name}/{kind}/b{bs}", spec.name, kind, bs))
+    for name in ENGINE_SPECS:
+        for bs in BATCH_SIZES:
+            out.append((f"{name}/engine/b{bs}", name, "engine", bs))
+    return out
+
+
+def _golden():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def test_golden_file_covers_every_pass():
+    assert sorted(_golden()) == sorted(pid for pid, *_ in _passes())
+
+
+@pytest.mark.parametrize(
+    "name,kind,batch_size",
+    [p[1:] for p in _passes()],
+    ids=[p[0] for p in _passes()],
+)
+def test_ledger_equals_golden(name, kind, batch_size):
+    got = _run(resolve(name), kind, batch_size)
+    assert got == _golden()[f"{name}/{kind}/b{batch_size}"]
+
+
+def _write():
+    ledgers = {
+        pid: _run(resolve(name), kind, bs) for pid, name, kind, bs in _passes()
+    }
+    lines = [f" {json.dumps(pid)}: {json.dumps(c)}" for pid, c in ledgers.items()]
+    with open(GOLDEN, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_ledger_golden.py --write")
+    _write()

@@ -28,7 +28,7 @@ from repro.concurrency import (
     parallel_sharded_store,
 )
 from repro.core.interfaces import SortedIndex
-from repro.errors import ReproError, WorkerDiedError
+from repro.errors import InvalidKeysError, ReproError, WorkerDiedError
 from repro.obs import MetricsRegistry, Tracer, event_counts
 from repro.registry import specs
 from repro.workloads import uniform_keys
@@ -416,6 +416,33 @@ def test_out_of_range_keys_match_sharded_index(name, transport):
         assert len(engine) == len(local)
     finally:
         engine.close()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in specs() if s.build().capabilities().updatable],
+    ids=lambda s: s.name,
+)
+def test_store_refuses_a_bad_key_before_any_shard_sees_the_call(spec):
+    """A store write holding a key outside uint64 is refused whole in the
+    caller: no shard applies its part of a refused batch."""
+    load, _ = _keys()
+    items = [(k, k) for k in sorted(load)]
+    first, last = items[0][0], items[-1][0]  # on different shards
+    store = parallel_sharded_store(spec, 2, transport="loopback")
+    try:
+        store.bulk_load(items)
+        with pytest.raises(InvalidKeysError):
+            store.put_many([(first, "x"), (last, "x"), (5.5, "x")])
+        for key in (-1, 5.5, float("nan"), 2**64):
+            with pytest.raises(InvalidKeysError):
+                store.put(key, "x")
+        with pytest.raises(InvalidKeysError):
+            store.bulk_load([(1, 1), (2**64, 2)])
+        assert len(store) == len(items)
+        assert store.get_many([first, last]) == [first, last]
+    finally:
+        store.close()
 
 
 def test_bad_configuration_rejected():

@@ -12,6 +12,25 @@ from repro.perf import (
     PerfContext,
 )
 from repro.perf.cost_model import EVENT_BYTES, bytes_touched
+from tests.oracles import ledger_by_name as oracle
+
+#: A full ledger of random counts, in event id order.
+COUNTS = st.lists(
+    st.integers(0, 2**40), min_size=len(Event.NAMES), max_size=len(Event.NAMES)
+)
+#: One step of a bracketed run: a charge, an opening, or a closing bracket.
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("charge"),
+            st.integers(0, len(Event.NAMES) - 1),
+            st.integers(0, 2**40),
+        ),
+        st.just(("begin",)),
+        st.just(("end",)),
+    ),
+    max_size=60,
+)
 
 
 class TestCounters:
@@ -82,6 +101,48 @@ class TestCostModel:
         c.nvm_read = 2
         c.dram_hop = 1
         assert bytes_touched(c) == 2 * EVENT_BYTES[Event.NVM_READ] + 64
+
+
+class TestLedgerExactness:
+    """The flat ledger equals the per-name arithmetic exactly."""
+
+    @given(COUNTS, st.floats(1e-3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_time_and_bytes_equal_the_per_name_formula(self, counts, factor):
+        model = CostModel().scaled(factor)
+        named = dict(zip(oracle.NAMES, counts))
+        assert model.time_ns(Counters(counts)) == oracle.time_ns(model, named)
+        assert bytes_touched(Counters(counts)) == oracle.bytes_touched(named)
+
+    def test_as_dict_keys_are_the_names_in_order(self):
+        assert Event.NAMES == oracle.NAMES
+        assert tuple(Counters().as_dict()) == oracle.NAMES
+        for event, name in enumerate(Event.NAMES):
+            c = Counters()
+            setattr(c, name, 7)
+            assert c.counts[event] == 7 == getattr(c, name)
+
+    @given(STEPS, st.floats(1e-3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_nested_brackets_return_the_reference_deltas(self, steps, factor):
+        perf = PerfContext(CostModel().scaled(factor))
+        ref = oracle.NamedLedger()
+        open_marks = []
+        for step in steps + [("end",)] * len(steps):
+            if step[0] == "charge":
+                _, event, n = step
+                perf.charge(event, n)
+                ref.charge(Event.NAMES[event], n)
+            elif step[0] == "begin":
+                open_marks.append((perf.begin(), ref.begin()))
+            elif open_marks:
+                mark, ref_mark = open_marks.pop()
+                op = perf.end(mark)
+                delta = ref.end(ref_mark)
+                assert op.counters.as_dict() == delta
+                assert op.time_ns == oracle.time_ns(perf.cost_model, delta)
+                assert op.bytes == oracle.bytes_touched(delta)
+        assert perf.counters.as_dict() == ref.counts
 
 
 class TestBandwidthModel:

@@ -4,11 +4,21 @@ import random
 
 import pytest
 
-from repro.errors import CrashedError, DeviceError, UnsupportedOperationError
+from repro.errors import (
+    CrashedError,
+    DeviceError,
+    InvalidKeysError,
+    UnsupportedOperationError,
+)
 from repro.learned import ALEXIndex, DynamicPGMIndex, RMIIndex
 from repro.perf import PerfContext
+from repro.registry import specs
 from repro.store import PMemDevice, ViperStore
 from repro.traditional import CCEH, BPlusTree
+
+UPDATABLE = [s for s in specs() if s.build().capabilities().updatable]
+#: Keys no 8-byte key slot holds: negative, fractional, NaN, too large.
+REFUSED_KEYS = (-1, 5.5, float("nan"), 2**64)
 
 
 def make_store(index_factory, perf=None, **kwargs):
@@ -193,3 +203,50 @@ class TestCrashRecovery:
         store.recover(lambda: BPlusTree(perf=perf))
         store.put(1, "post-recovery")
         assert store.get(1) == "post-recovery"
+
+
+class TestRefusedKeys:
+    """A key outside uint64 is refused at the store boundary before a
+    slot is allocated, so a refused call leaves the device as it was and
+    recovery rebuilds exactly the acknowledged writes."""
+
+    @staticmethod
+    def _device_state(store):
+        return (
+            len(store),
+            list(store.device.scan_records()),
+            store.device.used_bytes(),
+        )
+
+    @pytest.mark.parametrize("spec", UPDATABLE, ids=lambda s: s.name)
+    def test_refused_writes_persist_nothing(self, spec):
+        perf = PerfContext()
+        store = ViperStore(spec.build(perf), perf)
+        acked = {k: k for k in range(0, 3000, 3)}
+        store.bulk_load(sorted(acked.items()))
+        store.put(1, "one")
+        store.put_many([(2, "two"), (4, "four")])
+        acked.update({1: "one", 2: "two", 4: "four"})
+        before = self._device_state(store)
+
+        for key in REFUSED_KEYS:
+            with pytest.raises(InvalidKeysError):
+                store.put(key, "refused")
+        with pytest.raises(InvalidKeysError):
+            store.put_many([(5, "five"), (5.5, "refused"), (7, "seven")])
+        assert self._device_state(store) == before
+
+        store.crash()
+        store.recover(lambda: spec.build(perf))
+        keys = sorted(acked)
+        assert len(store) == len(acked)
+        assert store.get_many(keys) == [acked[k] for k in keys]
+
+    @pytest.mark.parametrize("spec", UPDATABLE, ids=lambda s: s.name)
+    def test_refused_bulk_load_persists_nothing(self, spec):
+        perf = PerfContext()
+        store = ViperStore(spec.build(perf), perf)
+        before = self._device_state(store)
+        with pytest.raises(InvalidKeysError):
+            store.bulk_load([(1, 1), (2, 2), (2**64, 3)])
+        assert self._device_state(store) == before

@@ -149,6 +149,23 @@ class TestStructureProperties:
         sizes = s.bucket_sizes()
         assert max(sizes) >= 5000  # everything collapses into one bucket
 
+    @pytest.mark.parametrize("key", [3.5, -0.5, 2.0, 1.5e19])
+    def test_radix_lookup_of_non_integer_key(self, key):
+        """A float key buckets by its floor, so it finds the rightmost
+        fence <= key (0 below the first fence); an integral float pays
+        what the equal integer key pays."""
+        fences = list(range(0, 3000, 3))
+        perf = PerfContext()
+        s = RadixTableStructure(r_bits=10, perf=perf)
+        s.build(fences)
+        mark = perf.begin()
+        assert s.lookup(key) == ground_truth(fences, key)
+        paid = perf.end(mark).counters
+        if key == int(key) and 0 <= key <= fences[-1]:
+            mark = perf.begin()
+            s.lookup(int(key))
+            assert perf.end(mark).counters == paid
+
     def test_structures_report_positive_size(self):
         fences = list(range(0, 100_000, 7))
         for make in ALL_STRUCTURES:
