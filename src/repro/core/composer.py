@@ -21,6 +21,7 @@ space the paper recommends.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
@@ -131,9 +132,12 @@ class ComposedIndex(UpdatableIndex):
         one vectorized pass (see ``InternalStructure.lookup_many``), and
         each run of queries landing in the same leaf is answered with a
         single ``Leaf.get_many`` call; answers scatter back to the
-        caller's order.  Any batch that cannot be converted exactly to
-        uint64 takes the per-key fallback, so results always match
-        ``[self.get(k) for k in keys]``.
+        caller's order.  Each run's keys and positions become Python
+        ints only when its turn comes, so the batch is never held as
+        Python ints whole; the leaf indexes of sorted queries never
+        decrease, so a run ends where ``bisect_right`` says.  Any batch
+        that cannot be converted exactly to uint64 takes the per-key
+        fallback, so results always match ``[self.get(k) for k in keys]``.
         """
         n = len(keys)
         if not self.leaves or not n:
@@ -145,18 +149,14 @@ class ComposedIndex(UpdatableIndex):
         order = np.argsort(qs, kind="stable")
         sorted_qs = qs[order]
         leaf_idx = self.structure.lookup_many(sorted_qs)
-        order_list = order.tolist()
-        sorted_keys = sorted_qs.tolist()
         results: List[Optional[Value]] = [None] * n
         start = 0
         while start < n:
             li = leaf_idx[start]
-            end = start + 1
-            while end < n and leaf_idx[end] == li:
-                end += 1
-            values = self.leaves[li].get_many(sorted_keys[start:end])
-            for pos in range(start, end):
-                results[order_list[pos]] = values[pos - start]
+            end = bisect_right(leaf_idx, li, start)
+            values = self.leaves[li].get_many(sorted_qs[start:end].tolist())
+            for pos, value in zip(order[start:end].tolist(), values):
+                results[pos] = value
             start = end
         return results
 

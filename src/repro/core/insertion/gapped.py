@@ -7,22 +7,25 @@ target insertion position.  There is little or no key movement when
 inserting a new key" (§IV-D).  When occupancy crosses the density limit
 the leaf reports FULL and the retraining policy expands or splits it.
 
-The slot array is a numpy ``uint64`` key array plus a boolean occupancy
-array.  Every gap/occupied scan costs O(distance to the answer): a
-forward scan is ``argmax``/``argmin`` on a bool slice (numpy
-short-circuits these), and a backward scan tests the start slot, then
-walks back through forward-contiguous windows that double in size (numpy
-copies a reversed view whole, so a backward ``argmax`` would cost
-O(slot index)).  Shifts are slice copies.  The batch paths and ``items``
-share one cached occupied-slot view, ``(positions, keys)``, which every
-slot mutator drops and ``insert_batch`` replaces with the layout it just
-placed.  The charges are those of the original ``List[Optional[int]]``
-slot array scanned with Python while-loops — same ``DRAM_SEQ`` stride
-counts, same ``KEY_MOVE`` totals, same ``_move_ema`` float arithmetic —
-so retrain triggers fire at exactly the same inserts.  That list-backed
-leaf is kept as a test oracle (``tests/oracles/gapped_list.py``), held
-equal charge for charge by
-``tests/test_batch_insert.py::TestGappedLeafEquivalence``.
+The slot array is a numpy ``uint64`` key array plus a byte occupancy
+map, one ``bytearray`` holding 1 for an occupied slot and 0 for a gap.
+Every gap/occupied scan is one ``occ[q]`` test or one C-level
+``rfind``/``find`` over the map, so it costs O(distance to the answer)
+either way.  Rank search (``_rank_slot``) runs in one method and bills
+one charge per event kind.  Shifts are slice copies.  The batch paths
+and ``items`` read the map through a zero-copy ``np.frombuffer`` view
+and share one cached occupied-slot view, ``(positions, keys)``, which
+every slot mutator drops and ``insert_batch`` replaces with the layout
+it just placed.
+
+The charges are those of the original ``List[Optional[int]]`` slot
+array searched probe by probe — same ``DRAM_SEQ`` stride counts, same
+``COMPARE`` counts, same ``KEY_MOVE`` totals, same ``_move_ema`` float
+arithmetic — so retrain triggers fire at exactly the same inserts.  That
+list-backed leaf and its per-probe search are kept as a test oracle
+(``tests/oracles/gapped_list.py``), held equal charge for charge by
+``tests/test_batch_insert.py::TestGappedLeafEquivalence`` and
+``tests/test_gapped_rank_oracle.py``.
 
 A key the ``uint64`` array cannot store as an equal value (negative,
 >= 2^64, or not an integer) raises ``InvalidKeysError`` when the leaf is
@@ -48,13 +51,16 @@ _PAIR_BYTES = 16
 #: conservative).
 _SCAN_STRIDE = 16
 
-#: Slots in the first window of a backward scan; each further window
-#: doubles, so a scan ending ``d`` slots back touches O(d) slots.
-_BACK_WINDOW = 64
-
 #: Below this batch size ``get_many``'s occupied-array extraction costs
 #: more than the per-key loop it replaces.
 _MIN_BATCH = 8
+
+
+def _occupancy_map(slots: int, pos: Any) -> bytearray:
+    """A ``slots``-byte occupancy map holding 1 at each slot of ``pos``."""
+    occ = bytearray(slots)
+    _vec.np.frombuffer(occ, dtype=bool)[pos] = True
+    return occ
 
 
 class GappedLeaf(Leaf):
@@ -97,7 +103,7 @@ class GappedLeaf(Leaf):
         self._init_slots(segment, values)
 
     def _init_slots(self, segment: GappedSegment, values: List[Any]) -> None:
-        """Build the key/occupancy arrays, touching only occupied slots.
+        """Build the key array and occupancy map from the occupied slots.
 
         Reuses the slot positions the segment's numpy placement already
         computed when available; otherwise derives them from the slot
@@ -121,13 +127,10 @@ class GappedLeaf(Leaf):
                 count=self._slots,
             )
             pos = np.flatnonzero(occ)
-        else:
-            occ = np.zeros(self._slots, dtype=bool)
-            occ[pos] = True
         keys_np = np.zeros(self._slots, dtype=np.uint64)
         keys_np[pos] = compact
         self._np_keys = keys_np
-        self._np_occ = occ
+        self._occ = _occupancy_map(self._slots, pos)
         self._view = None
         self._slot_values = [None] * self._slots
         for p, v in zip(pos.tolist(), values):
@@ -144,7 +147,8 @@ class GappedLeaf(Leaf):
         Built on first use and kept until a slot mutator drops it.
         """
         if self._view is None:
-            pos = _vec.np.flatnonzero(self._np_occ)
+            np = _vec.np
+            pos = np.flatnonzero(np.frombuffer(self._occ, dtype=bool))
             self._view = (pos, self._np_keys[pos])
         return self._view
 
@@ -152,7 +156,7 @@ class GappedLeaf(Leaf):
         """The slot array as ``key-or-None`` per slot."""
         return [
             k if o else None
-            for k, o in zip(self._np_keys.tolist(), self._np_occ.tolist())
+            for k, o in zip(self._np_keys.tolist(), self._occ)
         ]
 
     # -- slot scanning helpers (each charges per stride scanned) ----------
@@ -166,22 +170,9 @@ class GappedLeaf(Leaf):
         if j < 0:
             self._charge_scan(0)
             return -1
-        occ = self._np_occ
-        if occ.item(j) == occupied:
-            self._charge_scan(0)
-            return j
-        hi, width = j, _BACK_WINDOW
-        while hi > 0:
-            lo = max(hi - width, 0)
-            seg = occ[lo:hi]
-            hits = (seg if occupied else ~seg).nonzero()[0]
-            if hits.size:
-                c = lo + hits.item(-1)
-                self._charge_scan(j - c)
-                return c
-            hi, width = lo, width * 2
-        self._charge_scan(j + 1)
-        return -1
+        c = self._occ.rfind(occupied, 0, j + 1)
+        self._charge_scan(j - c)
+        return c
 
     def _find_ge(self, i: int, occupied: bool) -> int:
         """Nearest slot index >= i that is occupied (or a gap), or -1."""
@@ -190,100 +181,114 @@ class GappedLeaf(Leaf):
         if j >= n:
             self._charge_scan(0)
             return -1
-        seg = self._np_occ[j:]
-        off = int(seg.argmax() if occupied else seg.argmin())
-        if seg.item(off) == occupied:
-            self._charge_scan(off)
-            return j + off
-        self._charge_scan(n - j)
-        return -1
+        c = self._occ.find(occupied, j)
+        self._charge_scan((n if c == -1 else c) - j)
+        return c
 
     # -- gap-aware rank search ---------------------------------------------
 
     def _rank_slot(self, key: int) -> int:
-        """Rightmost *occupied* slot whose key is <= ``key``; -1 if none."""
-        charge = self.perf.charge
-        slots = self._slots
-        charge(Event.MODEL_EVAL)
-        p = self.model.predict_clamped(key, slots)
-        j = self._find_le(p, True)
-        if j == -1:
-            j = self._find_ge(p + 1, True)
+        """Rightmost *occupied* slot whose key is <= ``key``; -1 if none.
+
+        Probes the predicted slot, gallops from it (right while keys are
+        <= ``key``, else left) until an occupied bracket ``lo < hi`` with
+        ``key(lo) <= key < key(hi)`` holds the answer, then halves the
+        bracket.  A probe at slot ``q`` reads the nearest occupied slot
+        ``c`` at or left of ``q`` and costs ``1 + (q - c) //
+        _SCAN_STRIDE`` sequential reads.  Where ``c`` cannot narrow the
+        bracket, the first probe, the left gallop and the halving read
+        the nearest occupied slot right of ``q`` instead, billed the same
+        way; the right gallop doubles its step.  Each key read is one
+        comparison.  The counts stay in locals and leave as one charge
+        per event kind: the totals of the per-probe chain in
+        ``tests/oracles/gapped_list.py``.
+        """
+        occ = self._occ
+        key_at = self._np_keys.item
+        last = self._slots - 1
+        self.perf.charge(Event.MODEL_EVAL)
+        p = self.model.predict_clamped(key, last + 1)
+        j = p if occ[p] else occ.rfind(1, 0, p)
+        seq = 1 + (p - j) // _SCAN_STRIDE
+        cmp = 0
+        try:
             if j == -1:
-                return -1  # empty leaf
-            charge(Event.COMPARE)
-            if self._key_at(j) > key:
-                return -1
-        else:
-            charge(Event.COMPARE)
-        if self._key_at(j) <= key:
-            return self._gallop_right(j, key)
-        return self._gallop_left(j, key)
-
-    def _gallop_right(self, j: int, key: int) -> int:
-        """``slot_keys[j] <= key``: find the rightmost occupied <= key."""
-        charge = self.perf.charge
-        slots = self._slots
-        step = 1
-        while True:
-            q = j + step
-            if q >= slots:
-                q = slots - 1
-            c = self._find_le(q, True)
-            if c > j:
-                charge(Event.COMPARE)
-                if self._key_at(c) <= key:
-                    j = c
-                    if q == slots - 1:
-                        return j
-                    step *= 2
-                    continue
-                return self._binary_between(j, c, key)
-            if q == slots - 1:
-                return j  # no occupied slot right of j
-            step *= 2
-
-    def _gallop_left(self, b: int, key: int) -> int:
-        """``slot_keys[b] > key``: find the rightmost occupied <= key."""
-        charge = self.perf.charge
-        step = 1
-        while True:
-            q = b - step
-            if q < 0:
-                q = 0
-            c = self._find_le(q, True)
-            if c == -1:
-                c = self._find_ge(q + 1, True)
-                if c == b:
-                    return -1  # nothing occupied left of b
-                charge(Event.COMPARE)
-                if self._key_at(c) > key:
+                # Nothing at or left of p: the first occupied slot decides.
+                j = occ.find(1, p + 1)
+                if j == -1:
+                    seq += 1 + (last - p) // _SCAN_STRIDE
+                    return -1  # empty leaf
+                seq += 1 + (j - p - 1) // _SCAN_STRIDE
+                cmp = 1
+                if key_at(j) > key:
                     return -1
-                return self._binary_between(c, b, key)
-            charge(Event.COMPARE)
-            if self._key_at(c) <= key:
-                return self._binary_between(c, b, key)
-            b = c
-            if q == 0:
-                return -1
-            step *= 2
-
-    def _binary_between(self, lo: int, hi: int, key: int) -> int:
-        """Rightmost occupied <= key, given occupied bounds
-        ``slot_keys[lo] <= key < slot_keys[hi]``."""
-        charge = self.perf.charge
-        while True:
-            mid = (lo + hi) // 2
-            c = self._find_le(mid, True)
-            if c <= lo:
-                c = self._find_ge(mid + 1, True)
-                if c >= hi:
-                    return lo
-            charge(Event.COMPARE)
-            if self._key_at(c) <= key:
-                lo = c
+                right = True
             else:
-                hi = c
+                cmp = 1
+                right = key_at(j) <= key
+            step = 1
+            if right:
+                lo = j
+                while True:
+                    q = lo + step
+                    if q > last:
+                        q = last
+                    c = q if occ[q] else occ.rfind(1, lo, q)
+                    seq += 1 + (q - c) // _SCAN_STRIDE
+                    if c > lo:
+                        cmp += 1
+                        if key_at(c) > key:
+                            hi = c
+                            break
+                        lo = c
+                    if q == last:
+                        return lo  # no occupied slot right of lo
+                    step *= 2
+            else:
+                hi = j
+                while True:
+                    q = hi - step
+                    if q < 0:
+                        q = 0
+                    c = q if occ[q] else occ.rfind(1, 0, q)
+                    seq += 1 + (q - c) // _SCAN_STRIDE
+                    if c == -1:
+                        c = occ.find(1, q + 1)
+                        seq += 1 + (c - q - 1) // _SCAN_STRIDE
+                        if c == hi:
+                            return -1  # nothing occupied left of hi
+                        cmp += 1
+                        if key_at(c) > key:
+                            return -1
+                        lo = c
+                        break
+                    cmp += 1
+                    if key_at(c) <= key:
+                        lo = c
+                        break
+                    hi = c
+                    if q == 0:
+                        return -1
+                    step *= 2
+            while True:
+                mid = (lo + hi) // 2
+                c = mid if occ[mid] else occ.rfind(1, lo, mid)
+                seq += 1 + (mid - c) // _SCAN_STRIDE
+                if c <= lo:
+                    c = occ.find(1, mid + 1)
+                    seq += 1 + (c - mid - 1) // _SCAN_STRIDE
+                    if c >= hi:
+                        return lo
+                cmp += 1
+                if key_at(c) <= key:
+                    lo = c
+                else:
+                    hi = c
+        finally:
+            charge = self.perf.charge
+            charge(Event.DRAM_SEQ, seq)
+            if cmp:
+                charge(Event.COMPARE, cmp)
 
     # -- Leaf interface -------------------------------------------------
 
@@ -419,13 +424,12 @@ class GappedLeaf(Leaf):
             slot = np.minimum(slot, self._slots - (merged.size - idx))
 
         keys_np = np.zeros(self._slots, dtype=np.uint64)
-        occ = np.zeros(self._slots, dtype=bool)
         keys_np[slot] = merged
-        occ[slot] = True
         values: List[Any] = [None] * self._slots
         for s, v in zip(slot.tolist(), merged_vals):
             values[s] = v
-        self._np_keys, self._np_occ, self._slot_values = keys_np, occ, values
+        self._np_keys, self._slot_values = keys_np, values
+        self._occ = _occupancy_map(self._slots, slot)
         self._view = (slot, merged)
         self._occupied += n_fresh
         if merged.size:
@@ -507,18 +511,18 @@ class GappedLeaf(Leaf):
         ``hi`` (right); one ``KEY_MOVE`` per slot either way."""
         if left:
             self._np_keys[lo:hi] = self._np_keys[lo + 1 : hi + 1].copy()
-            self._np_occ[lo:hi] = self._np_occ[lo + 1 : hi + 1].copy()
+            self._occ[lo:hi] = self._occ[lo + 1 : hi + 1]
             self._slot_values[lo:hi] = self._slot_values[lo + 1 : hi + 1]
         else:
             self._np_keys[lo + 1 : hi + 1] = self._np_keys[lo:hi].copy()
-            self._np_occ[lo + 1 : hi + 1] = self._np_occ[lo:hi].copy()
+            self._occ[lo + 1 : hi + 1] = self._occ[lo:hi]
             self._slot_values[lo + 1 : hi + 1] = self._slot_values[lo:hi]
         self._view = None
         self.perf.charge(Event.KEY_MOVE, hi - lo)
 
     def _place(self, slot: int, key: int, value: Any) -> None:
         self._np_keys[slot] = key
-        self._np_occ[slot] = True
+        self._occ[slot] = 1
         self._slot_values[slot] = value
         self._view = None
         self._occupied += 1
@@ -571,7 +575,7 @@ class GappedLeaf(Leaf):
         return True
 
     def _clear(self, slot: int) -> None:
-        self._np_occ[slot] = False
+        self._occ[slot] = 0
         self._slot_values[slot] = None
         self._view = None
 

@@ -5,7 +5,8 @@ whose production version is vectorized or replayed.  They run only in
 tests:
 
 * :mod:`tests.oracles.gapped_list` — ``GappedLeaf`` on a Python list slot
-  array, equal to the numpy leaf charge for charge;
+  array with its per-probe rank search, equal to the byte-map leaf and
+  its one-loop search charge for charge;
 * :mod:`tests.oracles.greedy_scalar` — the greedy PLA window, one point at
   a time, equal to ``GreedyPLAApproximator`` bit for bit;
 * :mod:`tests.oracles.ledger_by_name` — the cost-model ledger as a dict of

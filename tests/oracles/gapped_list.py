@@ -1,10 +1,16 @@
-"""``GappedLeaf`` on a ``List[Optional[int]]`` slot array.
+"""``GappedLeaf`` on a ``List[Optional[int]]`` slot array, searched probe
+by probe.
 
 The original storage of ALEX's gapped leaf: slots scanned with Python
-while-loops, one ``KEY_MOVE`` charged per shifted slot.  Only the
-slot-level helpers differ from the production leaf; rank search, the
-insert/shift decision, the move EMA and every charge formula are
-inherited, so the two leaves must agree charge for charge.
+while-loops, one ``DRAM_SEQ`` charge per scan and one ``KEY_MOVE`` per
+shifted slot.  Rank search is the original chain of per-probe helpers
+(``_rank_slot`` → ``_gallop_right``/``_gallop_left`` →
+``_binary_between``), each probe a ``_find_le``/``_find_ge`` call that
+charges as it goes and each key read its own ``COMPARE``.  The
+production leaf replaces that chain with one loop over a byte occupancy
+map that bills its counts once per event kind; the insert/shift
+decision, the move EMA and every other charge formula are inherited, so
+the two leaves must agree charge for charge.
 """
 
 from typing import Any, List, Optional, Tuple
@@ -16,7 +22,8 @@ from repro.perf.events import Event
 
 
 class ListGappedLeaf(GappedLeaf):
-    """The list-backed slot array, for equivalence tests."""
+    """The list-backed slot array and per-probe rank search, for
+    equivalence tests."""
 
     def _init_slots(self, segment: GappedSegment, values: List[Any]) -> None:
         self._slot_keys: List[Optional[int]] = list(segment.slot_keys)
@@ -47,6 +54,95 @@ class ListGappedLeaf(GappedLeaf):
             j += 1
         self._charge_scan(j - start)
         return j if j < n else -1
+
+    # -- per-probe rank search ---------------------------------------------
+
+    def _rank_slot(self, key: int) -> int:
+        """Rightmost *occupied* slot whose key is <= ``key``; -1 if none."""
+        charge = self.perf.charge
+        slots = self._slots
+        charge(Event.MODEL_EVAL)
+        p = self.model.predict_clamped(key, slots)
+        j = self._find_le(p, True)
+        if j == -1:
+            j = self._find_ge(p + 1, True)
+            if j == -1:
+                return -1  # empty leaf
+            charge(Event.COMPARE)
+            if self._key_at(j) > key:
+                return -1
+        else:
+            charge(Event.COMPARE)
+        if self._key_at(j) <= key:
+            return self._gallop_right(j, key)
+        return self._gallop_left(j, key)
+
+    def _gallop_right(self, j: int, key: int) -> int:
+        """``slot_keys[j] <= key``: find the rightmost occupied <= key."""
+        charge = self.perf.charge
+        slots = self._slots
+        step = 1
+        while True:
+            q = j + step
+            if q >= slots:
+                q = slots - 1
+            c = self._find_le(q, True)
+            if c > j:
+                charge(Event.COMPARE)
+                if self._key_at(c) <= key:
+                    j = c
+                    if q == slots - 1:
+                        return j
+                    step *= 2
+                    continue
+                return self._binary_between(j, c, key)
+            if q == slots - 1:
+                return j  # no occupied slot right of j
+            step *= 2
+
+    def _gallop_left(self, b: int, key: int) -> int:
+        """``slot_keys[b] > key``: find the rightmost occupied <= key."""
+        charge = self.perf.charge
+        step = 1
+        while True:
+            q = b - step
+            if q < 0:
+                q = 0
+            c = self._find_le(q, True)
+            if c == -1:
+                c = self._find_ge(q + 1, True)
+                if c == b:
+                    return -1  # nothing occupied left of b
+                charge(Event.COMPARE)
+                if self._key_at(c) > key:
+                    return -1
+                return self._binary_between(c, b, key)
+            charge(Event.COMPARE)
+            if self._key_at(c) <= key:
+                return self._binary_between(c, b, key)
+            b = c
+            if q == 0:
+                return -1
+            step *= 2
+
+    def _binary_between(self, lo: int, hi: int, key: int) -> int:
+        """Rightmost occupied <= key, given occupied bounds
+        ``slot_keys[lo] <= key < slot_keys[hi]``."""
+        charge = self.perf.charge
+        while True:
+            mid = (lo + hi) // 2
+            c = self._find_le(mid, True)
+            if c <= lo:
+                c = self._find_ge(mid + 1, True)
+                if c >= hi:
+                    return lo
+            charge(Event.COMPARE)
+            if self._key_at(c) <= key:
+                lo = c
+            else:
+                hi = c
+
+    # -- slot mutators -----------------------------------------------------
 
     def _shift(self, lo: int, hi: int, left: bool) -> None:
         keys, values, charge = self._slot_keys, self._slot_values, self.perf.charge

@@ -4,7 +4,10 @@ Two guarantees pinned here:
 
 1. ``get_many``/``contains_many`` agree with the per-key ``get`` loop for
    *every* registry index, on sorted, shuffled, duplicate-heavy, absent,
-   and empty batches — native fast paths and scalar fallbacks alike.
+   and empty batches, and on a shuffled batch holding every key with
+   duplicates and absent keys — native fast paths and scalar fallbacks
+   alike.  A 100K-key ``ComposedIndex`` batch peaks below 100 bytes a
+   key.
 2. The numpy approximator fits agree with their point-by-point
    references on realistic key distributions (YCSB, OSM): Greedy-PLA bit
    for bit with ``tests/oracles/greedy_scalar.py``, LSA with
@@ -14,6 +17,7 @@ Two guarantees pinned here:
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +30,8 @@ from repro.core.approximation import (
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa import fit_least_squares
 from repro.core.approximation.lsa_gap import GappedSegment
-from repro.registry import has_native_batch, specs
+from repro.perf.context import PerfContext
+from repro.registry import has_native_batch, resolve, specs
 from repro.workloads import osm_keys, ycsb_keys
 from tests.oracles.greedy_scalar import greedy_fit_scalar
 
@@ -52,12 +57,14 @@ def _batches(keys):
     present = rng.sample(keys, 150)
     key_set = set(keys)
     absent = [k for k in (p + 1 for p in present) if k not in key_set][:100]
+    every_leaf = keys + absent + present
     return {
         "sorted": sorted(present),
         "shuffled": rng.sample(present, len(present)),
         "duplicates": present[:40] * 3,
         "absent": absent,
         "mixed": rng.sample(present + absent, len(present) + len(absent)),
+        "every_leaf": rng.sample(every_leaf, len(every_leaf)),
         "empty": [],
     }
 
@@ -94,6 +101,28 @@ class TestBatchContract:
         batch = rng.sample(fresh, 60) + rng.sample(keys, 60) + [keys[0] - 1]
         expected = [index.get(k) for k in batch]
         assert index.get_many(batch) == expected
+
+
+@pytest.mark.parametrize("name", ["alex", "xindex"])
+def test_composed_get_many_converts_one_leaf_run_at_a_time(name):
+    """A 100K-key batch becomes Python ints one leaf run at a time.
+    Holding the whole sorted batch and its order as Python ints peaks
+    near 135 bytes a key."""
+    n = 100_000
+    rng = random.Random(5)
+    keys = sorted(rng.sample(range(1, 2**48), n))
+    index = resolve(name).build(PerfContext())
+    index.bulk_load([(k, k) for k in keys])
+    batch = rng.sample(keys, n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = index.get_many(batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out == batch
+    assert peak / n < 100, f"{peak / n:.1f} bytes per key at peak"
 
 
 def test_has_native_batch_classifies_fast_paths(loaded_indexes):
