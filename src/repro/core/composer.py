@@ -131,11 +131,12 @@ class ComposedIndex(UpdatableIndex):
         The batch is argsorted, routed through the internal structure in
         one vectorized pass (see ``InternalStructure.lookup_many``), and
         each run of queries landing in the same leaf is answered with a
-        single ``Leaf.get_many`` call; answers scatter back to the
-        caller's order.  Each run's keys and positions become Python
-        ints only when its turn comes, so the batch is never held as
-        Python ints whole; the leaf indexes of sorted queries never
-        decrease, so a run ends where ``bisect_right`` says.  Any batch
+        single ``Leaf.get_many`` call, which gets the run's sorted
+        ``uint64`` slice as it is; answers scatter back to the caller's
+        order.  Each run's positions become Python ints only when its
+        turn comes, so the batch is never held as Python ints whole; the
+        leaf indexes of sorted queries never decrease, so a run ends
+        where ``bisect_right`` says.  Any batch
         that cannot be converted exactly to uint64 takes the per-key
         fallback, so results always match ``[self.get(k) for k in keys]``.
         """
@@ -154,7 +155,7 @@ class ComposedIndex(UpdatableIndex):
         while start < n:
             li = leaf_idx[start]
             end = bisect_right(leaf_idx, li, start)
-            values = self.leaves[li].get_many(sorted_qs[start:end].tolist())
+            values = self.leaves[li].get_many(sorted_qs[start:end])
             for pos, value in zip(order[start:end].tolist(), values):
                 results[pos] = value
             start = end

@@ -4,9 +4,25 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+import repro.core.approximation.vectorized as _vec
+from repro.errors import InvalidKeysError
 from repro.perf.context import PerfContext
+
+
+def object_array(values: Sequence[Any]) -> Any:
+    """``values`` as a 1-d numpy object array, one element per value.
+
+    ``np.array(values, dtype=object)`` would turn equal-length tuples,
+    such as the store's ``(page, slot)`` locations, into a 2-d array;
+    ``fromiter`` keeps every value one element.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        return values
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 class InsertResult(enum.Enum):
@@ -37,7 +53,14 @@ class Leaf(ABC):
     def get(self, key: int) -> Optional[Any]: ...
 
     def get_many(self, keys: Any) -> List[Optional[Any]]:
-        """Batch :meth:`get`; strategies may override with a fast path."""
+        """Batch :meth:`get`; strategies may override with a fast path.
+
+        ``keys`` is a sequence of ints or a ``uint64`` array, which is
+        converted once with ``tolist`` so :meth:`get` never sees a numpy
+        scalar (under NEP 50, ``np.uint64`` minus an int wraps).
+        """
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
         return [self.get(key) for key in keys]
 
     @abstractmethod
@@ -73,6 +96,22 @@ class Leaf(ABC):
     @abstractmethod
     def items(self) -> List[Tuple[int, Any]]:
         """All live pairs in ascending key order (used by retraining)."""
+
+    def live_arrays(self) -> Tuple[Any, Any]:
+        """The live keys as a ``uint64`` array and their values as a 1-d
+        object array, ascending: what ALEX's retrain rebuilds from.
+
+        The default converts :meth:`items`; keys that uint64 cannot hold
+        raise ``InvalidKeysError``.
+        """
+        items = self.items()
+        keys = _vec.as_u64([k for k, _ in items])
+        if keys is None:
+            raise InvalidKeysError(
+                f"{type(self).__name__}: keys must be integers in the "
+                "uint64 key space"
+            )
+        return keys, object_array([v for _, v in items])
 
     @abstractmethod
     def size_bytes(self) -> int: ...

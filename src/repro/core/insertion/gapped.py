@@ -7,16 +7,20 @@ target insertion position.  There is little or no key movement when
 inserting a new key" (§IV-D).  When occupancy crosses the density limit
 the leaf reports FULL and the retraining policy expands or splits it.
 
-The slot array is a numpy ``uint64`` key array plus a byte occupancy
-map, one ``bytearray`` holding 1 for an occupied slot and 0 for a gap.
-Every gap/occupied scan is one ``occ[q]`` test or one C-level
-``rfind``/``find`` over the map, so it costs O(distance to the answer)
-either way.  Rank search (``_rank_slot``) runs in one method and bills
-one charge per event kind.  Shifts are slice copies.  The batch paths
-and ``items`` read the map through a zero-copy ``np.frombuffer`` view
-and share one cached occupied-slot view, ``(positions, keys)``, which
-every slot mutator drops and ``insert_batch`` replaces with the layout
-it just placed.
+The slot array is a numpy ``uint64`` key array, a numpy object array of
+values beside it (one pointer per slot, as a list would hold), and a
+byte occupancy map, one ``bytearray`` holding 1 for an occupied slot and
+0 for a gap.  Every gap/occupied scan is one ``occ[q]`` test or one
+C-level ``rfind``/``find`` over the map, so it costs O(distance to the
+answer) either way.  Rank search (``_rank_slot``) runs in one method and
+bills one charge per event kind.  Shifts are slice copies.  The batch
+paths and ``items`` read the map through a zero-copy ``np.frombuffer``
+view and share one cached occupied-slot view, ``(positions, keys)``,
+which every slot mutator drops and ``insert_batch`` and construction
+replace with the layout they just placed.  Keys and values move only by
+gathering and scattering at those positions: building a leaf, merging a
+batch into it, answering ``get_many``/``scan_from``/``items`` and handing
+a retrain its live arrays (``live_arrays``) run no per-slot Python loop.
 
 The charges are those of the original ``List[Optional[int]]`` slot
 array searched probe by probe — same ``DRAM_SEQ`` stride counts, same
@@ -34,12 +38,12 @@ built or before an insert moves any slot.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa_gap import GappedSegment
-from repro.core.insertion.base import InsertResult, Leaf
+from repro.core.insertion.base import InsertResult, Leaf, object_array
 from repro.core.interfaces import is_uint64, scan_start
 from repro.errors import InvalidConfigurationError, InvalidKeysError
 from repro.perf.context import PerfContext
@@ -76,7 +80,7 @@ class GappedLeaf(Leaf):
     def __init__(
         self,
         segment: GappedSegment,
-        values: List[Any],
+        values: Sequence[Any],
         perf: PerfContext,
         upper_density: float = 0.8,
     ):
@@ -102,39 +106,27 @@ class GappedLeaf(Leaf):
         self.upper_density = upper_density
         self._init_slots(segment, values)
 
-    def _init_slots(self, segment: GappedSegment, values: List[Any]) -> None:
-        """Build the key array and occupancy map from the occupied slots.
-
-        Reuses the slot positions the segment's numpy placement already
-        computed when available; otherwise derives them from the slot
-        list with one ``flatnonzero`` instead of a per-slot loop.
-        """
+    def _init_slots(
+        self, segment: GappedSegment, values: Sequence[Any]
+    ) -> None:
+        """Scatter the keys and values to the slots the segment placed
+        them in; that layout is the first occupied-slot view."""
         np = _vec.np
         pos = segment.slot_pos
         compact = segment.keys_u64
-        if pos is None:
-            compact = _vec.as_u64(
-                [k for k in segment.slot_keys if k is not None]
+        if compact is None:
+            raise InvalidKeysError(
+                f"{type(self).__name__}: keys must be integers in the "
+                "uint64 key space"
             )
-            if compact is None:
-                raise InvalidKeysError(
-                    f"{type(self).__name__}: keys must be integers in the "
-                    "uint64 key space"
-                )
-            occ = np.fromiter(
-                (k is not None for k in segment.slot_keys),
-                dtype=bool,
-                count=self._slots,
-            )
-            pos = np.flatnonzero(occ)
         keys_np = np.zeros(self._slots, dtype=np.uint64)
         keys_np[pos] = compact
+        slot_values = np.empty(self._slots, dtype=object)
+        slot_values[pos] = object_array(values)
         self._np_keys = keys_np
+        self._values = slot_values
         self._occ = _occupancy_map(self._slots, pos)
-        self._view = None
-        self._slot_values = [None] * self._slots
-        for p, v in zip(pos.tolist(), values):
-            self._slot_values[p] = v
+        self._view = (pos, compact)
 
     # -- storage accessors ------------------------------------------------
 
@@ -144,7 +136,9 @@ class GappedLeaf(Leaf):
     def _occupied_slots(self) -> Tuple[Any, Any]:
         """``(pos, keys)``: the occupied slots and their keys, ascending.
 
-        Built on first use and kept until a slot mutator drops it.
+        Built on first use and kept until a slot mutator drops it.  Its
+        arrays are never written in place, so a leaf built from another
+        leaf's view may share them.
         """
         if self._view is None:
             np = _vec.np
@@ -311,39 +305,37 @@ class GappedLeaf(Leaf):
         self.perf.charge(Event.DRAM_HOP)
         r = self._rank_slot(key)
         if r != -1 and self._key_at(r) == key:
-            return self._slot_values[r]
+            return self._values[r]
         return None
 
     def get_many(self, keys: Any) -> List[Optional[Any]]:
-        """Batch get: one ``searchsorted`` over the occupied keys.
+        """Batch get: one ``searchsorted`` over the occupied keys, one
+        gather of the hits' values.
 
-        Like every batch fast path (see ``docs/performance.md``), results
-        are exactly the per-key loop's; the event bill is a coarse
-        aggregate (one hop + model eval per query, one comparison per
-        halving of the slot array) rather than the scalar per-probe
-        ledger.
+        ``keys`` is a sorted ``uint64`` array or a sequence of ints.  Like
+        every batch fast path (see ``docs/performance.md``), results are
+        exactly the per-key loop's; the event bill is a coarse aggregate
+        (one hop + model eval per query, one comparison per halving of
+        the slot array) rather than the scalar per-probe ledger.
         """
-        if len(keys) < _MIN_BATCH:
-            return [self.get(k) for k in keys]
-        qs = _vec.as_u64(keys)
-        if qs is None:
-            return [self.get(k) for k in keys]
         n = len(keys)
+        qs = _vec.as_u64(keys) if n >= _MIN_BATCH else None
+        if qs is None:
+            return super().get_many(keys)
         if self._occupied == 0:
             self.perf.charge(Event.DRAM_HOP, n)
             return [None] * n
         np = _vec.np
         pos, compact = self._occupied_slots()
-        idx = np.searchsorted(compact, qs, side="right").astype(np.int64) - 1
-        hit = (idx >= 0) & (compact[np.maximum(idx, 0)] == qs)
+        # The rightmost key <= each query (the first key for a query
+        # below it, where the key test below fails).
+        at = np.maximum(np.searchsorted(compact, qs, side="right") - 1, 0)
         self.perf.charge(Event.DRAM_HOP, n)
         self.perf.charge(Event.MODEL_EVAL, n)
         self.perf.charge(Event.COMPARE, n * max(1, self._slots.bit_length()))
-        values = self._slot_values
-        src = pos[np.maximum(idx, 0)].tolist()
-        return [
-            values[s] if h else None for h, s in zip(hit.tolist(), src)
-        ]
+        out = self._values[pos[at]]
+        out[compact[at] != qs] = None
+        return out.tolist()
 
     def insert(self, key: int, value: Any) -> InsertResult:
         return self.upsert(key, value)[0]
@@ -374,10 +366,11 @@ class GappedLeaf(Leaf):
         ks = _vec.as_u64([k for k, _ in items])
         if ks is None:
             return None
+        vs = object_array([v for _, v in items])
         keep = np.concatenate([ks[1:] != ks[:-1], np.ones(1, dtype=bool)])
         kidx = np.flatnonzero(keep)
         ks = ks[kidx]
-        vs = [items[i][1] for i in kidx.tolist()]
+        vs = vs[kidx]
 
         pos, existing = self._occupied_slots()
         m = int(existing.size)
@@ -391,21 +384,16 @@ class GappedLeaf(Leaf):
         if self._occupied + n_fresh > int(self.upper_density * self._slots):
             return None
 
-        ex_vals = [self._slot_values[p] for p in pos.tolist()]
-        for j, i in zip(loc[hit].tolist(), np.flatnonzero(hit).tolist()):
-            ex_vals[j] = vs[i]
+        merged_vals = self._values[pos]
+        merged_vals[loc[hit]] = vs[hit]
         if n_fresh:
             fresh_sel = ~hit
             merged = np.concatenate([existing, ks[fresh_sel]])
             order = np.argsort(merged, kind="stable")
             merged = merged[order]
-            all_vals = ex_vals + [
-                vs[i] for i in np.flatnonzero(fresh_sel).tolist()
-            ]
-            merged_vals = [all_vals[i] for i in order.tolist()]
+            merged_vals = np.concatenate([merged_vals, vs[fresh_sel]])[order]
         else:
             merged = existing
-            merged_vals = ex_vals
 
         pred = _vec.predict_clamped_many(self.model, merged, self._slots)
         if pred is None:
@@ -425,10 +413,9 @@ class GappedLeaf(Leaf):
 
         keys_np = np.zeros(self._slots, dtype=np.uint64)
         keys_np[slot] = merged
-        values: List[Any] = [None] * self._slots
-        for s, v in zip(slot.tolist(), merged_vals):
-            values[s] = v
-        self._np_keys, self._slot_values = keys_np, values
+        values = np.empty(self._slots, dtype=object)
+        values[slot] = merged_vals
+        self._np_keys, self._values = keys_np, values
         self._occ = _occupancy_map(self._slots, slot)
         self._view = (slot, merged)
         self._occupied += n_fresh
@@ -451,8 +438,9 @@ class GappedLeaf(Leaf):
         self.perf.charge(Event.DRAM_HOP)
         r = self._rank_slot(key)
         if r != -1 and self._key_at(r) == key:
-            old = self._slot_values[r]
-            self._slot_values[r] = value
+            values = self._values
+            old = values[r]
+            values[r] = value
             return InsertResult.UPDATED, old
         if not is_uint64(key):
             # Checked before any slot moves: the uint64 key array would
@@ -512,18 +500,18 @@ class GappedLeaf(Leaf):
         if left:
             self._np_keys[lo:hi] = self._np_keys[lo + 1 : hi + 1].copy()
             self._occ[lo:hi] = self._occ[lo + 1 : hi + 1]
-            self._slot_values[lo:hi] = self._slot_values[lo + 1 : hi + 1]
+            self._values[lo:hi] = self._values[lo + 1 : hi + 1].copy()
         else:
             self._np_keys[lo + 1 : hi + 1] = self._np_keys[lo:hi].copy()
             self._occ[lo + 1 : hi + 1] = self._occ[lo:hi]
-            self._slot_values[lo + 1 : hi + 1] = self._slot_values[lo:hi]
+            self._values[lo + 1 : hi + 1] = self._values[lo:hi].copy()
         self._view = None
         self.perf.charge(Event.KEY_MOVE, hi - lo)
 
     def _place(self, slot: int, key: int, value: Any) -> None:
         self._np_keys[slot] = key
         self._occ[slot] = 1
-        self._slot_values[slot] = value
+        self._values[slot] = value
         self._view = None
         self._occupied += 1
         if key < self._first:
@@ -545,17 +533,21 @@ class GappedLeaf(Leaf):
         np = _vec.np
         pos, compact = self._occupied_slots()
         i = int(np.searchsorted(compact, np.uint64(start), side="left"))
-        take = pos[i : i + limit].tolist()
-        values = self._slot_values
-        return [
-            (k, values[p])
-            for p, k in zip(take, compact[i : i + limit].tolist())
-        ]
+        run = slice(i, i + limit)
+        return list(
+            zip(compact[run].tolist(), self._values[pos[run]].tolist())
+        )
 
     def items(self) -> List[Tuple[int, Any]]:
+        keys, values = self.live_arrays()
+        return list(zip(keys.tolist(), values.tolist()))
+
+    def live_arrays(self) -> Tuple[Any, Any]:
+        """The live keys as a ``uint64`` array and their values as a new
+        object array, ascending: one gather of the occupied slots.  The
+        key array is the occupied-slot view's own, so it is read-only."""
         pos, compact = self._occupied_slots()
-        values = self._slot_values
-        return [(k, values[p]) for p, k in zip(pos.tolist(), compact.tolist())]
+        return compact, self._values[pos]
 
     @property
     def capacity_slots(self) -> int:
@@ -576,7 +568,7 @@ class GappedLeaf(Leaf):
 
     def _clear(self, slot: int) -> None:
         self._occ[slot] = 0
-        self._slot_values[slot] = None
+        self._values[slot] = None
         self._view = None
 
     def size_bytes(self) -> int:

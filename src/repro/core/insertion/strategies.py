@@ -120,4 +120,4 @@ class GappedStrategy(InsertionStrategy):
             gapped = segment
         else:
             gapped = GappedSegment(keys[0], 0, keys, self.density)
-        return GappedLeaf(gapped, list(values), perf, self.upper_density)
+        return GappedLeaf(gapped, values, perf, self.upper_density)

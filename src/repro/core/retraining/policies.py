@@ -89,6 +89,11 @@ class ExpandOrSplitPolicy(RetrainPolicy):
     describes the data, so growing the array (same leaf, lower density)
     keeps queries fast; a high error means the CDF changed shape and the
     leaf must split.
+
+    A retrain reads the leaf's live keys and values as arrays
+    (``Leaf.live_arrays``) and builds every new segment and leaf from
+    slices of them, so a node rebuild moves its keys and values with
+    numpy gathers and scatters rather than one Python step per key.
     """
 
     name = "expand-or-split"
@@ -116,9 +121,7 @@ class ExpandOrSplitPolicy(RetrainPolicy):
 
     def retrain_leaf(self, index: "ComposedIndex", leaf_pos: int) -> List[Leaf]:
         leaf = index.leaves[leaf_pos]
-        items = leaf.items()
-        keys = [k for k, _ in items]
-        values = [v for _, v in items]
+        keys, values = leaf.live_arrays()
         perf = index.perf
         perf.charge(Event.RETRAIN_KEY, len(keys))
         # A retrain triggered by insert pressure (sustained key shifting)
@@ -151,8 +154,11 @@ class ExpandOrSplitPolicy(RetrainPolicy):
     ) -> List[Leaf]:
         """Expand if the refit model describes the data; otherwise split
         recursively until each piece's model does (ALEX converges the same
-        way: nodes shrink where the CDF has curvature)."""
-        trial = GappedSegment(keys[0], 0, keys, self.density)
+        way: nodes shrink where the CDF has curvature).  ``keys`` is a
+        ``uint64`` array and ``values`` an object array of the same
+        length; the halves are views of both."""
+        first = int(keys[0])
+        trial = GappedSegment(first, 0, keys, self.density)
         fits = (
             not force_split
             and trial.avg_error <= self.split_error_threshold
@@ -160,13 +166,13 @@ class ExpandOrSplitPolicy(RetrainPolicy):
         )
         if fits or len(keys) < 4 or depth >= 12:
             perf.charge(Event.ALLOC)
-            return [GappedLeaf(trial, list(values), perf)]
+            return [GappedLeaf(trial, values, perf)]
         perf.trace(
             EventType.FIT_REJECT,
             index=index_name,
             leaf=leaf_pos,
-            key_lo=keys[0],
-            key_hi=keys[-1],
+            key_lo=first,
+            key_hi=int(keys[-1]),
             keys=len(keys),
             reason="pressure" if force_split else "error_above_threshold",
         )

@@ -192,19 +192,25 @@ class PMemDevice:
     ) -> List[Tuple[int, Any]]:
         """Read ``(page_id, slot)`` records with one batched ``NVM_READ``
         charge covering every record's blocks (the total is identical to
-        per-record :meth:`read_record` calls)."""
+        per-record :meth:`read_record` calls).  Each page is looked up
+        in place, with :meth:`_page`'s bounds check and :meth:`read_record`'s
+        empty-slot and torn-record errors."""
         if not locations:
             return []
         out: List[Tuple[int, Any]] = []
         self.perf.charge(
             Event.NVM_READ, self._blocks_per_record * len(locations)
         )
+        pages = self._pages
+        n_pages = len(pages)
+        torn = self._torn
         for page_id, slot in locations:
-            page = self._page(page_id)
-            record = page.slots[slot]
+            if not 0 <= page_id < n_pages:
+                raise DeviceError(f"bad page id {page_id}")
+            record = pages[page_id].slots[slot]
             if record is None:
                 raise DeviceError(f"empty slot ({page_id}, {slot})")
-            if (page_id, slot) in self._torn:
+            if torn and (page_id, slot) in torn:
                 raise DeviceError(
                     f"checksum mismatch at ({page_id}, {slot}): torn write"
                 )

@@ -211,16 +211,20 @@ class ViperStore:
         return value
 
     def get_many(self, keys: List[int]) -> List[Optional[Any]]:
-        """Batch get: one index batch lookup, then per-hit NVM reads."""
+        """Batch get: one index batch lookup, then every hit's record
+        through one ``PMemDevice.read_records`` call, whose single
+        ``NVM_READ`` charge totals the per-hit reads of sequential
+        :meth:`get` calls."""
         self._check_alive()
-        out: List[Optional[Any]] = []
-        for location in self.index.get_many(keys):
-            if location is None:
-                out.append(None)
-            else:
-                _, value = self.device.read_record(*location)
-                out.append(value)
-        return out
+        locations = self.index.get_many(keys)
+        records = iter(
+            self.device.read_records(
+                [loc for loc in locations if loc is not None]
+            )
+        )
+        return [
+            None if loc is None else next(records)[1] for loc in locations
+        ]
 
     def update(self, key: int, value: Any) -> bool:
         self._check_alive()

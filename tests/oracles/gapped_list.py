@@ -27,11 +27,11 @@ class ListGappedLeaf(GappedLeaf):
 
     def _init_slots(self, segment: GappedSegment, values: List[Any]) -> None:
         self._slot_keys: List[Optional[int]] = list(segment.slot_keys)
-        self._slot_values = [None] * self._slots
+        self._values = [None] * self._slots
         vi = 0
         for i, k in enumerate(self._slot_keys):
             if k is not None:
-                self._slot_values[i] = values[vi]
+                self._values[i] = values[vi]
                 vi += 1
 
     def _key_at(self, i: int) -> int:
@@ -145,7 +145,7 @@ class ListGappedLeaf(GappedLeaf):
     # -- slot mutators -----------------------------------------------------
 
     def _shift(self, lo: int, hi: int, left: bool) -> None:
-        keys, values, charge = self._slot_keys, self._slot_values, self.perf.charge
+        keys, values, charge = self._slot_keys, self._values, self.perf.charge
         if left:
             for i in range(lo, hi):
                 keys[i] = keys[i + 1]
@@ -159,18 +159,18 @@ class ListGappedLeaf(GappedLeaf):
 
     def _place(self, slot: int, key: int, value: Any) -> None:
         self._slot_keys[slot] = key
-        self._slot_values[slot] = value
+        self._values[slot] = value
         self._occupied += 1
         if key < self._first:
             self._first = key
 
     def _clear(self, slot: int) -> None:
         self._slot_keys[slot] = None
-        self._slot_values[slot] = None
+        self._values[slot] = None
 
     def items(self) -> List[Tuple[int, Any]]:
         return [
-            (k, self._slot_values[i])
+            (k, self._values[i])
             for i, k in enumerate(self._slot_keys)
             if k is not None
         ]
@@ -180,3 +180,4 @@ class ListGappedLeaf(GappedLeaf):
     get_many = Leaf.get_many
     insert_batch = Leaf.insert_batch
     scan_from = Leaf.scan_from
+    live_arrays = Leaf.live_arrays

@@ -146,6 +146,14 @@ def _boundaries(approximation):
     return [(s.start, s.n, s.first_key) for s in approximation.segments]
 
 
+def _slot_layout(keys, slot_pos, slots):
+    """The slot array a placement describes, key-or-None per slot."""
+    layout = [None] * slots
+    for s, k in zip(slot_pos, keys):
+        layout[s] = k
+    return layout
+
+
 class TestVectorizedFitIdentity:
     @pytest.mark.parametrize("dataset", ["ycsb", "osm"])
     @pytest.mark.parametrize("eps", [4, 32])
@@ -184,21 +192,29 @@ class TestVectorizedFitIdentity:
         keys = _keysets()[dataset]
         density = 0.7
         approx = LSAGapApproximator(segment_size=1024, density=density).fit(keys)
-        compared = 0
+        compared = grown = 0
         for seg in approx.segments:
             chunk = keys[seg.start : seg.start + seg.n]
             slots = max(seg.n, math.ceil(seg.n / density))
+            grown += seg.slots > slots
             scalar = GappedSegment._place_scalar(chunk, seg.model, slots)
+            layout = _slot_layout(chunk, scalar[0], scalar[1])
             # Whichever placement ran, the segment holds the point-by-point
             # layout and errors.
-            assert (seg.slot_keys, seg.slots) == scalar[:2]
+            assert seg.slot_pos.tolist() == scalar[0]
+            assert (seg.slot_keys, seg.slots) == (layout, scalar[1])
             assert seg.max_error == scalar[2]
             assert seg.avg_error == scalar[3] / seg.n
             placed = GappedSegment._place_np(_vec.as_u64(chunk), seg.model, slots)
             if placed is not None:
-                assert placed[:4] == scalar
+                pos, *rest = placed
+                assert (pos.tolist(), *rest) == scalar
+                assert _slot_layout(chunk, pos.tolist(), rest[0]) == layout
                 compared += 1
-        assert compared, "the numpy placement never applied"
+        # Every chunk has 1,024 exact keys, so the numpy placement takes
+        # each one, including the chunks whose slot array grows.
+        assert compared == len(approx.segments)
+        assert grown, "no chunk grew its slot array"
 
     def test_measure_errors_matches_scalar_loop(self):
         rng = random.Random(5)

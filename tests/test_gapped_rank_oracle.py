@@ -18,6 +18,7 @@ and its rounding reach the ledger.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.approximation.base import LinearModel
@@ -45,8 +46,8 @@ class _Layout:
         self.n = len(keys)
         self.first_key = keys[0] if keys else 0
         self.model = LinearModel(0.0, 0.0)
-        self.slot_pos = None
-        self.keys_u64 = None
+        self.slot_pos = np.flatnonzero(bits)
+        self.keys_u64 = np.array(keys, dtype=np.uint64)
 
 
 @pytest.fixture(params=STRIDES, ids=lambda s: f"stride{s}")
