@@ -156,7 +156,7 @@ def measured_scaling_curves(
     runs the process-parallel engine
     (:func:`repro.concurrency.parallel.measure_scaling`) over the same
     workload at each worker count.  These are wall-clock numbers on this
-    machine — the ground truth the sim/analytic projections are validated
+    machine — the ground truth the simulator's projection is validated
     against — so absolute values vary per host; the comparison tables
     focus on scaling shape.
     """
@@ -177,12 +177,11 @@ def measured_scaling_curves(
     }
 
 
-def comparison_rows(meas_curves, sim_curves, analytic_curves) -> list:
-    """Aligned measured/sim/analytic rows, one per (index, worker count)."""
+def comparison_rows(meas_curves, sim_curves) -> list:
+    """Aligned measured/sim rows, one per (index, worker count)."""
     rows = []
     for name, mrows in meas_curves.items():
         sim_by_t = {p["threads"]: p for p in sim_curves[name]}
-        ana_by_t = {p["threads"]: p for p in analytic_curves[name]}
         for p in mrows:
             t = p["threads"]
             rows.append(
@@ -191,7 +190,6 @@ def comparison_rows(meas_curves, sim_curves, analytic_curves) -> list:
                     "threads": t,
                     "measured_mops": p["throughput_mops"],
                     "sim_mops": sim_by_t[t]["throughput_mops"],
-                    "analytic_mops": ana_by_t[t]["throughput_mops"],
                     "measured_vs_sim": (
                         p["throughput_mops"] / sim_by_t[t]["throughput_mops"]
                     ),
@@ -214,7 +212,6 @@ def comparison_table(rows, title: str) -> str:
             "workers",
             "measured Mops/s",
             "sim Mops/s",
-            "analytic Mops/s",
             "meas/sim",
             "meas speedup",
         ],
@@ -224,7 +221,6 @@ def comparison_table(rows, title: str) -> str:
                 r["threads"],
                 f"{r['measured_mops']:.3f}",
                 f"{r['sim_mops']:.2f}",
-                f"{r['analytic_mops']:.2f}",
                 f"{r['measured_vs_sim']:.3f}",
                 f"{r['measured_speedup']:.2f}x",
             ]
@@ -302,27 +298,22 @@ def measure_baseline(case: Tuple[str, str], seed: int = 0) -> dict:
     ``case`` is ``(table_key, name)`` into :data:`BASELINE_CASES` — a
     picklable top-level entry point shared by every multithread figure
     module, so ``ProcessPoolExecutor.map`` can fan the per-index
-    measurements out.  Returns everything the thread-scaling projections
-    need: the measured mean/p99.9/bytes-per-op profile plus the measured
-    retrain cadence (``retrain_every`` writes between retrains,
+    measurements out.  Returns everything the thread-scaling projection
+    needs: the measured mean/p99.9/bytes-per-op profile plus the
+    measured retrain cadence (``retrain_every`` writes between retrains,
     ``retrain_stall_ns`` per blocking retrain) for the simulator.
     """
     from repro.bench import StoreAdapter, execute_ops
-    from repro.perf import CostModel
+    from repro.concurrency import retrain_cadence
 
     table_key, name = case
     factory = BASELINE_CASES[table_key][name]
     load, ops = baseline_workload(table_key, seed)
     store, perf = loaded_store(factory, load)
     result = execute_ops(StoreAdapter(store), ops, perf)
-    stats = store.index.stats()
-    if stats.retrain_count:
-        retrain_every = max(1, len(ops) // stats.retrain_count)
-        retrain_stall_ns = (
-            stats.retrain_keys / stats.retrain_count
-        ) * CostModel().retrain_key_ns
-    else:
-        retrain_every, retrain_stall_ns = 0, 0.0
+    retrain_every, retrain_stall_ns = retrain_cadence(
+        store.index.stats(), len(ops)
+    )
     return {
         "name": name,
         "mean_ns": result.latency.mean(),

@@ -31,7 +31,7 @@ from repro.bench import (
     thread_scaling,
     write_result,
 )
-from repro.concurrency import parallel_sharded_store
+from repro.concurrency import parallel_sharded_store, retrain_cadence
 from repro.registry import resolve
 from repro.workloads import READ_ONLY, WRITE_ONLY, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
@@ -64,18 +64,11 @@ def _write_profile(spec):
     )
     store, perf = loaded_store(spec.build, load)
     result = execute_ops(StoreAdapter(store), ops, perf)
-    stats = store.index.stats()
-    if stats.retrain_count:
-        retrain_every = max(1, len(ops) // stats.retrain_count)
-        retrain_stall_ns = stats.retrain_keys / stats.retrain_count * 14.0
-    else:
-        retrain_every, retrain_stall_ns = 0, 0.0
     return (
         result.latency,
         result.bytes_per_op,
         len(ops),
-        retrain_every,
-        retrain_stall_ns,
+        *retrain_cadence(store.index.stats(), len(ops)),
     )
 
 
@@ -101,14 +94,12 @@ def measure_concurrency() -> dict:
         write_lat, write_bytes, wops, r_every, r_stall = _write_profile(spec)
         read_curve = thread_scaling(
             read_lat.mean(), read_lat.quantile(0.999), read_bytes, THREADS,
-            projection="sim", concurrency=spec.concurrency,
-            write_fraction=0.0, seed=SEED,
+            concurrency=spec.concurrency, write_fraction=0.0, seed=SEED,
         )
         write_curve = thread_scaling(
             write_lat.mean(), write_lat.quantile(0.999), write_bytes, THREADS,
-            projection="sim", concurrency=spec.concurrency,
-            write_fraction=1.0, retrain_every=r_every,
-            retrain_stall_ns=r_stall, seed=SEED,
+            concurrency=spec.concurrency, write_fraction=1.0,
+            retrain_every=r_every, retrain_stall_ns=r_stall, seed=SEED,
         )
         read1 = read_curve[0]["throughput_mops"] * 1e6
         read4 = read_curve[-1]["throughput_mops"] * 1e6

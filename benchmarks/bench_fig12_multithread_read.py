@@ -6,20 +6,21 @@ threads in one socket" — and the tails of the comparison-heavy indexes
 inflate as threads contend.
 
 Method: single-thread simulated cost + measured bytes/op per index
-(``measure_baseline``), projected onto N threads two ways:
+(``measure_baseline``), projected onto N threads by the discrete-event
+concurrency simulator (``repro.concurrency.sim``): per-thread op streams
+scheduled on the simulated clock, charging each index's declared CC
+scheme (latch waits, rwlock cacheline bounces, optimistic retries) on
+top of the shared-bandwidth pool.  The table reports the GIL-bound
+thread projection next to the process-based one, so it documents why
+the wall-clock harness fans out with processes.
 
-* ``--projection sim`` (default) — the discrete-event concurrency
-  simulator (``repro.concurrency.sim``): per-thread op streams scheduled
-  on the simulated clock, charging each index's declared CC scheme
-  (latch waits, rwlock cacheline bounces, optimistic retries) on top of
-  the shared-bandwidth pool.
-* ``--projection analytic`` — the closed-form bandwidth curve, the
-  pre-simulator numbers kept as a fallback and sanity baseline.
-
-Both report the GIL-bound thread projection next to the process-based
-one, so the table documents why the wall-clock harness fans out with
-processes.  ``--jobs N`` measures the per-index single-thread baselines
-in parallel worker processes (output order stays registry order).
+``--projection measured`` validates the projection instead: it runs the
+real process-parallel engine at each worker count and prints it row by
+row beside the simulator's numbers, into
+``results/fig12_multithread_read_measured.*`` (host-specific, not
+committed).  ``--jobs N`` measures the per-index single-thread
+baselines in parallel worker processes (output order stays registry
+order).
 """
 
 import argparse
@@ -39,15 +40,14 @@ THREADS = (1, 2, 4, 8, 16, 24, 32)
 SEED = 12
 
 
-def project_read_curves(measured, projection: str):
-    """Thread-scaling curves per index from measured baselines."""
+def project_read_curves(measured):
+    """Simulated thread-scaling curves per index from measured baselines."""
     return {
         m["name"]: thread_scaling(
             m["mean_ns"],
             m["p999_ns"],
             m["bytes_per_op"],
             THREADS,
-            projection=projection,
             concurrency=CASE_CONCURRENCY["read"][m["name"]],
             write_fraction=0.0,
             seed=SEED,
@@ -56,76 +56,60 @@ def project_read_curves(measured, projection: str):
     }
 
 
-def _render(curves, projection: str):
-    rows = []
-    for name, scaling in curves.items():
-        for point in scaling:
-            row = [
-                name,
-                point["threads"],
-                f"{point['throughput_mops']:.2f}",
-                f"{point['gil_thread_mops']:.2f}",
-                f"{point['p999_ns'] / 1000:.2f}",
-            ]
-            if projection == "sim":
-                row.append(f"{100 * point['latch_wait_share']:.1f}%")
-            else:
-                row.append(f"{point['slowdown']:.2f}")
-            rows.append(row)
-    last = "latch wait" if projection == "sim" else "bw slowdown"
-    title = (
-        "Fig 12 — multi-threaded read-only ("
-        + (
-            "discrete-event concurrency simulation"
-            if projection == "sim"
-            else "bandwidth-model projection"
-        )
-        + "; 'proc' = one interpreter per core, 'GIL thr' = Python "
-        "threads serialised by the GIL)"
-    )
+def _render(curves):
+    rows = [
+        [
+            name,
+            point["threads"],
+            f"{point['throughput_mops']:.2f}",
+            f"{point['gil_thread_mops']:.2f}",
+            f"{point['p999_ns'] / 1000:.2f}",
+            f"{100 * point['latch_wait_share']:.1f}%",
+        ]
+        for name, scaling in curves.items()
+        for point in scaling
+    ]
     return format_table(
         ["index", "threads", "Mops/s (proc)", "Mops/s (GIL thr)",
-         "p99.9 (us)", last],
+         "p99.9 (us)", "latch wait"],
         rows,
-        title=title,
+        title="Fig 12 — multi-threaded read-only (discrete-event "
+        "concurrency simulation; 'proc' = one interpreter per core, "
+        "'GIL thr' = Python threads serialised by the GIL)",
     )
 
 
 def run_multithread_read(jobs: int = 1, projection: str = "sim"):
+    """The figure's ``(table, data)``, simulated or measured."""
     measured = measure_baselines("read", SEED, jobs=jobs)
-    if projection == "measured":
-        # Real worker processes, wall clock — then the sim and analytic
-        # projections at the same worker counts, row-aligned, so the
-        # table reads as one validation: does the projected scaling
-        # shape match what the machine actually does?
-        meas = measured_scaling_curves("read", measured, seed=SEED)
-        rows = comparison_rows(
-            meas,
-            project_read_curves(measured, "sim"),
-            project_read_curves(measured, "analytic"),
-        )
-        table = comparison_table(
-            rows,
-            "Fig 12 — measured vs sim vs analytic read scaling "
-            f"(measured = real processes at {MEASURED_THREADS} workers, "
-            "wall-clock on this host)",
-        )
-        return table, {"measured": meas, "comparison": rows}
-    curves = project_read_curves(measured, projection)
-    return _render(curves, projection), curves
+    sim = project_read_curves(measured)
+    if projection == "sim":
+        return _render(sim), {"threads": list(THREADS), "curves": sim}
+    # Real worker processes, wall clock, row-aligned with the simulator's
+    # projection at the same worker counts, so the table reads as one
+    # validation: does the projected scaling shape match what the
+    # machine actually does?
+    meas = measured_scaling_curves("read", measured, seed=SEED)
+    rows = comparison_rows(meas, sim)
+    table = comparison_table(
+        rows,
+        "Fig 12 — measured vs sim read scaling "
+        f"(measured = real processes at {MEASURED_THREADS} workers, "
+        "wall-clock on this host)",
+    )
+    return table, {"threads": list(MEASURED_THREADS), "measured": meas,
+                   "comparison": rows}
 
 
 def test_fig12_multithread_read(benchmark):
     measured = run_once(benchmark, lambda: measure_baselines("read", SEED))
-    sim = project_read_curves(measured, "sim")
-    analytic = project_read_curves(measured, "analytic")
+    sim = project_read_curves(measured)
     write_result(
         "fig12_multithread_read",
-        _render(sim, "sim"),
+        _render(sim),
         data={"threads": list(THREADS), "curves": sim},
     )
 
-    # --- simulator projection: the paper's qualitative shape ----------
     # CCEH is the aggregate-throughput ceiling at full thread count.
     at32 = {n: c[-1]["throughput_mops"] for n, c in sim.items()}
     assert at32["CCEH"] == max(at32.values())
@@ -142,21 +126,13 @@ def test_fig12_multithread_read(benchmark):
     }
     assert speedup["ALEX"] < speedup["CCEH"]
 
-    # --- analytic fallback: pre-simulator behaviour, unchanged --------
-    at32a = {n: c[-1]["throughput_mops"] for n, c in analytic.items()}
-    assert at32a["CCEH"] == max(at32a.values())
-    alexa = {p["threads"]: p["throughput_mops"] for p in analytic["ALEX"]}
-    assert alexa[32] < alexa[24] * 1.1
-    assert analytic["ALEX"][-1]["slowdown"] > 1.0
-
     # GIL-bound threads never scale: the projection is flat, and from 2
     # threads up the process projection dominates it for every index.
-    for curves in (sim, analytic):
-        for scaling in curves.values():
-            gil = [p["gil_thread_mops"] for p in scaling]
-            assert max(gil) <= gil[0]
-            for point in scaling[1:]:
-                assert point["throughput_mops"] >= point["gil_thread_mops"]
+    for scaling in sim.values():
+        gil = [p["gil_thread_mops"] for p in scaling]
+        assert max(gil) <= gil[0]
+        for point in scaling[1:]:
+            assert point["throughput_mops"] >= point["gil_thread_mops"]
 
 
 if __name__ == "__main__":
@@ -166,18 +142,15 @@ if __name__ == "__main__":
         help="worker processes for the per-index baseline measurements",
     )
     parser.add_argument(
-        "--projection", choices=("sim", "analytic", "measured"),
-        default="sim",
-        help="concurrency simulator (sim), closed-form bandwidth curve "
-        "(analytic), or real worker processes with a side-by-side "
-        "sim/analytic comparison (measured)",
+        "--projection", choices=("sim", "measured"), default="sim",
+        help="concurrency simulator (sim), or real worker processes with "
+        "a side-by-side sim comparison (measured)",
     )
     args = parser.parse_args()
-    table, curves = run_multithread_read(
+    table, data = run_multithread_read(
         jobs=args.jobs, projection=args.projection
     )
-    write_result(
-        "fig12_multithread_read",
-        table,
-        data={"threads": list(THREADS), "curves": curves},
-    )
+    # A measured run is host-specific: it gets its own (uncommitted)
+    # result files and leaves the simulated tables alone.
+    suffix = "_measured" if args.projection == "measured" else ""
+    write_result(f"fig12_multithread_read{suffix}", table, data=data)

@@ -9,11 +9,13 @@ of the retrain-blocking learned indexes (XIndex, FINEdex) trails the
 B-tree's and Bw-tree's, because every group/level retrain stalls the
 writers behind it (the Amdahl serial fraction the latches can't hide).
 
-Like Fig 12, the default ``--projection sim`` runs the discrete-event
-concurrency simulator on each index's measured single-thread profile
-(including its measured retrain cadence); ``--projection analytic``
-keeps the closed-form bandwidth-only numbers.  ``--jobs N`` fans the
-per-index measurements out over worker processes.
+Like Fig 12, the figure is the discrete-event concurrency simulator run
+on each index's measured single-thread profile (including its measured
+retrain cadence).  ``--projection measured`` prints the real
+process-parallel engine beside it instead, into
+``results/fig14_multithread_write_measured.*`` (host-specific, not
+committed).  ``--jobs N`` fans the per-index measurements out over
+worker processes.
 """
 
 import argparse
@@ -33,15 +35,14 @@ THREADS = (1, 2, 4, 8, 16, 24, 32)
 SEED = 14
 
 
-def project_write_curves(measured, projection: str):
-    """Thread-scaling curves per index from measured write baselines."""
+def project_write_curves(measured):
+    """Simulated thread-scaling curves per index from write baselines."""
     return {
         m["name"]: thread_scaling(
             m["mean_ns"],
             m["p999_ns"],
             m["bytes_per_op"],
             THREADS,
-            projection=projection,
             concurrency=CASE_CONCURRENCY["write"][m["name"]],
             write_fraction=1.0,
             retrain_every=m["retrain_every"],
@@ -52,59 +53,49 @@ def project_write_curves(measured, projection: str):
     }
 
 
-def _render(curves, projection: str):
-    rows = []
-    for name, scaling in curves.items():
-        for point in scaling:
-            row = [
-                name,
-                point["threads"],
-                f"{point['throughput_mops']:.2f}",
-                f"{point['gil_thread_mops']:.2f}",
-                f"{point['p999_ns'] / 1000:.2f}",
-            ]
-            if projection == "sim":
-                row.append(f"{100 * point['latch_wait_share']:.1f}%")
-                row.append(f"{100 * point['retrain_stall_share']:.1f}%")
-            rows.append(row)
-    headers = ["index", "threads", "Mops/s (proc)", "Mops/s (GIL thr)",
-               "p99.9 (us)"]
-    if projection == "sim":
-        headers += ["latch wait", "retrain stall"]
-    title = (
-        "Fig 14 — multi-threaded write-only ("
-        + (
-            "discrete-event concurrency simulation"
-            if projection == "sim"
-            else "bandwidth-model projection"
-        )
-        + "; 'proc' = one interpreter per core, 'GIL thr' = Python "
-        "threads serialised by the GIL)"
+def _render(curves):
+    rows = [
+        [
+            name,
+            point["threads"],
+            f"{point['throughput_mops']:.2f}",
+            f"{point['gil_thread_mops']:.2f}",
+            f"{point['p999_ns'] / 1000:.2f}",
+            f"{100 * point['latch_wait_share']:.1f}%",
+            f"{100 * point['retrain_stall_share']:.1f}%",
+        ]
+        for name, scaling in curves.items()
+        for point in scaling
+    ]
+    return format_table(
+        ["index", "threads", "Mops/s (proc)", "Mops/s (GIL thr)",
+         "p99.9 (us)", "latch wait", "retrain stall"],
+        rows,
+        title="Fig 14 — multi-threaded write-only (discrete-event "
+        "concurrency simulation; 'proc' = one interpreter per core, "
+        "'GIL thr' = Python threads serialised by the GIL)",
     )
-    return format_table(headers, rows, title=title)
 
 
 def run_multithread_write(jobs: int = 1, projection: str = "sim"):
+    """The figure's ``(table, data)``, simulated or measured."""
     measured = measure_baselines("write", SEED, jobs=jobs)
-    if projection == "measured":
-        # Same validation table as Fig 12's measured branch, over the
-        # write-only workload: real engines (each worker really absorbs
-        # its partition's inserts) against the sim/analytic projections.
-        meas = measured_scaling_curves("write", measured, seed=SEED)
-        rows = comparison_rows(
-            meas,
-            project_write_curves(measured, "sim"),
-            project_write_curves(measured, "analytic"),
-        )
-        table = comparison_table(
-            rows,
-            "Fig 14 — measured vs sim vs analytic write scaling "
-            f"(measured = real processes at {MEASURED_THREADS} workers, "
-            "wall-clock on this host)",
-        )
-        return table, {"measured": meas, "comparison": rows}
-    curves = project_write_curves(measured, projection)
-    return _render(curves, projection), curves
+    sim = project_write_curves(measured)
+    if projection == "sim":
+        return _render(sim), {"threads": list(THREADS), "curves": sim}
+    # Same validation table as Fig 12's measured branch, over the
+    # write-only workload: real engines (each worker really absorbs its
+    # partition's inserts) against the simulator's projection.
+    meas = measured_scaling_curves("write", measured, seed=SEED)
+    rows = comparison_rows(meas, sim)
+    table = comparison_table(
+        rows,
+        "Fig 14 — measured vs sim write scaling "
+        f"(measured = real processes at {MEASURED_THREADS} workers, "
+        "wall-clock on this host)",
+    )
+    return table, {"threads": list(MEASURED_THREADS), "measured": meas,
+                   "comparison": rows}
 
 
 TRADITIONAL_NAMES = ("BTree", "Skiplist", "Masstree", "Bwtree", "Wormhole")
@@ -112,15 +103,13 @@ TRADITIONAL_NAMES = ("BTree", "Skiplist", "Masstree", "Bwtree", "Wormhole")
 
 def test_fig14_multithread_write(benchmark):
     measured = run_once(benchmark, lambda: measure_baselines("write", SEED))
-    sim = project_write_curves(measured, "sim")
-    analytic = project_write_curves(measured, "analytic")
+    sim = project_write_curves(measured)
     write_result(
         "fig14_multithread_write",
-        _render(sim, "sim"),
+        _render(sim),
         data={"threads": list(THREADS), "curves": sim},
     )
 
-    # --- simulator projection: the paper's qualitative shape ----------
     # XIndex lands inside the traditional indexes' band at every count.
     for i, _t in enumerate(THREADS):
         trad = [sim[n][i]["throughput_mops"] for n in TRADITIONAL_NAMES]
@@ -141,12 +130,6 @@ def test_fig14_multithread_write(benchmark):
     # ... and the stall time is visible in the breakdown.
     assert sim["XIndex"][-1]["retrain_stall_share"] > 0.0
 
-    # --- analytic fallback: pre-simulator behaviour, unchanged --------
-    for i, _t in enumerate(THREADS):
-        trad = [analytic[n][i]["throughput_mops"] for n in TRADITIONAL_NAMES]
-        x = analytic["XIndex"][i]["throughput_mops"]
-        assert min(trad) * 0.5 <= x <= max(trad) * 1.5
-
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
@@ -155,18 +138,15 @@ if __name__ == "__main__":
         help="worker processes for the per-index baseline measurements",
     )
     parser.add_argument(
-        "--projection", choices=("sim", "analytic", "measured"),
-        default="sim",
-        help="concurrency simulator (sim), closed-form bandwidth curve "
-        "(analytic), or real worker processes with a side-by-side "
-        "sim/analytic comparison (measured)",
+        "--projection", choices=("sim", "measured"), default="sim",
+        help="concurrency simulator (sim), or real worker processes with "
+        "a side-by-side sim comparison (measured)",
     )
     args = parser.parse_args()
-    table, curves = run_multithread_write(
+    table, data = run_multithread_write(
         jobs=args.jobs, projection=args.projection
     )
-    write_result(
-        "fig14_multithread_write",
-        table,
-        data={"threads": list(THREADS), "curves": curves},
-    )
+    # A measured run is host-specific: it gets its own (uncommitted)
+    # result files and leaves the simulated tables alone.
+    suffix = "_measured" if args.projection == "measured" else ""
+    write_result(f"fig14_multithread_write{suffix}", table, data=data)

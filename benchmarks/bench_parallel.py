@@ -192,7 +192,6 @@ def run_parallel(workers=(1, 2), scale=None, jobs: int = 1):
                 base["sim_mean_ns"] * 2,
                 base["sim_bytes_per_op"],
                 workers,
-                projection="sim",
                 concurrency=spec.concurrency,
                 seed=SEED,
             )

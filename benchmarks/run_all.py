@@ -8,7 +8,8 @@ Usage:  python benchmarks/run_all.py [--only fig10,fig17a,...] [--jobs N]
 
 ``--jobs N`` fans the experiment modules out over N worker processes.
 Processes, not threads: the experiments are pure CPython, so the GIL
-would serialise a thread pool — see ``thread_scaling``'s two columns.
+would serialise a thread pool — see the ``Mops/s (proc)`` and
+``Mops/s (GIL thr)`` columns of Figs 12 and 14.
 Output order stays deterministic (module list order) regardless of which
 worker finishes first.
 """

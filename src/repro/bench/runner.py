@@ -23,7 +23,6 @@ from repro.core.interfaces import Index, SortedIndex
 from repro.errors import UnsupportedOperationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
-from repro.perf.bandwidth import BandwidthModel
 from repro.perf.breakdown import Profiler
 from repro.perf.context import PerfContext
 from repro.perf.histogram import LogHistogram
@@ -321,77 +320,33 @@ def thread_scaling(
     p999_ns: float,
     bytes_per_op: float,
     threads: Sequence[int],
-    bandwidth: BandwidthModel = BandwidthModel(),
-    projection: str = "analytic",
     concurrency: Optional["ConcurrencySpec"] = None,
     write_fraction: float = 0.0,
     retrain_every: int = 0,
     retrain_stall_ns: float = 0.0,
     ops_per_thread: int = 800,
     seed: int = 0,
-    measured_runner: Optional[Callable[[Sequence[int]], List[dict]]] = None,
 ) -> List[dict]:
-    """Project single-thread results onto N workers (Figs 12 and 14).
+    """Project single-thread results onto N threads (Figs 12 and 14).
 
-    Three projections are available:
+    The projection is the discrete-event simulator
+    (:mod:`repro.concurrency.sim`): per-thread op streams scheduled on
+    the simulated clock, charging latch waits, optimistic-read retries,
+    and retrain stalls per ``concurrency`` (the index's
+    :class:`~repro.concurrency.spec.ConcurrencySpec`) on top of the
+    shared memory-bandwidth pool.  Rows carry ``throughput_mops``,
+    ``p999_ns``, the bandwidth ``slowdown``, ``latch_wait_share``,
+    ``retrain_stall_share``, ``retries``, and ``retrain_stalls``.  Its
+    closed-loop validation is the real process-parallel engine,
+    :func:`repro.concurrency.parallel.measure_scaling`.
 
-    * ``projection="analytic"`` — the closed-form bandwidth model: N
-      workers share only the socket's memory-bandwidth pool.  This is
-      the pre-simulator behaviour, kept byte-identical as a fallback
-      and as the sanity baseline the simulator is compared against.
-    * ``projection="sim"`` — the discrete-event simulator
-      (:mod:`repro.concurrency.sim`): per-thread op streams scheduled
-      on the simulated clock, charging latch waits, optimistic-read
-      retries, and retrain stalls per ``concurrency`` (the index's
-      :class:`~repro.concurrency.spec.ConcurrencySpec`) on top of the
-      same bandwidth pool.  Rows gain ``latch_wait_share``,
-      ``retrain_stall_share``, ``retries``, and ``retrain_stalls``.
-    * ``projection="measured"`` — no model at all: ``measured_runner``
-      (typically a closure over
-      :func:`repro.concurrency.parallel.measure_scaling`) runs the real
-      process-parallel engine at each worker count and returns
-      wall-clock rows.  This is the closed-loop validation of the other
-      two projections; the CLI and Fig 12/14 benchmarks print its rows
-      side by side with the simulated ones.
-
-    The model-based projections emit ``gil_thread_mops`` — **thread-based** scaling
+    Rows also carry ``gil_thread_mops`` — **thread-based** scaling
     inside one CPython interpreter, where the GIL serialises the index
     code so aggregate throughput is pinned at the single-thread rate
     (minus a small handoff overhead once more than one thread contends).
-    The gap between that column and the others is the reason the
-    real-time benchmark harness uses processes, not threads.
+    The gap between that column and ``throughput_mops`` is the reason
+    the real-time benchmark harness uses processes, not threads.
     """
-    if projection not in ("analytic", "sim", "measured"):
-        raise ValueError(
-            f"unknown projection {projection!r}; "
-            f"one of ('analytic', 'sim', 'measured')"
-        )
-    if projection == "measured":
-        if measured_runner is None:
-            raise ValueError(
-                "projection='measured' needs a measured_runner callable "
-                "(see repro.concurrency.parallel.measure_scaling)"
-            )
-        return measured_runner(threads)
-    rows = []
-    if projection == "analytic":
-        for t in threads:
-            gil_ns = mean_ns * (1.0 + (_GIL_SWITCH_OVERHEAD if t > 1 else 0.0))
-            rows.append(
-                {
-                    "threads": t,
-                    "throughput_mops": bandwidth.throughput_mops(
-                        t, bytes_per_op, mean_ns
-                    ),
-                    "gil_thread_mops": 1e3 / gil_ns,
-                    "p999_ns": bandwidth.tail_latency_ns(
-                        t, bytes_per_op, mean_ns, p999_ns
-                    ),
-                    "slowdown": bandwidth.slowdown(t, bytes_per_op, mean_ns),
-                }
-            )
-        return rows
-
     from repro.concurrency.sim import OpProfile, simulate_scaling
     from repro.concurrency.spec import ConcurrencySpec
 
@@ -403,6 +358,7 @@ def thread_scaling(
         retrain_every=retrain_every,
         retrain_stall_ns=retrain_stall_ns,
     )
+    rows = []
     for t, result in zip(
         threads,
         simulate_scaling(
@@ -411,7 +367,6 @@ def thread_scaling(
             threads,
             write_fraction=write_fraction,
             ops_per_thread=ops_per_thread,
-            bandwidth=bandwidth,
             seed=seed,
         ),
     ):

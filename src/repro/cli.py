@@ -6,6 +6,9 @@ Commands:
   membership, and Table-I capabilities.
 * ``bench`` — run one (index, workload, dataset) combination end-to-end
   through the Viper store and print simulated throughput/latency.
+* ``report`` — the same run as ``bench`` plus telemetry: lifecycle
+  trace, metrics, profiler breakdown, and (on the sharded engine) worker
+  health and causal spans.
 * ``datasets`` — summarise a synthetic dataset (and optionally dump keys).
 
 Index resolution goes through :mod:`repro.registry`: any canonical name
@@ -18,11 +21,21 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import dataclass
+from typing import List, Union
 
 from repro import PerfContext, ViperStore, registry
-from repro.bench import StoreAdapter, execute_ops, format_table, thread_scaling
-from repro.concurrency import ParallelShardedStore, parallel_sharded_store
-from repro.concurrency.parallel import measure_scaling
+from repro.bench import ExecutionResult, StoreAdapter, execute_ops, format_table
+from repro.concurrency import (
+    OpProfile,
+    ParallelShardedStore,
+    measure_scaling,
+    parallel_sharded_store,
+    retrain_cadence,
+    simulate_scaling,
+)
+from repro.core.interfaces import IndexStats
+from repro.errors import InvalidConfigurationError
 from repro.obs import (
     EngineTopView,
     EventType,
@@ -40,13 +53,15 @@ from repro.obs import (
 )
 from repro.obs.spans import SPAN_KINDS
 from repro.perf import Profiler
-from repro.registry import UnknownIndexError
+from repro.registry import IndexSpec, UnknownIndexError
 from repro.workloads import generate_operations
 from repro.workloads.datasets import DATASETS
 from repro.workloads.ycsb import (
     READ_ONLY,
     STANDARD_WORKLOADS,
     WRITE_ONLY,
+    Operation,
+    WorkloadSpec,
     split_load_and_inserts,
 )
 
@@ -141,18 +156,7 @@ _RATE = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _QUANTILE = _ranged(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
-def _build_store(
-    spec,
-    perf,
-    shards: int,
-    workers: int = 1,
-    trace_rate: float = 0.0,
-    span_rate: float = 0.0,
-    stall_threshold_s: float = 5.0,
-    restart_budget: int = 0,
-    worker_timeout_s=None,
-    degraded: str = "fail",
-):
+def _build_store(spec, perf, args, **telemetry):
     """One ViperStore, or the sharded engine over K shards or N workers.
 
     ``--shards K`` runs the engine (:mod:`repro.concurrency.parallel`)
@@ -162,18 +166,19 @@ def _build_store(
     every shard ships its counter deltas back with each reply — so the
     report below is unchanged; wall-clock rows are what the extra
     processes buy.
-    ``span_rate > 0`` additionally records causal span trees
-    (:mod:`repro.obs.spans`) across the parent and all workers.
-    ``restart_budget``/``worker_timeout_s``/``degraded`` configure the
-    supervision loop (:mod:`repro.concurrency.supervise`): dead or
+    ``telemetry`` instruments the engine: ``trace_rate``, ``span_rate``
+    (> 0 records causal span trees, :mod:`repro.obs.spans`, across the
+    parent and all workers) and ``stall_threshold_s``.
+    ``--restart-budget``/``--worker-timeout``/``--degraded`` configure
+    the supervision loop (:mod:`repro.concurrency.supervise`): dead or
     deadline-overrunning workers are respawned, rebuilt, and their
     in-flight command replayed up to the budget before the engine
     degrades.
     """
-    if workers > 1:
-        n, transport = workers, "auto"
-    elif shards > 1:
-        n, transport = shards, "loopback"
+    if args.workers > 1:
+        n, transport = args.workers, "auto"
+    elif args.shards > 1:
+        n, transport = args.shards, "loopback"
     else:
         return ViperStore(spec.build(perf), perf)
     return parallel_sharded_store(
@@ -181,90 +186,148 @@ def _build_store(
         n,
         transport=transport,
         perf=perf,
-        trace_rate=trace_rate,
-        span_rate=span_rate,
-        stall_threshold_s=stall_threshold_s,
-        restart_budget=restart_budget,
-        worker_timeout_s=worker_timeout_s,
-        degraded=degraded,
+        restart_budget=args.restart_budget,
+        worker_timeout_s=args.worker_timeout,
+        degraded=args.degraded,
+        **telemetry,
     )
 
 
-def _bad_engine_flags(args: argparse.Namespace) -> bool:
-    """Report (and return True for) a ``--shards``/``--workers`` mix the
-    engine cannot build: each worker process serves exactly one shard."""
+@dataclass
+class _Run:
+    """One measured ``bench``/``report`` run; its store is closed."""
+
+    spec: IndexSpec
+    workload: WorkloadSpec
+    load: List[int]
+    ops: List[Operation]
+    perf: PerfContext
+    store: Union[ViperStore, ParallelShardedStore]
+    build_ns: float
+    result: ExecutionResult
+    wall_s: float
+    #: Index stats after the ops, merged across shards on the engine.
+    stats: IndexStats
+    #: The worker health table, taken before the engine closed (only
+    #: when the run drained telemetry).
+    health: str = ""
+
+    @property
+    def parallel(self) -> bool:
+        return isinstance(self.store, ParallelShardedStore)
+
+
+def _run(args, perf, profiler=None, metrics=None, top=False, **telemetry):
+    """The run ``bench`` and ``report`` share; ``report`` adds telemetry.
+
+    Checks every flag before any work, then builds the keys, the ops and
+    the store, bulk loads, and executes the ops.  ``report`` passes its
+    telemetry in: ``perf`` carries its tracer, ``profiler`` attributes
+    every op, ``metrics`` takes the run's series and the workers'
+    drained ones, ``top`` swaps the progress line for the live engine
+    view, and ``telemetry`` instruments the engine (see
+    :func:`_build_store`).  Returns exit code 2 after printing why a
+    flag is bad.
+    """
+    try:
+        spec = registry.resolve(args.index)
+    except UnknownIndexError:
+        print(f"unknown index {args.index!r}; see `info`", file=sys.stderr)
+        return 2
+    if args.workload not in WORKLOADS:
+        print(
+            f"unknown workload {args.workload!r}; "
+            f"one of {sorted(WORKLOADS)}",
+            file=sys.stderr,
+        )
+        return 2
     if args.workers > 1 and args.shards > args.workers:
         print(
             f"--shards {args.shards} exceeds --workers {args.workers}: "
             "each worker process serves exactly one shard",
             file=sys.stderr,
         )
-        return True
-    return False
+        return 2
+    workload = WORKLOADS[args.workload]
+    keys = DATASETS[args.dataset](args.keys, seed=args.seed)
+    if workload.insert > 0:
+        load, insert_pool = split_load_and_inserts(keys, 0.5, seed=args.seed)
+    else:
+        load, insert_pool = list(keys), None
+    try:
+        ops = generate_operations(
+            workload, args.ops, load, insert_pool, seed=args.seed
+        )
+    except InvalidConfigurationError as exc:
+        print(
+            f"{exc}: {workload.name} holds out half of --keys as insert "
+            f"keys ({args.keys - len(load):,} of {args.keys:,}); raise "
+            "--keys or lower --ops",
+            file=sys.stderr,
+        )
+        return 2
+
+    store = _build_store(spec, perf, args, **telemetry)
+    parallel = isinstance(store, ParallelShardedStore)
+    every = max(1, len(ops) // 20)
+    if top and parallel:
+        progress = EngineTopView(store, total=len(ops), every=every)
+    elif args.progress:
+        progress = ProgressReporter(total=len(ops), every=every)
+    else:
+        progress = None
+    health = ""
+    try:
+        mark = perf.begin()
+        store.bulk_load([(k, k) for k in load])
+        build_ns = perf.end(mark).time_ns
+        wall_start = time.perf_counter()
+        result = execute_ops(
+            StoreAdapter(store),
+            ops,
+            perf,
+            profiler=profiler,
+            batch_size=args.batch_size,
+            progress=progress,
+        )
+        wall_s = time.perf_counter() - wall_start
+        if metrics is not None:
+            metrics.merge_from(result.metrics)
+            if parallel:
+                # Fold worker-side lifecycle counts, metric series, and
+                # worker/event spans into the parent's instruments
+                # before any of them are summarised.  The profiler
+                # already saw every op through the perf deltas folded
+                # into ``perf``.
+                store.drain_obs(metrics=metrics, spans=perf.tracer.spans)
+                health = _worker_health_table(store)
+        stats = store.stats() if parallel else store.index.stats()
+    finally:
+        if parallel:
+            store.close()
+    return _Run(
+        spec, workload, load, ops, perf, store, build_ns, result, wall_s,
+        stats, health,
+    )
 
 
-def _retrain_profile(store, ops_run: int) -> tuple:
-    """Measured ``(retrain_every, retrain_stall_ns)`` from the run's stats.
+def _scaling_table(run: _Run, args: argparse.Namespace, spans=None) -> str:
+    """The ``--threads`` table: the run's profile projected by the
+    concurrency simulator, or the real engine measured at each worker
+    count (``--projection measured``).
 
-    The simulator charges these only for retrain-blocking indexes, so
-    passing them unconditionally is safe.
+    The simulator's ``LATCH_WAIT``/``RETRAIN_STALL`` events go to the
+    run's tracer, if it has one, and its op spans to ``spans``.
     """
-    from repro.perf.cost_model import CostModel
-
-    stats = (
-        store.stats()
-        if isinstance(store, ParallelShardedStore)
-        else store.index.stats()
-    )
-    count, keys = stats.retrain_count, stats.retrain_keys
-    if count == 0 or ops_run == 0:
-        return 0, 0.0
-    stall_ns = (keys / count) * CostModel().retrain_key_ns
-    return max(1, ops_run // count), stall_ns
-
-
-def _scaling_table(
-    spec,
-    workload,
-    latency,
-    bytes_per_op,
-    args,
-    store,
-    load=None,
-    ops=None,
-    retrain=None,
-) -> str:
-    """Project the measured single-thread profile onto ``--threads``."""
-    write_fraction = workload.update + workload.insert + workload.rmw
-    retrain_every, retrain_stall_ns = retrain or _retrain_profile(
-        store, len(latency)
-    )
-    measured_runner = None
+    spec = run.spec
     if args.projection == "measured":
-
-        def measured_runner(thread_counts):
-            return measure_scaling(
-                spec,
-                [(k, k) for k in load],
-                ops,
-                thread_counts,
-                batch_size=max(args.batch_size, 512),
-            )
-
-    rows = thread_scaling(
-        latency.mean(),
-        latency.quantile(0.999),
-        bytes_per_op,
-        args.threads,
-        projection=args.projection,
-        concurrency=spec.concurrency,
-        write_fraction=write_fraction,
-        retrain_every=retrain_every,
-        retrain_stall_ns=retrain_stall_ns,
-        seed=args.seed,
-        measured_runner=measured_runner,
-    )
-    if args.projection == "measured":
+        rows = measure_scaling(
+            spec,
+            [(k, k) for k in run.load],
+            run.ops,
+            args.threads,
+            batch_size=max(args.batch_size, 512),
+        )
         body = [
             [
                 r["threads"],
@@ -288,46 +351,49 @@ def _scaling_table(
             body,
             title="Worker scaling (measured wall-clock, real processes)",
         )
-    if args.projection == "sim":
-        body = [
-            [
-                r["threads"],
-                f"{r['throughput_mops']:.2f}",
-                f"{r['p999_ns']:.0f}",
-                f"{100 * r['latch_wait_share']:.1f}%",
-                f"{100 * r['retrain_stall_share']:.1f}%",
-                f"{r['retries']:,}",
-                f"{r['retrain_stalls']:,}",
-            ]
-            for r in rows
-        ]
-        return format_table(
-            [
-                "threads",
-                "Mops/s",
-                "p99.9 ns",
-                "latch wait",
-                "retrain stall",
-                "retries",
-                "stalls",
-            ],
-            body,
-            title=f"Thread scaling (sim, {spec.concurrency.describe()})",
-        )
+    latency = run.result.latency
+    retrain_every, retrain_stall_ns = retrain_cadence(run.stats, len(latency))
+    workload = run.workload
+    results = simulate_scaling(
+        spec.concurrency,
+        OpProfile(
+            mean_ns=latency.mean(),
+            p999_ns=latency.quantile(0.999),
+            bytes_per_op=run.result.bytes_per_op,
+            retrain_every=retrain_every,
+            retrain_stall_ns=retrain_stall_ns,
+        ),
+        args.threads,
+        write_fraction=workload.update + workload.insert + workload.rmw,
+        seed=args.seed,
+        tracer=run.perf.tracer,
+        index_name=spec.name,
+        spans=spans,
+    )
     body = [
         [
-            r["threads"],
-            f"{r['throughput_mops']:.2f}",
-            f"{r['gil_thread_mops']:.2f}",
-            f"{r['p999_ns']:.0f}",
-            f"{r['slowdown']:.3f}",
+            r.threads,
+            f"{r.throughput_mops:.2f}",
+            f"{r.p999_ns:.0f}",
+            f"{100 * r.latch_wait_share:.1f}%",
+            f"{100 * r.retrain_stall_share:.1f}%",
+            f"{r.retries:,}",
+            f"{r.retrain_stalls:,}",
         ]
-        for r in rows
+        for r in results
     ]
     return format_table(
-        ["threads", "Mops/s", "GIL Mops/s", "p99.9 ns", "slowdown"],
+        [
+            "threads",
+            "Mops/s",
+            "p99.9 ns",
+            "latch wait",
+            "retrain stall",
+            "retries",
+            "stalls",
+        ],
         body,
-        title="Thread scaling (analytic bandwidth model)",
+        title=f"Thread scaling (sim, {spec.concurrency.describe()})",
     )
 
 
@@ -425,140 +491,50 @@ def _span_report(all_spans, quantile: float) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        spec = registry.resolve(args.index)
-    except UnknownIndexError:
-        print(f"unknown index {args.index!r}; see `info`", file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(
-            f"unknown workload {args.workload!r}; "
-            f"one of {sorted(WORKLOADS)}",
-            file=sys.stderr,
+    run = _run(args, PerfContext())
+    if isinstance(run, int):
+        return run
+    latency = run.result.latency
+    body = [
+        ["index", run.spec.name],
+        ["workload", run.workload.name],
+        ["batch size", args.batch_size],
+        ["shards", args.shards],
+        ["dataset", f"{args.dataset} ({len(run.load):,} loaded keys)"],
+        ["operations", f"{len(latency):,}"],
+        ["build (sim ms)", f"{run.build_ns / 1e6:.2f}"],
+        ["throughput (sim Mops/s)", f"{1e3 / latency.mean():.3f}"],
+        ["mean latency (sim ns)", f"{latency.mean():.0f}"],
+        ["p50 (sim ns)", f"{latency.quantile(0.5):.0f}"],
+        ["p99.9 (sim ns)", f"{latency.quantile(0.999):.0f}"],
+        ["bytes/op", f"{run.result.bytes_per_op:.0f}"],
+    ]
+    if run.parallel:
+        body.insert(4, ["workers", args.workers])
+        body.append(
+            [
+                "throughput (wall Mops/s)",
+                f"{len(latency) / run.wall_s / 1e6:.3f}",
+            ]
         )
-        return 2
-    if _bad_engine_flags(args):
-        return 2
-    workload = WORKLOADS[args.workload]
-    keys = DATASETS[args.dataset](args.keys, seed=args.seed)
-    needs_inserts = workload.insert > 0
-    if needs_inserts:
-        load, insert_pool = split_load_and_inserts(keys, 0.5, seed=args.seed)
-    else:
-        load, insert_pool = list(keys), None
-    ops = generate_operations(
-        workload, args.ops, load, insert_pool, seed=args.seed
+    print(
+        format_table(
+            ["metric", "value"],
+            body,
+            title="Benchmark result (simulated hardware)",
+        )
     )
-
-    perf = PerfContext()
-    store = _build_store(
-        spec,
-        perf,
-        args.shards,
-        args.workers,
-        restart_budget=args.restart_budget,
-        worker_timeout_s=args.worker_timeout,
-        degraded=args.degraded,
-    )
-    parallel = isinstance(store, ParallelShardedStore)
-    try:
-        mark = perf.begin()
-        store.bulk_load([(k, k) for k in load])
-        build_ns = perf.end(mark).time_ns
-        progress = (
-            ProgressReporter(total=len(ops), every=max(1, len(ops) // 20))
-            if args.progress
-            else None
-        )
-        wall_start = time.perf_counter()
-        result = execute_ops(
-            StoreAdapter(store),
-            ops,
-            perf,
-            batch_size=args.batch_size,
-            progress=progress,
-        )
-        wall_s = time.perf_counter() - wall_start
-        latency, bytes_per_op = result.latency, result.bytes_per_op
-
-        body = [
-            ["index", spec.name],
-            ["workload", workload.name],
-            ["batch size", args.batch_size],
-            ["shards", args.shards],
-            ["dataset", f"{args.dataset} ({len(load):,} loaded keys)"],
-            ["operations", f"{len(latency):,}"],
-            ["build (sim ms)", f"{build_ns / 1e6:.2f}"],
-            ["throughput (sim Mops/s)", f"{1e3 / latency.mean():.3f}"],
-            ["mean latency (sim ns)", f"{latency.mean():.0f}"],
-            ["p50 (sim ns)", f"{latency.quantile(0.5):.0f}"],
-            ["p99.9 (sim ns)", f"{latency.quantile(0.999):.0f}"],
-            ["bytes/op", f"{bytes_per_op:.0f}"],
-        ]
-        if parallel:
-            body.insert(4, ["workers", args.workers])
-            body.append(
-                [
-                    "throughput (wall Mops/s)",
-                    f"{len(latency) / wall_s / 1e6:.3f}",
-                ]
-            )
-        print(
-            format_table(
-                ["metric", "value"],
-                body,
-                title="Benchmark result (simulated hardware)",
-            )
-        )
-        if parallel:
-            print()
-            print(_worker_balance_table(store))
-        if args.threads:
-            print()
-            print(
-                _scaling_table(
-                    spec,
-                    workload,
-                    latency,
-                    bytes_per_op,
-                    args,
-                    store,
-                    load=load,
-                    ops=ops,
-                )
-            )
-    finally:
-        if parallel:
-            store.close()
+    if run.parallel:
+        print()
+        print(_worker_balance_table(run.store))
+    if args.threads:
+        print()
+        print(_scaling_table(run, args))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run one combination with full observability and print the report."""
-    try:
-        spec = registry.resolve(args.index)
-    except UnknownIndexError:
-        print(f"unknown index {args.index!r}; see `info`", file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOADS:
-        print(
-            f"unknown workload {args.workload!r}; "
-            f"one of {sorted(WORKLOADS)}",
-            file=sys.stderr,
-        )
-        return 2
-    workload = WORKLOADS[args.workload]
-    keys = DATASETS[args.dataset](args.keys, seed=args.seed)
-    if workload.insert > 0:
-        load, insert_pool = split_load_and_inserts(keys, 0.5, seed=args.seed)
-    else:
-        load, insert_pool = list(keys), None
-    ops = generate_operations(
-        workload, args.ops, load, insert_pool, seed=args.seed
-    )
-
-    if _bad_engine_flags(args):
-        return 2
     if args.spans and max(args.shards, args.workers) < 2:
         print(
             "--spans needs --shards or --workers >= 2 (span tracing "
@@ -566,7 +542,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-
     perf = PerfContext()
     metrics = MetricsRegistry()
     # Exact lifecycle counts land in ``metrics``; sampled events (and,
@@ -574,129 +549,38 @@ def cmd_report(args: argparse.Namespace) -> int:
     tracer = Tracer(rate=args.sample, seed=args.seed, metrics=metrics)
     perf.tracer = tracer
     profiler = Profiler(perf)
-
-    store = _build_store(
-        spec,
+    run = _run(
+        args,
         perf,
-        args.shards,
-        args.workers,
+        profiler=profiler,
+        metrics=metrics,
+        top=args.top,
         trace_rate=args.sample,
         span_rate=args.span_sample if args.spans else 0.0,
         stall_threshold_s=args.stall_threshold,
-        restart_budget=args.restart_budget,
-        worker_timeout_s=args.worker_timeout,
-        degraded=args.degraded,
     )
-    parallel = isinstance(store, ParallelShardedStore)
-    if args.top and parallel:
-        progress = EngineTopView(
-            store, total=len(ops), every=max(1, len(ops) // 20)
-        )
-    elif args.progress:
-        progress = ProgressReporter(total=len(ops), every=max(1, len(ops) // 20))
-    else:
-        progress = None
+    if isinstance(run, int):
+        return run
+    result, stats = run.result, run.stats
     all_spans = []
-    try:
-        mark = perf.begin()
-        store.bulk_load([(k, k) for k in load])
-        build_ns = perf.end(mark).time_ns
-        result = execute_ops(
-            StoreAdapter(store),
-            ops,
-            perf,
-            profiler=profiler,
-            batch_size=args.batch_size,
-            progress=progress,
-        )
-        metrics.merge_from(result.metrics)
-        latency = result.latency
-        if parallel:
-            # Fold worker-side lifecycle counts, metric series, and
-            # worker/event spans into the parent's instruments before any
-            # of them are summarised below.  The profiler already saw
-            # every op through the perf deltas folded into ``perf``.
-            store.drain_obs(metrics=metrics, spans=tracer.spans)
-            if store.spans is not None:
-                all_spans = list(store.spans.spans)
-            health_text = _worker_health_table(store)
-            stats = store.stats()
-        else:
-            stats = store.index.stats()
-        retrain = _retrain_profile(store, len(latency))
-    finally:
-        if parallel:
-            store.close()
+    if run.parallel and run.store.spans is not None:
+        all_spans = list(run.store.spans.spans)
 
     scaling_text = ""
     if args.threads:
         # Run the projection before the trace summary so its LATCH_WAIT /
         # RETRAIN_STALL events land in the lifecycle table below.
-        if args.projection == "sim":
-            from repro.concurrency import OpProfile, simulate_scaling
-
-            sim_spans = None
-            if args.spans:
-                # Simulated op spans share the exporters with the
-                # measured trees; the "sim" prefix and clock keep the
-                # two diffable inside one file.
-                sim_spans = SpanRecorder(
-                    rate=args.span_sample, seed=args.seed, prefix="sim"
-                )
-            write_fraction = workload.update + workload.insert + workload.rmw
-            retrain_every, retrain_stall_ns = retrain
-            results = simulate_scaling(
-                spec.concurrency,
-                OpProfile(
-                    mean_ns=latency.mean(),
-                    p999_ns=latency.quantile(0.999),
-                    bytes_per_op=result.bytes_per_op,
-                    retrain_every=retrain_every,
-                    retrain_stall_ns=retrain_stall_ns,
-                ),
-                args.threads,
-                write_fraction=write_fraction,
-                seed=args.seed,
-                tracer=tracer,
-                index_name=spec.name,
-                spans=sim_spans,
+        sim_spans = None
+        if args.spans:
+            # Simulated op spans share the exporters with the measured
+            # trees; the "sim" prefix and clock keep the two diffable
+            # inside one file.
+            sim_spans = SpanRecorder(
+                rate=args.span_sample, seed=args.seed, prefix="sim"
             )
-            if sim_spans is not None:
-                all_spans.extend(sim_spans.spans)
-            scaling_text = format_table(
-                [
-                    "threads",
-                    "Mops/s",
-                    "p99.9 ns",
-                    "latch wait",
-                    "retrain stall",
-                    "retries",
-                ],
-                [
-                    [
-                        r.threads,
-                        f"{r.throughput_mops:.2f}",
-                        f"{r.p999_ns:.0f}",
-                        f"{100 * r.latch_wait_share:.1f}%",
-                        f"{100 * r.retrain_stall_share:.1f}%",
-                        f"{r.retries:,}",
-                    ]
-                    for r in results
-                ],
-                title=f"Thread scaling (sim, {spec.concurrency.describe()})",
-            )
-        else:
-            scaling_text = _scaling_table(
-                spec,
-                workload,
-                latency,
-                result.bytes_per_op,
-                args,
-                store,
-                load=load,
-                ops=ops,
-                retrain=retrain,
-            )
+        scaling_text = _scaling_table(run, args, spans=sim_spans)
+        if sim_spans is not None:
+            all_spans.extend(sim_spans.spans)
     event_spans = [s for s in tracer.spans.spans if s.kind == "event"]
     if args.spans:
         all_spans += tracer.spans.spans
@@ -705,13 +589,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         format_table(
             ["metric", "value"],
             [
-                ["index", spec.name],
-                ["workload", workload.name],
-                ["dataset", f"{args.dataset} ({len(load):,} loaded keys)"],
-                ["operations", f"{len(latency):,}"],
+                ["index", run.spec.name],
+                ["workload", run.workload.name],
+                ["dataset", f"{args.dataset} ({len(run.load):,} loaded keys)"],
+                ["operations", f"{len(result.latency):,}"],
                 ["trace sampling", f"{args.sample:g}"],
-                ["build (sim ms)", f"{build_ns / 1e6:.2f}"],
-                ["throughput (sim Mops/s)", f"{1e3 / latency.mean():.3f}"],
+                ["build (sim ms)", f"{run.build_ns / 1e6:.2f}"],
+                [
+                    "throughput (sim Mops/s)",
+                    f"{1e3 / result.latency.mean():.3f}",
+                ],
             ],
             title="Run (simulated hardware)",
         )
@@ -761,11 +648,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     )
 
-    if parallel:
+    if run.parallel:
         print()
-        print(_worker_balance_table(store))
+        print(_worker_balance_table(run.store))
         print()
-        print(health_text)
+        print(run.health)
     if args.spans:
         print()
         print(_span_report(all_spans, args.span_quantile))
@@ -783,7 +670,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 ["retrained keys", f"{stats.retrain_keys:,}"],
                 *[[k, f"{v:,}"] for k, v in sorted(stats.extra.items())],
             ],
-            title=f"Index structure ({spec.name})",
+            title=f"Index structure ({run.spec.name})",
         )
     )
     if scaling_text:
@@ -842,7 +729,41 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_concurrency_flags(sub_parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(sub_parser: argparse.ArgumentParser, workload: str) -> None:
+    """The flags of the run ``bench`` and ``report`` share; ``workload``
+    is the command's default ``--workload``."""
+    sub_parser.add_argument(
+        "--index", default="alex", help="index name (see info)"
+    )
+    sub_parser.add_argument(
+        "--workload", default=workload, help=f"one of {sorted(WORKLOADS)}"
+    )
+    sub_parser.add_argument(
+        "--dataset", default="ycsb", choices=sorted(DATASETS), help="key set"
+    )
+    sub_parser.add_argument(
+        "--keys",
+        type=_AT_LEAST_1,
+        default=50_000,
+        help="dataset size; workloads that insert hold half of it out as "
+        "insert keys",
+    )
+    sub_parser.add_argument("--ops", type=_AT_LEAST_1, default=20_000)
+    sub_parser.add_argument("--seed", type=int, default=0)
+    sub_parser.add_argument(
+        "--batch-size",
+        type=_AT_LEAST_1,
+        default=1,
+        help="group runs of consecutive reads into get_many batches, "
+        "consecutive writes into put_many batches, and consecutive "
+        "same-length scans into scan_many batches of this size "
+        "(1 = per-key dispatch)",
+    )
+    sub_parser.add_argument(
+        "--progress",
+        action="store_true",
+        help="print live progress/throughput lines to stderr",
+    )
     sub_parser.add_argument(
         "--shards",
         type=_AT_LEAST_1,
@@ -895,11 +816,11 @@ def _add_concurrency_flags(sub_parser: argparse.ArgumentParser) -> None:
     )
     sub_parser.add_argument(
         "--projection",
-        choices=("analytic", "sim", "measured"),
+        choices=("sim", "measured"),
         default="sim",
         help="thread-scaling model: the discrete-event concurrency "
-        "simulator (sim), the closed-form bandwidth curve (analytic), or "
-        "the real process-parallel engine at each count (measured)",
+        "simulator (sim), or the real process-parallel engine at each "
+        "count (measured)",
     )
 
 
@@ -914,55 +835,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="list indexes and capabilities")
 
     bench = sub.add_parser("bench", help="run one index/workload combination")
-    bench.add_argument("--index", default="alex", help="index name (see info)")
-    bench.add_argument(
-        "--workload",
-        default="ycsb-b",
-        help=f"one of {sorted(WORKLOADS)}",
-    )
-    bench.add_argument(
-        "--dataset", default="ycsb", choices=sorted(DATASETS), help="key set"
-    )
-    bench.add_argument("--keys", type=_AT_LEAST_1, default=50_000)
-    bench.add_argument("--ops", type=_AT_LEAST_1, default=20_000)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--batch-size",
-        type=_AT_LEAST_1,
-        default=1,
-        help="group runs of consecutive reads into get_many batches, "
-        "consecutive writes into put_many batches, and consecutive "
-        "same-length scans into scan_many batches of this size "
-        "(1 = per-key dispatch)",
-    )
-    bench.add_argument(
-        "--progress",
-        action="store_true",
-        help="print live progress/throughput lines to stderr",
-    )
-    _add_concurrency_flags(bench)
+    _add_run_flags(bench, workload="ycsb-b")
 
     report = sub.add_parser(
         "report",
         help="run one combination with tracing/metrics and print a report",
     )
-    report.add_argument("--index", default="alex", help="index name (see info)")
-    report.add_argument(
-        "--workload", default="ycsb-d", help=f"one of {sorted(WORKLOADS)}"
-    )
-    report.add_argument(
-        "--dataset", default="ycsb", choices=sorted(DATASETS), help="key set"
-    )
-    report.add_argument("--keys", type=_AT_LEAST_1, default=50_000)
-    report.add_argument("--ops", type=_AT_LEAST_1, default=20_000)
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument(
-        "--batch-size",
-        type=_AT_LEAST_1,
-        default=1,
-        help="batch consecutive reads/writes/scans (get_many/put_many/"
-        "scan_many) up to this size (1 = per-key dispatch)",
-    )
+    _add_run_flags(report, workload="ycsb-d")
     report.add_argument(
         "--sample",
         type=_RATE,
@@ -977,11 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prom-out",
         default="",
         help="write Prometheus-style text exposition of the run's metrics",
-    )
-    report.add_argument(
-        "--progress",
-        action="store_true",
-        help="print live progress/throughput lines to stderr",
     )
     report.add_argument(
         "--spans",
@@ -1021,16 +895,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--stall-threshold",
-        type=float,
+        type=_POSITIVE,
         default=5.0,
         help="seconds a worker command may stay unanswered before the "
         "worker is flagged stalled (default 5)",
     )
-    _add_concurrency_flags(report)
 
     ds = sub.add_parser("datasets", help="inspect a synthetic dataset")
     ds.add_argument("--name", default="ycsb")
-    ds.add_argument("--n", type=int, default=10_000)
+    ds.add_argument("--n", type=_AT_LEAST_1, default=10_000)
     ds.add_argument("--seed", type=int, default=0)
     ds.add_argument("--dump", action="store_true", help="print raw keys")
 

@@ -36,6 +36,7 @@ from repro.concurrency.sim import (
     RWLOCK_BOUNCE_NS,
     SimResult,
     make_streams,
+    retrain_cadence,
     simulate,
     simulate_scaling,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "RWLOCK_BOUNCE_NS",
     "SimResult",
     "make_streams",
+    "retrain_cadence",
     "simulate",
     "simulate_scaling",
     "ShardRouter",

@@ -1541,9 +1541,9 @@ def measure_scaling(
     """Measured wall-clock scaling: run ``ops`` through a real engine at
     each worker count and report throughput rows.
 
-    This is what ``thread_scaling(projection="measured")`` and the Fig
-    12/14 ``--projection measured`` branches delegate to — the
-    closed-loop validation of the analytic/simulated projections.  Rows
+    This is what ``--projection measured`` runs, on the CLI and in Figs
+    12/14 — the closed-loop validation of the simulator's projection
+    (:func:`repro.bench.thread_scaling`).  Rows
     carry ``throughput_mops`` (wall), ``wall_s``, ``mean_ns`` and
     ``p999_ns`` (per-op wall, from the engine's :attr:`wall_latency`), and
     ``utilization`` (per-worker busy share, min..max).

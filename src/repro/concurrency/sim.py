@@ -96,10 +96,9 @@ class OpProfile:
     #: Memory traffic per operation (drives bandwidth contention).
     bytes_per_op: float
     #: Writes between whole-structure retrain stalls (0 = never), as
-    #: measured: ``ops / stats().retrain_count``.
+    #: measured by :func:`retrain_cadence`.
     retrain_every: int = 0
-    #: Simulated duration of one blocking retrain:
-    #: ``stats().retrain_time_ns / retrain_count``.
+    #: Simulated duration of one blocking retrain (:func:`retrain_cadence`).
     retrain_stall_ns: float = 0.0
 
     def __post_init__(self) -> None:
@@ -109,6 +108,23 @@ class OpProfile:
             raise ValueError(
                 f"retrain_every must be >= 0, got {self.retrain_every}"
             )
+
+
+def retrain_cadence(stats, ops: int) -> Tuple[int, float]:
+    """``(retrain_every, retrain_stall_ns)`` measured from one run.
+
+    ``stats`` is the index's :class:`~repro.core.interfaces.IndexStats`
+    after ``ops`` operations: a retrain fires every ``ops //
+    retrain_count`` of them (at least 1) and stalls for its average
+    retrained keys times ``retrain_key_ns``.  ``(0, 0.0)`` when nothing
+    retrained.  The simulator charges the stall only for
+    retrain-blocking indexes, so it is safe to pass for any index.
+    """
+    count = stats.retrain_count
+    if count == 0 or ops == 0:
+        return 0, 0.0
+    key_ns = CostModel().retrain_key_ns
+    return max(1, ops // count), (stats.retrain_keys / count) * key_ns
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ finite memory bandwidth: "ALEX has already saturated the memory bandwidth
 with 24 threads ... which led to the competition of NVM bandwidth".  We model
 a shared bandwidth pool: each thread independently demands
 ``bytes_per_op / base_latency`` of bandwidth; once aggregate demand exceeds
-the pool, every access slows by the oversubscription ratio, and queueing
-inflates the tail.
+the pool, every access slows by the oversubscription ratio.  The
+simulator (:mod:`repro.concurrency.sim`) scales its service times by that
+ratio; queueing on latches and retrains is its own.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ class BandwidthModel:
     sustain only ~2.3 GB/s per DIMM (~14 GB/s for six DIMMs; Yang et
     al., FAST'20), blended with the DRAM share of each operation.  This
     is the pool the paper reports ALEX exhausting at 24 threads.
-    ``tail_queue_factor`` controls how much faster the p99.9 grows than the
-    mean once the pool saturates.
     """
 
     peak_gbps: float = 25.0
-    tail_queue_factor: float = 3.0
 
     def demand_gbps(self, threads: int, bytes_per_op: float, base_ns: float) -> float:
         """Aggregate bandwidth demanded by ``threads`` unthrottled threads."""
@@ -45,19 +43,3 @@ class BandwidthModel:
         if demand <= self.peak_gbps:
             return 1.0
         return demand / self.peak_gbps
-
-    def throughput_mops(
-        self, threads: int, bytes_per_op: float, base_ns: float
-    ) -> float:
-        """Aggregate Mops/s of ``threads`` threads doing ``base_ns`` ops."""
-        s = self.slowdown(threads, bytes_per_op, base_ns)
-        return threads / (base_ns * s) * 1e3
-
-    def tail_latency_ns(
-        self, threads: int, bytes_per_op: float, base_ns: float, base_tail_ns: float
-    ) -> float:
-        """Scaled p99.9: queueing inflates the tail beyond the mean slowdown."""
-        s = self.slowdown(threads, bytes_per_op, base_ns)
-        if s <= 1.0:
-            return base_tail_ns
-        return base_tail_ns * (1.0 + (s - 1.0) * self.tail_queue_factor)

@@ -16,7 +16,8 @@ from repro.bench import (
     thread_scaling,
 )
 from repro.errors import UnsupportedOperationError
-from repro.perf import BandwidthModel, LogHistogram, Profiler
+from repro.concurrency import LOCK_FREE
+from repro.perf import LogHistogram, Profiler
 from repro.workloads import YCSB_A, READ_ONLY, generate_operations
 from repro.workloads.ycsb import OpKind, Operation
 
@@ -153,20 +154,35 @@ class TestUnifiedExecutor:
 
 
 class TestThreadScaling:
+    """The simulator's projection, as Figs 12 and 14 call it."""
+
     def test_rows_shape(self):
         rows = thread_scaling(500.0, 900.0, 700.0, (1, 8, 32))
         assert [r["threads"] for r in rows] == [1, 8, 32]
         assert rows[0]["slowdown"] == 1.0
+        # Read-only: no latch wait, retry or retrain stall to charge.
+        for r in rows:
+            assert r["latch_wait_share"] == r["retrain_stall_share"] == 0.0
+            assert r["retries"] == r["retrain_stalls"] == 0
+        # GIL-bound threads never beat the single-thread rate.
+        assert rows[0]["gil_thread_mops"] == pytest.approx(2.0)
+        assert max(r["gil_thread_mops"] for r in rows) == pytest.approx(2.0)
 
     def test_saturation_monotonic(self):
-        bw = BandwidthModel(peak_gbps=2.0)
-        rows = thread_scaling(500.0, 900.0, 700.0, (1, 2, 4, 8, 16), bw)
+        # 4,000 bytes per 500 ns op is 8 GB/s a thread: the default
+        # 25 GB/s pool saturates between 2 and 4 threads.
+        rows = thread_scaling(
+            500.0, 900.0, 4000.0, (1, 2, 4, 8, 16), concurrency=LOCK_FREE
+        )
         slowdowns = [r["slowdown"] for r in rows]
         assert slowdowns == sorted(slowdowns)
-        # Throughput never decreases with threads in this model...
+        assert slowdowns[1] == 1.0 < slowdowns[2]
         tputs = [r["throughput_mops"] for r in rows]
-        assert tputs == sorted(tputs)
-        # ...but saturates: the last doubling gains almost nothing.
+        # Linear below saturation...
+        assert tputs[1] == pytest.approx(2 * tputs[0], rel=0.01)
+        # ...then flat at the pool's rate, 25 GB/s / 4,000 B = 6.25 Mops/s.
+        for t in tputs[2:]:
+            assert t == pytest.approx(25.0 / 4000.0 * 1e3, rel=0.01)
         assert tputs[-1] < tputs[-2] * 1.05
 
 

@@ -139,6 +139,9 @@ class TestReport:
             ("report", "--sample", "1.5"),
             ("report", "--span-sample", "2"),
             ("report", "--span-quantile", "1.0"),
+            ("report", "--stall-threshold", "-1"),
+            ("report", "--stall-threshold", "nan"),
+            ("datasets", "--n", "0"),
         ],
     )
     def test_out_of_range_flag_fails_at_parse_time(
@@ -148,6 +151,31 @@ class TestReport:
             main([command, flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench", "report"])
+    def test_analytic_projection_fails_at_parse_time(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "1,4", "--projection", "analytic"])
+        assert exc.value.code == 2
+        assert "argument --projection:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--workload", "write-only", "--keys", "40000",
+             "--ops", "20000"],
+            ["report", "--workload", "write-only", "--keys", "100",
+             "--ops", "60"],
+            ["bench", "--workload", "ycsb-d", "--keys", "1", "--ops", "10"],
+        ],
+        ids=["bench", "report", "bench-no-load"],
+    )
+    def test_too_few_insert_keys_exit_2(self, capsys, argv):
+        # Insert workloads hold out half of --keys as insert keys.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "half of --keys" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "engine", [[], ["--shards", "2"]], ids=["flat", "shards"]
@@ -169,6 +197,32 @@ def _table(out: str, title: str):
     """The body rows of the titled table in ``out``, as cell lists."""
     lines = out.split(title + "\n", 1)[1].split("\n\n", 1)[0].splitlines()
     return [re.split(r"\s{2,}", line.strip()) for line in lines[2:]]
+
+
+def test_bench_and_report_print_the_same_run(capsys):
+    """``report`` is the ``bench`` run plus telemetry: the same flags
+    give the same op count, build time, throughput and scaling rows."""
+    flags = [
+        "--index", "xindex", "--workload", "ycsb-a", "--keys", "4000",
+        "--ops", "1000", "--threads", "1,4",
+    ]
+    assert main(["bench"] + flags) == 0
+    bench = capsys.readouterr().out
+    assert main(["report"] + flags) == 0
+    report = capsys.readouterr().out
+
+    def metrics(out, title):
+        return {row[0]: row[1] for row in _table(out, title)}
+
+    ran = metrics(bench, "Benchmark result (simulated hardware)")
+    reported = metrics(report, "Run (simulated hardware)")
+    for name in ("operations", "build (sim ms)", "throughput (sim Mops/s)"):
+        assert ran[name] == reported[name], name
+    assert ran["operations"] == "1,000"
+    scaling = "Thread scaling (sim, fine_grained_latch[64]+retrain-block)"
+    rows = _table(bench, scaling)
+    assert [row[0] for row in rows] == ["1", "4"]
+    assert rows == _table(report, scaling)
 
 
 class TestReportTelemetry:

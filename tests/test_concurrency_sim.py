@@ -13,12 +13,14 @@ from repro.concurrency import (
     OpProfile,
     RWLOCK_BOUNCE_NS,
     make_streams,
+    retrain_cadence,
     simulate,
     simulate_scaling,
 )
+from repro.core.interfaces import IndexStats
 from repro.errors import InvalidConfigurationError
 from repro.obs import EventType, Tracer
-from repro.perf import BandwidthModel
+from repro.perf import BandwidthModel, CostModel
 
 #: A light profile far from bandwidth saturation, so scheme effects are
 #: visible in isolation.
@@ -204,6 +206,16 @@ class TestScaling:
             curve[1].throughput_mops
             < curve[0].throughput_mops * 32 * 0.7
         )
+
+    def test_retrain_cadence_from_stats(self):
+        assert retrain_cadence(IndexStats(), 1000) == (0, 0.0)
+        assert retrain_cadence(IndexStats(retrain_count=3), 0) == (0, 0.0)
+        stats = IndexStats(retrain_count=4, retrain_keys=1000)
+        # A retrain every 1000 // 4 ops, each retraining 250 keys.
+        key_ns = CostModel().retrain_key_ns
+        assert retrain_cadence(stats, 1000) == (250, 250 * key_ns)
+        # More retrains than ops still fire on every op.
+        assert retrain_cadence(stats, 2)[0] == 1
 
     def test_empty_and_invalid_inputs(self):
         with pytest.raises(ValueError):

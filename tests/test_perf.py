@@ -158,27 +158,6 @@ class TestBandwidthModel:
         s2 = bw.slowdown(threads + 1, bytes_per_op=600, base_ns=100)
         assert 1.0 <= s1 <= s2
 
-    def test_throughput_saturates(self):
-        bw = BandwidthModel(peak_gbps=5.0)
-        t8 = bw.throughput_mops(8, bytes_per_op=600, base_ns=100)
-        t32 = bw.throughput_mops(32, bytes_per_op=600, base_ns=100)
-        # Past saturation, adding threads gains (almost) nothing.
-        assert t32 <= t8 * 1.05
-
-    def test_light_workload_scales_linearly(self):
-        bw = BandwidthModel(peak_gbps=1000.0)
-        t1 = bw.throughput_mops(1, bytes_per_op=64, base_ns=200)
-        t16 = bw.throughput_mops(16, bytes_per_op=64, base_ns=200)
-        assert t16 == pytest.approx(16 * t1)
-
-    def test_tail_inflates_under_saturation(self):
-        bw = BandwidthModel(peak_gbps=2.0)
-        base_tail = 500.0
-        quiet = bw.tail_latency_ns(1, 64, 200, base_tail)
-        loud = bw.tail_latency_ns(64, 640, 200, base_tail)
-        assert quiet == base_tail
-        assert loud > base_tail
-
     def test_invalid_inputs(self):
         bw = BandwidthModel()
         with pytest.raises(ValueError):
