@@ -1358,7 +1358,6 @@ class ParallelShardedIndex(_ParallelEngine, Index):
         _ParallelEngine.__init__(self, spec, workers, store=False, **kwargs)
         Index.__init__(self, self.perf)
         self.name = f"parallel[{self.probe.name}]x{self.workers}"
-        self.insert_is_upsert = self.probe.insert_is_upsert
 
     # construction / reads
     def bulk_load(self, items: Sequence[Tuple[int, Any]]) -> None:

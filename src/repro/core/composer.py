@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import Approximator
-from repro.core.insertion.base import InsertResult, Leaf
+from repro.core.insertion.base import InsertResult, Leaf, object_array
 from repro.core.insertion.strategies import InsertionStrategy
 from repro.core.interfaces import (
     Capabilities,
@@ -46,6 +46,16 @@ from repro.perf.context import PerfContext
 from repro.perf.events import Event
 
 _MAX_RETRAIN_ATTEMPTS = 4
+
+
+# The per-key leaf writes of ``ComposedIndex._write_many``: each returns
+# ``(InsertResult, old value)``.
+def _leaf_insert(leaf: Leaf, key: Key, value: Value):
+    return leaf.insert(key, value), None
+
+
+def _leaf_upsert(leaf: Leaf, key: Key, value: Value):
+    return leaf.upsert(key, value)
 
 
 class ComposedIndex(UpdatableIndex):
@@ -253,70 +263,78 @@ class ComposedIndex(UpdatableIndex):
         )
 
     def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        """Sorted-batch leaf routing for inserts.
-
-        Mirrors ``get_many``: the batch is argsorted (stably, so on
-        duplicate keys the later item still wins) and routed through
-        ``InternalStructure.lookup_many`` in one pass.  Each run of keys
-        landing in the same leaf is offered to ``Leaf.insert_batch``
-        (vectorized merge-and-re-spread for gapped leaves); runs the leaf
-        declines take the per-key loop.  A leaf reporting FULL falls back
-        to the scalar ``insert`` (which runs the retrain loop) and the
-        *remaining* suffix is re-routed, since retraining changes the
-        leaf list.
-        """
+        # Per-key leaf inserts: a FINEdex leaf has no one-search upsert.
         check_items(items)
+        self._write_many(items, self.insert, _leaf_insert)
+
+    def upsert_many(
+        self, items: Sequence[Tuple[Key, Value]]
+    ) -> List[Optional[Value]]:
+        check_items(items)
+        return self._write_many(items, self.upsert, _leaf_upsert)
+
+    def _write_many(self, items, write, leaf_write) -> List[Optional[Value]]:
+        """Sorted-batch leaf routing for both batch writes; returns each
+        item's previous value in the caller's order.
+
+        Mirrors ``get_many``: the keys are converted to ``uint64`` once,
+        argsorted stably (so the later of two equal keys wins) and routed
+        through ``InternalStructure.lookup_many``.  Each same-leaf run is
+        offered to ``Leaf.insert_batch`` as its key and value slices; a
+        declined run takes ``leaf_write`` per key.  A leaf reporting FULL
+        hands its key to ``write``, the index-level write that retrains,
+        and the rest is re-routed, since retraining changes the leaves.
+        """
         n = len(items)
         if not n:
-            return
+            return []
         if not self.leaves:
-            self.insert(*items[0])
-            if n > 1:
-                self.insert_many(items[1:])
-            return
+            return [write(*items[0])] + self._write_many(
+                items[1:], write, leaf_write
+            )
         qs = _vec.as_u64([k for k, _ in items])
         if qs is None:
-            for key, value in items:
-                self.insert(key, value)
-            return
+            return [write(key, value) for key, value in items]
         np = _vec.np
         order = np.argsort(qs, kind="stable")
         sorted_qs = qs[order]
-        pairs = [items[j] for j in order.tolist()]
+        sorted_vs = object_array([v for _, v in items])[order]
+        olds = np.full(n, None, dtype=object)
         i = 0
         while i < n:
             leaf_idx = self.structure.lookup_many(sorted_qs[i:])
             total = len(leaf_idx)
-            rerouted = False
             start = 0
-            while start < total:
+            rerouted = False
+            while start < total and not rerouted:
                 li = leaf_idx[start]
-                end = start + 1
-                while end < total and leaf_idx[end] == li:
-                    end += 1
+                end = bisect_right(leaf_idx, li, start)
+                a, b = i + start, i + end
                 leaf = self.leaves[li]
-                done = leaf.insert_batch(pairs[i + start : i + end])
+                done = leaf.insert_batch(sorted_qs[a:b], sorted_vs[a:b])
                 if done is not None:
-                    self._n += done
+                    self._n += done[0]
+                    olds[order[a:b]] = done[1]
                     start = end
                     continue
-                for off in range(start, end):
-                    key, value = pairs[i + off]
-                    result = leaf.insert(key, value)
+                for j, pos in enumerate(order[a:b].tolist(), a):
+                    key, value = items[pos]
+                    result, old = leaf_write(leaf, key, value)
                     if result is InsertResult.INSERTED:
                         self._n += 1
-                    elif result is InsertResult.FULL:
-                        # Scalar insert retrains until the key fits, then
-                        # the outer loop re-routes what is left.
-                        self.insert(key, value)
-                        i += off + 1
+                    elif result is InsertResult.UPDATED:
+                        olds[pos] = old
+                    else:
+                        # FULL: the index-level write retrains until the
+                        # key fits, then the outer loop re-routes the rest.
+                        olds[pos] = write(key, value)
+                        i = j + 1
                         rerouted = True
                         break
-                if rerouted:
-                    break
                 start = end
             if not rerouted:
                 break
+        return olds.tolist()
 
     def delete(self, key: Key) -> bool:
         if not self.leaves:

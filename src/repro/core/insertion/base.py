@@ -79,13 +79,14 @@ class Leaf(ABC):
         result = self.insert(key, value)
         return result, (old if result is InsertResult.UPDATED else None)
 
-    def insert_batch(self, items: List[Tuple[int, Any]]) -> Optional[int]:
-        """Bulk upsert of a sorted run of pairs (last duplicate wins).
+    def insert_batch(self, keys: Any, values: Any) -> Optional[Tuple[int, Any]]:
+        """Bulk upsert of a run: its ascending ``uint64`` keys (repeats
+        adjacent, the last one wins) and a 1-d object array of values.
 
-        Returns the number of *new* keys absorbed, or ``None`` when the
-        leaf wants the caller to fall back to per-key :meth:`insert`
-        (which is always correct) — the default, since only leaves with a
-        vectorized storage backend can do better.
+        Returns ``(new keys, old values)``: the count of keys the leaf did
+        not hold, and an object array of what a loop of :meth:`upsert`
+        would return (an in-run repeat sees its predecessor's value).
+        ``None``, the default, asks the caller to write key by key.
         """
         return None
 

@@ -340,37 +340,31 @@ class GappedLeaf(Leaf):
     def insert(self, key: int, value: Any) -> InsertResult:
         return self.upsert(key, value)[0]
 
-    def insert_batch(self, items: List[Tuple[int, Any]]) -> Optional[int]:
+    def insert_batch(self, keys: Any, values: Any) -> Optional[Tuple[int, Any]]:
         """Bulk upsert of a sorted run, re-spreading the whole slot array.
 
-        ``items`` must be sorted ascending (in-run duplicates adjacent;
-        the last occurrence wins).  The stored keys and the fresh keys
-        are merged and re-placed through the leaf's model in one
-        vectorized pass — the same ``cummax`` placement bulk load uses —
-        so the per-key gap hunt disappears.  Returns the number of new
-        keys, or ``None`` when the batch should take the per-key path
-        instead (tiny run, inexact keys, or the batch would cross the
-        density limit, where per-key FULL semantics must decide the
-        retrain point).
+        The stored keys and the run's fresh keys (see
+        ``Leaf.insert_batch``) are merged and re-placed through the
+        leaf's model in one vectorized pass — the same ``cummax``
+        placement bulk load uses — so the per-key gap hunt disappears.
+        Returns ``None`` when the run should take the per-key path
+        instead (tiny run, or the run would cross the density limit,
+        where per-key FULL semantics must decide the retrain point).
 
         Like every batch fast path the event bill is a coarse aggregate;
         the re-spread also restores gap locality, so ``_move_ema`` decays
         as a run of free inserts would (see ``docs/performance.md`` on
         batch-vs-scalar cost parity).
         """
-        if len(items) < _MIN_BATCH:
+        if len(keys) < _MIN_BATCH:
             return None
         if self._move_ema > self.MOVE_EMA_LIMIT:
             return None  # per-key path reports FULL -> retrain
         np = _vec.np
-        ks = _vec.as_u64([k for k, _ in items])
-        if ks is None:
-            return None
-        vs = object_array([v for _, v in items])
-        keep = np.concatenate([ks[1:] != ks[:-1], np.ones(1, dtype=bool)])
-        kidx = np.flatnonzero(keep)
-        ks = ks[kidx]
-        vs = vs[kidx]
+        repeat = keys[1:] == keys[:-1]  # position p + 1 repeats p
+        last = np.append(~repeat, True)
+        ks = keys[last]
+        vs = values[last]
 
         pos, existing = self._occupied_slots()
         m = int(existing.size)
@@ -385,6 +379,13 @@ class GappedLeaf(Leaf):
             return None
 
         merged_vals = self._values[pos]
+        # A key's first occurrence reads the stored value, a repeat its
+        # predecessor's.
+        olds = np.full(keys.size, None, dtype=object)
+        heads = np.flatnonzero(np.append(True, ~repeat))
+        olds[heads[hit]] = merged_vals[loc[hit]]
+        again = np.flatnonzero(repeat) + 1
+        olds[again] = values[again - 1]
         merged_vals[loc[hit]] = vs[hit]
         if n_fresh:
             fresh_sel = ~hit
@@ -413,9 +414,9 @@ class GappedLeaf(Leaf):
 
         keys_np = np.zeros(self._slots, dtype=np.uint64)
         keys_np[slot] = merged
-        values = np.empty(self._slots, dtype=object)
-        values[slot] = merged_vals
-        self._np_keys, self._values = keys_np, values
+        slot_values = np.empty(self._slots, dtype=object)
+        slot_values[slot] = merged_vals
+        self._np_keys, self._values = keys_np, slot_values
         self._occ = _occupancy_map(self._slots, slot)
         self._view = (slot, merged)
         self._occupied += n_fresh
@@ -431,7 +432,7 @@ class GappedLeaf(Leaf):
         charge(Event.COMPARE, b * max(1, self._slots.bit_length()))
         charge(Event.KEY_MOVE, m)  # the re-spread may move every stored key
         self._move_ema *= (1.0 - self._EMA_ALPHA) ** n_fresh
-        return n_fresh
+        return n_fresh, olds
 
     def upsert(self, key: int, value: Any) -> Tuple[InsertResult, Optional[Any]]:
         """One rank search serving both insert and update (see Leaf.upsert)."""

@@ -138,12 +138,6 @@ class Index(ABC):
     #: Human-readable index name used in benchmark tables.
     name: str = "index"
 
-    #: Whether :meth:`insert` of an existing key overwrites it in place.
-    #: True for every index here except the LSM-style DynamicPGMIndex,
-    #: whose insert would stack a shadowing duplicate; callers that know
-    #: the key exists should use :meth:`update` when this is False.
-    insert_is_upsert: bool = True
-
     def __init__(self, perf: Optional[PerfContext] = None):
         self.perf = perf if perf is not None else DEFAULT_CONTEXT
 
@@ -206,16 +200,14 @@ class Index(ABC):
 
         This is the store's put primitive: one call resolves the old
         record location *and* repoints the index.  The default costs a
-        probe plus a write (two traversals); indexes with a single-descent
-        path override it so a put charges one lookup and one write, as in
-        the paper's cost model.
+        probe plus an :meth:`insert` (two traversals); indexes with a
+        single-descent path override it so a put charges one lookup and
+        one write, as in the paper's cost model, and so does an index
+        whose insert of a present key stacks a copy (the LSM).
         """
         check_key(key)
         old = self.get(key)
-        if old is None or self.insert_is_upsert:
-            self.insert(key, value)
-        else:
-            self.update(key, value)
+        self.insert(key, value)
         return old
 
     def upsert_many(
@@ -226,11 +218,10 @@ class Index(ABC):
         duplicate keys within the batch the second occurrence sees the
         first occurrence's value as its "old").
 
-        This is the store's bulk-put primitive.  The default is the
-        per-key loop; indexes whose batch insert path can also resolve
-        old values in the same descent override it so a bulk put costs
-        one traversal per key, not a probe pass plus a write pass — see
-        ``registry.has_native_batch_upsert``.
+        ``ViperStore.put_many`` is one call of it.  The default is the
+        per-key :meth:`upsert` loop, so a batch put bills what its scalar
+        puts bill; ComposedIndex, BTree and DynamicPGMIndex override it
+        with their batch write paths.
         """
         check_items(items)
         return [self.upsert(key, value) for key, value in items]

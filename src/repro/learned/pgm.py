@@ -304,7 +304,6 @@ class DynamicPGMIndex(UpdatableIndex):
     """LSM (logarithmic method) of static PGM indexes, with tombstones."""
 
     name = "PGM"
-    insert_is_upsert = False
 
     def __init__(
         self,
@@ -468,6 +467,43 @@ class DynamicPGMIndex(UpdatableIndex):
         self._buffer = self._merge(batch, self._buffer)
         if len(self._buffer) >= self.base_level_size:
             self._carry()
+
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
+        """Probe, then :meth:`update` a present key in place or stage a
+        fresh one: an LSM insert of a present key would stack a shadowing
+        copy of it."""
+        check_key(key)
+        old = self.get(key)
+        if old is None:
+            self._put(key, value)
+        else:
+            self.update(key, value)
+        return old
+
+    def upsert_many(
+        self, items: Sequence[Tuple[Key, Value]]
+    ) -> List[Optional[Value]]:
+        """Batch :meth:`upsert`: one ``get_many`` probe, an in-place
+        :meth:`update` per occurrence of a present key (as the scalar
+        upsert does), and one :meth:`insert_many` of the fresh keys (the
+        two key sets are disjoint).  A repeated key's old value is its
+        predecessor's value."""
+        check_items(items)
+        existing = self.get_many([key for key, _ in items])
+        olds: List[Optional[Value]] = []
+        fresh: List[Tuple[Key, Value]] = []
+        last: dict = {}
+        for item, old in zip(items, existing):
+            key, value = item
+            olds.append(last.get(key, old))
+            if old is None:
+                fresh.append(item)
+            else:
+                self.update(key, value)
+            last[key] = value
+        if fresh:
+            self.insert_many(fresh)
+        return olds
 
     def update(self, key: Key, value: Value) -> bool:
         """In-place payload overwrite: a value update does not change the

@@ -37,7 +37,6 @@ class ProgressReporter:
         self._inplace = bool(getattr(self.stream, "isatty", lambda: False)())
         self._last_reported = 0
         self._t0: Optional[float] = None
-        self._lines = 0
 
     def _line(self, done: int, perf: PerfContext) -> str:
         parts = [f"{self.label}: {done:,}"]
@@ -56,13 +55,15 @@ class ProgressReporter:
         return "  ".join(parts)
 
     def maybe(self, done: int, perf: PerfContext) -> None:
-        """Report if at least ``every`` ops completed since the last line."""
+        """Report if at least ``every`` ops completed since the last line;
+        the total's line is :meth:`finish`'s."""
         if self._t0 is None:
             self._t0 = time.monotonic()
         if done - self._last_reported < self.every:
             return
+        if self.total and done >= self.total:
+            return
         self._last_reported = done
-        self._lines += 1
         end = "\r" if self._inplace else "\n"
         self.stream.write(self._line(done, perf) + end)
         self.stream.flush()

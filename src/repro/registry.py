@@ -270,17 +270,6 @@ def has_native_batch_insert(index: Union[Index, type]) -> bool:
     return cls.insert_many is not Index.insert_many
 
 
-def has_native_batch_upsert(index: Union[Index, type]) -> bool:
-    """Whether ``index`` overrides the per-key ``Index.upsert_many`` fallback.
-
-    A native ``upsert_many`` resolves each item's old value in the same
-    descent that writes the new one, so ``ViperStore.put_many`` can skip
-    its separate ``get_many`` probe pass for such indexes.
-    """
-    cls = index if isinstance(index, type) else type(index)
-    return cls.upsert_many is not Index.upsert_many
-
-
 def has_native_batch_scan(index: Union[Index, type]) -> bool:
     """Whether ``index`` overrides the per-start ``SortedIndex.scan_many``
     fallback.
@@ -570,7 +559,6 @@ __all__ = [
     "has_native_batch",
     "has_native_batch_insert",
     "has_native_batch_scan",
-    "has_native_batch_upsert",
     "register",
     "resolve",
     "specs",

@@ -134,73 +134,25 @@ class ViperStore:
         """Batch put, observably equivalent to ``put`` of each item in order.
 
         The records land via one bulk slot allocation plus one batched
-        NVM write.  Indexes with a native ``upsert_many`` resolve each
-        old record location in the same descent that repoints the index
-        — one traversal per key, like scalar ``put``.  Otherwise one
-        ``index.get_many`` probe resolves every pre-existing location and
-        the index side is one ``insert_many`` (or, for non-upsert
-        indexes, per-occurrence in-place updates).  In-batch duplicates
-        chain correctly either way: the second occurrence frees the first
-        occurrence's record, and the last value wins.  The whole batch's
-        keys are checked before any slot is allocated, as in :meth:`put`.
+        NVM write, and the index side is one ``index.upsert_many``, which
+        hands back each item's previous record location to free.  In-batch
+        duplicates chain: the second occurrence's old location is the
+        first occurrence's record, and the last value wins.  The whole
+        batch's keys are checked before any slot is allocated, as in
+        :meth:`put`.
         """
         self._check_alive()
         if not items:
             return
         check_uint64_items(items)
-        if type(self.index).upsert_many is not Index.upsert_many:
-            locations = self._allocate_slots(len(items))
-            self.device.write_records(locations, items)
-            olds = self.index.upsert_many(
-                [(key, loc) for (key, _), loc in zip(items, locations)]
-            )
-            for old in olds:
-                if old is not None:
-                    self.device.free_record(*old)
-                else:
-                    self._n += 1
-            return
-        existing = self.index.get_many([key for key, _ in items])
         locations = self._allocate_slots(len(items))
         self.device.write_records(locations, items)
-        if self.index.insert_is_upsert:
-            self.index.insert_many(
-                [(key, loc) for (key, _), loc in zip(items, locations)]
-            )
-            # Resolve frees and live-count against pre-batch state,
-            # tracking in-batch duplicates so each write frees its
-            # predecessor.
-            last_loc: dict = {}
-            for (key, _), loc, old in zip(items, locations, existing):
-                prev = last_loc.get(key, old)
-                if prev is not None:
-                    self.device.free_record(*prev)
-                else:
-                    self._n += 1
-                last_loc[key] = loc
-            return
-        # Non-upsert index (the LSM-style PGM): pre-existing keys take an
-        # in-place ``update`` per occurrence (exactly what scalar ``put``
-        # does, so level contents stay identical), while fresh keys —
-        # where insert and upsert coincide — still go through one
-        # ``insert_many`` (which resolves in-batch duplicates last-wins
-        # itself).  The two key sets are disjoint, so ordering between
-        # them is immaterial.
-        fresh_batch: List[Tuple[int, Tuple[int, int]]] = []
-        last_loc = {}
-        for (key, _), loc, old in zip(items, locations, existing):
-            prev = last_loc.get(key, old)
-            if old is not None:
-                self.index.update(key, loc)
-            else:
-                fresh_batch.append((key, loc))
-            if prev is not None:
-                self.device.free_record(*prev)
-            else:
-                self._n += 1
-            last_loc[key] = loc
-        if fresh_batch:
-            self.index.insert_many(fresh_batch)
+        olds = self.index.upsert_many(
+            [(key, loc) for (key, _), loc in zip(items, locations)]
+        )
+        self._n += olds.count(None)
+        for old in filter(None, olds):  # a replaced record's (page, slot)
+            self.device.free_record(*old)
 
     def get(self, key: int) -> Optional[Any]:
         self._check_alive()
@@ -249,19 +201,8 @@ class ViperStore:
         return removed
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, Any]]:
-        """Range scan: ordered index walk + NVM record reads."""
-        self._check_alive()
-        if not isinstance(self.index, SortedIndex):
-            raise UnsupportedOperationError(
-                f"{self.index.name} cannot serve ordered scans"
-            )
-        out: List[Tuple[int, Any]] = []
-        for key, location in self.index.range(start_key, 2**64 - 1):
-            _, value = self.device.read_record(*location)
-            out.append((key, value))
-            if len(out) >= count:
-                break
-        return out
+        """Range scan: :meth:`scan_many` of one start."""
+        return self.scan_many([start_key], count)[0]
 
     def scan_many(
         self, starts: List[int], count: int
@@ -269,10 +210,10 @@ class ViperStore:
         """Batch scan: one index batch scan, then batched NVM record reads.
 
         The index side goes through ``Index.scan_many`` (bit-identical to
-        sequential ``scan`` calls, vectorized where the index has a
-        native path) and every hit's record comes back via one
-        ``PMemDevice.read_records`` call whose ``NVM_READ`` total matches
-        the per-record reads of sequential :meth:`scan` calls.
+        sequential index ``scan`` calls, vectorized where the index has
+        a native path) and every hit's record comes back via one
+        ``PMemDevice.read_records`` call, whose ``NVM_READ`` total is one
+        read per record.
         """
         self._check_alive()
         if not isinstance(self.index, SortedIndex):

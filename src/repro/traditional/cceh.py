@@ -19,7 +19,8 @@ from repro.core.interfaces import (
     Key,
     Index,
     Value,
-    check_key,
+    check_uint64,
+    is_uint64,
 )
 from repro.errors import InvalidConfigurationError, ReproError
 from repro.perf.context import PerfContext
@@ -107,6 +108,9 @@ class CCEH(Index):
     # -- operations -----------------------------------------------------------
 
     def get(self, key: Key) -> Optional[Value]:
+        if not is_uint64(key):
+            return None  # no stored key equals it; nothing to hash
+        key = int(key)
         _, segment, bucket = self._locate(key)
         self.perf.charge(Event.DRAM_HOP)  # the bucket cacheline
         for slot in self._probe_slots(segment, bucket):
@@ -121,7 +125,8 @@ class CCEH(Index):
         return None
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
+        key = int(key)
         for _ in range(64):  # split depth is bounded by the hash width
             h, segment, bucket = self._locate(key)
             self.perf.charge(Event.DRAM_HOP)
@@ -148,6 +153,9 @@ class CCEH(Index):
         raise ReproError(f"CCEH insert of key {key} did not converge")
 
     def delete(self, key: Key) -> bool:
+        if not is_uint64(key):
+            return False
+        key = int(key)
         _, segment, bucket = self._locate(key)
         self.perf.charge(Event.DRAM_HOP)
         for slot in self._probe_slots(segment, bucket):

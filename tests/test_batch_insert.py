@@ -28,12 +28,7 @@ from repro.core.insertion.gapped import GappedLeaf
 from repro.core.interfaces import SortedIndex
 from repro.errors import UnsupportedOperationError
 from repro.perf.context import PerfContext
-from repro.registry import (
-    has_native_batch_insert,
-    has_native_batch_upsert,
-    resolve,
-    specs,
-)
+from repro.registry import has_native_batch_insert, resolve, specs
 from repro.store.pmem import PMemDevice
 from repro.store.viper import ViperStore
 from repro.workloads import generate_operations, osm_keys, ycsb_keys
@@ -131,14 +126,6 @@ def test_has_native_batch_insert_classifies_fast_paths():
     # The bulk write paths must be recognised as native...
     assert {"PGM", "BTree", "ALEX"} <= flagged
     # ...and an index using the per-key fallback must not be.
-    assert "Skiplist" not in flagged
-
-
-def test_has_native_batch_upsert_classifies_fast_paths():
-    flagged = {
-        spec.name for spec in SPECS if has_native_batch_upsert(spec.build())
-    }
-    assert "BTree" in flagged
     assert "Skiplist" not in flagged
 
 

@@ -11,7 +11,8 @@ runs here with tuples, next to two references:
 * a twin leaf over the same segment whose values are ints, one per
   tuple, taking the same calls.  ``insert_batch`` re-spreads the slot
   array and bills a coarse aggregate, so the twin, not a per-key insert
-  loop, is what its slot layout and full ``Counters`` must equal.
+  loop, is what its slot layout and full ``Counters`` must equal; the
+  old values it returns must equal a per-key ``upsert`` loop's.
 
 A retrain through ``ExpandOrSplitPolicy`` reads the leaf's arrays; its
 per-key path is the retrain as it ran on ``items()`` lists, rebuilt here,
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.approximation.lsa_gap import GappedSegment
+from repro.core.insertion.base import object_array
 from repro.core.insertion.gapped import GappedLeaf
 from repro.core.retraining import ExpandOrSplitPolicy
 from repro.perf.context import PerfContext
@@ -93,11 +95,22 @@ def test_insert_batch_fresh_overwrite_and_duplicates():
     )
     # Sorted stably, so each key's duplicates keep their write order.
     run = sorted(writes, key=lambda kv: kv[0])
+    loop, _, _, _ = _twins(keys)
+    want_olds = [loop.upsert(k, v)[1] for k, v in run]
+    model_olds = []
     for k, v in run:
+        model_olds.append(model.get(k))
         model[k] = v  # the per-key path: the last duplicate wins
-    got_t = tup.insert_batch(run)
-    got_i = twin.insert_batch([(k, _code(v)) for k, v in run])
-    assert got_t == got_i == len(set(fresh))
+    assert want_olds == model_olds
+    # Hits, misses, and repeats that read their predecessor's value.
+    assert None in want_olds and _loc(over[0]) in want_olds
+    assert _loc(dups[0], 1) in want_olds and _loc(dups[-1], 2) in want_olds
+    ks = np.array([k for k, _ in run], dtype=np.uint64)
+    got_t = tup.insert_batch(ks, object_array([v for _, v in run]))
+    got_i = twin.insert_batch(ks, object_array([_code(v) for _, v in run]))
+    assert got_t[0] == got_i[0] == len(set(fresh))
+    assert got_t[1].tolist() == want_olds
+    assert got_i[1].tolist() == [_code(v) for v in want_olds]
     _assert_twins(tup, perf_t, twin, perf_i, model)
     probe = sorted(model)
     assert [tup.get(k) for k in probe] == [model[k] for k in probe]

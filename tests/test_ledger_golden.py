@@ -12,6 +12,11 @@ and BTree also run through a 2-shard loopback
 :class:`ParallelShardedStore`, which pins the engine's delta path (each
 shard's ledger delta folded into the caller's context).
 
+Two parities are read off the file: a spec without a native batch path
+bills at batch size 64 exactly what it bills at 1, and a store's batch put
+over an index whose ``upsert_many`` shares its ``insert_many`` path bills
+the index's batch write plus device events.
+
 The counts are integers, so the file holds on every Python.  Regenerate
 it only for a change that is meant to move simulated numbers::
 
@@ -26,6 +31,7 @@ import pytest
 
 from repro.bench import IndexAdapter, StoreAdapter, execute_ops
 from repro.concurrency.parallel import ParallelShardedStore
+from repro.core.interfaces import Index
 from repro.perf.context import PerfContext
 from repro.registry import resolve, specs
 from repro.store.viper import ViperStore
@@ -98,6 +104,53 @@ def test_golden_file_covers_every_pass():
 def test_ledger_equals_golden(name, kind, batch_size):
     got = _run(resolve(name), kind, batch_size)
     assert got == _golden()[f"{name}/{kind}/b{batch_size}"]
+
+
+def _default_batch_specs():
+    """Specs whose ``get_many`` and ``upsert_many`` are the per-key
+    ``Index`` loops, so their batch calls have no path of their own."""
+    out = []
+    for spec in specs():
+        cls = type(spec.build())
+        if (cls.get_many, cls.upsert_many) == (
+            Index.get_many, Index.upsert_many
+        ):
+            out.append(spec.name)
+    return out
+
+
+def test_default_batch_specs_are_the_known_ones():
+    assert sorted(_default_batch_specs()) == sorted(
+        ("RMI", "Skiplist", "Masstree", "Bwtree", "Wormhole", "CCEH",
+         "LIPP", "APEX")
+    )
+
+
+@pytest.mark.parametrize("name", _default_batch_specs())
+def test_batch_call_equals_its_loop_without_a_native_path(name):
+    """Without a native batch path, a batch of 64 bills what the loop of
+    scalar calls bills, on the bare index and through the store."""
+    golden = _golden()
+    for kind in ("index", "store"):
+        assert golden[f"{name}/{kind}/b64"] == golden[f"{name}/{kind}/b1"]
+
+
+#: Events only the store charges: record reads and writes, and slot pages.
+_DEVICE_EVENTS = ("nvm_read", "nvm_write", "alloc")
+
+
+@pytest.mark.parametrize(
+    "name", ["ALEX", "XIndex", "FITing-tree-inp", "FITing-tree-buf", "BTree"]
+)
+def test_batch_put_bills_the_index_batch_write(name):
+    """``put_many`` is one ``upsert_many``: where it shares the index's
+    ``insert_many`` path, a batch of 64 puts bills the index's batch
+    write plus device events."""
+    golden = _golden()
+    store, index = golden[f"{name}/store/b64"], golden[f"{name}/index/b64"]
+    for event in _DEVICE_EVENTS:
+        del store[event], index[event]
+    assert store == index
 
 
 def _write():

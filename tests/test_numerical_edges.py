@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro import (
     ALEXIndex,
     BPlusTree,
+    CCEH,
     Masstree,
     PGMIndex,
     PerfContext,
@@ -191,8 +192,9 @@ class TestPrecisionInvariant:
 
 
 class TestOutOfRangeKeys:
-    """A key the uint64 key slots of ALEX or Masstree cannot hold fails
-    typed, and the index is left exactly as it was."""
+    """A key the uint64 key slots of ALEX or Masstree, or CCEH's 64-bit
+    hash, cannot hold fails typed, and the index is left exactly as it
+    was."""
 
     LOADED = [(k, k) for k in range(1000, 200000, 100)]
     CALLS = {
@@ -208,10 +210,14 @@ class TestOutOfRangeKeys:
         target.bulk_load(self.LOADED)
         with pytest.raises(InvalidKeysError):
             self.CALLS[call](target, bad)
+        assert len(target) == len(index) == len(self.LOADED)
+        if not isinstance(index, SortedIndex):
+            keys = [k for k, _ in self.LOADED]
+            assert target.get_many(keys) == keys
+            return
         keys = [k for k, _ in index.scan(0, len(self.LOADED) + 1)]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert len(index) == len(set(keys)) == len(self.LOADED)
-        assert len(target) == len(self.LOADED)
+        assert len(set(keys)) == len(self.LOADED)
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 5.5])
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -222,6 +228,11 @@ class TestOutOfRangeKeys:
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_masstree_rejects_before_any_change(self, call, bad):
         self._rejects_before_any_change(Masstree, call, bad)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 5.5])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_cceh_rejects_before_any_change(self, call, bad):
+        self._rejects_before_any_change(CCEH, call, bad)
 
     @pytest.mark.parametrize("keys", NOT_UINT64)
     def test_alex_bulk_load_rejects_keys_outside_uint64(self, keys):
@@ -251,7 +262,6 @@ class TestOutOfRangeKeys:
 NAN = float("nan")
 SPECS = specs()
 UPDATABLE = [s for s in SPECS if s.category != "learned-readonly"]
-SORTED = [s for s in SPECS if isinstance(s.build(PerfContext()), SortedIndex)]
 
 
 class TestNaNKeys:
@@ -280,7 +290,7 @@ class TestNaNKeys:
             assert index.scan(0, len(keys) + 5) == self.LOADED
 
 
-@pytest.mark.parametrize("spec", SORTED, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_non_integer_lookups_answer_exactly(spec):
     """A key between two integers, or below 0, is absent; an integral
     float finds its integer key; the batch answers like the loop."""

@@ -337,3 +337,19 @@ class TestRunnerIntegration:
         assert families == {"repro_bytes_total", "repro_op_latency_ns"}
         out = stream.getvalue()
         assert "ops:" in out and "done" in out
+
+    def test_progress_prints_the_final_count_once(self):
+        import io
+
+        from repro.obs import ProgressReporter
+
+        stream = io.StringIO()
+        progress = ProgressReporter(total=500, every=100, stream=stream)
+        for done in range(100, 501, 100):
+            progress.maybe(done, PerfContext())
+        progress.finish(500, PerfContext())
+        lines = stream.getvalue().splitlines()
+        assert [line.split()[1] for line in lines] == [
+            "100/500", "200/500", "300/500", "400/500", "500/500"
+        ]
+        assert lines[-1].endswith(" done")
