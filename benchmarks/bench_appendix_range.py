@@ -9,15 +9,14 @@ read-only ranking compresses but survives; CCEH cannot serve scans.
 
 Every index is measured twice — the scalar ``scan`` loop and the
 vectorized ``scan_many`` batch path — and the two must agree exactly in
-results *and* simulated time (the batch path's contract); the table adds
-the batch path's wall-clock speedup.  ``--jobs N`` fans the per-index
-measurements across worker processes via the shared ``pool_map`` (output
-order stays registry order).
+results *and* simulated time (the batch path's contract).  The table
+holds simulated time only, so a re-run reproduces it byte for byte.
+``--jobs N`` fans the per-index measurements across worker processes via
+the shared ``pool_map`` (output order stays registry order).
 """
 
 import argparse
 import random
-import time
 
 from _common import (
     READ_CASE,
@@ -51,19 +50,15 @@ def measure_range_case(name: str) -> dict:
     store, perf = loaded_store(READ_CASE[name], keys)
     try:
         mark = perf.begin()
-        wall0 = time.perf_counter()
         scalar = [store.scan(start, SCAN_LENGTH) for start in starts]
-        scalar_wall = time.perf_counter() - wall0
         scalar_sim = perf.end(mark)
 
         mark = perf.begin()
-        wall0 = time.perf_counter()
         batched = []
         for lo in range(0, len(starts), BATCH):
             batched.extend(
                 store.scan_many(starts[lo : lo + BATCH], SCAN_LENGTH)
             )
-        batched_wall = time.perf_counter() - wall0
         batched_sim = perf.end(mark)
     except UnsupportedOperationError:
         return {"name": name, "supported": False}
@@ -76,7 +71,6 @@ def measure_range_case(name: str) -> dict:
         "name": name,
         "supported": True,
         "per_scan_ns": scalar_sim.time_ns / N_SCANS,
-        "wall_speedup": scalar_wall / max(batched_wall, 1e-9),
     }
 
 
@@ -86,14 +80,13 @@ def run_range(jobs: int = 1):
     results = {}
     for m in measured:
         if not m["supported"]:
-            rows.append([m["name"], "-", "-", "unsupported"])
+            rows.append([m["name"], "-", "unsupported"])
             continue
         results[m["name"]] = m["per_scan_ns"]
         rows.append(
             [
                 m["name"],
                 f"{m['per_scan_ns'] / 1000:.2f}",
-                f"{m['wall_speedup']:.1f}x",
                 "ok",
             ]
         )
@@ -101,7 +94,6 @@ def run_range(jobs: int = 1):
         [
             "index",
             f"scan of {SCAN_LENGTH} (sim us)",
-            "scan_many wall speedup",
             "status",
         ],
         rows,

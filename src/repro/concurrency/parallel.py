@@ -1005,7 +1005,7 @@ class _ParallelEngine:
         if isinstance(reply, ShardUnavailableError):
             if mutate:
                 raise reply
-            if method in ("scan", "range"):
+            if method == "range":
                 return []
             return False if method == "contains" else None
         return reply
@@ -1124,15 +1124,6 @@ class _ParallelEngine:
                 worker_id=shards[0],
                 lost_ops=total,
             )
-        return out
-
-    def _scan(self, start: int, count: int) -> List[Tuple[int, Any]]:
-        """Scalar scan: drain the start shard, then its right neighbours."""
-        out: List[Tuple[int, Any]] = []
-        for w in range(self.router.shard_of(start), self.workers):
-            out.extend(self._call(w, "scan", (start, count - len(out))))
-            if len(out) >= count:
-                break
         return out
 
     def _scan_many(
@@ -1405,7 +1396,8 @@ class ParallelSortedShardedIndex(ParallelShardedIndex, SortedIndex):
     """Sorted variant: cross-worker scans drain left-to-right in order."""
 
     def scan(self, start: int, count: int) -> List[Tuple[int, Any]]:
-        return self._scan(start, count)
+        """Scalar scan: :meth:`scan_many` of one start."""
+        return self._scan_many([start], count)[0]
 
     def scan_many(
         self, starts: Sequence[int], count: int
@@ -1486,7 +1478,8 @@ class ParallelShardedStore(_ParallelEngine):
         return self._keyed("delete", key, mutate=True)
 
     def scan(self, start_key: int, count: int) -> List[Tuple[int, Any]]:
-        return self._scan(start_key, count)
+        """Scalar scan: :meth:`scan_many` of one start."""
+        return self._scan_many([start_key], count)[0]
 
     def scan_many(
         self, starts: Sequence[int], count: int

@@ -152,10 +152,6 @@ class Approximation:
             idx = 0
         return self.segments[idx]
 
-    def segment_index_for(self, key: int) -> int:
-        idx = bisect_right(self.fences, key) - 1
-        return 0 if idx < 0 else idx
-
     def __repr__(self) -> str:
         return (
             f"Approximation(leaves={self.leaf_count}, "

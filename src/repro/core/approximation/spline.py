@@ -50,12 +50,6 @@ class SplineModel:
             return self.n_keys - 1
         return pos_i
 
-    def segment_index_for(self, key: int) -> int:
-        idx = bisect_right(self.knot_keys, key) - 1
-        if idx < 0:
-            return 0
-        return min(idx, len(self.knots) - 2) if len(self.knots) > 1 else 0
-
     def __len__(self) -> int:
         return len(self.knots)
 

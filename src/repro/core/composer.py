@@ -198,17 +198,16 @@ class ComposedIndex(UpdatableIndex):
         the scalar ``range`` walk charges — so totals stay bit-identical
         to sequential :meth:`scan` calls.
         """
-        if not self.leaves:
+        if not self.leaves or count <= 0:
             return [[] for _ in starts]
-        limit = count if count > 0 else 1
         leaves = self.leaves
         n_leaves = len(leaves)
         results: List[List[Tuple[Key, Value]]] = []
         for start in starts:
             idx = self.structure.lookup(start)
             out: List[Tuple[Key, Value]] = []
-            while idx < n_leaves and len(out) < limit:
-                run = leaves[idx].scan_from(start, limit - len(out))
+            while idx < n_leaves and len(out) < count:
+                run = leaves[idx].scan_from(start, count - len(out))
                 if run:
                     out.extend(run)
                 idx += 1

@@ -267,8 +267,14 @@ class SortedIndex(Index):
         raise UnsupportedOperationError(f"{self.name} does not support range")
 
     def scan(self, start: Key, count: int) -> List[Tuple[Key, Value]]:
-        """Return up to ``count`` pairs with key >= start, ascending."""
+        """Return up to ``count`` pairs with key >= start, ascending.
+
+        A count of 0 or less returns ``[]`` without a search, so it
+        charges nothing; every ``scan_many`` answers it the same way.
+        """
         out: List[Tuple[Key, Value]] = []
+        if count <= 0:
+            return out
         for pair in self.range(start, 2**64 - 1):
             out.append(pair)
             if len(out) >= count:

@@ -1,4 +1,4 @@
-"""Radix prefix table (RadixSpline's internal structure).
+"""Radix prefix table (RadixSpline's internal structure, over its knots).
 
 A flat array of ``2^r`` entries maps the ``r`` most significant bits of
 the (range-normalised) key to the first fence with that prefix; a binary
@@ -12,7 +12,7 @@ degenerates (Fig 11).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.search import bounded_binary_search
 from repro.core.structures.base import InternalStructure
@@ -74,19 +74,21 @@ class RadixTableStructure(InternalStructure):
         slots = 1 << self.r_bits
         return slots - 1 if b >= slots else b
 
+    def bounds(self, key: int) -> Tuple[int, int]:
+        """The fence window ``[lo, hi]`` that holds the rightmost fence
+        <= ``key``: the key's bucket, widened by one fence on the left,
+        since a key that falls before its bucket's first fence is covered
+        by the previous bucket's last fence."""
+        b = self.bucket_of(key)
+        table = self._table
+        return max(0, table[b] - 1), max(0, table[b + 1] - 1)
+
     def lookup(self, key: int) -> int:
         if not self._table:
             raise EmptyIndexError("structure not built")
         charge = self.perf.charge
         charge(Event.DRAM_HOP)  # the table probe
-        b = self.bucket_of(key)
-        lo = self._table[b]
-        hi = self._table[b + 1]
-        # The rightmost fence <= key is in [lo - 1, hi - 1]: a key may fall
-        # before its bucket's first fence, in which case the previous
-        # bucket's last fence covers it.
-        lo = max(0, lo - 1)
-        hi = max(0, hi - 1)
+        lo, hi = self.bounds(key)
         charge(Event.DRAM_HOP)  # first touch of the fence bucket
         return bounded_binary_search(self.fences, key, lo, hi, self.perf)
 

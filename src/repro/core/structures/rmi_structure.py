@@ -37,8 +37,10 @@ class RMIStructure(InternalStructure):
                 f"branching must be >= 1, got {branching}"
             )
         self.branching = branching
-        self._root: Optional[LinearModel] = None
-        self._leaf_models: List[LinearModel] = []
+        #: The root model: key -> second-layer model number.
+        self.root: Optional[LinearModel] = None
+        #: The second-layer models: key -> fence index.
+        self.models: List[LinearModel] = []
 
     def build(self, fences: Sequence[int]) -> None:
         if not fences:
@@ -51,19 +53,19 @@ class RMIStructure(InternalStructure):
         # key -> fence index.
         slope, intercept = fit_least_squares(fences, fences[0])
         scale = branches / n
-        self._root = LinearModel(slope * scale, intercept * scale, fences[0])
+        self.root = LinearModel(slope * scale, intercept * scale, fences[0])
 
         # Second layer: each bucket gets an LSA model over the fences the
         # *root* routes to it (top-down construction).
         buckets: List[List[int]] = [[] for _ in range(branches)]
         starts: List[int] = [0] * branches
         for idx, fence in enumerate(fences):
-            b = self._root.predict_clamped(fence, branches)
+            b = self.root.predict_clamped(fence, branches)
             if not buckets[b]:
                 starts[b] = idx
             buckets[b].append(fence)
 
-        self._leaf_models = []
+        self.models = []
         prev_start = 0
         for b in range(branches):
             if buckets[b]:
@@ -75,19 +77,24 @@ class RMIStructure(InternalStructure):
                 # Empty bucket: fall back to a constant pointing at the
                 # nearest populated range on the left.
                 model = LinearModel(0.0, prev_start, 0)
-            self._leaf_models.append(model)
+            self.models.append(model)
 
-    def lookup(self, key: int) -> int:
-        if self._root is None:
-            raise EmptyIndexError("structure not built")
+    def predict(self, key: int) -> int:
+        """The predicted fence index of ``key``: the root picks a
+        second-layer model and that model predicts (one hop and one
+        model evaluation per layer)."""
         charge = self.perf.charge
         charge(Event.DRAM_HOP)
         charge(Event.MODEL_EVAL)
-        bucket = self._root.predict_clamped(key, len(self._leaf_models))
+        bucket = self.root.predict_clamped(key, len(self.models))
         charge(Event.DRAM_HOP)
         charge(Event.MODEL_EVAL)
-        guess = self._leaf_models[bucket].predict_clamped(key, len(self.fences))
-        return exponential_search(self.fences, key, guess, self.perf)
+        return self.models[bucket].predict_clamped(key, len(self.fences))
+
+    def lookup(self, key: int) -> int:
+        if self.root is None:
+            raise EmptyIndexError("structure not built")
+        return exponential_search(self.fences, key, self.predict(key), self.perf)
 
     def avg_depth(self) -> float:
         return 2.0
@@ -96,4 +103,4 @@ class RMIStructure(InternalStructure):
         return 2
 
     def size_bytes(self) -> int:
-        return (1 + len(self._leaf_models)) * _MODEL_BYTES
+        return (1 + len(self.models)) * _MODEL_BYTES

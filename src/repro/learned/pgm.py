@@ -24,7 +24,6 @@ from repro.core.interfaces import (
     Capabilities,
     IndexStats,
     Key,
-    SortedIndex,
     UpdatableIndex,
     Value,
     check_items,
@@ -41,6 +40,7 @@ from repro.core.search import (
 )
 from repro.core.structures.lrs_structure import LRSStructure
 from repro.errors import InvalidConfigurationError
+from repro.learned.static_array import StaticArrayIndex
 from repro.obs.trace import EventType
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
@@ -57,7 +57,7 @@ _MISSING = object()
 _BUILD_PASSES = 2
 
 
-class PGMIndex(SortedIndex):
+class PGMIndex(StaticArrayIndex):
     """Static PGM: Opt-PLA leaves + recursive Opt-PLA routing."""
 
     name = "PGM"
@@ -73,8 +73,6 @@ class PGMIndex(SortedIndex):
             raise InvalidConfigurationError(f"eps must be >= 1, got {eps}")
         self.eps = eps
         self.eps_internal = eps_internal
-        self._keys: List[Key] = []
-        self._values: List[Any] = []
         self._keys_np = None
         self._values_np = None
         self._pairs: Optional[List[Tuple[Key, Any]]] = None
@@ -82,40 +80,29 @@ class PGMIndex(SortedIndex):
         self._structure: Optional[LRSStructure] = None
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        check_sorted_unique(items)
-        self._keys = [k for k, _ in items]
-        self._values = [v for _, v in items]
+        n = self._load(items)
         self._keys_np = _vec.as_u64(self._keys)
         # Exact-integer payloads get a contiguous copy too, so batch
         # scans can materialize runs without chasing heap pointers.
         self._values_np = _vec.as_u64(self._values)
         self._pairs = None
-        if not items:
+        if n == 0:
             self._approx = None
             self._structure = None
             return
-        self.perf.charge(Event.RETRAIN_KEY, len(items) * _BUILD_PASSES)
+        self.perf.charge(Event.RETRAIN_KEY, n * _BUILD_PASSES)
         self._approx = OptPLAApproximator(eps=self.eps).fit(self._keys)
         self.perf.charge(Event.ALLOC, self._approx.leaf_count)
         self._structure = LRSStructure(eps=self.eps_internal, perf=self.perf)
         self._structure.build(self._approx.fences)
 
-    def _rank(self, key: Key) -> int:
-        seg_idx = self._structure.lookup(key)
-        seg = self._approx.segments[seg_idx]
-        self.perf.charge(Event.DRAM_HOP)
+    def _guess(self, key: Key) -> int:
+        # The LRS descent names the segment, one model evaluation predicts;
+        # the one hop past the descent is ``_rank``'s first touch of the
+        # key array.
+        seg = self._approx.segments[self._structure.lookup(key)]
         self.perf.charge(Event.MODEL_EVAL)
-        guess = seg.start + seg.predict(key)
-        return rank_search(self._keys, 0, len(self._keys) - 1, key, guess, self.perf)
-
-    def get(self, key: Key) -> Optional[Value]:
-        if self._approx is None:
-            return None
-        pos = self._rank(key)
-        if pos >= 0 and self._keys[pos] == key:
-            self.perf.charge(Event.DRAM_SEQ)
-            return self._values[pos]
-        return None
+        return seg.start + seg.predict(key)
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
         """One ``searchsorted`` over the contiguous key array per batch.
@@ -147,17 +134,6 @@ class PGMIndex(SortedIndex):
             for p, h in zip(pos.tolist(), hit.tolist())
         ]
 
-    def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
-        if self._approx is None:
-            return
-        pos = self._rank(lo)
-        if pos < 0 or self._keys[pos] < lo:
-            pos += 1
-        while pos < len(self._keys) and self._keys[pos] <= hi:
-            self.perf.charge(Event.DRAM_SEQ)
-            yield self._keys[pos], self._values[pos]
-            pos += 1
-
     def scan_many(
         self, starts: Sequence[Key], count: int
     ) -> List[List[Tuple[Key, Value]]]:
@@ -176,9 +152,8 @@ class PGMIndex(SortedIndex):
         positioning.  Inexact batches keep the per-start charged
         descent.
         """
-        if self._approx is None:
+        if self._approx is None or count <= 0:
             return [[] for _ in starts]
-        limit = count if count > 0 else 1
         keys = self._keys
         values = self._values
         n = len(keys)
@@ -199,7 +174,7 @@ class PGMIndex(SortedIndex):
                 pos = self._rank(start)
                 if pos < 0 or keys[pos] < start:
                     pos += 1
-                take = min(limit, n - pos)
+                take = min(count, n - pos)
                 if take > 0:
                     self.perf.charge(Event.DRAM_SEQ, take)
                     out.append(list(zip(keys[pos : pos + take],
@@ -223,7 +198,7 @@ class PGMIndex(SortedIndex):
         # First index with key >= start, i.e. searchsorted(side="left").
         present = (knp[np.maximum(astar, 0)] == qs) & (astar >= 0)
         begin = astar + 1 - present
-        takes = np.minimum(limit, n - begin)
+        takes = np.minimum(count, n - begin)
         taken = int(takes.sum())
         # Materialized pair list, built lazily on the first batch scan:
         # extraction becomes a slice of consecutively allocated tuples
@@ -244,9 +219,6 @@ class PGMIndex(SortedIndex):
         charge(Event.COMPARE, compare)
         charge(Event.DRAM_SEQ, seq + taken)
         return out
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
     def set_value(self, key: Key, value: Any) -> bool:
         """Overwrite the payload of an existing key in place."""

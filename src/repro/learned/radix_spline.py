@@ -1,15 +1,16 @@
 """RadixSpline — a single-pass error-bounded spline behind a radix table.
 
-Lookup: extract the key's r-bit prefix, probe the radix table for the
-spline-point interval, binary-search the (few) spline points there, then
-interpolate between the surrounding knots and search the data within the
-spline's error bound.  Build is a single pass, which is why RS recovers
-fastest in Fig 16; the fixed prefix is why it collapses on FACE (Fig 11).
+Lookup: the radix table (:class:`RadixTableStructure`, built over the
+spline knots) maps the key's r-bit prefix to a knot window and
+binary-searches the (few) knots there; the index then interpolates
+between the surrounding knots and searches the data within the spline's
+error bound.  Build is a single pass, which is why RS recovers fastest
+in Fig 16; the fixed prefix is why it collapses on FACE (Fig 11).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.spline import SplineModel, build_spline
@@ -17,26 +18,20 @@ from repro.core.interfaces import (
     Capabilities,
     IndexStats,
     Key,
-    SortedIndex,
     Value,
-    check_sorted_unique,
     is_uint64,
     scan_start,
 )
-from repro.core.search import (
-    bounded_binary_search,
-    rank_search,
-    replay_bounded_binary_search,
-    replay_rank_search,
-)
+from repro.core.search import replay_bounded_binary_search, replay_rank_search
+from repro.core.structures.radix_table import RadixTableStructure
+from repro.learned.static_array import StaticArrayIndex
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
 
 _KNOT_BYTES = 16
-_TABLE_ENTRY_BYTES = 4
 
 
-class RadixSplineIndex(SortedIndex):
+class RadixSplineIndex(StaticArrayIndex):
     """Static spline + radix table over a sorted key/value array."""
 
     name = "RS"
@@ -55,25 +50,18 @@ class RadixSplineIndex(SortedIndex):
         super().__init__(perf)
         self.eps = eps
         self.r_bits = r_bits
-        self._keys: List[Key] = []
-        self._values: List[Any] = []
         self._keys_np = None
         self._knots_np = None
         self._spline: Optional[SplineModel] = None
-        self._table: List[int] = []
-        self._min_key = 0
-        self._shift = 0
+        self._radix: Optional[RadixTableStructure] = None
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        check_sorted_unique(items)
-        self._keys = [k for k, _ in items]
-        self._values = [v for _, v in items]
+        n = self._load(items)
         self._keys_np = _vec.as_u64(self._keys)
-        n = len(items)
         if n == 0:
             self._spline = None
             self._knots_np = None
-            self._table = []
+            self._radix = None
             return
         if self.r_bits is None:
             self.r_bits = max(6, min(18, n.bit_length() - 10))
@@ -82,76 +70,37 @@ class RadixSplineIndex(SortedIndex):
         self._spline = build_spline(self._keys, self.eps)
         knot_keys = self._spline.knot_keys
         self._knots_np = _vec.as_u64(knot_keys)
-
-        self._min_key = self._keys[0]
-        key_range = self._keys[-1] - self._keys[0]
-        self._shift = max(0, key_range.bit_length() - self.r_bits)
-        slots = 1 << self.r_bits
         self.perf.charge(Event.ALLOC, 1 + len(knot_keys))
-        table = [0] * (slots + 1)
-        for idx, kk in enumerate(knot_keys):
-            b = (kk - self._min_key) >> self._shift
-            if b >= slots:
-                b = slots - 1
-            table[b + 1] = idx + 1
-        for b in range(1, slots + 1):
-            if table[b] < table[b - 1]:
-                table[b] = table[b - 1]
-        self._table = table
+        self._radix = RadixTableStructure(self.r_bits, perf=self.perf)
+        self._radix.build(knot_keys)
 
     # -- queries ----------------------------------------------------------
 
-    def _bucket(self, key: Key) -> int:
-        if key <= self._min_key:
-            return 0
-        b = (key - self._min_key) >> self._shift
-        slots = 1 << self.r_bits
-        return slots - 1 if b >= slots else b
+    def _interpolate(self, idx: int, key: Key) -> int:
+        """Position of ``key`` on the spline piece that starts at knot
+        ``idx`` (the rightmost knot <= key)."""
+        knots = self._spline.knots
+        if idx >= len(knots) - 1:
+            return knots[-1][1]
+        k0, p0 = knots[idx]
+        if key <= k0:
+            return p0
+        k1, p1 = knots[idx + 1]
+        return p0 + int((p1 - p0) * (key - k0) / (k1 - k0))
 
-    def _knot_index(self, key: Key) -> int:
-        """Rightmost spline knot <= key, via radix table + binary search."""
-        charge = self.perf.charge
-        charge(Event.DRAM_HOP)  # radix table probe
-        b = self._bucket(key)
-        lo = max(0, self._table[b] - 1)
-        hi = max(0, self._table[b + 1] - 1)
-        charge(Event.DRAM_HOP)  # spline-point array
-        return bounded_binary_search(
-            self._spline.knot_keys, key, lo, hi, self.perf
-        )
-
-    def _rank(self, key: Key) -> int:
-        spline = self._spline
-        idx = self._knot_index(key)
+    def _guess(self, key: Key) -> int:
+        idx = self._radix.lookup(key)
         self.perf.charge(Event.MODEL_EVAL)
-        if idx >= len(spline.knots) - 1:
-            guess = spline.knots[-1][1]
-        else:
-            k0, p0 = spline.knots[idx]
-            k1, p1 = spline.knots[idx + 1]
-            if key <= k0:
-                guess = p0
-            else:
-                guess = p0 + int((p1 - p0) * (key - k0) / (k1 - k0))
-        self.perf.charge(Event.DRAM_HOP)  # first touch of the key array
-        return rank_search(
-            self._keys, 0, len(self._keys) - 1, key, guess, self.perf
-        )
+        return self._interpolate(idx, key)
 
     def get(self, key: Key) -> Optional[Value]:
-        if self._spline is None:
-            return None
         if not isinstance(key, int):
             # The radix table shifts key bits: look up the equal integer
             # key (an integer key keeps its charges), if there is one.
             if not is_uint64(key):
                 return None
             key = int(key)
-        pos = self._rank(key)
-        if pos >= 0 and self._keys[pos] == key:
-            self.perf.charge(Event.DRAM_SEQ)
-            return self._values[pos]
-        return None
+        return super().get(key)
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
         """One ``searchsorted`` over the key array for the whole batch.
@@ -182,21 +131,13 @@ class RadixSplineIndex(SortedIndex):
         ]
 
     def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
-        if self._spline is None:
-            return
         if not isinstance(lo, int):
             # The radix table shifts key bits: search from the first
             # integer key instead (an integer start keeps its charges).
             lo = scan_start(lo)
             if lo is None:
                 return
-        pos = self._rank(lo)
-        if pos < 0 or self._keys[pos] < lo:
-            pos += 1
-        while pos < len(self._keys) and self._keys[pos] <= hi:
-            self.perf.charge(Event.DRAM_SEQ)
-            yield self._keys[pos], self._values[pos]
-            pos += 1
+        yield from super().range(lo, hi)
 
     def scan_many(
         self, starts: Sequence[Key], count: int
@@ -206,13 +147,14 @@ class RadixSplineIndex(SortedIndex):
         Fast path (exact-integer batches with numpy available): one
         ``searchsorted`` over the knot keys and one pair over the data
         resolve every start's bounded-search rank, leaf rank, and run
-        begin; :func:`replay_bounded_binary_search` and
+        begin; :func:`replay_bounded_binary_search` over the radix
+        table's :meth:`~RadixTableStructure.bounds` and
         :func:`replay_rank_search` reproduce the scalar probe ledgers in
         pure integer arithmetic, and the batch's charges go out as four
         aggregate events — totals bit-identical to sequential
         :meth:`scan`.  Inexact batches take the per-start :meth:`scan`.
         """
-        if self._spline is None:
+        if self._spline is None or count <= 0:
             return [[] for _ in starts]
         qs = (
             _vec.as_u64(starts)
@@ -221,7 +163,6 @@ class RadixSplineIndex(SortedIndex):
         )
         if qs is None:
             return super().scan_many(starts, count)
-        limit = count if count > 0 else 1
         keys = self._keys
         values = self._values
         n = len(keys)
@@ -236,33 +177,21 @@ class RadixSplineIndex(SortedIndex):
             - 1
         ).tolist()
         begin = np.searchsorted(self._keys_np, qs, side="left").tolist()
-        knots = self._spline.knots
-        table = self._table
-        last = len(knots) - 1
+        bounds = self._radix.bounds
         compare = hop = seq = taken = 0
         for i, start in enumerate(starts):
-            b = self._bucket(start)
-            lo = max(0, table[b] - 1)
-            hi = max(0, table[b + 1] - 1)
+            lo, hi = bounds(start)
             c, h, s, idx = replay_bounded_binary_search(lo, hi, kastar[i])
             compare += c
             hop += h
             seq += s
-            if idx >= last:
-                guess = knots[-1][1]
-            else:
-                k0, p0 = knots[idx]
-                k1, p1 = knots[idx + 1]
-                if start <= k0:
-                    guess = p0
-                else:
-                    guess = p0 + int((p1 - p0) * (start - k0) / (k1 - k0))
+            guess = self._interpolate(idx, start)
             c, h, s, _ = replay_rank_search(0, n - 1, guess, astar[i])
             compare += c
             hop += h
             seq += s
             pos = begin[i]
-            take = min(limit, n - pos)
+            take = min(count, n - pos)
             if take > 0:
                 taken += take
                 out.append(list(zip(keys[pos : pos + take],
@@ -277,29 +206,23 @@ class RadixSplineIndex(SortedIndex):
         charge(Event.DRAM_SEQ, seq + taken)
         return out
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
     # -- metadata -----------------------------------------------------------
 
     def size_bytes(self) -> int:
-        knots = len(self._spline.knots) if self._spline else 0
-        return knots * _KNOT_BYTES + len(self._table) * _TABLE_ENTRY_BYTES
+        if self._spline is None:
+            return 0
+        return len(self._spline.knots) * _KNOT_BYTES + self._radix.size_bytes()
 
     def stats(self) -> IndexStats:
         if self._spline is None:
             return IndexStats()
-        sizes = [
-            self._table[b + 1] - self._table[b]
-            for b in range(len(self._table) - 1)
-        ]
         return IndexStats(
             depth_avg=1.0,
             depth_max=1,
             leaf_count=max(1, len(self._spline.knots) - 1),
             avg_error=self.eps / 2.0,
             max_error=self.eps,
-            extra={"max_bucket_knots": max(sizes) if sizes else 0},
+            extra={"max_bucket_knots": max(self._radix.bucket_sizes())},
         )
 
     @classmethod

@@ -232,7 +232,8 @@ class BPlusTree(UpdatableIndex):
         abandoned scalar generator would have charged it — so the event
         totals are bit-identical to sequential :meth:`scan` calls.
         """
-        limit = count if count > 0 else 1
+        if count <= 0:
+            return [[] for _ in starts]
         results: List[List[Tuple[Key, Value]]] = []
         for start in starts:
             leaf, _, _ = self._find_leaf(start)
@@ -241,14 +242,14 @@ class BPlusTree(UpdatableIndex):
                 idx += 1
             out: List[Tuple[Key, Value]] = []
             while leaf is not None:
-                take = min(len(leaf.keys) - idx, limit - len(out))
+                take = min(len(leaf.keys) - idx, count - len(out))
                 if take > 0:
                     self.perf.charge(Event.DRAM_SEQ, take)
                     out.extend(
                         zip(leaf.keys[idx : idx + take],
                             leaf.values[idx : idx + take])
                     )
-                if len(out) >= limit:
+                if len(out) >= count:
                     break
                 leaf = leaf.next
                 idx = 0

@@ -8,8 +8,9 @@ through the sharded engine over both its in-process loopback transport
 and worker processes.  Edge cases pinned
 here: scans spanning leaf boundaries, empty ranges past the last key,
 duplicate start keys, post-insert buffers, hostile starts (negative,
-non-integer, at or past 2^64), and hash indexes failing with
-:class:`UnsupportedOperationError`, never ``AttributeError``.
+non-integer, at or past 2^64), counts of 0 or less (``[]``, no charge),
+and hash indexes failing with :class:`UnsupportedOperationError`, never
+``AttributeError``.
 """
 
 import bisect
@@ -68,6 +69,14 @@ def _assert_parity(obj, perf, starts, count, label=""):
     batched_delta = perf.end(mark).counters
     assert batched == scalar, (label, count)
     assert batched_delta == scalar_delta, (label, count)
+    if count <= 0:
+        assert batched == [[] for _ in starts], (label, count)
+        assert scalar_delta.total() == 0, (label, count)
+
+
+#: count <= 0 must answer [] and charge nothing; 1 and 50 are the
+#: YCSB-E shapes, and the largest count spans several leaves (or shards).
+COUNTS = (-1, 0, 1, 50)
 
 
 # --------------------------------------------------------------- flat
@@ -83,10 +92,8 @@ class TestFlatIndex:
         keys = _keys()
         index.bulk_load([(k, k * 3) for k in keys])
         batches = _start_batches(keys)
-        # count=300 spans several leaves; count<=0 keeps the scalar
-        # quirk (at most one item); 1 and 50 are the YCSB-E shapes.
         for label, starts in batches.items():
-            for count in (0, 1, 50, 300):
+            for count in COUNTS + (300,):
                 _assert_parity(index, perf, starts, count, label)
 
     @pytest.mark.parametrize("spec", _spec_params())
@@ -144,7 +151,7 @@ def test_store_scan_many_matches_scalar(name):
     keys = _keys()
     store.bulk_load([(k, k * 3) for k in keys])
     starts = _start_batches(keys)["random"]
-    for count in (0, 1, 50, 300):
+    for count in COUNTS + (300,):
         _assert_parity(store, perf, starts, count, f"viper[{name}]")
 
 
@@ -166,7 +173,7 @@ def test_sharded_scan_many_matches_scalar(spec, shards):
     ) as index:
         index.bulk_load([(k, k * 3) for k in keys])
         # count=400 forces cross-shard spill at every shard count > 1.
-        for count in (0, 1, 50, 400):
+        for count in COUNTS + (400,):
             _assert_parity(index, perf, starts, count, f"x{shards}")
 
 
@@ -191,7 +198,7 @@ def test_sharded_store_scan_many_matches_scalar(shards):
         assert [m - b for m, b in zip(mid, before)] == [
             a - m for a, m in zip(after, mid)
         ]
-        for count in (0, 1, 50, 400):
+        for count in COUNTS + (400,):
             _assert_parity(store, perf, starts, count, f"store x{shards}")
 
 
@@ -208,7 +215,7 @@ def test_parallel_scan_many_matches_scalar(name, workers):
         engine.bulk_load([(k, k * 3) for k in keys])
         rng = random.Random(31)
         starts = rng.sample(keys, 40) + [0, keys[-1] + 5] + [keys[3]] * 3
-        for count in (0, 1, 50, 400):
+        for count in COUNTS + (400,):
             _assert_parity(engine, perf, starts, count, f"workers={workers}")
     finally:
         engine.close()

@@ -2,9 +2,9 @@
 
 Each updatable spec runs a random mix of scalar and batch operations
 (``insert``, ``insert_many`` with in-batch duplicates, ``delete``, ``get``,
-``get_many``, ``scan_many``) from three starting states: empty, one key,
-and a ~3,000-key bulk load holding both ends of the key space (0 and
-2^64-1).  Answers and ``len`` are checked against the dict after every
+``get_many``, ``scan_many`` with counts from -1 to 20) from three
+starting states: empty, one key, and a ~3,000-key bulk load holding both
+ends of the key space (0 and 2^64-1).  Answers and ``len`` are checked against the dict after every
 operation.  Hash specs skip scans; read-only specs run ``bulk_load``,
 ``get_many`` and ``scan_many`` only.
 
@@ -56,6 +56,8 @@ class _Model:
         return True
 
     def scan(self, start, count):
+        if count <= 0:  # sorted[i : i + count] is not empty at i = 0
+            return []
         i = bisect.bisect_left(self.sorted, start)
         return [(k, self.data[k]) for k in self.sorted[i : i + count]]
 
@@ -137,7 +139,7 @@ def test_updatable_spec_matches_dict(spec, start):
             batch = model.probes(64)
             assert index.get_many(batch) == [model.data.get(k) for k in batch], where
         else:
-            starts, count = model.probes(8), rng.randint(1, 20)
+            starts, count = model.probes(8), rng.randint(-1, 20)
             assert index.scan_many(starts, count) == [
                 model.scan(s, count) for s in starts
             ], where
@@ -151,7 +153,7 @@ def test_read_only_spec_matches_dict(spec, start):
     for _ in range(20):
         batch = model.probes(64)
         assert index.get_many(batch) == [model.data.get(k) for k in batch]
-        starts, count = model.probes(8), rng.randint(1, 20)
+        starts, count = model.probes(8), rng.randint(-1, 20)
         assert index.scan_many(starts, count) == [
             model.scan(s, count) for s in starts
         ]

@@ -149,6 +149,23 @@ class TestStructureProperties:
         sizes = s.bucket_sizes()
         assert max(sizes) >= 5000  # everything collapses into one bucket
 
+    @pytest.mark.parametrize(
+        "fences",
+        [
+            list(range(5000)) + [2**60],
+            sorted(random.Random(3).sample(range(2**48), 500)),
+        ],
+        ids=["skewed", "uniform"],
+    )
+    def test_radix_bounds_hold_the_answer(self, fences):
+        """The window ``bounds`` returns (which RS's batch scan replays)
+        holds the rightmost fence <= key, for every probe class."""
+        s = RadixTableStructure(r_bits=10, perf=PerfContext())
+        s.build(fences)
+        for key in probe_keys(fences, random.Random(5)):
+            lo, hi = s.bounds(key)
+            assert lo <= ground_truth(fences, key) <= hi, key
+
     @pytest.mark.parametrize("key", [3.5, -0.5, 2.0, 1.5e19])
     def test_radix_lookup_of_non_integer_key(self, key):
         """A float key buckets by its floor, so it finds the rightmost
