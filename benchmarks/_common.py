@@ -58,7 +58,6 @@ _LEARNED = ("learned-readonly", "learned-updatable")
 LEARNED_READONLY = factories(
     figure="read", category=_LEARNED, overrides=_TUNING
 )
-LEARNED_UPDATABLE = factories(figure="write", category=_LEARNED)
 TRADITIONAL = factories(category="traditional")
 CCEH_FACTORY = factories(category="hash")
 #: Beyond-the-paper indexes (LIPP, APEX, FINEdex) for ``bench_ext_*``.
@@ -113,13 +112,8 @@ CASE_SPECS = {
 }
 
 
-def case_overrides(name: str) -> dict:
-    """Benchmark-local constructor overrides for one figure label."""
-    return dict(_TUNING.get(name, {}))
-
-
 #: Worker counts for the measured (real-process) scaling runs.  Shorter
-#: than the projection's THREADS tuple on purpose: each point builds K
+#: than the projection's :data:`THREADS` on purpose: each point builds K
 #: real indexes in K real processes, and past the machine's core count
 #: the measurement only re-measures scheduler thrash.
 MEASURED_THREADS = (1, 2, 4)
@@ -129,8 +123,8 @@ def baseline_workload(table_key: str, seed: int):
     """The ``(load_items, ops)`` the per-family baselines measure.
 
     Shared by :func:`measure_baseline` (in-process, simulated clock) and
-    :func:`measured_scaling_curves` (real worker processes, wall clock)
-    so the measured-vs-sim comparison runs the *same* operations.
+    :func:`measured_vs_sim` (real worker processes, wall clock) so the
+    measured-vs-sim comparison runs the *same* operations.
     """
     from repro.workloads import READ_ONLY, WRITE_ONLY, generate_operations
     from repro.workloads.ycsb import split_load_and_inserts
@@ -147,87 +141,108 @@ def baseline_workload(table_key: str, seed: int):
     return load, ops
 
 
-def measured_scaling_curves(
-    table_key: str, measured, threads=MEASURED_THREADS, seed: int = 0
-) -> dict:
-    """Measured wall-clock scaling per figure label: the real engine.
+#: Thread counts of the simulated Fig 12/14 curves.
+THREADS = (1, 2, 4, 8, 16, 24, 32)
 
-    For each index in ``measured`` (the :func:`measure_baselines` output)
-    runs the process-parallel engine
-    (:func:`repro.concurrency.parallel.measure_scaling`) over the same
-    workload at each worker count.  These are wall-clock numbers on this
-    machine — the ground truth the simulator's projection is validated
-    against — so absolute values vary per host; the comparison tables
-    focus on scaling shape.
-    """
-    from repro.concurrency.parallel import measure_scaling
 
-    load, ops = baseline_workload(table_key, seed)
-    items = [(k, k) for k in load]
+def project_curves(table_key: str, measured, seed: int) -> dict:
+    """Simulated thread-scaling curves per figure label (Figs 12/14): each
+    index's measured baseline through the concurrency simulator — read
+    baselines with no writes, write baselines with every op a write and
+    their measured retrain cadence."""
+    from repro.bench import thread_scaling
+
     return {
-        m["name"]: measure_scaling(
-            CASE_SPECS[table_key][m["name"]],
-            items,
-            ops,
-            threads,
-            batch_size=2048,
-            overrides=case_overrides(m["name"]),
+        m["name"]: thread_scaling(
+            m["mean_ns"],
+            m["p999_ns"],
+            m["bytes_per_op"],
+            THREADS,
+            concurrency=CASE_CONCURRENCY[table_key][m["name"]],
+            write_fraction=1.0 if table_key == "write" else 0.0,
+            retrain_every=m["retrain_every"],
+            retrain_stall_ns=m["retrain_stall_ns"],
+            seed=seed,
         )
         for m in measured
     }
 
 
-def comparison_rows(meas_curves, sim_curves) -> list:
-    """Aligned measured/sim rows, one per (index, worker count)."""
-    rows = []
-    for name, mrows in meas_curves.items():
-        sim_by_t = {p["threads"]: p for p in sim_curves[name]}
-        for p in mrows:
-            t = p["threads"]
-            rows.append(
-                {
-                    "index": name,
-                    "threads": t,
-                    "measured_mops": p["throughput_mops"],
-                    "sim_mops": sim_by_t[t]["throughput_mops"],
-                    "measured_vs_sim": (
-                        p["throughput_mops"] / sim_by_t[t]["throughput_mops"]
-                    ),
-                    "measured_speedup": (
-                        p["throughput_mops"]
-                        / meas_curves[name][0]["throughput_mops"]
-                    ),
-                }
-            )
-    return rows
-
-
-def comparison_table(rows, title: str) -> str:
-    """Render :func:`comparison_rows` output as an aligned text table."""
+def scaling_table(curves, title: str, stalls: bool) -> str:
+    """One row per (index, thread count); ``stalls`` adds the retrain
+    stall share (the write figure's)."""
     from repro.bench import format_table
 
+    rows = [
+        [
+            name,
+            point["threads"],
+            f"{point['throughput_mops']:.2f}",
+            f"{point['gil_thread_mops']:.2f}",
+            f"{point['p999_ns'] / 1000:.2f}",
+            f"{100 * point['latch_wait_share']:.1f}%",
+        ] + ([f"{100 * point['retrain_stall_share']:.1f}%"] if stalls else [])
+        for name, scaling in curves.items()
+        for point in scaling
+    ]
     return format_table(
+        ["index", "threads", "Mops/s (proc)", "Mops/s (GIL thr)",
+         "p99.9 (us)", "latch wait"] + (["retrain stall"] if stalls else []),
+        rows,
+        title=f"{title} (discrete-event concurrency simulation; 'proc' = "
+        "one interpreter per core, 'GIL thr' = Python threads serialised "
+        "by the GIL)",
+    )
+
+
+def measured_vs_sim(table_key: str, figure: str, seed: int, jobs: int = 1):
+    """``--projection measured`` for Figs 12/14: ``(table, data)`` of the
+    process-parallel engine (``measure_scaling``) over the baselines' own
+    workload at each of :data:`MEASURED_THREADS` workers, row-aligned
+    with the simulator's projection of the same baselines.  These are
+    wall-clock numbers on this host — the ground truth the projection's
+    scaling shape is validated against — so the figure writes them to
+    uncommitted ``*_measured`` result files."""
+    from repro.bench import format_table
+    from repro.concurrency.parallel import measure_scaling
+
+    measured = measure_baselines(table_key, seed, jobs=jobs)
+    sim = project_curves(table_key, measured, seed)
+    load, ops = baseline_workload(table_key, seed)
+    items = [(k, k) for k in load]
+    meas, rows = {}, []
+    for m in measured:
+        name = m["name"]
+        meas[name] = curve = measure_scaling(
+            CASE_SPECS[table_key][name], items, ops, MEASURED_THREADS,
+            batch_size=2048, overrides=dict(_TUNING.get(name, {})),
+        )
+        sim_by_t = {p["threads"]: p["throughput_mops"] for p in sim[name]}
+        for p in curve:
+            mops, t = p["throughput_mops"], p["threads"]
+            rows.append({
+                "index": name,
+                "threads": t,
+                "measured_mops": mops,
+                "sim_mops": sim_by_t[t],
+                "measured_vs_sim": mops / sim_by_t[t],
+                "measured_speedup": mops / curve[0]["throughput_mops"],
+            })
+    table = format_table(
+        ["index", "workers", "measured Mops/s", "sim Mops/s", "meas/sim",
+         "meas speedup"],
         [
-            "index",
-            "workers",
-            "measured Mops/s",
-            "sim Mops/s",
-            "meas/sim",
-            "meas speedup",
-        ],
-        [
-            [
-                r["index"],
-                r["threads"],
-                f"{r['measured_mops']:.3f}",
-                f"{r['sim_mops']:.2f}",
-                f"{r['measured_vs_sim']:.3f}",
-                f"{r['measured_speedup']:.2f}x",
-            ]
+            [r["index"], r["threads"], f"{r['measured_mops']:.3f}",
+             f"{r['sim_mops']:.2f}", f"{r['measured_vs_sim']:.3f}",
+             f"{r['measured_speedup']:.2f}x"]
             for r in rows
         ],
-        title=title,
+        title=f"{figure} — measured vs sim {table_key} scaling "
+        f"(measured = real processes at {MEASURED_THREADS} workers, "
+        "wall-clock on this host)",
     )
+    return table, {"threads": list(MEASURED_THREADS), "measured": meas,
+                   "comparison": rows}
 
 
 # ---------------------------------------------------------------- datasets
@@ -256,20 +271,16 @@ def loaded_store(
     return store, perf
 
 
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark and return its value.
+def store_result(factory: IndexFactory, load, ops, name: str, workload: str):
+    """One figure cell: ``ops`` through a Viper store bulk-loaded with
+    ``load``, as a :class:`~repro.bench.BenchResult`."""
+    from repro.bench import BenchResult, StoreAdapter, execute_ops
 
-    The experiments are deterministic in simulated time, so repeated
-    timing rounds would only re-measure CPython overhead.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def pool_workers(jobs: int) -> int:
-    """Worker-process count for a ``--jobs`` request, capped at the
-    machine's cores — oversubscribing processes only adds scheduler
-    thrash to wall-clock time."""
-    return max(1, min(jobs, os.cpu_count() or 1))
+    store, perf = loaded_store(factory, load)
+    run = execute_ops(StoreAdapter(store), ops, perf)
+    return BenchResult.from_histogram(
+        name, workload, run.latency, run.bytes_per_op
+    )
 
 
 def pool_map(fn, items, jobs: int = 1) -> list:
@@ -281,11 +292,13 @@ def pool_map(fn, items, jobs: int = 1) -> list:
     ``items`` order regardless of which worker finished first, and with
     ``jobs == 1`` (or a single item) no pool is spawned at all — the
     degenerate case stays a plain comprehension for clean tracebacks.
+    Workers are capped at the machine's cores: oversubscribing processes
+    only adds scheduler thrash to wall-clock time.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     items = list(items)
-    workers = pool_workers(jobs)
+    workers = max(1, min(jobs, os.cpu_count() or 1))
     if workers > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))

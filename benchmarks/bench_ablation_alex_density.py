@@ -6,15 +6,15 @@ density bound (the post-expansion density): lower density = more gaps =
 more DRAM but fewer key moves and fewer retrains per insert.
 """
 
-from _common import SMALL_N, dataset, run_once
+from _common import SMALL_N, dataset
 from repro import ALEXIndex, PerfContext
-from repro.bench import format_table, write_result
+from repro.bench import claim, format_table, run_bench
 from repro.workloads.ycsb import split_load_and_inserts
 
 LOWER_DENSITIES = (0.5, 0.6, 0.7)
 
 
-def run_density_ablation():
+def run():
     keys = dataset("ycsb", SMALL_N)
     load, inserts = split_load_and_inserts(keys, 0.5, seed=34)
     rows = []
@@ -50,19 +50,20 @@ def run_density_ablation():
         rows,
         title="Ablation — ALEX density bounds (space vs update performance)",
     )
-    return table, metrics
+    return {"ablation_alex_density": table}, metrics
 
 
-def test_ablation_alex_density(benchmark):
-    table, metrics = run_once(benchmark, run_density_ablation)
-    write_result("ablation_alex_density", table)
-    # More gaps (lower density) cost space...
-    spaces = [m["space"] for m in metrics]
-    assert spaces[0] > spaces[-1]
-    # ...and buy fewer retrains per insert.
-    assert metrics[0]["retrains"] <= metrics[-1]["retrains"]
+def claims(metrics):
+    gappy, dense = metrics[0], metrics[-1]
+    return [
+        claim("abl-density.gaps-cost-space", gappy["space"], ">",
+              dense["space"]),
+        claim("abl-density.gaps-cut-retrains", gappy["retrains"], "<=",
+              dense["retrains"]),
+        claim("abl-density.gaps-cut-insert-cost", gappy["insert_ns"], "<",
+              dense["insert_ns"]),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_density_ablation()
-    write_result("ablation_alex_density", table)
+    raise SystemExit(run_bench(__name__))

@@ -10,15 +10,15 @@ shallower/cheaper inner B+tree, at equal bounded leaf-search cost.
 
 import random
 
-from _common import SMALL_N, dataset, run_once
+from _common import SMALL_N, dataset
 from repro import FITingTree, PerfContext
-from repro.bench import format_table, write_result
+from repro.bench import format_table, run_bench, tightest
 
 EPSILONS = (8, 16, 32, 64)
 N_PROBES = 5000
 
 
-def run_ablation():
+def run():
     keys = list(dataset("ycsb", SMALL_N))
     items = [(k, k) for k in keys]
     rng = random.Random(32)
@@ -49,22 +49,21 @@ def run_ablation():
         rows,
         title="Ablation — FITing-tree with greedy-PLA vs Opt-PLA leaves",
     )
-    return table, results
+    return {"ablation_approximation": table}, results
 
 
-def test_ablation_approximation(benchmark):
-    table, results = run_once(benchmark, run_ablation)
-    write_result("ablation_approximation", table)
-    for eps in EPSILONS:
-        greedy = results[(eps, "greedy")]
-        optpla = results[(eps, "optpla")]
-        # The theoretical guarantee the paper leans on, verified end to
-        # end: Opt-PLA never needs more segments.
-        assert optpla["leaves"] <= greedy["leaves"]
-        # And the resulting index is never meaningfully slower.
-        assert optpla["read_ns"] <= greedy["read_ns"] * 1.05
+def claims(results):
+    pairs = [(results[(e, "optpla")], results[(e, "greedy")])
+             for e in EPSILONS]
+    return [
+        tightest("abl-approx.optpla-no-more-leaves",
+                 ((opt["leaves"], "<=", greedy["leaves"])
+                  for opt, greedy in pairs)),
+        tightest("abl-approx.optpla-not-slower",
+                 ((opt["read_ns"], "<=", greedy["read_ns"] * 1.05)
+                  for opt, greedy in pairs)),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_ablation()
-    write_result("ablation_approximation", table)
+    raise SystemExit(run_bench(__name__))

@@ -8,7 +8,7 @@ arithmetic — and asserts that the paper's headline orderings survive
 every perturbation.
 """
 
-from _common import SMALL_N, dataset, run_once
+from _common import SMALL_N, dataset
 from repro import (
     ALEXIndex,
     BPlusTree,
@@ -18,7 +18,7 @@ from repro import (
     SkipList,
     ViperStore,
 )
-from repro.bench import format_table, write_result
+from repro.bench import format_table, run_bench, tightest
 from repro.perf import CostModel
 from repro.workloads import READ_ONLY, generate_operations
 
@@ -42,7 +42,7 @@ INDEXES = {
 N_OPS_SMALL = 8000
 
 
-def run_cost_ablation():
+def run():
     keys = dataset("ycsb", SMALL_N)
     ops = generate_operations(READ_ONLY, N_OPS_SMALL, keys, seed=33)
     rows = []
@@ -65,23 +65,23 @@ def run_cost_ablation():
         rows,
         title="Ablation — ranking stability under cost-model perturbation",
     )
-    return table, ranking
+    return {"ablation_cost_model": table}, ranking
 
 
-def test_ablation_cost_model(benchmark):
-    table, ranking = run_once(benchmark, run_cost_ablation)
-    write_result("ablation_cost_model", table)
-    for label, mops in ranking.items():
-        # The paper's headline orderings hold under every perturbation.
-        assert mops["ALEX"] > mops["BTree"], f"{label}: ALEX vs BTree"
-        assert mops["PGM"] > mops["BTree"], f"{label}: PGM vs BTree"
-        assert mops["ALEX"] > mops["Skiplist"], f"{label}: ALEX vs Skiplist"
-        assert mops["BTree"] > mops["Skiplist"], f"{label}: BTree vs Skiplist"
-        assert (
-            mops["ALEX"] >= mops["RMI"] * 0.95
-        ), f"{label}: ALEX vs RMI"
+def claims(ranking):
+    def everywhere(cid, fast, op, slow, factor=1.0):
+        return tightest(
+            cid, ((m[fast], op, m[slow] * factor) for m in ranking.values())
+        )
+
+    return [
+        everywhere("abl-cost.alex-above-btree", "ALEX", ">", "BTree"),
+        everywhere("abl-cost.pgm-above-btree", "PGM", ">", "BTree"),
+        everywhere("abl-cost.alex-above-skiplist", "ALEX", ">", "Skiplist"),
+        everywhere("abl-cost.btree-above-skiplist", "BTree", ">", "Skiplist"),
+        everywhere("abl-cost.alex-near-rmi", "ALEX", ">=", "RMI", 0.95),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_cost_ablation()
-    write_result("ablation_cost_model", table)
+    raise SystemExit(run_bench(__name__))

@@ -9,9 +9,9 @@ compares (a) key-store space per live key and (b) insert cost — on
 append-only data the gapped array's reserved space buys nothing.
 """
 
-from _common import SMALL_N, run_once
+from _common import SMALL_N
 from repro import ALEXIndex, BPlusTree, FITingTree, PerfContext
-from repro.bench import format_table, write_result
+from repro.bench import claim, format_table, run_bench
 from repro.workloads import sequential_keys
 
 CANDIDATES = {
@@ -21,7 +21,7 @@ CANDIDATES = {
 }
 
 
-def run_sequential():
+def run():
     keys = sequential_keys(SMALL_N, step=8)
     half = SMALL_N // 2
     load = [(k, k) for k in keys[:half]]
@@ -44,23 +44,18 @@ def run_sequential():
         rows,
         title="Ablation — append-only inserts (the §V-B2 scenario)",
     )
-    return table, metrics
+    return {"ablation_sequential": table}, metrics
 
 
-def test_ablation_sequential(benchmark):
-    table, metrics = run_once(benchmark, run_sequential)
-    write_result("ablation_sequential", table)
-    # ALEX keeps paying for gaps the append-only workload never uses:
-    # its resident bytes per key exceed the plain sorted layouts'.
-    assert (
-        metrics["ALEX"]["bytes_per_key"]
-        > metrics["FITing-tree-buf"]["bytes_per_key"] * 1.1
-    )
-    # Everyone appends cheaply (no mid-array shifting on this workload).
-    for name, m in metrics.items():
-        assert m["insert_ns"] < 3000, name
+def claims(metrics):
+    return [
+        claim("abl-sequential.alex-gaps-waste-space",
+              metrics["ALEX"]["bytes_per_key"], ">",
+              metrics["FITing-tree-buf"]["bytes_per_key"] * 1.1),
+        claim("abl-sequential.appends-cheap",
+              max(m["insert_ns"] for m in metrics.values()), "<", 3000),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_sequential()
-    write_result("ablation_sequential", table)
+    raise SystemExit(run_bench(__name__))

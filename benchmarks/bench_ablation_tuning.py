@@ -8,9 +8,9 @@ reproduced rankings are not an artefact of mis-tuned competitors.
 
 import random
 
-from _common import SMALL_N, dataset, run_once
+from _common import SMALL_N, dataset
 from repro import FITingTree, PGMIndex, PerfContext, RMIIndex
-from repro.bench import format_table, write_result
+from repro.bench import format_table, run_bench, tightest
 from repro.bench.tuning import grid_search
 
 GRIDS = {
@@ -38,7 +38,7 @@ GRIDS = {
 N_PROBES = 2000
 
 
-def run_tuning():
+def run():
     keys = list(dataset("ycsb", SMALL_N))
     items = [(k, k) for k in keys]
     rng = random.Random(38)
@@ -75,23 +75,18 @@ def run_tuning():
         rows,
         title="Ablation — per-index hyper-parameter grids (paper §III-A1)",
     )
-    return table, outcome
+    return {"ablation_tuning": table}, outcome
 
 
-def test_ablation_tuning(benchmark):
-    table, outcome = run_once(benchmark, run_tuning)
-    write_result("ablation_tuning", table)
-    for name, o in outcome.items():
-        # Library defaults stay near their grid optimum.  FITing-tree
-        # deliberately keeps the STX-like fanout-16 inner nodes for
-        # fidelity even though, at our fence counts, a flatter fanout-64
-        # tree saves one level (~one cache miss) — the grid documents
-        # that gap rather than hiding it.
-        assert o["default_ns"] <= o["best_ns"] * 1.5, (
-            f"{name} default is badly tuned: {o}"
-        )
+def claims(outcome):
+    # FITing-tree keeps fanout-16 inner nodes for fidelity although a
+    # fanout-64 tree saves one level at our fence counts.
+    return [
+        tightest("abl-tuning.defaults-near-optimum",
+                 ((o["default_ns"], "<=", o["best_ns"] * 1.5)
+                  for o in outcome.values())),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_tuning()
-    write_result("ablation_tuning", table)
+    raise SystemExit(run_bench(__name__))

@@ -8,14 +8,14 @@ the indexes differ) + sequential record reads (where they do not), so the
 read-only ranking compresses but survives; CCEH cannot serve scans.
 
 Every index is measured twice — the scalar ``scan`` loop and the
-vectorized ``scan_many`` batch path — and the two must agree exactly in
-results *and* simulated time (the batch path's contract).  The table
-holds simulated time only, so a re-run reproduces it byte for byte.
-``--jobs N`` fans the per-index measurements across worker processes via
-the shared ``pool_map`` (output order stays registry order).
+vectorized ``scan_many`` batch path — and two claims require them to
+agree exactly in results *and* simulated time (the batch path's
+contract).  The table holds simulated time only, so a re-run reproduces
+it byte for byte.  ``--jobs N`` fans the per-index measurements across
+worker processes via the shared ``pool_map`` (output order stays
+registry order).
 """
 
-import argparse
 import random
 
 from _common import (
@@ -24,9 +24,8 @@ from _common import (
     dataset,
     loaded_store,
     pool_map,
-    run_once,
 )
-from repro.bench import format_table, write_result
+from repro.bench import claim, fact, format_table, run_bench
 from repro.errors import UnsupportedOperationError
 
 SCAN_LENGTH = 50
@@ -62,19 +61,16 @@ def measure_range_case(name: str) -> dict:
         batched_sim = perf.end(mark)
     except UnsupportedOperationError:
         return {"name": name, "supported": False}
-    assert batched == scalar, f"{name}: scan_many diverges from scan"
-    assert batched_sim.time_ns == scalar_sim.time_ns, (
-        f"{name}: scan_many simulated time {batched_sim.time_ns} != "
-        f"scalar {scalar_sim.time_ns}"
-    )
     return {
         "name": name,
         "supported": True,
         "per_scan_ns": scalar_sim.time_ns / N_SCANS,
+        "same_answers": batched == scalar,
+        "same_time": batched_sim.time_ns == scalar_sim.time_ns,
     }
 
 
-def run_range(jobs: int = 1):
+def run(jobs: int = 1):
     measured = pool_map(measure_range_case, list(READ_CASE), jobs)
     rows = []
     results = {}
@@ -82,7 +78,7 @@ def run_range(jobs: int = 1):
         if not m["supported"]:
             rows.append([m["name"], "-", "unsupported"])
             continue
-        results[m["name"]] = m["per_scan_ns"]
+        results[m["name"]] = m
         rows.append(
             [
                 m["name"],
@@ -99,30 +95,27 @@ def run_range(jobs: int = 1):
         rows,
         title="Appendix — range scans through the store (scalar vs batched)",
     )
-    return table, results
+    return {"appendix_range": table}, results
 
 
-def test_appendix_range(benchmark):
-    table, results = run_once(benchmark, run_range)
-    write_result("appendix_range", table)
-    # Hash indexes cannot scan; every sorted index can.
-    assert "CCEH" not in results
-    assert len(results) == len(READ_CASE) - 1
-    # Learned indexes still lead, but by less than on point reads:
-    # the 50 sequential record reads dominate.
-    assert results["ALEX"] < results["BTree"]
-    spread = max(results.values()) / min(results.values())
-    assert spread < 4.0, "scan costs should compress toward the NVM floor"
+def claims(results):
+    per_scan = [m["per_scan_ns"] for m in results.values()]
+    return [
+        fact("appendix-range.batch-answers-equal-scalar",
+             all(m["same_answers"] for m in results.values())),
+        fact("appendix-range.batch-time-equals-scalar",
+             all(m["same_time"] for m in results.values())),
+        fact("appendix-range.cceh-cannot-scan", "CCEH" not in results),
+        fact("appendix-range.every-sorted-index-scans",
+             len(results) == len(READ_CASE) - 1),
+        claim("appendix-range.alex-below-btree",
+              results["ALEX"]["per_scan_ns"], "<",
+              results["BTree"]["per_scan_ns"]),
+        # The 50 sequential record reads dominate every index's scan.
+        claim("appendix-range.costs-compress", max(per_scan) / min(per_scan),
+              "<", 4.0),
+    ]
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="measure indexes in up to N parallel worker processes",
-    )
-    args = parser.parse_args()
-    table, _ = run_range(jobs=args.jobs)
-    write_result("appendix_range", table)
+    raise SystemExit(run_bench(__name__))

@@ -9,27 +9,22 @@ compatible report:
 * a 2-shard store run on the shared simulated clock, through the
   sharded engine's in-process loopback transport.
 
-Every number is deterministic simulated time, so CI can re-run this
-quickly and diff it against the committed ``BENCH_CONCURRENCY.json``
-baseline with a tight threshold — any drift means the simulator, the
-cost model, or an index changed behaviour.
-
-Usage::
-
-    python benchmarks/bench_concurrency.py [--out BENCH_CONCURRENCY.json]
+Every number is deterministic simulated time, so CI re-runs this and
+diffs ``results/concurrency_smoke.{txt,json}`` exactly, like every other
+simulated table — any drift means the simulator, the cost model, or an
+index changed behaviour.  The JSON is ``repro.obs.regress``-compatible.
 """
 
-import argparse
-import json
-
-from _common import dataset, loaded_store, run_once
-from repro import PerfContext, ViperStore
+from _common import dataset, loaded_store
+from repro import PerfContext
 from repro.bench import (
     StoreAdapter,
+    claim,
     execute_ops,
     format_table,
+    run_bench,
     thread_scaling,
-    write_result,
+    tightest,
 )
 from repro.concurrency import parallel_sharded_store, retrain_cadence
 from repro.registry import resolve
@@ -48,27 +43,26 @@ SEED = 21
 CASES = ("alex", "xindex", "btree", "bwtree", "cceh", "finedex")
 
 
-def _read_profile(spec):
+def _curve(spec, write: bool):
+    """One profile run projected to :data:`THREADS`: reads of every key,
+    or inserts of a held-out half (with the run's retrain cadence)."""
     keys = dataset("ycsb", KEYS)
-    ops = generate_operations(READ_ONLY, OPS, list(keys), seed=SEED)
-    store, perf = loaded_store(spec.build, keys)
-    result = execute_ops(StoreAdapter(store), ops, perf)
-    return result.latency, result.bytes_per_op, len(ops)
-
-
-def _write_profile(spec):
-    keys = dataset("ycsb", KEYS)
-    load, inserts = split_load_and_inserts(keys, 0.5, seed=SEED)
-    ops = generate_operations(
-        WRITE_ONLY, len(inserts) - 1, load, inserts, seed=SEED
-    )
+    if write:
+        load, inserts = split_load_and_inserts(keys, 0.5, seed=SEED)
+        ops = generate_operations(
+            WRITE_ONLY, len(inserts) - 1, load, inserts, seed=SEED
+        )
+    else:
+        load = keys
+        ops = generate_operations(READ_ONLY, OPS, list(keys), seed=SEED)
     store, perf = loaded_store(spec.build, load)
     result = execute_ops(StoreAdapter(store), ops, perf)
-    return (
-        result.latency,
-        result.bytes_per_op,
-        len(ops),
-        *retrain_cadence(store.index.stats(), len(ops)),
+    every, stall = retrain_cadence(store.index.stats(), len(ops))
+    return thread_scaling(
+        result.latency.mean(), result.latency.quantile(0.999),
+        result.bytes_per_op, THREADS, concurrency=spec.concurrency,
+        write_fraction=1.0 if write else 0.0, retrain_every=every,
+        retrain_stall_ns=stall, seed=SEED,
     )
 
 
@@ -90,17 +84,7 @@ def measure_concurrency() -> dict:
     indexes = {}
     for cli_name in CASES:
         spec = resolve(cli_name)
-        read_lat, read_bytes, _ = _read_profile(spec)
-        write_lat, write_bytes, wops, r_every, r_stall = _write_profile(spec)
-        read_curve = thread_scaling(
-            read_lat.mean(), read_lat.quantile(0.999), read_bytes, THREADS,
-            concurrency=spec.concurrency, write_fraction=0.0, seed=SEED,
-        )
-        write_curve = thread_scaling(
-            write_lat.mean(), write_lat.quantile(0.999), write_bytes, THREADS,
-            concurrency=spec.concurrency, write_fraction=1.0,
-            retrain_every=r_every, retrain_stall_ns=r_stall, seed=SEED,
-        )
+        read_curve, write_curve = _curve(spec, False), _curve(spec, True)
         read1 = read_curve[0]["throughput_mops"] * 1e6
         read4 = read_curve[-1]["throughput_mops"] * 1e6
         write4 = write_curve[-1]["throughput_mops"] * 1e6
@@ -146,42 +130,27 @@ def render(report: dict) -> str:
     )
 
 
-def run_concurrency():
+def run():
     report = measure_concurrency()
-    return render(report), report
+    return {"concurrency_smoke": (render(report), report)}, report
 
 
-def test_concurrency_smoke(benchmark):
-    table, report = run_once(benchmark, run_concurrency)
-    write_result("concurrency_smoke", table, data=report)
+def claims(report):
     by = report["indexes"]
-    # CCEH's per-segment latching wins the 4-thread read aggregate.
-    assert by["cceh"]["sim_read4_ops_s"] == max(
-        m["sim_read4_ops_s"] for m in by.values()
-    )
-    # Global-locked ALEX scales reads worse than per-segment CCEH.
-    assert (
-        by["alex"]["sim_read_scale_speedup"]
-        < by["cceh"]["sim_read_scale_speedup"]
-    )
-    # A 2-shard store on one shared clock serves the same ops — the
-    # throughput stays within 2x of the unsharded single-thread rate
-    # (routing adds no simulated cost; it is a partitioning, not a cache).
-    for m in by.values():
-        assert 0.5 <= m["shard2_read_ops_s"] / m["sim_read_ops_s"] <= 2.0
+    return [
+        claim("concurrency.cceh-highest-read4", by["cceh"]["sim_read4_ops_s"],
+              ">=", max(m["sim_read4_ops_s"] for n, m in by.items()
+                        if n != "cceh")),
+        claim("concurrency.alex-scales-below-cceh",
+              by["alex"]["sim_read_scale_speedup"], "<",
+              by["cceh"]["sim_read_scale_speedup"]),
+        # Routing adds no simulated cost: a partitioning, not a cache.
+        tightest("concurrency.shard2-within-2x",
+                 ((m["shard2_read_ops_s"] / m["sim_read_ops_s"], op, bound)
+                  for m in by.values()
+                  for op, bound in ((">=", 0.5), ("<=", 2.0)))),
+    ]
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument(
-        "--out", default="",
-        help="also write the regress-compatible JSON report here",
-    )
-    args = parser.parse_args()
-    table, report = run_concurrency()
-    write_result("concurrency_smoke", table, data=report)
-    if args.out:
-        with open(args.out, "w") as fp:
-            json.dump(report, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print(f"[saved report to {args.out}]")
+    raise SystemExit(run_bench(__name__))

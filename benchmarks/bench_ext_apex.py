@@ -11,14 +11,14 @@ metadata pass.
 
 import random
 
-from _common import N_OPS, SMALL_N, dataset, run_once
+from _common import N_OPS, SMALL_N, dataset
 from repro import ALEXIndex, APEXIndex, PerfContext
-from repro.bench import format_table, write_result
+from repro.bench import claim, format_table, run_bench
 from repro.registry import resolve
 from repro.workloads.ycsb import split_load_and_inserts
 
 
-def run_apex():
+def run():
     keys = dataset("ycsb", SMALL_N)
     load, inserts = split_load_and_inserts(keys, 0.5, seed=41)
     rng = random.Random(41)
@@ -73,21 +73,21 @@ def run_apex():
         rows,
         title="Extension — DRAM-resident ALEX vs PM-resident APEX",
     )
-    return table, results
+    return {"ext_apex": table}, results
 
 
-def test_ext_apex(benchmark):
-    table, results = run_once(benchmark, run_apex)
-    write_result("ext_apex", table)
+def claims(results):
     alex = results["ALEX (DRAM index)"]
     apex = results["APEX (PM index)"]
-    # The trade-off, both directions:
-    assert apex["read_ns"] > alex["read_ns"]  # PM on the hot path costs
-    assert apex["recover_ns"] < alex["recover_ns"] / 10  # ...but recovery
-    # APEX stays a practical index (reads within ~3x of DRAM ALEX).
-    assert apex["read_ns"] < alex["read_ns"] * 3
+    return [
+        claim("ext-apex.pm-reads-cost-more", apex["read_ns"], ">",
+              alex["read_ns"]),
+        claim("ext-apex.recovery-below-tenth", apex["recover_ns"], "<",
+              alex["recover_ns"] / 10),
+        claim("ext-apex.reads-within-3x", apex["read_ns"], "<",
+              alex["read_ns"] * 3),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_apex()
-    write_result("ext_apex", table)
+    raise SystemExit(run_bench(__name__))

@@ -8,8 +8,8 @@ plain ATS rule, once weighting model errors by a zipfian access
 distribution — and replays zipfian lookups against both.
 """
 
-from _common import SMALL_N, dataset, run_once
-from repro.bench import format_table, write_result
+from _common import SMALL_N, dataset
+from repro.bench import claim, format_table, run_bench
 from repro.core.structures import ATSStructure, HotATSStructure
 from repro.perf import PerfContext
 from repro.workloads.distributions import ZipfianGenerator
@@ -19,7 +19,7 @@ N_TRAIN = 200_000
 N_PROBES = 20_000
 
 
-def run_hot_ats():
+def run():
     keys = list(dataset("osm", SMALL_N))
     step = max(1, len(keys) // N_FENCES)
     fences = keys[::step]
@@ -33,7 +33,7 @@ def run_hot_ats():
     probes = [fences[probe_zipf.next() % len(fences)] for _ in range(N_PROBES)]
 
     rows = []
-    costs = {}
+    results = {}
     for label, structure, builder in (
         (
             "ATS (plain)",
@@ -54,7 +54,7 @@ def run_hot_ats():
         for key in probes:
             structure.lookup(key)
         cost = perf.end(mark).time_ns / len(probes)
-        costs[label] = cost
+        results[label] = {"cost": cost, "depth": structure.avg_depth()}
         rows.append(
             [
                 label,
@@ -68,15 +68,18 @@ def run_hot_ats():
         rows,
         title="Extension — hot-aware ATS under zipfian access",
     )
-    return table, costs
+    return {"ext_hot_ats": table}, results
 
 
-def test_ext_hot_ats(benchmark):
-    table, costs = run_once(benchmark, run_hot_ats)
-    write_result("ext_hot_ats", table)
-    assert costs["ATS (hot-aware)"] < costs["ATS (plain)"]
+def claims(results):
+    plain, hot = results["ATS (plain)"], results["ATS (hot-aware)"]
+    return [
+        claim("ext-hot-ats.hot-aware-cheaper", hot["cost"], "<",
+              plain["cost"]),
+        claim("ext-hot-ats.hot-aware-shallower", hot["depth"], "<",
+              plain["depth"]),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_hot_ats()
-    write_result("ext_hot_ats", table)
+    raise SystemExit(run_bench(__name__))

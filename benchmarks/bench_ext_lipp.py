@@ -9,8 +9,16 @@ correction search entirely, so reads should beat ALEX; inserts remain
 competitive because conflicts are absorbed by tiny child nodes.
 """
 
-from _common import EXTENSIONS, N_OPS, SMALL_N, dataset, loaded_store, run_once
-from repro.bench import StoreAdapter, execute_ops, format_table, write_result
+from _common import EXTENSIONS, N_OPS, SMALL_N, dataset, loaded_store
+from repro.bench import (
+    StoreAdapter,
+    claim,
+    execute_ops,
+    fact,
+    format_table,
+    run_bench,
+    tightest,
+)
 from repro.registry import resolve
 from repro.workloads import READ_ONLY, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
@@ -25,7 +33,7 @@ CANDIDATES = {
 }
 
 
-def run_lipp_comparison():
+def run():
     keys = dataset("ycsb", SMALL_N)
     load, inserts = split_load_and_inserts(keys, 0.5, seed=31)
     read_ops = generate_operations(READ_ONLY, N_OPS, load, seed=31)
@@ -47,6 +55,7 @@ def run_lipp_comparison():
             "read_p999": read_lat.quantile(0.999),
             "insert_ns": insert_ns,
             "depth": stats.depth_avg,
+            "concurrent_write": store.index.capabilities().concurrent_write,
         }
         rows.append(
             [
@@ -62,19 +71,26 @@ def run_lipp_comparison():
         rows,
         title="Extension — LIPP vs ALEX vs PGM (the §V-B prediction)",
     )
-    return table, results
+    return {"ext_lipp": table}, results
 
 
-def test_ext_lipp(benchmark):
-    table, results = run_once(benchmark, run_lipp_comparison)
-    write_result("ext_lipp", table)
-    # The §V-B prediction: precise positions beat ALEX on reads.
-    assert results["LIPP"]["read_mops"] > results["ALEX"]["read_mops"]
-    assert results["LIPP"]["read_mops"] > results["PGM"]["read_mops"]
-    # ...while staying a practical writer (same order of magnitude).
-    assert results["LIPP"]["insert_ns"] < results["PGM"]["insert_ns"] * 5
+def claims(results):
+    read = {n: r["read_mops"] for n, r in results.items()}
+    insert = {n: r["insert_ns"] for n, r in results.items()}
+    return [
+        claim("ext-lipp.reads-beat-alex", read["LIPP"], ">", read["ALEX"]),
+        claim("ext-lipp.reads-beat-pgm", read["LIPP"], ">", read["PGM"]),
+        claim("ext-lipp.inserts-beat-alex", insert["LIPP"], "<",
+              insert["ALEX"]),
+        claim("ext-lipp.inserts-within-5x-pgm", insert["LIPP"], "<",
+              insert["PGM"] * 5),
+        tightest("ext-lipp.finedex-reads-between-pgm-and-alex",
+                 [(read["FINEdex"], ">", read["PGM"]),
+                  (read["FINEdex"], "<", read["ALEX"])]),
+        fact("ext-lipp.finedex-concurrent-write",
+             results["FINEdex"]["concurrent_write"]),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_lipp_comparison()
-    write_result("ext_lipp", table)
+    raise SystemExit(run_bench(__name__))

@@ -15,34 +15,28 @@ from _common import (
     SMALL_N,
     LARGE_N,
     dataset,
-    loaded_store,
-    run_once,
+    store_result,
 )
 from repro.bench import (
-    BenchResult,
-    StoreAdapter,
-    execute_ops,
+    claim,
+    fact,
     format_bars,
     format_table,
-    write_result,
+    run_bench,
+    tightest,
 )
 from repro.workloads import READ_ONLY, generate_operations
 
 
-def run_readonly(dataset_name: str):
+def _run_dataset(dataset_name: str):
     rows = []
     results = []
     for n in (SMALL_N, LARGE_N):
         keys = dataset(dataset_name, n)
         ops = generate_operations(READ_ONLY, N_OPS, keys, seed=10)
         for name, factory in READ_CASE.items():
-            store, perf = loaded_store(factory, keys)
-            run = execute_ops(StoreAdapter(store), ops, perf)
-            result = BenchResult.from_histogram(
-                name,
-                f"{dataset_name}-{SIZE_LABELS[n]}",
-                run.latency,
-                run.bytes_per_op,
+            result = store_result(
+                factory, keys, ops, name, f"{dataset_name}-{SIZE_LABELS[n]}"
             )
             results.append(result)
             rows.append(
@@ -73,26 +67,61 @@ def run_readonly(dataset_name: str):
     return table + "\n\n" + bars, results
 
 
-def test_fig10_ycsb(benchmark):
-    table, results = run_once(benchmark, lambda: run_readonly("ycsb"))
-    write_result("fig10_readonly_ycsb", table)
-    by_name = {
-        (r.workload, r.index): r.throughput_mops for r in results
-    }
-    small = SIZE_LABELS[SMALL_N]
-    # ALEX beats every traditional sorted index (paper's headline).
-    for trad in ("BTree", "Skiplist", "Masstree", "Bwtree", "Wormhole"):
-        assert (
-            by_name[(f"ycsb-{small}", "ALEX")] > by_name[(f"ycsb-{small}", trad)]
-        )
+def run():
+    """Both datasets; results keyed by ``(workload, index)``."""
+    tables, results = {}, {}
+    for ds in ("ycsb", "osm"):
+        tables[f"fig10_readonly_{ds}"], measured = _run_dataset(ds)
+        results.update({(r.workload, r.index): r for r in measured})
+    return tables, results
 
 
-def test_fig10_osm(benchmark):
-    table, results = run_once(benchmark, lambda: run_readonly("osm"))
-    write_result("fig10_readonly_osm", table)
+LEARNED = ("RMI", "RS", "FITing-tree", "PGM", "ALEX", "XIndex")
+TRADITIONAL = ("BTree", "Skiplist", "Masstree", "Bwtree", "Wormhole")
+
+
+def claims(results):
+    sizes = small, large = SIZE_LABELS[SMALL_N], SIZE_LABELS[LARGE_N]
+
+    def mops(name, size=small, ds="ycsb"):
+        return results[(f"{ds}-{size}", name)].throughput_mops
+
+    def p999(name, size=small):
+        return results[(f"ycsb-{size}", name)].p999_ns
+
+    def best(names, size=small, ds="ycsb"):
+        return max(mops(n, size, ds) for n in names)
+
+    others = [n for n in LEARNED if n != "ALEX"]
+    return [
+        tightest("fig10.alex-best-learned",
+                 ((mops("ALEX", s), ">", best(others, s)) for s in sizes)),
+        claim("fig10.alex-beats-traditional", mops("ALEX"), ">",
+              best(TRADITIONAL)),
+        tightest("fig10.learned-beat-traditional",
+                 ((min(mops(n, s) for n in LEARNED), ">",
+                   best(TRADITIONAL, s)) for s in sizes)),
+        tightest("fig10.rmi-above-pgm",
+                 ((mops("RMI", s), ">", mops("PGM", s)) for s in sizes)),
+        tightest("fig10.rmi-tail-above-pgm",
+                 ((p999("RMI", s), ">", p999("PGM", s)) for s in sizes)),
+        claim("fig10.rmi-tail-grows", p999("RMI", large), ">", p999("RMI")),
+        claim("fig10.rs-drops-at-large", mops("RS", large), "<", mops("RS")),
+        claim("fig10.alex-tail-grows", p999("ALEX", large), ">", p999("ALEX")),
+        tightest("fig10.osm-learned-no-gain",
+                 ((mops(n, s, "osm"), "<=", mops(n, s))
+                  for n in LEARNED for s in sizes)),
+        fact("fig10.osm-traditional-unchanged",
+             all(mops(n, s, "osm") == mops(n, s)
+                 for n in TRADITIONAL for s in sizes)),
+        tightest("fig10.cceh-ceiling",
+                 ((mops("CCEH", s, ds), ">",
+                   best(LEARNED + TRADITIONAL, s, ds))
+                  for s in sizes for ds in ("ycsb", "osm"))),
+        claim("fig10.dev-pgm-within-1pct-of-fiting",
+              abs(mops("PGM") / mops("FITing-tree") - 1), "<", 0.01),
+    ]
 
 
 if __name__ == "__main__":
-    for ds in ("ycsb", "osm"):
-        table, _ = run_readonly(ds)
-        write_result(f"fig10_readonly_{ds}", table)
+    raise SystemExit(run_bench(__name__))

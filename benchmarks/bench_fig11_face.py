@@ -6,35 +6,18 @@ useless" — nearly every key lands in one radix bucket and the in-bucket
 search degenerates.  The other learned indexes keep their ranking.
 """
 
-from _common import (
-    N_OPS,
-    READ_CASE,
-    SMALL_N,
-    dataset,
-    loaded_store,
-    run_once,
-)
-from repro.bench import (
-    BenchResult,
-    StoreAdapter,
-    execute_ops,
-    format_table,
-    write_result,
-)
+from _common import N_OPS, READ_CASE, SMALL_N, dataset, store_result
+from repro.bench import claim, format_table, run_bench
 from repro.workloads import READ_ONLY, generate_operations
 
 
-def run_face():
+def run():
     keys = dataset("face", SMALL_N)
     ops = generate_operations(READ_ONLY, N_OPS, keys, seed=11)
     rows = []
     results = {}
     for name, factory in READ_CASE.items():
-        store, perf = loaded_store(factory, keys)
-        run = execute_ops(StoreAdapter(store), ops, perf)
-        result = BenchResult.from_histogram(
-            name, "face", run.latency, run.bytes_per_op
-        )
+        result = store_result(factory, keys, ops, name, "face")
         results[name] = result
         rows.append(
             [
@@ -49,22 +32,19 @@ def run_face():
         rows,
         title="Fig 11 — read-only on FACE-like skew (simulated single-thread)",
     )
-    return table, results
+    return {"fig11_face": table}, results
 
 
-def test_fig11_face(benchmark):
-    table, results = run_once(benchmark, run_face)
-    write_result("fig11_face", table)
-    # RS must collapse relative to the other learned indexes.
-    others = [
-        results[n].throughput_mops
-        for n in ("RMI", "PGM", "ALEX", "FITing-tree", "XIndex")
+def claims(results):
+    mops = {n: r.throughput_mops for n, r in results.items()}
+    others = ("RMI", "PGM", "FITing-tree", "XIndex")
+    return [
+        claim("fig11.rs-slowest-learned", mops["RS"], "<",
+              min(mops[n] for n in others + ("ALEX",))),
+        claim("fig11.alex-best-learned", mops["ALEX"], ">",
+              max(mops[n] for n in others + ("RS",))),
     ]
-    assert results["RS"].throughput_mops < min(others), (
-        "RS should be the slowest learned index on FACE"
-    )
 
 
 if __name__ == "__main__":
-    table, _ = run_face()
-    write_result("fig11_face", table)
+    raise SystemExit(run_bench(__name__))

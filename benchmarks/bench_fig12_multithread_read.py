@@ -23,134 +23,53 @@ baselines in parallel worker processes (output order stays registry
 order).
 """
 
-import argparse
-
 from _common import (
-    CASE_CONCURRENCY,
-    MEASURED_THREADS,
-    comparison_rows,
-    comparison_table,
+    THREADS,
     measure_baselines,
-    measured_scaling_curves,
-    run_once,
+    measured_vs_sim,
+    project_curves,
+    scaling_table,
 )
-from repro.bench import format_table, thread_scaling, write_result
+from repro.bench import claim, run_bench, tightest
 
-THREADS = (1, 2, 4, 8, 16, 24, 32)
 SEED = 12
 
 
-def project_read_curves(measured):
-    """Simulated thread-scaling curves per index from measured baselines."""
-    return {
-        m["name"]: thread_scaling(
-            m["mean_ns"],
-            m["p999_ns"],
-            m["bytes_per_op"],
-            THREADS,
-            concurrency=CASE_CONCURRENCY["read"][m["name"]],
-            write_fraction=0.0,
-            seed=SEED,
-        )
-        for m in measured
-    }
-
-
-def _render(curves):
-    rows = [
-        [
-            name,
-            point["threads"],
-            f"{point['throughput_mops']:.2f}",
-            f"{point['gil_thread_mops']:.2f}",
-            f"{point['p999_ns'] / 1000:.2f}",
-            f"{100 * point['latch_wait_share']:.1f}%",
-        ]
-        for name, scaling in curves.items()
-        for point in scaling
-    ]
-    return format_table(
-        ["index", "threads", "Mops/s (proc)", "Mops/s (GIL thr)",
-         "p99.9 (us)", "latch wait"],
-        rows,
-        title="Fig 12 — multi-threaded read-only (discrete-event "
-        "concurrency simulation; 'proc' = one interpreter per core, "
-        "'GIL thr' = Python threads serialised by the GIL)",
+def run(jobs: int = 1):
+    """The simulated figure: one table with its curves as JSON."""
+    sim = project_curves("read", measure_baselines("read", SEED, jobs), SEED)
+    table = scaling_table(
+        sim, "Fig 12 — multi-threaded read-only", stalls=False
     )
+    data = {"threads": list(THREADS), "curves": sim}
+    return {"fig12_multithread_read": (table, data)}, sim
 
 
-def run_multithread_read(jobs: int = 1, projection: str = "sim"):
-    """The figure's ``(table, data)``, simulated or measured."""
-    measured = measure_baselines("read", SEED, jobs=jobs)
-    sim = project_read_curves(measured)
-    if projection == "sim":
-        return _render(sim), {"threads": list(THREADS), "curves": sim}
-    # Real worker processes, wall clock, row-aligned with the simulator's
-    # projection at the same worker counts, so the table reads as one
-    # validation: does the projected scaling shape match what the
-    # machine actually does?
-    meas = measured_scaling_curves("read", measured, seed=SEED)
-    rows = comparison_rows(meas, sim)
-    table = comparison_table(
-        rows,
-        "Fig 12 — measured vs sim read scaling "
-        f"(measured = real processes at {MEASURED_THREADS} workers, "
-        "wall-clock on this host)",
-    )
-    return table, {"threads": list(MEASURED_THREADS), "measured": meas,
-                   "comparison": rows}
+def run_measured(jobs: int = 1):
+    table, data = measured_vs_sim("read", "Fig 12", SEED, jobs)
+    return {"fig12_multithread_read_measured": (table, data)}
 
 
-def test_fig12_multithread_read(benchmark):
-    measured = run_once(benchmark, lambda: measure_baselines("read", SEED))
-    sim = project_read_curves(measured)
-    write_result(
-        "fig12_multithread_read",
-        _render(sim),
-        data={"threads": list(THREADS), "curves": sim},
-    )
-
-    # CCEH is the aggregate-throughput ceiling at full thread count.
+def claims(sim):
     at32 = {n: c[-1]["throughput_mops"] for n, c in sim.items()}
-    assert at32["CCEH"] == max(at32.values())
-    # ALEX saturates around 24 threads (the paper's profiling result,
-    # compounded here by its global rwlock's cacheline bounce): adding
-    # threads past that gains almost nothing.
     alex = {p["threads"]: p["throughput_mops"] for p in sim["ALEX"]}
-    assert alex[32] < alex[24] * 1.1
-    # The global-lock indexes flatten while fine-grained/lock-free ones
-    # keep scaling: ALEX's 32-thread speedup trails CCEH's.
-    speedup = {
-        n: c[-1]["throughput_mops"] / c[0]["throughput_mops"]
-        for n, c in sim.items()
-    }
-    assert speedup["ALEX"] < speedup["CCEH"]
-
-    # GIL-bound threads never scale: the projection is flat, and from 2
-    # threads up the process projection dominates it for every index.
-    for scaling in sim.values():
-        gil = [p["gil_thread_mops"] for p in scaling]
-        assert max(gil) <= gil[0]
-        for point in scaling[1:]:
-            assert point["throughput_mops"] >= point["gil_thread_mops"]
+    speedup = {n: c[-1]["throughput_mops"] / c[0]["throughput_mops"]
+               for n, c in sim.items()}
+    return [
+        claim("fig12.cceh-highest-at-32", at32["CCEH"], ">=",
+              max(v for n, v in at32.items() if n != "CCEH")),
+        # Bandwidth plus ALEX's global rwlock cacheline bounce.
+        claim("fig12.alex-saturates-at-24", alex[32], "<", alex[24] * 1.1),
+        claim("fig12.alex-scales-below-cceh", speedup["ALEX"], "<",
+              speedup["CCEH"]),
+        tightest("fig12.gil-threads-flat",
+                 ((max(p["gil_thread_mops"] for p in c), "<=",
+                   c[0]["gil_thread_mops"]) for c in sim.values())),
+        tightest("fig12.processes-above-gil",
+                 ((p["throughput_mops"], ">=", p["gil_thread_mops"])
+                  for c in sim.values() for p in c[1:])),
+    ]
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the per-index baseline measurements",
-    )
-    parser.add_argument(
-        "--projection", choices=("sim", "measured"), default="sim",
-        help="concurrency simulator (sim), or real worker processes with "
-        "a side-by-side sim comparison (measured)",
-    )
-    args = parser.parse_args()
-    table, data = run_multithread_read(
-        jobs=args.jobs, projection=args.projection
-    )
-    # A measured run is host-specific: it gets its own (uncommitted)
-    # result files and leaves the simulated tables alone.
-    suffix = "_measured" if args.projection == "measured" else ""
-    write_result(f"fig12_multithread_read{suffix}", table, data=data)
+    raise SystemExit(run_bench(__name__))

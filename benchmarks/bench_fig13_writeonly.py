@@ -11,25 +11,16 @@ processes (each cell is independent: its own store, its own simulated
 clock), like the multithread figures do.
 """
 
-import argparse
-
 from _common import (
     SIZE_LABELS,
     SMALL_N,
     LARGE_N,
     WRITE_CASE,
     dataset,
-    loaded_store,
     pool_map,
-    run_once,
+    store_result,
 )
-from repro.bench import (
-    BenchResult,
-    StoreAdapter,
-    execute_ops,
-    format_table,
-    write_result,
-)
+from repro.bench import claim, format_table, run_bench
 from repro.workloads import WRITE_ONLY, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
 
@@ -41,15 +32,12 @@ def _measure_cell(cell):
     load, inserts = split_load_and_inserts(keys, 0.5, seed=13)
     n_ops = len(inserts) - 1
     ops = generate_operations(WRITE_ONLY, n_ops, load, inserts, seed=13)
-    store, perf = loaded_store(WRITE_CASE[name], load)
-    run = execute_ops(StoreAdapter(store), ops, perf)
-    result = BenchResult.from_histogram(
-        name, f"write-{SIZE_LABELS[n]}", run.latency, run.bytes_per_op
+    return n, name, store_result(
+        WRITE_CASE[name], load, ops, name, f"write-{SIZE_LABELS[n]}"
     )
-    return n, name, result
 
 
-def run_writeonly(jobs: int = 1):
+def run(jobs: int = 1):
     cells = [
         (n, name) for n in (SMALL_N, LARGE_N) for name in WRITE_CASE
     ]
@@ -72,38 +60,42 @@ def run_writeonly(jobs: int = 1):
         rows,
         title="Fig 13 — write-only (simulated single-thread)",
     )
-    return table, results
+    return {"fig13_writeonly": table}, results
 
 
-def test_fig13_writeonly(benchmark):
-    table, results = run_once(benchmark, run_writeonly)
-    write_result("fig13_writeonly", table)
-    small = {k[1]: v for k, v in results.items() if k[0] == SMALL_N}
-    large = {k[1]: v for k, v in results.items() if k[0] == LARGE_N}
-    # ALEX best among the learned indexes.
-    learned = ("FITing-tree-inp", "FITing-tree-buf", "PGM", "XIndex")
-    for other in learned:
-        assert small["ALEX"].throughput_mops > small[other].throughput_mops
-    # FITing-tree-inp is the worst learned index.
-    for other in ("FITing-tree-buf", "PGM", "ALEX", "XIndex"):
-        assert (
-            small["FITing-tree-inp"].throughput_mops
-            <= small[other].throughput_mops
-        )
-    # Offsite-buffer designs degrade most from small to large.
+LEARNED = ("FITing-tree-inp", "FITing-tree-buf", "PGM", "ALEX", "XIndex")
+TRADITIONAL = ("BTree", "Skiplist", "Masstree", "Bwtree", "Wormhole")
+
+
+def claims(results):
+    small = {k[1]: r.throughput_mops for k, r in results.items()
+             if k[0] == SMALL_N}
+    large = {k[1]: r.throughput_mops for k, r in results.items()
+             if k[0] == LARGE_N}
+
     def degradation(name):
-        return large[name].throughput_mops / small[name].throughput_mops
+        return large[name] / small[name]
 
-    assert degradation("XIndex") < degradation("ALEX")
-    assert degradation("FITing-tree-buf") < degradation("ALEX")
+    others = [n for n in LEARNED if n != "ALEX"]
+    trees = max(small[n] for n in TRADITIONAL)
+    return [
+        claim("fig13.alex-best-learned", small["ALEX"], ">",
+              max(small[n] for n in others)),
+        claim("fig13.alex-beats-traditional", small["ALEX"], ">", trees),
+        claim("fig13.inp-worst-learned", small["FITing-tree-inp"], "<=",
+              min(small[n] for n in LEARNED if n != "FITing-tree-inp")),
+        claim("fig13.others-no-advantage-over-trees",
+              max(small[n] for n in others), "<=", trees),
+        claim("fig13.xindex-degrades-more-than-alex", degradation("XIndex"),
+              "<", degradation("ALEX")),
+        claim("fig13.buf-degrades-more-than-alex",
+              degradation("FITing-tree-buf"), "<", degradation("ALEX")),
+        claim("fig13.alex-no-degradation", large["ALEX"], ">=", small["ALEX"]),
+        claim("fig13.dev-alex-above-cceh", small["ALEX"], ">", small["CCEH"]),
+        claim("fig13.dev-xindex-drops-under-1pct", 1 - degradation("XIndex"),
+              "<", 0.01),
+    ]
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the per-(size, index) measurements",
-    )
-    args = parser.parse_args()
-    table, _ = run_writeonly(jobs=args.jobs)
-    write_result("fig13_writeonly", table)
+    raise SystemExit(run_bench(__name__))

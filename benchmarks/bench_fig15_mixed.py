@@ -6,28 +6,15 @@ learned index drops sharply on YCSB-D, whose writes are *insertions*
 learned index to be continuously inserted and retrained".
 """
 
-from _common import (
-    N_OPS,
-    SMALL_N,
-    WRITE_CASE,
-    dataset,
-    loaded_store,
-    run_once,
-)
-from repro.bench import (
-    BenchResult,
-    StoreAdapter,
-    execute_ops,
-    format_table,
-    write_result,
-)
+from _common import N_OPS, SMALL_N, WRITE_CASE, dataset, store_result
+from repro.bench import claim, format_table, run_bench, tightest
 from repro.workloads import YCSB_A, YCSB_B, YCSB_D, YCSB_F, generate_operations
 from repro.workloads.ycsb import split_load_and_inserts
 
 WORKLOADS = (YCSB_A, YCSB_B, YCSB_D, YCSB_F)
 
 
-def run_mixed():
+def run():
     keys = dataset("ycsb", SMALL_N)
     load, insert_pool = split_load_and_inserts(keys, 0.5, seed=15)
     rows = []
@@ -35,11 +22,7 @@ def run_mixed():
     for spec in WORKLOADS:
         ops = generate_operations(spec, N_OPS, load, insert_pool, seed=15)
         for name, factory in WRITE_CASE.items():
-            store, perf = loaded_store(factory, load)
-            run = execute_ops(StoreAdapter(store), ops, perf)
-            result = BenchResult.from_histogram(
-                name, spec.name, run.latency, run.bytes_per_op
-            )
+            result = store_result(factory, load, ops, name, spec.name)
             results[(spec.name, name)] = result
             rows.append(
                 [
@@ -54,32 +37,28 @@ def run_mixed():
         rows,
         title="Fig 15 — read-write-mixed YCSB (simulated single-thread)",
     )
-    return table, results
+    return {"fig15_mixed": table}, results
 
 
-def test_fig15_mixed(benchmark):
-    table, results = run_once(benchmark, run_mixed)
-    write_result("fig15_mixed", table)
-    # ALEX stays on top of the learned pack in every mix.
+def claims(results):
+    mops = {k: r.throughput_mops for k, r in results.items()}
     learned = ("FITing-tree-inp", "FITing-tree-buf", "PGM", "XIndex")
-    for spec in WORKLOADS:
-        for other in learned:
-            assert (
-                results[(spec.name, "ALEX")].throughput_mops
-                > results[(spec.name, other)].throughput_mops
-            ), f"ALEX not best on {spec.name}"
-    # YCSB-D (insert-heavy) hurts the buffer/inplace designs more than
-    # their read-heavy YCSB-B numbers by a larger factor than ALEX.
-    def drop(name):
-        return (
-            results[("YCSB-D", name)].throughput_mops
-            / results[("YCSB-B", name)].throughput_mops
-        )
 
-    assert drop("XIndex") < drop("ALEX")
-    assert drop("FITing-tree-buf") < drop("ALEX")
+    def drop(name):  # YCSB-D (insert-heavy) over YCSB-B (read-heavy)
+        return mops[("YCSB-D", name)] / mops[("YCSB-B", name)]
+
+    return [
+        tightest("fig15.alex-best-learned-every-mix",
+                 ((mops[(w.name, "ALEX")], ">",
+                   max(mops[(w.name, n)] for n in learned))
+                  for w in WORKLOADS)),
+        claim("fig15.xindex-drops-more-than-alex-on-d", drop("XIndex"), "<",
+              drop("ALEX")),
+        claim("fig15.buf-drops-more-than-alex-on-d", drop("FITing-tree-buf"),
+              "<", drop("ALEX")),
+        claim("fig15.alex-no-drop-on-d", drop("ALEX"), ">=", 1.0),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_mixed()
-    write_result("fig15_mixed", table)
+    raise SystemExit(run_bench(__name__))

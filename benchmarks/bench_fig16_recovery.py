@@ -13,13 +13,12 @@ from _common import (
     SIZE_LABELS,
     SMALL_N,
     dataset,
-    run_once,
 )
 from repro import BPlusTree, PerfContext, ViperStore
-from repro.bench import format_table, write_result
+from repro.bench import claim, format_table, run_bench
 
 
-def run_recovery():
+def run():
     rows = []
     times = {}
     for n in (SMALL_N, LARGE_N):
@@ -46,25 +45,30 @@ def run_recovery():
         rows,
         title="Fig 16 — crash recovery: NVM scan + index rebuild",
     )
-    return table, times
+    return {"fig16_recovery": table}, times
 
 
-def test_fig16_recovery(benchmark):
-    table, times = run_once(benchmark, run_recovery)
-    write_result("fig16_recovery", table)
+LEARNED = ("RMI", "RS", "FITing-tree", "PGM", "ALEX", "XIndex")
+TREES = ("BTree", "Wormhole", "Bwtree")
+
+
+def claims(times):
     large = {name: t for (n, name), t in times.items() if n == LARGE_N}
-    # RS recovers fastest among the learned indexes.
-    for other in ("RMI", "PGM", "ALEX", "XIndex", "FITing-tree"):
-        assert large["RS"] < large[other]
-    # ALEX and XIndex are the slowest learned indexes.
-    for fast in ("RS", "PGM", "FITing-tree"):
-        assert large["ALEX"] > large[fast]
-        assert large["XIndex"] > large[fast]
-    # Traditional BTree beats every learned index.
-    for learned in ("RMI", "RS", "PGM", "ALEX", "XIndex", "FITing-tree"):
-        assert large["BTree"] < large[learned]
+    fast = max(large[n] for n in ("RS", "PGM", "FITing-tree"))
+    return [
+        claim("fig16.rs-fastest-learned", large["RS"], "<",
+              min(large[n] for n in LEARNED if n != "RS")),
+        claim("fig16.alex-slower-than-fast-learned", large["ALEX"], ">", fast),
+        claim("fig16.xindex-slower-than-fast-learned", large["XIndex"], ">",
+              fast),
+        claim("fig16.btree-beats-learned", large["BTree"], "<",
+              min(large[n] for n in LEARNED)),
+        claim("fig16.trees-fastest", max(large[n] for n in TREES), "<",
+              min(t for n, t in large.items() if n not in TREES)),
+        claim("fig16.dev-alex-rs-ratio-below-paper",
+              large["ALEX"] / large["RS"], "<", 6.2),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_recovery()
-    write_result("fig16_recovery", table)
+    raise SystemExit(run_bench(__name__))

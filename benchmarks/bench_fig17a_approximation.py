@@ -7,8 +7,8 @@ error for every algorithm, and LSA-gap sits at the far low-error end.
 
 import random
 
-from _common import SMALL_N, dataset, run_once
-from repro.bench import format_table, write_result
+from _common import SMALL_N, dataset
+from repro.bench import format_table, run_bench, tightest
 from repro.core.approximation import (
     LSAApproximator,
     LSAGapApproximator,
@@ -52,7 +52,7 @@ def leaf_query_cost_ns(approx, keys, probes, perf):
     return perf.end(mark_all).time_ns / len(probes)
 
 
-def run_fig17a():
+def run():
     keys = list(dataset("ycsb", SMALL_N))
     rng = random.Random(17)
     probes = rng.sample(keys, N_PROBES)
@@ -80,28 +80,24 @@ def run_fig17a():
         rows,
         title="Fig 17(a) — approximation algorithms: error vs leaf query time",
     )
-    return table, series
+    return {"fig17a_approximation": table}, series
 
 
-def test_fig17a(benchmark):
-    table, series = run_once(benchmark, run_fig17a)
-    write_result("fig17a_approximation", table)
-    # Within each algorithm, lower error => faster leaf query.
-    for name, points in series.items():
-        by_err = sorted(points)
-        costs = [c for _, c, _ in by_err]
-        assert costs[0] < costs[-1], f"{name}: cost not increasing with error"
-    # LSA-gap achieves far lower error than plain LSA at equal leaf
-    # counts — dramatically so once LSA's error is non-trivial.
+def claims(series):
     lsa = {leaves: err for err, _, leaves in series["LSA"]}
     gap = {leaves: err for err, _, leaves in series["LSA-gap"]}
-    for leaves in set(lsa) & set(gap):
-        if lsa[leaves] >= 4.0:
-            assert gap[leaves] < lsa[leaves] / 3
-        else:
-            assert gap[leaves] <= lsa[leaves]
+    shared = set(lsa) & set(gap)
+    return [
+        # Cost at the lowest error below cost at the highest.
+        tightest("fig17a.cost-rises-with-error",
+                 ((min(points)[1], "<", max(points)[1])
+                  for points in series.values())),
+        tightest("fig17a.gap-error-below-third-of-lsa",
+                 ((gap[n], "<", lsa[n] / 3) for n in shared if lsa[n] >= 4.0)),
+        tightest("fig17a.gap-error-at-most-lsa",
+                 ((gap[n], "<=", lsa[n]) for n in shared if lsa[n] < 4.0)),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_fig17a()
-    write_result("fig17a_approximation", table)
+    raise SystemExit(run_bench(__name__))

@@ -8,8 +8,8 @@ cheaper for every structure.
 
 import random
 
-from _common import SMALL_N, dataset, run_once
-from repro.bench import format_table, write_result
+from _common import SMALL_N, dataset
+from repro.bench import claim, format_table, run_bench, tightest
 from repro.core.structures import (
     ATSStructure,
     BTreeStructure,
@@ -29,7 +29,7 @@ STRUCTURES = [
 ]
 
 
-def run_fig17c():
+def run():
     keys = list(dataset("ycsb", SMALL_N))
     rng = random.Random(18)
     probes = rng.sample(keys, N_PROBES)
@@ -55,26 +55,29 @@ def run_fig17c():
         rows,
         title="Fig 17(c) — internal structure query time vs leaf count",
     )
-    return table, series
+    return {"fig17c_structures": table}, series
 
 
-def test_fig17c(benchmark):
-    table, series = run_once(benchmark, run_fig17c)
-    write_result("fig17c_structures", table)
-    # ATS is the cheapest structure at every leaf count.
-    for i in range(len(LEAF_COUNTS)):
-        ats = series["ATS"][i][1]
-        for other in ("RMI", "BTREE", "LRS"):
-            assert ats <= series[other][i][1] * 1.05, (
-                f"ATS not fastest at {LEAF_COUNTS[i]} leaves vs {other}"
-            )
-    # LRS beats BTREE when there are many leaves.
-    assert series["LRS"][-1][1] < series["BTREE"][-1][1]
-    # Every structure is slower with more leaves.
-    for name, points in series.items():
-        assert points[0][1] < points[-1][1], f"{name} not monotonic"
+def claims(series):
+    cost = {name: [c for _, c in points] for name, points in series.items()}
+    at = range(len(LEAF_COUNTS))
+    return [
+        tightest("fig17c.ats-cheapest",
+                 ((cost["ATS"][i], "<=", cost[other][i] * 1.05)
+                  for i in at for other in ("RMI", "BTREE", "LRS"))),
+        claim("fig17c.lrs-beats-btree-at-many-leaves", cost["LRS"][-1], "<",
+              cost["BTREE"][-1]),
+        tightest("fig17c.btree-most-expensive",
+                 ((cost["BTREE"][i], ">",
+                   max(c[i] for n, c in cost.items() if n != "BTREE"))
+                  for i in at)),
+        tightest("fig17c.cost-rises-with-leaves",
+                 ((c[0], "<", c[-1]) for c in cost.values())),
+        tightest("fig17c.dev-ats-within-5pct-of-rmi",
+                 ((abs(cost["ATS"][i] / cost["RMI"][i] - 1), "<", 0.05)
+                  for i in at)),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_fig17c()
-    write_result("fig17c_structures", table)
+    raise SystemExit(run_bench(__name__))

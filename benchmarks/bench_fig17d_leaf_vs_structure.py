@@ -10,9 +10,9 @@ that both coordinates are small simultaneously.
 
 import random
 
-from _common import SMALL_N, dataset, run_once
+from _common import SMALL_N, dataset
 from bench_fig17a_approximation import leaf_query_cost_ns
-from repro.bench import format_table, write_result
+from repro.bench import claim, format_table, run_bench
 from repro.core.approximation import (
     LSAApproximator,
     LSAGapApproximator,
@@ -59,7 +59,7 @@ DECOMPOSITION = {
 }
 
 
-def run_fig17d():
+def run():
     keys = list(dataset("ycsb", SMALL_N))
     rng = random.Random(19)
     probes = rng.sample(keys, N_PROBES)
@@ -94,17 +94,22 @@ def run_fig17d():
         rows,
         title="Fig 17(d) — structure cost vs leaf cost per learned index",
     )
-    return table, points
+    return {"fig17d_leaf_vs_structure": table}, points
 
 
-def test_fig17d(benchmark):
-    table, points = run_once(benchmark, run_fig17d)
-    write_result("fig17d_leaf_vs_structure", table)
-    # ALEX has the lowest combined cost (bottom-left of the scatter).
-    totals = {n: s + l for n, (s, l) in points.items()}
-    assert totals["ALEX"] == min(totals.values())
+def claims(points):
+    structure = {n: s for n, (s, _) in points.items() if n != "ALEX"}
+    leaf = {n: l for n, (_, l) in points.items() if n != "ALEX"}
+    alex_structure, alex_leaf = points["ALEX"]
+    return [
+        claim("fig17d.alex-lowest-total", alex_structure + alex_leaf, "<=",
+              min(structure[n] + leaf[n] for n in structure)),
+        claim("fig17d.alex-lowest-structure", alex_structure, "<",
+              min(structure.values())),
+        claim("fig17d.dev-alex-leaf-not-lowest", alex_leaf, ">",
+              min(leaf.values())),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_fig17d()
-    write_result("fig17d_leaf_vs_structure", table)
+    raise SystemExit(run_bench(__name__))

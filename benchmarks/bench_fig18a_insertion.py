@@ -7,8 +7,8 @@ is the fastest and its reserved space is "automatically generated".
 
 import random
 
-from _common import SMALL_N, dataset, run_once
-from repro.bench import format_table, write_result
+from _common import SMALL_N, dataset
+from repro.bench import claim, format_table, run_bench, tightest
 from repro.core.approximation.lsa_gap import GappedSegment
 from repro.core.insertion import BufferedLeaf, GappedLeaf, InplaceLeaf, InsertResult
 from repro.core.insertion.strategies import fit_dense_model
@@ -31,7 +31,7 @@ def _measure_inserts(leaf, perf, insert_keys):
     return perf.end(mark).time_ns / count, count
 
 
-def run_fig18a():
+def run():
     all_keys = list(dataset("ycsb", SMALL_N))
     rng = random.Random(20)
     base = sorted(rng.sample(all_keys, BASE_KEYS))
@@ -68,24 +68,21 @@ def run_fig18a():
         rows,
         title="Fig 18(a) — insertion strategy cost vs reserved space",
     )
-    return table, series
+    return {"fig18a_insertion": table}, series
 
 
-def test_fig18a(benchmark):
-    table, series = run_once(benchmark, run_fig18a)
-    write_result("fig18a_insertion", table)
-    gap = series["ALEX-gap"][0]
-    # ALEX-gap beats both strategies at every reserve size.
-    for name in ("Inplace", "Buffer"):
-        for cost in series[name]:
-            assert gap < cost, f"ALEX-gap not cheaper than {name}"
-    # Inplace is the worst strategy at every reserve size.
-    for inp, buf in zip(series["Inplace"], series["Buffer"]):
-        assert inp > buf
-    # Bigger reserve hurts the inplace strategy.
-    assert series["Inplace"][-1] > series["Inplace"][0]
+def claims(series):
+    inplace, buffer = series["Inplace"], series["Buffer"]
+    return [
+        claim("fig18a.gap-cheapest", series["ALEX-gap"][0], "<",
+              min(inplace + buffer)),
+        tightest("fig18a.inplace-worst",
+                 ((inp, ">", buf) for inp, buf in zip(inplace, buffer))),
+        claim("fig18a.inplace-worse-with-reserve", inplace[-1], ">",
+              inplace[0]),
+        claim("fig18a.buffer-worse-with-reserve", buffer[-1], ">", buffer[0]),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_fig18a()
-    write_result("fig18a_insertion", table)
+    raise SystemExit(run_bench(__name__))

@@ -9,9 +9,9 @@ Paper shape (summarised in §IV-E):
 * FITing-tree retrains often and accumulates the longest total time.
 """
 
-from _common import SMALL_N, dataset, run_once
+from _common import SMALL_N, dataset
 from repro import ALEXIndex, DynamicPGMIndex, FITingTree, PerfContext
-from repro.bench import format_table, write_result
+from repro.bench import claim, format_table, run_bench
 from repro.workloads.ycsb import split_load_and_inserts
 
 #: FITing-tree is configured at its intended node scale for the
@@ -33,7 +33,7 @@ def _retrain_stats(index):
     return index.retraining.stats
 
 
-def run_fig18b():
+def run():
     keys = dataset("ycsb", SMALL_N)
     load, inserts = split_load_and_inserts(keys, 0.5, seed=21)
     rows = []
@@ -72,23 +72,31 @@ def run_fig18b():
         rows,
         title=f"Fig 18(b) — retraining over {SMALL_N // 2} inserts",
     )
-    return table, metrics
+    return {"fig18b_retraining": table}, metrics
 
 
-def test_fig18b(benchmark):
-    table, metrics = run_once(benchmark, run_fig18b)
-    write_result("fig18b_retraining", table)
-    # ALEX retrains the least often.
-    assert metrics["ALEX"]["count"] < metrics["PGM"]["count"]
-    assert metrics["ALEX"]["count"] < metrics["FITing-tree"]["count"]
-    # PGM has the cheapest average retrain; ALEX the most expensive.
-    assert metrics["PGM"]["avg_ns"] < metrics["FITing-tree"]["avg_ns"]
-    assert metrics["ALEX"]["avg_ns"] > metrics["PGM"]["avg_ns"]
-    # ALEX has the smallest total retraining time.
-    assert metrics["ALEX"]["total_ns"] < metrics["PGM"]["total_ns"]
-    assert metrics["ALEX"]["total_ns"] < metrics["FITing-tree"]["total_ns"]
+def claims(metrics):
+    alex, pgm, fit = metrics["ALEX"], metrics["PGM"], metrics["FITing-tree"]
+    return [
+        claim("fig18b.alex-fewer-retrains-than-pgm", alex["count"], "<",
+              pgm["count"]),
+        claim("fig18b.alex-fewer-retrains-than-fiting", alex["count"], "<",
+              fit["count"]),
+        claim("fig18b.pgm-most-retrains", pgm["count"], ">", fit["count"]),
+        claim("fig18b.pgm-avg-below-fiting", pgm["avg_ns"], "<",
+              fit["avg_ns"]),
+        claim("fig18b.alex-avg-above-pgm", alex["avg_ns"], ">", pgm["avg_ns"]),
+        # The paper has ALEX's average retrain the longest.
+        claim("fig18b.dev-alex-avg-below-fiting", alex["avg_ns"], "<",
+              fit["avg_ns"]),
+        claim("fig18b.alex-total-below-pgm", alex["total_ns"], "<",
+              pgm["total_ns"]),
+        claim("fig18b.alex-total-below-fiting", alex["total_ns"], "<",
+              fit["total_ns"]),
+        claim("fig18b.pgm-total-below-fiting", pgm["total_ns"], "<",
+              fit["total_ns"]),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_fig18b()
-    write_result("fig18b_retraining", table)
+    raise SystemExit(run_bench(__name__))

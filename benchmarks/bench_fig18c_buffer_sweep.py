@@ -5,15 +5,15 @@ decreases ... the average retraining time increases while the total time
 decreases".
 """
 
-from _common import SMALL_N, dataset, run_once
+from _common import SMALL_N, dataset
 from repro import FITingTree, PerfContext
-from repro.bench import format_table, write_result
+from repro.bench import claim, fact, format_table, run_bench
 from repro.workloads.ycsb import split_load_and_inserts
 
 RESERVES = (128, 256, 512, 1024)
 
 
-def run_fig18c():
+def run():
     keys = dataset("ycsb", SMALL_N)
     load, inserts = split_load_and_inserts(keys, 0.5, seed=22)
     rows = []
@@ -48,21 +48,20 @@ def run_fig18c():
         rows,
         title=f"Fig 18(c) — buffer reserve sweep over {len(inserts)} inserts",
     )
-    return table, metrics
+    return {"fig18c_buffer_sweep": table}, metrics
 
 
-def test_fig18c(benchmark):
-    table, metrics = run_once(benchmark, run_fig18c)
-    write_result("fig18c_buffer_sweep", table)
-    counts = [m["count"] for m in metrics]
-    avgs = [m["avg_ns"] for m in metrics]
-    totals = [m["total_ns"] for m in metrics]
-    # More reserve => fewer retrains, each bigger, lower total.
-    assert counts == sorted(counts, reverse=True)
-    assert avgs == sorted(avgs)
-    assert totals[-1] < totals[0]
+def claims(metrics):
+    counts, avgs, totals = (
+        [m[k] for m in metrics] for k in ("count", "avg_ns", "total_ns")
+    )
+    return [
+        fact("fig18c.retrains-fall-with-reserve",
+             counts == sorted(counts, reverse=True)),
+        fact("fig18c.avg-retrain-rises-with-reserve", avgs == sorted(avgs)),
+        claim("fig18c.total-falls-with-reserve", totals[-1], "<", totals[0]),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_fig18c()
-    write_result("fig18c_buffer_sweep", table)
+    raise SystemExit(run_bench(__name__))

@@ -5,9 +5,9 @@ FITing-tree-buf.  The PGM has a shorter total time.  The shortest total
 time is ALEX."
 """
 
-from _common import LARGE_N, dataset, run_once
+from _common import LARGE_N, dataset
 from repro import ALEXIndex, DynamicPGMIndex, FITingTree, PerfContext
-from repro.bench import format_table, write_result
+from repro.bench import claim, format_table, run_bench
 from repro.workloads.ycsb import split_load_and_inserts
 
 CANDIDATES = {
@@ -22,7 +22,7 @@ CANDIDATES = {
 }
 
 
-def run_fig18d():
+def run():
     # The larger size: PGM's LSM merge cost grows with log(n) while
     # ALEX's per-insert retrain cost shrinks as nodes grow, so the
     # paper's ALEX-shortest ordering needs enough insert volume to show.
@@ -57,17 +57,18 @@ def run_fig18d():
         rows,
         title=f"Fig 18(d) — total update time over {len(inserts)} inserts",
     )
-    return table, totals
+    return {"fig18d_total_update": table}, totals
 
 
-def test_fig18d(benchmark):
-    table, totals = run_once(benchmark, run_fig18d)
-    write_result("fig18d_total_update", table)
-    assert totals["ALEX"] < totals["PGM"]
-    assert totals["PGM"] < totals["FITing-tree-buf"]
-    assert totals["FITing-tree-buf"] < totals["FITing-tree-inp"]
+def claims(totals):
+    alex, pgm = totals["ALEX"], totals["PGM"]
+    buf, inp = totals["FITing-tree-buf"], totals["FITing-tree-inp"]
+    return [
+        claim("fig18d.alex-below-pgm", alex, "<", pgm),
+        claim("fig18d.pgm-below-buf", pgm, "<", buf),
+        claim("fig18d.buf-below-inp", buf, "<", inp),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_fig18d()
-    write_result("fig18d_total_update", table)
+    raise SystemExit(run_bench(__name__))

@@ -177,30 +177,6 @@ def run(scale: dict) -> dict:
     }
 
 
-def run_scan_micro():
-    """Zero-arg entry point for ``run_all.py``: quick scale, one table."""
-    from repro.bench import format_table
-
-    report = run(QUICK)
-    rows = [
-        [
-            row["name"],
-            f"{row['scan_ops_s']:,.0f}",
-            f"{row['scan_many_ops_s']:,.0f}",
-            f"{row['scan_speedup']:.1f}x",
-            f"{row['ycsbe_batch_speedup']:.1f}x"
-            if row["ycsbe_batch_speedup"]
-            else "-",
-        ]
-        for row in report["indexes"].values()
-    ]
-    return format_table(
-        ["index", "scan op/s", "scan_many op/s", "speedup", "YCSB-E batched"],
-        rows,
-        title="Scan micro-bench — scalar vs vectorized (wall clock, quick scale)",
-    )
-
-
 def _check(report: dict, full_scale: bool) -> list:
     """Failures; empty when every gate holds."""
     bad = []

@@ -4,7 +4,6 @@ Regenerated directly from each implementation's ``capabilities()``, so the
 matrix can never drift from the code.
 """
 
-from _common import run_once
 from repro import (
     ALEXIndex,
     DynamicPGMIndex,
@@ -13,7 +12,7 @@ from repro import (
     RadixSplineIndex,
     XIndexIndex,
 )
-from repro.bench import format_table, write_result
+from repro.bench import fact, format_table, run_bench
 
 ROW_ORDER = [
     ("RMI", RMIIndex),
@@ -25,7 +24,7 @@ ROW_ORDER = [
 ]
 
 
-def run_table1():
+def run():
     rows = []
     caps = {}
     for name, cls in ROW_ORDER:
@@ -57,22 +56,22 @@ def run_table1():
         rows,
         title="Table I — technology comparison of learned indexes",
     )
-    return table, caps
+    return {"table1_capabilities": table}, caps
 
 
-def test_table1(benchmark):
-    table, caps = run_once(benchmark, run_table1)
-    write_result("table1_capabilities", table)
-    # The paper's Table I facts.
-    assert not caps["RMI"].updatable and not caps["RS"].updatable
-    assert caps["FITing-tree"].bounded_error
-    assert caps["PGM-Index"].bounded_error
-    assert not caps["ALEX"].bounded_error
-    assert not caps["XIndex"].bounded_error
-    only_concurrent = [n for n, c in caps.items() if c.concurrent_write]
-    assert only_concurrent == ["XIndex"]
+def claims(caps):
+    conc = [n for n, c in caps.items() if c.concurrent_write]
+    return [
+        fact("table1.rmi-rs-read-only",
+             not caps["RMI"].updatable and not caps["RS"].updatable),
+        fact("table1.fiting-bounded-error", caps["FITing-tree"].bounded_error),
+        fact("table1.pgm-bounded-error", caps["PGM-Index"].bounded_error),
+        fact("table1.alex-unfixed-error", not caps["ALEX"].bounded_error),
+        fact("table1.xindex-unfixed-error", not caps["XIndex"].bounded_error),
+        fact("table1.rmi-unfixed-error", not caps["RMI"].bounded_error),
+        fact("table1.only-xindex-concurrent-write", conc == ["XIndex"]),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_table1()
-    write_result("table1_capabilities", table)
+    raise SystemExit(run_bench(__name__))

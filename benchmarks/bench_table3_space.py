@@ -7,8 +7,8 @@ totals converge — "the space advantage of learned indexes is not
 significant in many practical environments".
 """
 
-from _common import READ_CASE, SMALL_N, dataset, loaded_store, run_once
-from repro.bench import format_table, write_result
+from _common import READ_CASE, SMALL_N, dataset, loaded_store
+from repro.bench import claim, format_table, run_bench
 
 
 def _fmt(n_bytes):
@@ -17,7 +17,7 @@ def _fmt(n_bytes):
     return f"{n_bytes / 1024:.2f}KB"
 
 
-def run_table3():
+def run():
     keys = dataset("ycsb", SMALL_N)
     rows = []
     overheads = {}
@@ -33,31 +33,28 @@ def run_table3():
         rows,
         title=f"Table III — space overhead ({SMALL_N} records of 208B)",
     )
-    return table, overheads
+    return {"table3_space": table}, overheads
 
 
-def test_table3(benchmark):
-    table, overheads = run_once(benchmark, run_table3)
-    write_result("table3_space", table)
-    # ALEX has the smallest index structure of all (paper: 129KB).
-    smallest = min(overheads, key=lambda n: overheads[n]["index"])
-    assert smallest == "ALEX"
-    # PLA-based learned structures are far below the B+tree's inner nodes.
-    btree = overheads["BTree"]["index"]
-    for learned in ("PGM", "RS", "FITing-tree"):
-        assert overheads[learned]["index"] < btree / 4
-    # ALEX's gaps and XIndex's buffers inflate the index+key scenario
-    # (paper: 4.6GB / 4.8GB against 3.2-3.4GB for the rest).
-    for padded in ("ALEX", "XIndex"):
-        assert (
-            overheads[padded]["index+key"]
-            > overheads["PGM"]["index+key"] * 1.2
-        )
-    # In the in-memory-database scenario the sizes are basically the same.
-    kv_sizes = [o["index+kv"] for o in overheads.values()]
-    assert max(kv_sizes) < min(kv_sizes) * 1.3
+def claims(overheads):
+    index = {n: o["index"] for n, o in overheads.items()}
+    key = {n: o["index+key"] for n, o in overheads.items()}
+    kv = [o["index+kv"] for o in overheads.values()]
+    btree = index["BTree"]
+    return [
+        claim("table3.alex-smallest-index", index["ALEX"], "<",
+              min(v for n, v in index.items() if n != "ALEX")),
+        claim("table3.pla-below-quarter-btree",
+              max(index[n] for n in ("PGM", "RS", "FITing-tree")), "<",
+              btree / 4),
+        claim("table3.gaps-and-buffers-inflate-index-key",
+              min(key["ALEX"], key["XIndex"]), ">", key["PGM"] * 1.2),
+        claim("table3.index-kv-converges", max(kv), "<", min(kv) * 1.3),
+        # n/32 second-stage models keep RMI's structure near the B+tree's.
+        claim("table3.dev-rmi-not-below-quarter-btree", index["RMI"], ">=",
+              btree / 4),
+    ]
 
 
 if __name__ == "__main__":
-    table, _ = run_table3()
-    write_result("table3_space", table)
+    raise SystemExit(run_bench(__name__))

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Run every benchmark module standalone and print all paper tables.
-
-Equivalent to ``pytest benchmarks/ --benchmark-only`` minus the assertion
-layer — useful for eyeballing all results in one stream.
+"""Run every deterministic benchmark module: write all paper tables and
+claims files, and exit non-zero if any claim fails.
 
 Usage:  python benchmarks/run_all.py [--only fig10,fig17a,...] [--jobs N]
 
-``--jobs N`` fans the experiment modules out over N worker processes.
+Each module runs through :func:`repro.bench.run_bench`, the driver its
+own ``__main__`` calls, so its tables and ``results/<stem>_claims.txt``
+are the same whichever way it ran.
+
+``--jobs N`` fans the modules out over N worker processes.
 Processes, not threads: the experiments are pure CPython, so the GIL
 would serialise a thread pool — see the ``Mops/s (proc)`` and
 ``Mops/s (GIL thr)`` columns of Figs 12 and 14.
@@ -16,96 +18,47 @@ worker finishes first.
 
 import argparse
 import contextlib
-import importlib
+import glob
 import io
 import os
 import sys
 import time
+from functools import partial
 
-MODULES = [
-    "bench_table1_capabilities",
-    "bench_table2_depth",
-    "bench_table3_space",
-    "bench_fig10_readonly",
-    "bench_fig11_face",
-    "bench_fig12_multithread_read",
-    "bench_fig13_writeonly",
-    "bench_fig14_multithread_write",
-    "bench_concurrency",
-    "bench_parallel",
-    "bench_fig15_mixed",
-    "bench_fig16_recovery",
-    "bench_fig17a_approximation",
-    "bench_fig17b_error_vs_leaves",
-    "bench_fig17c_structures",
-    "bench_fig17d_leaf_vs_structure",
-    "bench_fig18a_insertion",
-    "bench_fig18b_retraining",
-    "bench_fig18c_buffer_sweep",
-    "bench_fig18d_total_update",
-    "bench_appendix_range",
-    "bench_scan",
-    "bench_ext_lipp",
-    "bench_ext_apex",
-    "bench_ext_hot_ats",
-    "bench_ablation_approximation",
-    "bench_ablation_alex_density",
-    "bench_ablation_cost_model",
-    "bench_ablation_tuning",
-    "bench_ablation_sequential",
-]
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
-#: module -> list of (runner attr, result name) pairs; default discovery
-#: finds the single ``run_*`` function and ``write_result`` call.
+#: Wall-clock benches: they keep their own mains and ``--check`` gates.
+WALL_CLOCK = ("bench_micro", "bench_parallel", "bench_recovery", "bench_scan")
+
+#: Every other ``bench_*.py`` module, so a new figure is run and gated.
+MODULES = sorted(
+    name
+    for name in (
+        os.path.basename(path)[:-3]
+        for path in glob.glob(os.path.join(BENCH_DIR, "bench_*.py"))
+    )
+    if name not in WALL_CLOCK
+)
 
 
-def _execute_module(module_name: str) -> int:
-    """Import one module, run its ``run_*`` functions, print the tables."""
-    module = importlib.import_module(module_name)
-    runners = [
-        getattr(module, attr)
-        for attr in dir(module)
-        if attr.startswith("run_")
-        and callable(getattr(module, attr))
-        # only runners defined in the module itself (not the shared
-        # run_once helper imported from _common).
-        and getattr(getattr(module, attr), "__module__", "") == module_name
-    ]
-    ran = 0
-    for runner in runners:
-        start = time.time()
-        print(f"\n##### {module_name}.{runner.__name__} " + "#" * 20)
-        try:
-            result = runner()
-        except TypeError:
-            # runners with a required arg (fig10's dataset) get both.
-            for ds in ("ycsb", "osm"):
-                table, _ = runner(ds)
-                print(table)
-            ran += 1
-            continue
-        if isinstance(result, tuple):
-            print(result[0])
-        else:
-            print(result)
-        print(f"[{time.time() - start:.1f}s wall]")
-        ran += 1
-    return ran
-
-
-def _execute_module_captured(module_name: str):
-    """Worker-process entry: run a module with stdout captured.
+def run_module(module_name: str, capture: bool = False):
+    """Run one module through the driver: ``(captured output, exit code)``.
 
     Top-level (picklable) and self-sufficient: it repairs ``sys.path``
     because a spawned worker does not inherit the parent's insert.
+    Worker processes capture their output so modules never interleave.
     """
-    bench_dir = os.path.dirname(os.path.abspath(__file__))
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        ran = _execute_module(module_name)
-    return module_name, buffer.getvalue(), ran
+    if BENCH_DIR not in sys.path:
+        sys.path.insert(0, BENCH_DIR)
+    from repro.bench import run_bench
+
+    start = time.time()
+    out = io.StringIO() if capture else sys.stdout
+    with contextlib.redirect_stdout(out):
+        print(f"\n##### {module_name} " + "#" * 20)
+        code = run_bench(module_name, [])
+        print(f"[{module_name}: {time.time() - start:.1f}s wall]")
+    return out.getvalue() if capture else "", code
 
 
 def main() -> int:
@@ -126,25 +79,29 @@ def main() -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, BENCH_DIR)
+    from _common import pool_map
+
     selected = [
         m for m in MODULES if not wanted or any(w in m for w in wanted)
     ]
-    ran = 0
+    if not selected:
+        parser.error(f"--only {args.only!r} matches no module")
     t0 = time.time()
-    if args.jobs > 1 and len(selected) > 1:
-        from _common import pool_map
-
-        for _name, output, count in pool_map(
-            _execute_module_captured, selected, args.jobs
-        ):
-            sys.stdout.write(output)
-            ran += count
-    else:
-        for module_name in selected:
-            ran += _execute_module(module_name)
-    print(f"\n{ran} experiments in {time.time() - t0:.0f}s wall clock.")
-    return 0 if ran else 1
+    outcomes = pool_map(
+        partial(run_module, capture=args.jobs > 1), selected, args.jobs
+    )
+    failed = []
+    for name, (output, code) in zip(selected, outcomes):
+        sys.stdout.write(output)
+        if code:
+            failed.append(name)
+    print(
+        f"\n{len(selected)} modules in {time.time() - t0:.0f}s wall clock; "
+        + (f"claims FAIL in: {', '.join(failed)}" if failed else
+           "every claim holds.")
+    )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

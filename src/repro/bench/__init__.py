@@ -6,8 +6,9 @@
   histograms into a metrics registry, plus build/recovery measurement
   and the multi-thread scaling model.
 * :mod:`repro.bench.metrics` — result records (throughput, tail latency).
-* :mod:`repro.bench.report` — fixed-width table rendering and result-file
-  output used by every ``benchmarks/bench_*`` module.
+* :mod:`repro.bench.report` — fixed-width table rendering, result-file
+  output, and the paper-claim driver (:func:`run_bench`) every
+  ``benchmarks/bench_*`` figure module runs through.
 """
 
 from repro.bench.metrics import BenchResult
@@ -21,7 +22,10 @@ from repro.bench.runner import (
     measure_build,
     thread_scaling,
 )
-from repro.bench.report import format_bars, format_table, write_result
+from repro.bench.report import (
+    Claim, claim, fact, format_bars, format_table, run_bench, tightest,
+    write_result,
+)
 
 __all__ = [
     "BenchResult",
@@ -36,4 +40,5 @@ __all__ = [
     "format_table",
     "format_bars",
     "write_result",
+    "Claim", "claim", "fact", "tightest", "run_bench",
 ]

@@ -1136,9 +1136,12 @@ class _ParallelEngine:
         ``(worker, remaining)`` so every round ships one command per
         group and capacity chunk, one per worker at a time.  The
         per-worker call multiset equals sequential scalar ``scan``
-        calls, so simulated charges match bit-for-bit.
+        calls, so simulated charges match bit-for-bit.  A count of 0 or
+        less answers ``[]`` per start without a round trip.
         """
         self._ensure_live()
+        if count <= 0:
+            return [[] for _ in starts]
         starts = list(starts)
         req = self._req_span("scan_many", ops=len(starts), count=count)
         results: List[List[Tuple[int, Any]]] = [[] for _ in starts]

@@ -202,6 +202,20 @@ def test_sharded_store_scan_many_matches_scalar(shards):
             _assert_parity(store, perf, starts, count, f"store x{shards}")
 
 
+def test_engine_scan_of_no_records_makes_no_round_trip():
+    """A scan of count 0 or less answers ``[]`` before any shard is
+    called: no worker op is counted."""
+    with parallel_sharded_store(
+        "BTree", 2, perf=PerfContext(), transport="loopback"
+    ) as store:
+        store.bulk_load([(k, k) for k in range(10, 100, 10)])
+        before = list(store.worker_ops)
+        assert store.scan(15, 0) == []
+        assert store.scan(15, -3) == []
+        assert store.scan_many([15, 60], 0) == [[], []]
+        assert store.worker_ops == before
+
+
 # ------------------------------------------------------------ parallel
 
 
