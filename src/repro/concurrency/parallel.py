@@ -992,14 +992,13 @@ class _ParallelEngine:
     # -- scalar calls --------------------------------------------------
 
     def _call(
-        self, w: int, method: str, args: tuple = (), mutate: bool = False,
-        ops: int = 1,
+        self, w: int, method: str, args: tuple = (), mutate: bool = False
     ):
         """Run ``method(*args)`` on worker ``w``'s shard."""
         self._ensure_live()
         req = self._req_span(method, worker=w)
         (reply,) = self._fan_out(
-            [(w, Command("call", args, method), ops)], req, mutate
+            [(w, Command("call", args, method), 1)], req, mutate
         )
         self._finish(req)
         if isinstance(reply, ShardUnavailableError):
@@ -1015,6 +1014,13 @@ class _ParallelEngine:
         return self._call(
             self.router.shard_of(key), method, (key, *rest), mutate
         )
+
+    def _write(self, method: str, key: int, value: Any):
+        """A key write (insert, upsert, update or put) on the shard owning
+        ``key``; a key outside uint64 is refused before any shard sees
+        the call."""
+        check_uint64(key)
+        return self._keyed(method, key, value, mutate=True)
 
     def _broadcast(self, cmd: Sequence) -> List[Any]:
         """Run ``cmd`` (a :class:`Command`, or a tuple of its leading
@@ -1068,10 +1074,14 @@ class _ParallelEngine:
 
         Reads on an out-of-service shard answer ``None``; writes on one
         raise :class:`ShardUnavailableError` once the surviving shards
-        have been applied.
+        have been applied.  A write batch holding a key outside uint64 is
+        refused whole before the first chunk ships, so no shard applies
+        its part of it.
         """
         self._ensure_live()
         entries = list(entries)
+        if mode is not None:
+            check_uint64_items(entries)
         op = "get_many" if mode is None else "write_many"
         want = mode in (None, "upsert")
         req = self._req_span(
@@ -1202,9 +1212,12 @@ class _ParallelEngine:
         """Ship each worker its range partition, then build in parallel.
 
         ``items`` arrive sorted ascending by unique key (the ``bulk_load``
-        contract), so partitioning is a boundary cut, not a scatter.
+        contract), so partitioning is a boundary cut, not a scatter.  A
+        key outside uint64 is refused before the router or any shard
+        changes.
         """
         self._ensure_live()
+        check_uint64_items(items)
         if any(self._down):
             down = [w for w, d in enumerate(self._down) if d]
             raise ShardUnavailableError(
@@ -1365,13 +1378,13 @@ class ParallelShardedIndex(_ParallelEngine, Index):
 
     # writes
     def insert(self, key: int, value: Any) -> None:
-        self._keyed("insert", key, value, mutate=True)
+        self._write("insert", key, value)
 
     def insert_many(self, items: Sequence[Tuple[int, Any]]) -> None:
         self._batch(items, "insert")
 
     def upsert(self, key: int, value: Any) -> Optional[Any]:
-        return self._keyed("upsert", key, value, mutate=True)
+        return self._write("upsert", key, value)
 
     def upsert_many(
         self, items: Sequence[Tuple[int, Any]]
@@ -1379,7 +1392,7 @@ class ParallelShardedIndex(_ParallelEngine, Index):
         return self._batch(items, "upsert")
 
     def update(self, key: int, value: Any) -> bool:
-        return self._keyed("update", key, value, mutate=True)
+        return self._write("update", key, value)
 
     def delete(self, key: int) -> bool:
         return self._keyed("delete", key, mutate=True)
@@ -1452,12 +1465,7 @@ class ParallelShardedStore(_ParallelEngine):
 
     # -- operations ---------------------------------------------------
 
-    # A write's keys are checked here, before any shard sees the call,
-    # so a refused batch changes no shard (each shard's store would
-    # refuse only its own part).
-
     def bulk_load(self, items: Sequence[Tuple[int, Any]]) -> None:
-        check_uint64_items(items)
         self._bulk_load(items)
 
     def get(self, key: int) -> Optional[Any]:
@@ -1467,15 +1475,13 @@ class ParallelShardedStore(_ParallelEngine):
         return self._batch(keys)
 
     def put(self, key: int, value: Any) -> None:
-        check_uint64(key)
-        self._keyed("put", key, value, mutate=True)
+        self._write("put", key, value)
 
     def put_many(self, items: Sequence[Tuple[int, Any]]) -> None:
-        check_uint64_items(items)
         self._batch(items, "put")
 
     def update(self, key: int, value: Any) -> bool:
-        return self._keyed("update", key, value, mutate=True)
+        return self._write("update", key, value)
 
     def delete(self, key: int) -> bool:
         return self._keyed("delete", key, mutate=True)
@@ -1488,19 +1494,6 @@ class ParallelShardedStore(_ParallelEngine):
         self, starts: Sequence[int], count: int
     ) -> List[List[Tuple[int, Any]]]:
         return self._scan_many(starts, count)
-
-    def gc(self) -> int:
-        # Per-worker mutating calls (not a broadcast): gc changes store
-        # state, so it must be journaled for post-recovery replay and
-        # must skip out-of-service shards.
-        total = 0
-        for w in range(self.workers):
-            if self._down[w]:
-                continue
-            reclaimed = self._call(w, "gc", mutate=True, ops=0)
-            if reclaimed:
-                total += reclaimed
-        return total
 
     def __contains__(self, key: int) -> bool:
         return self._keyed("contains", key)

@@ -12,7 +12,9 @@ under ``tests/oracles/``.
 
 Inputs numpy cannot hold exactly (floats, negatives, keys past 2^64)
 convert to ``None``: LSA and LSA-gap then run their loops, while
-Greedy-PLA and the gapped leaf raise ``InvalidKeysError``.
+Greedy-PLA raises ``InvalidKeysError``.  An index never hands them such
+keys: its writes refuse them first (``check_uint64``), and a batch that
+converts is itself the proof that every key is uint64.
 """
 
 from __future__ import annotations

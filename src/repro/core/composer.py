@@ -34,9 +34,9 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_items,
-    check_key,
     check_sorted_unique,
+    check_uint64,
+    check_uint64_items,
 )
 from repro.core.retraining.base import RetrainPolicy
 from repro.core.structures.base import InternalStructure
@@ -217,7 +217,7 @@ class ComposedIndex(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
         if not self.leaves:
             self.leaves = [
                 self.insertion.make_leaf([key], [value], None, self.perf)
@@ -243,7 +243,7 @@ class ComposedIndex(UpdatableIndex):
         """Single-descent insert-or-overwrite: one structure lookup plus
         one in-leaf rank search resolves both the old value and the write
         target (the default would probe and then insert — two descents)."""
-        check_key(key)
+        check_uint64(key)
         if not self.leaves:
             self.insert(key, value)
             return None
@@ -263,13 +263,11 @@ class ComposedIndex(UpdatableIndex):
 
     def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
         # Per-key leaf inserts: a FINEdex leaf has no one-search upsert.
-        check_items(items)
         self._write_many(items, self.insert, _leaf_insert)
 
     def upsert_many(
         self, items: Sequence[Tuple[Key, Value]]
     ) -> List[Optional[Value]]:
-        check_items(items)
         return self._write_many(items, self.upsert, _leaf_upsert)
 
     def _write_many(self, items, write, leaf_write) -> List[Optional[Value]]:
@@ -278,22 +276,27 @@ class ComposedIndex(UpdatableIndex):
 
         Mirrors ``get_many``: the keys are converted to ``uint64`` once,
         argsorted stably (so the later of two equal keys wins) and routed
-        through ``InternalStructure.lookup_many``.  Each same-leaf run is
-        offered to ``Leaf.insert_batch`` as its key and value slices; a
-        declined run takes ``leaf_write`` per key.  A leaf reporting FULL
-        hands its key to ``write``, the index-level write that retrains,
-        and the rest is re-routed, since retraining changes the leaves.
+        through ``InternalStructure.lookup_many``.  The conversion is the
+        key check: a batch ``as_u64`` refuses holds a key outside uint64,
+        and ``check_uint64_items`` raises on it before anything is
+        written.  Each same-leaf run is offered to ``Leaf.insert_batch``
+        as its key and value slices; a declined run takes ``leaf_write``
+        per key.  A leaf reporting FULL hands its key to ``write``, the
+        index-level write that retrains, and the rest is re-routed, since
+        retraining changes the leaves.
         """
-        n = len(items)
-        if not n:
+        if not items:
             return []
-        if not self.leaves:
-            return [write(*items[0])] + self._write_many(
-                items[1:], write, leaf_write
-            )
         qs = _vec.as_u64([k for k, _ in items])
         if qs is None:
-            return [write(key, value) for key, value in items]
+            check_uint64_items(items)  # as_u64 refused a key: this raises
+        head: List[Optional[Value]] = []
+        if not self.leaves:
+            head = [write(*items[0])]
+            items, qs = items[1:], qs[1:]
+            if not items:
+                return head
+        n = len(items)
         np = _vec.np
         order = np.argsort(qs, kind="stable")
         sorted_qs = qs[order]
@@ -333,7 +336,7 @@ class ComposedIndex(UpdatableIndex):
                 start = end
             if not rerouted:
                 break
-        return olds.tolist()
+        return head + olds.tolist()
 
     def delete(self, key: Key) -> bool:
         if not self.leaves:

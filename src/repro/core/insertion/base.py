@@ -9,7 +9,6 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.core.approximation.vectorized as _vec
-from repro.errors import InvalidKeysError
 from repro.perf.context import PerfContext
 
 
@@ -102,16 +101,10 @@ class Leaf(ABC):
         """The live keys as a ``uint64`` array and their values as a 1-d
         object array, ascending: what ALEX's retrain rebuilds from.
 
-        The default converts :meth:`items`; keys that uint64 cannot hold
-        raise ``InvalidKeysError``.
+        The default converts :meth:`items`.
         """
         items = self.items()
         keys = _vec.as_u64([k for k, _ in items])
-        if keys is None:
-            raise InvalidKeysError(
-                f"{type(self).__name__}: keys must be integers in the "
-                "uint64 key space"
-            )
         return keys, object_array([v for _, v in items])
 
     @abstractmethod

@@ -31,9 +31,8 @@ list-backed leaf and its per-probe search are kept as a test oracle
 ``tests/test_batch_insert.py::TestGappedLeafEquivalence`` and
 ``tests/test_gapped_rank_oracle.py``.
 
-A key the ``uint64`` array cannot store as an equal value (negative,
->= 2^64, or not an integer) raises ``InvalidKeysError`` when the leaf is
-built or before an insert moves any slot.
+Every key reaches a leaf already checked at its index's write entry
+(``check_uint64``), so the ``uint64`` key array stores it exactly.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa_gap import GappedSegment
 from repro.core.insertion.base import InsertResult, Leaf, object_array
-from repro.core.interfaces import is_uint64, scan_start
-from repro.errors import InvalidConfigurationError, InvalidKeysError
+from repro.core.interfaces import scan_start
+from repro.errors import InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.perf.events import Event
 
@@ -114,11 +113,6 @@ class GappedLeaf(Leaf):
         np = _vec.np
         pos = segment.slot_pos
         compact = segment.keys_u64
-        if compact is None:
-            raise InvalidKeysError(
-                f"{type(self).__name__}: keys must be integers in the "
-                "uint64 key space"
-            )
         keys_np = np.zeros(self._slots, dtype=np.uint64)
         keys_np[pos] = compact
         slot_values = np.empty(self._slots, dtype=object)
@@ -443,14 +437,6 @@ class GappedLeaf(Leaf):
             old = values[r]
             values[r] = value
             return InsertResult.UPDATED, old
-        if not is_uint64(key):
-            # Checked before any slot moves: the uint64 key array would
-            # store a different value (or fail), and a failed store after
-            # a shift would leave a duplicated slot behind.
-            raise InvalidKeysError(
-                f"{type(self).__name__}: key {key!r} is not an integer in "
-                "the uint64 key space"
-            )
         if self.density() >= self.upper_density:
             return InsertResult.FULL, None
         if self._move_ema > self.MOVE_EMA_LIMIT:

@@ -3,6 +3,13 @@
 Keys are unsigned 64-bit integers (the paper uses 8-byte keys throughout);
 values are arbitrary Python objects — in the Viper store they are
 ``(page_id, slot)`` offsets into simulated persistent memory.
+
+Every write that stores a key or a value (``insert``, ``upsert``,
+``update``, the batch forms, and ``bulk_load`` through
+:func:`check_sorted_unique`) refuses a key outside uint64 with
+``InvalidKeysError`` before it changes anything.  ``delete`` stores
+nothing: like a lookup, it removes the stored key its argument equals
+(``delete(3.0)`` removes 3) and answers False when no stored key does.
 """
 
 from __future__ import annotations
@@ -43,8 +50,9 @@ def scan_start(start: Any) -> Optional[int]:
 def is_uint64(key: Any) -> bool:
     """Whether ``key`` equals a uint64 key: an integral number in [0, 2^64).
 
-    The one test for a key that an 8-byte key slot can store as an equal
-    value; NaN, infinities and non-numbers fail it.
+    The lookup-side test: a key that fails it (NaN, infinities, fractions,
+    non-numbers) equals no stored key, while an integral float such as
+    3.0 equals the stored 3.  Writes use :func:`check_uint64`.
     """
     try:
         return 0 <= key < KEY_LIMIT and int(key) == key
@@ -53,13 +61,18 @@ def is_uint64(key: Any) -> bool:
 
 
 def check_uint64(key: Any) -> None:
-    """Raise :class:`InvalidKeysError` unless :func:`is_uint64` accepts
-    ``key``.
+    """Raise :class:`InvalidKeysError` unless ``key`` is a storable key:
+    an ``int`` (not a ``bool``) in [0, 2^64), exactly what ``as_u64``
+    converts.
 
-    A store checks a write's keys with this before it allocates or
-    persists anything, so a refused call leaves no record behind.
+    Every write that stores a key or a value, in every index, store and
+    engine, runs this (or :func:`check_uint64_items`) before it changes
+    anything, so a refused call leaves the index, the device and every
+    shard as they were.  Lookups and deletes compare numerically instead
+    (see :func:`is_uint64`), so ``get(3.0)`` finds 3 and ``delete(3.0)``
+    removes it.
     """
-    if not is_uint64(key):
+    if type(key) is not int or not 0 <= key < KEY_LIMIT:
         raise InvalidKeysError(
             f"key {key!r} is not an integer in the uint64 key space"
         )
@@ -80,25 +93,6 @@ def check_uint64_items(items: Sequence[Tuple[Any, Any]]) -> None:
         return
     for key in keys:
         check_uint64(key)
-
-
-def check_key(key: Any) -> None:
-    """Raise :class:`InvalidKeysError` if ``key`` is NaN.
-
-    NaN compares false with every key, so no ordered structure can place
-    it and no lookup finds it again.  Every insert and upsert calls this
-    before it changes anything.
-    """
-    if key != key:
-        raise InvalidKeysError(
-            f"key {key!r} is NaN: it has no place in the key order"
-        )
-
-
-def check_items(items: Sequence[Tuple[Any, Any]]) -> None:
-    """:func:`check_key` on every key of a batch, before any is applied."""
-    for key, _ in items:
-        check_key(key)
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,7 @@ class Index(ABC):
         leaf-chain reuse) — see ``registry.has_native_batch_insert``.
         Read-only indexes raise ``UnsupportedOperationError``.
         """
-        check_items(items)
+        check_uint64_items(items)
         for key, value in items:
             self.insert(key, value)
 
@@ -205,7 +199,7 @@ class Index(ABC):
         one write, as in the paper's cost model, and so does an index
         whose insert of a present key stacks a copy (the LSM).
         """
-        check_key(key)
+        check_uint64(key)
         old = self.get(key)
         self.insert(key, value)
         return old
@@ -223,15 +217,17 @@ class Index(ABC):
         puts bill; ComposedIndex, BTree and DynamicPGMIndex override it
         with their batch write paths.
         """
-        check_items(items)
+        check_uint64_items(items)
         return [self.upsert(key, value) for key, value in items]
 
     def update(self, key: Key, value: Value) -> bool:
-        """Overwrite an existing key's value; return False if absent."""
+        """Overwrite an existing key's value; return False if absent.
+        An updatable index refuses a key outside uint64 first."""
         raise UnsupportedOperationError(f"{self.name} is read-only")
 
     def delete(self, key: Key) -> bool:
-        """Remove ``key``; return False if absent."""
+        """Remove the stored key ``key`` equals (``delete(3.0)`` removes
+        3); return False if no stored key does."""
         raise UnsupportedOperationError(f"{self.name} does not support delete")
 
     # -- metadata -----------------------------------------------------------
@@ -305,6 +301,7 @@ class UpdatableIndex(SortedIndex):
     def insert(self, key: Key, value: Value) -> None: ...
 
     def update(self, key: Key, value: Value) -> bool:
+        check_uint64(key)
         if self.get(key) is None:
             return False
         self.insert(key, value)
@@ -312,22 +309,29 @@ class UpdatableIndex(SortedIndex):
 
 
 def check_sorted_unique(items: Sequence[Tuple[Key, Value]]) -> None:
-    """Validate a bulk-load input; raises ``ValueError`` on violation."""
+    """Validate a bulk-load input before anything is built: a key outside
+    uint64 raises ``InvalidKeysError``, keys not strictly ascending raise
+    ``ValueError``.
+
+    A batch of 64 keys or more is converted once with ``as_u64``, and a
+    converted batch holds only uint64 keys, so the key check costs no
+    second pass.  A smaller batch, or one ``as_u64`` refused, is checked
+    key by key.
+    """
     n = len(items)
+    arr = None
     if n >= _vec.MIN_VECTOR_KEYS:
         arr = _vec.as_u64([k for k, _ in items])
-        if arr is not None:
-            ascending = arr[1:] > arr[:-1]
-            if bool(ascending.all()):
-                return
-            i = int(_vec.np.argmin(ascending)) + 1
-            raise ValueError(
-                f"bulk_load requires strictly ascending keys; items[{i - 1}]="
-                f"{items[i - 1][0]} >= items[{i}]={items[i][0]}"
-            )
-    for i in range(1, n):
-        if items[i - 1][0] >= items[i][0]:
-            raise ValueError(
-                f"bulk_load requires strictly ascending keys; items[{i - 1}]="
-                f"{items[i - 1][0]} >= items[{i}]={items[i][0]}"
-            )
+    if arr is None:
+        check_uint64_items(items)
+        bad = next(
+            (i for i in range(1, n) if items[i - 1][0] >= items[i][0]), 0
+        )
+    else:
+        ascending = arr[1:] > arr[:-1]
+        bad = 0 if ascending.all() else int(_vec.np.argmin(ascending)) + 1
+    if bad:
+        raise ValueError(
+            f"bulk_load requires strictly ascending keys; items[{bad - 1}]="
+            f"{items[bad - 1][0]} >= items[{bad}]={items[bad][0]}"
+        )

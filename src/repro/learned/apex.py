@@ -34,8 +34,8 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_key,
     check_sorted_unique,
+    check_uint64,
 )
 from repro.core.retraining.base import RetrainStats
 from repro.errors import InvalidConfigurationError
@@ -177,7 +177,7 @@ class APEXIndex(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
         if not self._nodes:
             self._append_node(_DataNode([key], [value], self.density))
             self._n = 1

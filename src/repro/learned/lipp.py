@@ -33,8 +33,8 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_key,
     check_sorted_unique,
+    check_uint64,
 )
 from repro.core.retraining.base import RetrainStats
 from repro.errors import InvalidConfigurationError
@@ -173,7 +173,7 @@ class LIPPIndex(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
         if self._root is None:
             self._root = self._build_subtree([key], [value], 0)
             self._n = 1

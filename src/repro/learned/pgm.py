@@ -26,9 +26,9 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_items,
-    check_key,
     check_sorted_unique,
+    check_uint64,
+    check_uint64_items,
 )
 from repro.core.retraining.base import RetrainStats
 from repro.core.search import (
@@ -407,7 +407,7 @@ class DynamicPGMIndex(UpdatableIndex):
         return out
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
         self._put(key, value)
 
     def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
@@ -422,7 +422,7 @@ class DynamicPGMIndex(UpdatableIndex):
         copies either way — while the event bill is the coarse aggregate
         of the one merge (see ``docs/performance.md``).
         """
-        check_items(items)
+        check_uint64_items(items)
         if len(items) <= 1:
             for key, value in items:
                 self._put(key, value)
@@ -444,7 +444,7 @@ class DynamicPGMIndex(UpdatableIndex):
         """Probe, then :meth:`update` a present key in place or stage a
         fresh one: an LSM insert of a present key would stack a shadowing
         copy of it."""
-        check_key(key)
+        check_uint64(key)
         old = self.get(key)
         if old is None:
             self._put(key, value)
@@ -460,7 +460,7 @@ class DynamicPGMIndex(UpdatableIndex):
         upsert does), and one :meth:`insert_many` of the fresh keys (the
         two key sets are disjoint).  A repeated key's old value is its
         predecessor's value."""
-        check_items(items)
+        check_uint64_items(items)
         existing = self.get_many([key for key, _ in items])
         olds: List[Optional[Value]] = []
         fresh: List[Tuple[Key, Value]] = []
@@ -481,6 +481,7 @@ class DynamicPGMIndex(UpdatableIndex):
         """In-place payload overwrite: a value update does not change the
         key set, so it must not grow the LSM (it would otherwise shadow
         the old version and bloat every future merge)."""
+        check_uint64(key)
         i = self._staged(key)
         if i >= 0:
             if self._buffer[i][1] is _TOMBSTONE:
@@ -493,9 +494,12 @@ class DynamicPGMIndex(UpdatableIndex):
         return False
 
     def delete(self, key: Key) -> bool:
+        """Stage a tombstone for the stored key ``key`` equals (so
+        ``delete(3.0)`` removes 3); a key no stored key equals is
+        absent, and nothing is staged."""
         if self.get(key) is None:
             return False
-        self._put(key, _TOMBSTONE)
+        self._put(int(key), _TOMBSTONE)
         return True
 
     # -- queries ----------------------------------------------------------

@@ -41,8 +41,6 @@ class EventType:
     BUFFER_FLUSH = "buffer_flush"
     #: Structural memory was allocated (nodes, pages, directory doubling).
     NODE_ALLOC = "node_alloc"
-    #: The NVM store reclaimed dead record slots.
-    NVM_GC = "nvm_gc"
     #: A refit model was rejected (error above threshold / insert
     #: pressure) and the node split instead of expanding.
     FIT_REJECT = "fit_reject"
@@ -71,7 +69,6 @@ class EventType:
         LEAF_MERGE,
         BUFFER_FLUSH,
         NODE_ALLOC,
-        NVM_GC,
         FIT_REJECT,
         LATCH_WAIT,
         RETRAIN_STALL,

@@ -231,12 +231,17 @@ class PMemDevice:
     #: Optane DIMMs), so one charged random-read covers this many blocks.
     SEQ_BLOCKS_PER_READ = 32
 
-    def scan_records(self) -> Iterator[Tuple[int, int, int, Any]]:
-        """Yield ``(page_id, slot, key, value)`` in write order.
+    def scan_slots(
+        self,
+    ) -> Iterator[Tuple[int, int, Optional[Tuple[int, Any]]]]:
+        """Yield ``(page_id, slot, record)`` for every slot in address
+        order; ``record`` is ``None`` for a free slot, one that is empty
+        or torn (its checksum fails: the record never committed).
 
         The recovery scan (Fig 16) is sequential, so it is charged at
         streaming bandwidth — one ``NVM_READ`` per
-        :attr:`SEQ_BLOCKS_PER_READ` blocks — rather than per random block.
+        :attr:`SEQ_BLOCKS_PER_READ` blocks of written records, torn ones
+        included — rather than per random block.
         """
         pending_blocks = 0
         for page_id, page in enumerate(self._pages):
@@ -247,24 +252,10 @@ class PMemDevice:
                         self.perf.charge(Event.NVM_READ)
                         pending_blocks -= self.SEQ_BLOCKS_PER_READ
                     if (page_id, slot) in self._torn:
-                        continue  # checksum fails: the record never committed
-                    yield page_id, slot, record[0], record[1]
+                        record = None
+                yield page_id, slot, record
         if pending_blocks:
             self.perf.charge(Event.NVM_READ)
-
-    def page_occupancy(self) -> Iterator[Tuple[int, int, List[int]]]:
-        """Yield ``(page_id, used, empty_slot_indices)`` per page.
-
-        A slot-bitmap walk, not a record read: charged one sequential
-        ``NVM_READ`` per page of metadata — what a GC pass pays to find
-        dead slots.
-        """
-        for page_id, page in enumerate(self._pages):
-            self.perf.charge(Event.NVM_READ)
-            empty = [
-                slot for slot, record in enumerate(page.slots) if record is None
-            ]
-            yield page_id, page.used, empty
 
     # -- accounting -----------------------------------------------------------
 

@@ -2,11 +2,13 @@
 
 Architecture (the paper's Fig 9): a volatile index lives entirely in DRAM
 and maps keys to ``(page, slot)`` offsets of records persisted in NVM
-VPages.  Puts append to the current page (or reuse a freed slot page),
-gets follow the index then read one record from NVM, updates write a new
-record and repoint the index.  On a crash the index is gone; recovery
-scans the device and rebuilds it — the cost compared across indexes in
-Fig 16.
+VPages.  A put writes its record to a free slot (one freed by an update
+or a delete, else the next slot of the open page), gets follow the index
+then read one record from NVM, and an update writes a new record,
+repoints the index and frees the old record's slot straight back to the
+allocator, so the device grows only with the live keys.  On a crash the
+index and the free list are gone; recovery scans the device and rebuilds
+both — the cost compared across indexes in Fig 16.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from repro.core.interfaces import (
     check_uint64_items,
 )
 from repro.errors import CrashedError, UnsupportedOperationError
-from repro.obs.trace import EventType
 from repro.perf.context import PerfContext
 from repro.store.pmem import PMemDevice
 
@@ -127,6 +128,7 @@ class ViperStore:
         old = self.index.upsert(key, (page, slot))
         if old is not None:
             self.device.free_record(*old)
+            self._free_slots.append(old)
         else:
             self._n += 1
 
@@ -135,11 +137,11 @@ class ViperStore:
 
         The records land via one bulk slot allocation plus one batched
         NVM write, and the index side is one ``index.upsert_many``, which
-        hands back each item's previous record location to free.  In-batch
-        duplicates chain: the second occurrence's old location is the
-        first occurrence's record, and the last value wins.  The whole
-        batch's keys are checked before any slot is allocated, as in
-        :meth:`put`.
+        hands back each item's previous record location to free and
+        reuse.  In-batch duplicates chain: the second occurrence's old
+        location is the first occurrence's record, and the last value
+        wins.  The whole batch's keys are checked before any slot is
+        allocated, as in :meth:`put`.
         """
         self._check_alive()
         if not items:
@@ -153,6 +155,7 @@ class ViperStore:
         self._n += olds.count(None)
         for old in filter(None, olds):  # a replaced record's (page, slot)
             self.device.free_record(*old)
+            self._free_slots.append(old)
 
     def get(self, key: int) -> Optional[Any]:
         self._check_alive()
@@ -180,6 +183,7 @@ class ViperStore:
 
     def update(self, key: int, value: Any) -> bool:
         self._check_alive()
+        check_uint64(key)
         if self.index.get(key) is None:
             return False
         self.put(key, value)
@@ -190,10 +194,7 @@ class ViperStore:
         location = self.index.get(key)
         if location is None:
             return False
-        try:
-            removed = self.index.delete(key)
-        except UnsupportedOperationError:
-            return False
+        removed = self.index.delete(key)
         if removed:
             self.device.free_record(*location)
             self._free_slots.append(location)
@@ -239,48 +240,6 @@ class ViperStore:
     def __contains__(self, key: int) -> bool:
         return self.index.get(key) is not None
 
-    # -- garbage collection ---------------------------------------------------
-
-    def gc(self) -> int:
-        """Reclaim dead NVM slots for reuse; returns slots reclaimed.
-
-        Deletes free their slots into the allocator's free list, but
-        :meth:`recover` rebuilds the store with an empty free list — any
-        slot freed before a crash becomes unreachable garbage, and
-        allocation falls through to fresh pages forever.  The GC pass
-        scans per-page occupancy metadata (one sequential ``NVM_READ``
-        per page) and returns every dead slot the allocator does not
-        already track to the free list.
-
-        Every fully handed-out page's empty slots are dead records; on
-        the currently open page only slots below the allocation cursor
-        are (the tail has simply never been allocated).
-        """
-        self._check_alive()
-        mark = self.perf.begin()
-        tracked = set(self._free_slots)
-        reclaimed = 0
-        for page_id, _used, empty in self.device.page_occupancy():
-            limit = (
-                self._next_slot
-                if page_id == self._open_page
-                else self.device.slots_per_page
-            )
-            for slot in empty:
-                if slot < limit and (page_id, slot) not in tracked:
-                    self._free_slots.append((page_id, slot))
-                    reclaimed += 1
-        op = self.perf.end(mark)
-        self.perf.trace(
-            EventType.NVM_GC,
-            index=f"viper[{self.index.name}]",
-            keys=reclaimed,
-            count=self.device.page_count,
-            reason="slot_reclaim",
-            cost_ns=op.time_ns,
-        )
-        return reclaimed
-
     # -- crash & recovery -----------------------------------------------------
 
     def crash(self) -> None:
@@ -300,26 +259,41 @@ class ViperStore:
         self._crashed = True
 
     def recover(self, index_factory: Callable[[], Index]) -> float:
-        """Rebuild the DRAM index from an NVM scan; returns simulated ns.
+        """Rebuild the DRAM index and the free list from one NVM scan;
+        returns simulated ns.
 
-        The scan yields records in write order; the newest write of each
-        key wins (matching Viper's recovery semantics).
+        Slots are reused, so address order is not write order.  A key
+        has one valid record, unless the crash cut a put between its
+        record write and its free of the old record.  That put was never
+        acknowledged, so either record is a correct state: the scan keeps
+        the later one in address order and frees the other, so no stale
+        copy of the key survives to a later recovery.  Every empty slot,
+        torn slot and freed extra record goes to the free list, so
+        recovery allocates no page.
         """
         mark = self.perf.begin()
         latest: dict = {}
-        max_page = -1
-        for page_id, slot, key, _value in self.device.scan_records():
-            latest[key] = (page_id, slot)
-            max_page = max(max_page, page_id)
+        free: List[Tuple[int, int]] = []
+        for page_id, slot, record in self.device.scan_slots():
+            if record is None:
+                free.append((page_id, slot))
+                continue
+            extra = latest.get(record[0])
+            if extra is not None:
+                self.device.free_record(*extra)
+                free.append(extra)
+            latest[record[0]] = (page_id, slot)
         items = sorted(latest.items())
         index = index_factory()
         index.bulk_load(items)
         self.index = index
         self._n = len(items)
         self._crashed = False
-        self._free_slots = []
-        self._open_page = self.device.allocate_page()
-        self._next_slot = 0
+        self._free_slots = free
+        # Every slot the pages hold is live or on the free list, so the
+        # next page comes from the device once the free list runs dry.
+        self._open_page = self.device.page_count - 1
+        self._next_slot = self.device.slots_per_page
         return self.perf.end(mark).time_ns
 
     # -- accounting (Table III) -------------------------------------------------

@@ -18,9 +18,9 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_items,
-    check_key,
     check_sorted_unique,
+    check_uint64,
+    check_uint64_items,
 )
 from repro.core.search import child_slot, node_rank
 from repro.errors import InvalidConfigurationError
@@ -73,6 +73,11 @@ class BPlusTree(UpdatableIndex):
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         check_sorted_unique(items)
+        self._build(items)
+
+    def _build(self, items: Sequence[Tuple[Key, Value]]) -> None:
+        """Build from checked sorted unique ``items``.  Masstree's layers
+        call this directly: their keys are slice codes, not uint64 keys."""
         self._n = len(items)
         self._node_count = 0
         if not items:
@@ -268,7 +273,12 @@ class BPlusTree(UpdatableIndex):
 
     def upsert(self, key: Key, value: Value) -> Optional[Value]:
         """One root-to-leaf descent resolves the old value and the write."""
-        check_key(key)
+        check_uint64(key)
+        return self._upsert(key, value)
+
+    def _upsert(self, key: Key, value: Value) -> Optional[Value]:
+        """:meth:`upsert` of a checked key; Masstree's layers call it with
+        slice codes, which may exceed uint64."""
         leaf, path, slots = self._find_leaf(key)
         idx = node_rank(leaf.keys, key, self.perf)
         if idx >= 0 and leaf.keys[idx] == key:
@@ -305,12 +315,12 @@ class BPlusTree(UpdatableIndex):
         — one comparison per halving of the touched leaf — on top of the
         individually-charged descents (``docs/performance.md``).
         """
-        check_items(items)
+        check_uint64_items(items)
         n = len(items)
         olds: List[Optional[Value]] = [None] * n
         if n < _MIN_BATCH:
             for j, (key, value) in enumerate(items):
-                olds[j] = self.upsert(key, value)
+                olds[j] = self._upsert(key, value)
             return olds
         batch_keys = [k for k, _ in items]
         order = sorted(range(n), key=batch_keys.__getitem__)

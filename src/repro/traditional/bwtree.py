@@ -24,8 +24,8 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_key,
     check_sorted_unique,
+    check_uint64,
 )
 from repro.core.search import node_rank
 from repro.errors import InvalidConfigurationError
@@ -204,7 +204,7 @@ class BwTree(UpdatableIndex):
         return idx >= 0 and result.keys[idx] == key
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
         pid = self._route(key)
         if key < self._fences[0]:
             # The first page takes every key below its fence; lowering the

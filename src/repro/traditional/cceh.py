@@ -19,6 +19,7 @@ from repro.core.interfaces import (
     Key,
     Index,
     Value,
+    check_sorted_unique,
     check_uint64,
     is_uint64,
 )
@@ -126,7 +127,6 @@ class CCEH(Index):
 
     def insert(self, key: Key, value: Value) -> None:
         check_uint64(key)
-        key = int(key)
         for _ in range(64):  # split depth is bounded by the hash width
             h, segment, bucket = self._locate(key)
             self.perf.charge(Event.DRAM_HOP)
@@ -172,6 +172,7 @@ class CCEH(Index):
         return False
 
     def update(self, key: Key, value: Value) -> bool:
+        check_uint64(key)
         if self.get(key) is None:
             return False
         self.insert(key, value)
@@ -234,6 +235,7 @@ class CCEH(Index):
     # -- bulk -----------------------------------------------------------------
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
+        check_sorted_unique(items)
         for key, value in items:
             self.insert(key, value)
 

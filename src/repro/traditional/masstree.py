@@ -20,10 +20,10 @@ from repro.core.interfaces import (
     UpdatableIndex,
     Value,
     check_sorted_unique,
+    check_uint64,
     is_uint64,
     scan_start,
 )
-from repro.errors import InvalidKeysError
 from repro.perf.context import PerfContext
 from repro.traditional.btree import BPlusTree
 
@@ -60,6 +60,10 @@ class _LayerEntry:
 
 
 class _Layer:
+    """One trie layer: a B+tree keyed by slice code.  A code can exceed
+    uint64 (``key << 4 | len``), so the layer writes and builds through
+    ``BPlusTree._upsert``/``_build``, below its public key check."""
+
     def __init__(self, perf: PerfContext):
         self.tree = BPlusTree(fanout=_FANOUT, perf=perf)
 
@@ -100,7 +104,7 @@ class Masstree(UpdatableIndex):
             code = _chunk_code(chunk)
             entry = layer.tree.get(code)
             if entry is None:
-                layer.tree.insert(
+                layer.tree._upsert(
                     code, _InlineEntry(key[offset + 8 :], value)
                 )
                 return True
@@ -115,9 +119,9 @@ class Masstree(UpdatableIndex):
                 return False
             # Divergent suffixes: push both keys into a new layer.
             sub = _Layer(self.perf)
-            layer.tree.insert(code, _LayerEntry(sub))
+            layer.tree._upsert(code, _LayerEntry(sub))
             old_suffix, old_value = entry.suffix, entry.value
-            sub.tree.insert(
+            sub.tree._upsert(
                 _chunk_code(old_suffix[:8]),
                 _InlineEntry(old_suffix[8:], old_value),
             )
@@ -144,15 +148,8 @@ class Masstree(UpdatableIndex):
 
     @staticmethod
     def _encode(key: Key) -> bytes:
-        """The 8-byte big-endian slice of a uint64 key.
-
-        Any other key raises ``InvalidKeysError``: truncating it would
-        file it under a different key.
-        """
-        if not is_uint64(key):
-            raise InvalidKeysError(
-                f"Masstree: key {key!r} is not a uint64 key"
-            )
+        """The 8-byte big-endian slice of a uint64 key (or of a number
+        equal to one, for lookups)."""
         return int(key).to_bytes(8, "big")
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
@@ -162,7 +159,7 @@ class Masstree(UpdatableIndex):
             for k, v in items
         ]
         self._root = _Layer(self.perf)
-        self._root.tree.bulk_load(entries)
+        self._root.tree._build(entries)
         self._n = len(items)
 
     def get(self, key: Key) -> Optional[Value]:
@@ -171,6 +168,7 @@ class Masstree(UpdatableIndex):
         return self.get_bytes(self._encode(key))
 
     def insert(self, key: Key, value: Value) -> None:
+        check_uint64(key)
         if self.put_bytes(self._encode(key), value):
             self._n += 1
 

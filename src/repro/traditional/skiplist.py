@@ -18,8 +18,8 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_key,
     check_sorted_unique,
+    check_uint64,
 )
 from repro.obs.trace import EventType
 from repro.perf.context import PerfContext
@@ -122,7 +122,7 @@ class SkipList(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
         update = self._find_predecessors(key)
         node = update[0].forward[0]
         if node is not None and node.key == key:

@@ -23,8 +23,8 @@ from repro.core.interfaces import (
     Key,
     UpdatableIndex,
     Value,
-    check_key,
     check_sorted_unique,
+    check_uint64,
 )
 from repro.core.search import node_rank
 from repro.errors import InvalidConfigurationError
@@ -139,7 +139,7 @@ class Wormhole(UpdatableIndex):
     # -- mutation -----------------------------------------------------------
 
     def insert(self, key: Key, value: Value) -> None:
-        check_key(key)
+        check_uint64(key)
         if not self._leaves:
             self._leaves = [_Leaf([key], [value])]
             self._fences = [key]

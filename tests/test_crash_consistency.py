@@ -32,8 +32,10 @@ class TestDeviceTornWrites:
         dev.write_record(page, 0, 1, "a")
         dev.write_record_torn(page, 1, 2, "b")
         dev.write_record(page, 2, 3, "c")
-        got = [(k, v) for _, _, k, v in dev.scan_records()]
+        got = [rec for _, _, rec in dev.scan_slots() if rec is not None]
         assert got == [(1, "a"), (3, "c")]
+        free = [slot for _, slot, rec in dev.scan_slots() if rec is None]
+        assert free == [1, 3]  # the torn slot and the empty one
 
     def test_rewrite_clears_torn_state(self):
         dev = PMemDevice(perf=PerfContext())

@@ -21,6 +21,8 @@ The counts are integers, so the file holds on every Python.  Regenerate
 it only for a change that is meant to move simulated numbers::
 
     PYTHONPATH=src python tests/test_ledger_golden.py --write
+
+which prints one ``id field old -> new`` line per count it moved.
 """
 
 import json
@@ -153,13 +155,43 @@ def test_batch_put_bills_the_index_batch_write(name):
     assert store == index
 
 
+def _moves(old, new):
+    """One ``id field old -> new`` line per entry and field that differs
+    (a missing entry or field reads ``None``)."""
+    out = []
+    for pid in sorted(set(old) | set(new)):
+        was, now = old.get(pid, {}), new.get(pid, {})
+        for field in sorted(set(was) | set(now)):
+            a, b = was.get(field), now.get(field)
+            if a != b:
+                out.append(f"{pid} {field} {a} -> {b}")
+    return out
+
+
+def test_write_reports_each_moved_count():
+    old = {"A/index/b1": {"alloc": 5, "hash": 1}, "B/index/b1": {"alloc": 1}}
+    new = {"A/index/b1": {"alloc": 4, "hash": 1}, "C/index/b1": {"alloc": 2}}
+    assert _moves(old, new) == [
+        "A/index/b1 alloc 5 -> 4",
+        "B/index/b1 alloc 1 -> None",
+        "C/index/b1 alloc None -> 2",
+    ]
+
+
 def _write():
+    """Regenerate the golden file and print what moved."""
+    old = _golden() if os.path.exists(GOLDEN) else {}
     ledgers = {
         pid: _run(resolve(name), kind, bs) for pid, name, kind, bs in _passes()
     }
     lines = [f" {json.dumps(pid)}: {json.dumps(c)}" for pid, c in ledgers.items()]
     with open(GOLDEN, "w") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    moves = _moves(old, ledgers)
+    for line in moves:
+        print(line)
+    entries = {line.split()[0] for line in moves}
+    print(f"{len(moves)} count(s) moved in {len(entries)} entries")
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ class TestTracerBasics:
         perf.trace(EventType.LEAF_SPLIT, index="X")
         assert tracer.count(EventType.RETRAIN) == 2
         assert tracer.count(EventType.LEAF_SPLIT) == 1
-        assert tracer.count(EventType.NVM_GC) == 0
+        assert tracer.count(EventType.BUFFER_FLUSH) == 0
         assert sum(event_counts(tracer.metrics).values()) == 3
         records = _records(tracer)
         assert [e.attrs["etype"] for e in records] == [
@@ -228,7 +228,7 @@ class TestExportRoundTrip:
             count=2,
             reason="model_refit_split",
         )
-        tracer.emit(EventType.NVM_GC, 30.0, index="viper[A]", keys=12)
+        tracer.emit(EventType.BUFFER_FLUSH, 30.0, index="A", keys=12)
         return _records(tracer)
 
     def test_jsonl_round_trip_identical_records(self, tmp_path):
@@ -254,48 +254,6 @@ class TestExportRoundTrip:
 
 
 class TestStoreEvents:
-    def test_gc_reclaims_slots_lost_by_recovery(self):
-        from repro.learned.alex import ALEXIndex
-        from repro.store.viper import ViperStore
-
-        perf = PerfContext()
-        tracer = Tracer()
-        perf.tracer = tracer
-        store = ViperStore(ALEXIndex(perf=perf), perf)
-        store.bulk_load([(i, i) for i in range(100)])
-        for k in range(0, 40, 2):
-            assert store.delete(k)
-        store.crash()
-        store.recover(lambda: ALEXIndex(perf=perf))
-        assert store._free_slots == []  # recovery forgets freed slots
-        reclaimed = store.gc()
-        # 20 deleted slots plus the 12-slot tail of the page that was open
-        # before the crash: recover() starts a fresh open page, so that tail
-        # is unreachable by the cursor until gc returns it to the free list.
-        assert reclaimed == 20 + 12
-        assert tracer.count(EventType.NVM_GC) == 1
-        (event,) = _records(tracer, EventType.NVM_GC)
-        assert event.attrs["keys"] == 32
-        # A second pass finds nothing new.
-        assert store.gc() == 0
-        # Reclaimed slots are actually reused by subsequent puts.
-        pages_before = store.device.page_count
-        for k in range(1_000, 1_015):
-            store.put(k, k)
-        assert store.device.page_count == pages_before
-
-    def test_gc_ignores_open_page_tail(self):
-        from repro.learned.alex import ALEXIndex
-        from repro.store.viper import ViperStore
-
-        perf = PerfContext()
-        tracer = Tracer()
-        perf.tracer = tracer
-        store = ViperStore(ALEXIndex(perf=perf), perf)
-        store.bulk_load([(i, i) for i in range(4)])
-        store.put(100, 100)  # lands on the open page; tail stays unallocated
-        assert store.gc() == 0
-
     def test_pmem_page_alloc_traced(self):
         from repro.store.pmem import PMemDevice
 

@@ -629,7 +629,6 @@ def test_journal_stays_empty_at_restart_budget_zero(transport):
         engine.bulk_load([(k, k) for k in sorted(load)])
         engine.put_many([(k, k + 1) for k in extra])
         engine.put(extra[0], 9)
-        engine.gc()
         assert engine._base_items == [None, None]
         assert engine._journal == [[], []]
     finally:

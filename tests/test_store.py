@@ -17,8 +17,10 @@ from repro.store import PMemDevice, ViperStore
 from repro.traditional import CCEH, BPlusTree
 
 UPDATABLE = [s for s in specs() if s.build().capabilities().updatable]
-#: Keys no 8-byte key slot holds: negative, fractional, NaN, too large.
-REFUSED_KEYS = (-1, 5.5, float("nan"), 2**64)
+READ_ONLY = [s for s in specs() if not s.build().capabilities().updatable]
+#: Keys no 8-byte key slot holds: negative, fractional, NaN, too large,
+#: and a float, even an integral one.
+REFUSED_KEYS = (-1, 5.5, float("nan"), 2**64, 3.0)
 
 
 def make_store(index_factory, perf=None, **kwargs):
@@ -72,7 +74,7 @@ class TestPMemDevice:
         dev.write_record(p0, 2, 2, "b")
         dev.write_record(p1, 1, 3, "c")
         dev.free_record(p0, 2)
-        got = [(k, v) for _, _, k, v in dev.scan_records()]
+        got = [rec for _, _, rec in dev.scan_slots() if rec is not None]
         assert got == [(1, "a"), (3, "c")]
 
 
@@ -139,6 +141,64 @@ class TestViperStore:
         # values on top of that for the in-memory-database scenario.
         assert overhead["index+key"] >= overhead["index"] + 16_000
         assert overhead["index+kv"] == overhead["index+key"] + 200_000
+
+    @pytest.mark.parametrize("spec", READ_ONLY, ids=lambda s: s.name)
+    def test_read_only_store_refuses_delete_like_put(self, spec):
+        perf = PerfContext()
+        store = ViperStore(spec.build(perf), perf)
+        store.bulk_load([(k, k) for k in range(0, 100, 5)])
+        with pytest.raises(UnsupportedOperationError):
+            store.put(5, "x")
+        with pytest.raises(UnsupportedOperationError):
+            store.delete(5)
+        assert store.get(5) == 5
+        assert len(store) == 20
+
+
+class TestSlotLifecycle:
+    """Every freed slot goes straight back to the allocator: an update and
+    a delete return their old slot, and recovery rebuilds the free list
+    from its scan, so the device grows only with the live keys."""
+
+    @staticmethod
+    def _updated_alex_store(batch):
+        """16,000 keys on 1,000 pages, then 1,600 random updates."""
+        perf = PerfContext()
+        store = ViperStore(ALEXIndex(perf=perf), perf)
+        store.bulk_load([(k, k) for k in range(16_000)])
+        rng = random.Random(1)
+        keys = [rng.randrange(16_000) for _ in range(1_600)]
+        for lo in range(0, len(keys), batch):
+            if batch == 1:
+                store.put(keys[lo], -keys[lo])
+            else:
+                store.put_many([(k, -k) for k in keys[lo : lo + batch]])
+        return store, perf
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_updates_reuse_their_slots(self, batch):
+        store, _ = self._updated_alex_store(batch)
+        # An update that leaked its old slot grew this store to 1,100.
+        assert store.device.page_count <= 1_001
+        assert len(store) == 16_000
+
+    def test_recovery_frees_every_empty_and_torn_slot(self):
+        store, perf = self._updated_alex_store(1)
+        for k in range(0, 1_600, 16):
+            assert store.delete(k)
+        store.crash_during_put(5, "torn")
+        pages = store.device.page_count
+        store.recover(lambda: ALEXIndex(perf=perf))
+        slots = store.device.scan_slots()
+        free = [(page, slot) for page, slot, rec in slots if rec is None]
+        assert sorted(store._free_slots) == free
+        assert len(free) == pages * store.device.slots_per_page - len(store)
+        assert store.device.page_count == pages  # recovery allocated none
+        # Neither do the puts that fill every free slot.
+        for k in range(10**6, 10**6 + len(free)):
+            store.put(k, k)
+        assert store.device.page_count == pages
+        assert store.get(5) == 5
 
 
 class TestCrashRecovery:
@@ -214,7 +274,7 @@ class TestRefusedKeys:
     def _device_state(store):
         return (
             len(store),
-            list(store.device.scan_records()),
+            list(store.device.scan_slots()),
             store.device.used_bytes(),
         )
 
