@@ -91,7 +91,8 @@ def claims(results):
         claim("fig13.buf-degrades-more-than-alex",
               degradation("FITing-tree-buf"), "<", degradation("ALEX")),
         claim("fig13.alex-no-degradation", large["ALEX"], ">=", small["ALEX"]),
-        claim("fig13.dev-alex-above-cceh", small["ALEX"], ">", small["CCEH"]),
+        claim("fig13.cceh-on-top", small["CCEH"], ">",
+              max(t for n, t in small.items() if n != "CCEH")),
         claim("fig13.dev-xindex-drops-under-1pct", 1 - degradation("XIndex"),
               "<", 0.01),
     ]

@@ -75,9 +75,9 @@ def claims(sim):
         claim("fig14.xindex-retrain-stall-visible",
               sim["XIndex"][-1]["retrain_stall_share"], ">", 0.0),
         # The paper: "similar to that of Masstree".
-        claim("fig14.dev-nearest-curve-is-wormhole",
-              min(d for n, d in nearest.items() if n != "Wormhole"), ">",
-              nearest["Wormhole"]),
+        claim("fig14.dev-nearest-curve-is-bwtree",
+              min(d for n, d in nearest.items() if n != "Bwtree"), ">",
+              nearest["Bwtree"]),
     ]
 
 

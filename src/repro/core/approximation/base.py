@@ -28,8 +28,17 @@ class LinearModel:
         return self.slope * (key - self.base_key) + self.intercept
 
     def predict_clamped(self, key: int, n: int) -> int:
-        """Predicted integer position clamped into ``[0, n - 1]``."""
-        pos = int(round(self.predict(key)))
+        """Predicted integer position clamped into ``[0, n - 1]``.
+
+        A NaN or infinite key predicts NaN or an infinity, which no
+        integer equals; it clamps by sign, and the search that follows
+        finds no stored key equal to it.
+        """
+        predicted = self.predict(key)
+        try:
+            pos = int(round(predicted))
+        except (ValueError, OverflowError):
+            return n - 1 if predicted > 0 else 0
         if pos < 0:
             return 0
         if pos >= n:

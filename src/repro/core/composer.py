@@ -48,16 +48,6 @@ from repro.perf.events import Event
 _MAX_RETRAIN_ATTEMPTS = 4
 
 
-# The per-key leaf writes of ``ComposedIndex._write_many``: each returns
-# ``(InsertResult, old value)``.
-def _leaf_insert(leaf: Leaf, key: Key, value: Value):
-    return leaf.insert(key, value), None
-
-
-def _leaf_upsert(leaf: Leaf, key: Key, value: Value):
-    return leaf.upsert(key, value)
-
-
 class ComposedIndex(UpdatableIndex):
     """An updatable learned index assembled from the four dimensions."""
 
@@ -216,7 +206,10 @@ class ComposedIndex(UpdatableIndex):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
+        """Single-descent insert-or-overwrite: one structure lookup plus
+        one in-leaf rank search resolves both the old value and the write
+        target.  A FULL leaf is retrained and the key re-routed."""
         check_uint64(key)
         if not self.leaves:
             self.leaves = [
@@ -224,28 +217,6 @@ class ComposedIndex(UpdatableIndex):
             ]
             self._n = 1
             self._rebuild_structure()
-            return
-        for _ in range(_MAX_RETRAIN_ATTEMPTS):
-            idx = self.structure.lookup(key)
-            result = self.leaves[idx].insert(key, value)
-            if result is InsertResult.INSERTED:
-                self._n += 1
-                return
-            if result is InsertResult.UPDATED:
-                return
-            self._retrain(idx)
-        raise ReproError(
-            f"insert of key {key} did not converge after "
-            f"{_MAX_RETRAIN_ATTEMPTS} retrains"
-        )
-
-    def upsert(self, key: Key, value: Value) -> Optional[Value]:
-        """Single-descent insert-or-overwrite: one structure lookup plus
-        one in-leaf rank search resolves both the old value and the write
-        target (the default would probe and then insert — two descents)."""
-        check_uint64(key)
-        if not self.leaves:
-            self.insert(key, value)
             return None
         for _ in range(_MAX_RETRAIN_ATTEMPTS):
             idx = self.structure.lookup(key)
@@ -261,18 +232,11 @@ class ComposedIndex(UpdatableIndex):
             f"{_MAX_RETRAIN_ATTEMPTS} retrains"
         )
 
-    def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        # Per-key leaf inserts: a FINEdex leaf has no one-search upsert.
-        self._write_many(items, self.insert, _leaf_insert)
-
     def upsert_many(
         self, items: Sequence[Tuple[Key, Value]]
     ) -> List[Optional[Value]]:
-        return self._write_many(items, self.upsert, _leaf_upsert)
-
-    def _write_many(self, items, write, leaf_write) -> List[Optional[Value]]:
-        """Sorted-batch leaf routing for both batch writes; returns each
-        item's previous value in the caller's order.
+        """Sorted-batch leaf routing; returns each item's previous value
+        in the caller's order.
 
         Mirrors ``get_many``: the keys are converted to ``uint64`` once,
         argsorted stably (so the later of two equal keys wins) and routed
@@ -280,9 +244,9 @@ class ComposedIndex(UpdatableIndex):
         key check: a batch ``as_u64`` refuses holds a key outside uint64,
         and ``check_uint64_items`` raises on it before anything is
         written.  Each same-leaf run is offered to ``Leaf.insert_batch``
-        as its key and value slices; a declined run takes ``leaf_write``
-        per key.  A leaf reporting FULL hands its key to ``write``, the
-        index-level write that retrains, and the rest is re-routed, since
+        as its key and value slices; a declined run takes
+        ``Leaf.upsert`` per key.  A leaf reporting FULL hands its key to
+        :meth:`upsert`, which retrains, and the rest is re-routed, since
         retraining changes the leaves.
         """
         if not items:
@@ -292,7 +256,7 @@ class ComposedIndex(UpdatableIndex):
             check_uint64_items(items)  # as_u64 refused a key: this raises
         head: List[Optional[Value]] = []
         if not self.leaves:
-            head = [write(*items[0])]
+            head = [self.upsert(*items[0])]
             items, qs = items[1:], qs[1:]
             if not items:
                 return head
@@ -321,15 +285,15 @@ class ComposedIndex(UpdatableIndex):
                     continue
                 for j, pos in enumerate(order[a:b].tolist(), a):
                     key, value = items[pos]
-                    result, old = leaf_write(leaf, key, value)
+                    result, old = leaf.upsert(key, value)
                     if result is InsertResult.INSERTED:
                         self._n += 1
                     elif result is InsertResult.UPDATED:
                         olds[pos] = old
                     else:
-                        # FULL: the index-level write retrains until the
-                        # key fits, then the outer loop re-routes the rest.
-                        olds[pos] = write(key, value)
+                        # FULL: upsert retrains until the key fits, then
+                        # the outer loop re-routes the rest.
+                        olds[pos] = self.upsert(key, value)
                         i = j + 1
                         rerouted = True
                         break

@@ -63,20 +63,17 @@ class Leaf(ABC):
         return [self.get(key) for key in keys]
 
     @abstractmethod
-    def insert(self, key: int, value: Any) -> InsertResult: ...
-
     def upsert(self, key: int, value: Any) -> Tuple[InsertResult, Optional[Any]]:
-        """Insert-or-overwrite in one call; returns ``(result, old_value)``.
+        """Insert-or-overwrite in one rank search; returns
+        ``(result, old_value)``.
 
         ``old_value`` is the payload that was overwritten when the result
-        is UPDATED, ``None`` otherwise.  The default probes then inserts
-        (two rank searches); the concrete leaves override this with a
-        single-search path and implement :meth:`insert` on top of it, so
-        a store-level put costs one leaf search, not two.
+        is UPDATED, ``None`` otherwise, so a store-level put costs one
+        leaf search.
         """
-        old = self.get(key)
-        result = self.insert(key, value)
-        return result, (old if result is InsertResult.UPDATED else None)
+
+    def insert(self, key: int, value: Any) -> InsertResult:
+        return self.upsert(key, value)[0]
 
     def insert_batch(self, keys: Any, values: Any) -> Optional[Tuple[int, Any]]:
         """Bulk upsert of a run: its ascending ``uint64`` keys (repeats

@@ -99,9 +99,6 @@ class BufferedLeaf(Leaf):
             return self._buf_values[bidx]
         return None
 
-    def insert(self, key: int, value: Any) -> InsertResult:
-        return self.upsert(key, value)[0]
-
     def upsert(self, key: int, value: Any) -> Tuple[InsertResult, Optional[Any]]:
         self.perf.charge(Event.DRAM_HOP)
         idx = self._main_rank(key)

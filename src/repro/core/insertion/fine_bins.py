@@ -116,35 +116,39 @@ class FineBinLeaf(Leaf):
             return bin_values[idx]
         return None
 
-    def insert(self, key: int, value: Any) -> InsertResult:
+    def upsert(self, key: int, value: Any) -> Tuple[InsertResult, Optional[Any]]:
+        """One main-run search and at most one bin search resolve both
+        the old value and the write target."""
         self.perf.charge(Event.DRAM_HOP)
         rank = self._main_rank(key)
         if rank >= 0 and self._keys[rank] == key:
+            old = self._values[rank]
             self._values[rank] = value
-            return InsertResult.UPDATED
+            return InsertResult.UPDATED, old
         position = rank + 1
         entry = self._bins.get(position)
         if entry is None:
             if self._bin_keys_total >= max(
                 1, len(self._keys)
             ) * self.max_bin_fraction:
-                return InsertResult.FULL
+                return InsertResult.FULL, None
             self.perf.charge(Event.ALLOC)
             entry = ([], [])
             self._bins[position] = entry
         bin_keys, bin_values = entry
         idx = self._bin_rank(bin_keys, key)
         if idx >= 0 and bin_keys[idx] == key:
+            old = bin_values[idx]
             bin_values[idx] = value
-            return InsertResult.UPDATED
+            return InsertResult.UPDATED, old
         if len(bin_keys) >= self.bin_capacity:
-            return InsertResult.FULL
+            return InsertResult.FULL, None
         insert_at = idx + 1
         self.perf.charge(Event.KEY_MOVE, len(bin_keys) - insert_at)
         bin_keys.insert(insert_at, key)
         bin_values.insert(insert_at, value)
         self._bin_keys_total += 1
-        return InsertResult.INSERTED
+        return InsertResult.INSERTED, None
 
     def delete(self, key: int) -> bool:
         self.perf.charge(Event.DRAM_HOP)

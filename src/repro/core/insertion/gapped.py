@@ -331,9 +331,6 @@ class GappedLeaf(Leaf):
         out[compact[at] != qs] = None
         return out.tolist()
 
-    def insert(self, key: int, value: Any) -> InsertResult:
-        return self.upsert(key, value)[0]
-
     def insert_batch(self, keys: Any, values: Any) -> Optional[Tuple[int, Any]]:
         """Bulk upsert of a sorted run, re-spreading the whole slot array.
 

@@ -93,9 +93,6 @@ class InplaceLeaf(Leaf):
             return self._values[idx]
         return None
 
-    def insert(self, key: int, value: Any) -> InsertResult:
-        return self.upsert(key, value)[0]
-
     def upsert(self, key: int, value: Any) -> Tuple[InsertResult, Optional[Any]]:
         self.perf.charge(Event.DRAM_HOP)
         idx = self._rank(key)

@@ -170,39 +170,21 @@ class Index(ABC):
 
     # -- mutation (optional) ----------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
-        """Insert a new key (or overwrite an existing one)."""
-        raise UnsupportedOperationError(f"{self.name} is read-only")
-
-    def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        """Batch insert; observably equivalent to inserting ``items`` in
-        order (so on duplicate keys within the batch the last value wins).
-
-        The default is the per-key loop, so every updatable index
-        satisfies the same contract; indexes whose structure admits it
-        override with a native path (one LSM merge, sorted leaf routing,
-        leaf-chain reuse) — see ``registry.has_native_batch_insert``.
-        Read-only indexes raise ``UnsupportedOperationError``.
-        """
-        check_uint64_items(items)
-        for key, value in items:
-            self.insert(key, value)
-
     def upsert(self, key: Key, value: Value) -> Optional[Value]:
         """Insert-or-overwrite; returns the previous value, or ``None`` if
         the key was fresh.
 
-        This is the store's put primitive: one call resolves the old
-        record location *and* repoints the index.  The default costs a
-        probe plus an :meth:`insert` (two traversals); indexes with a
-        single-descent path override it so a put charges one lookup and
-        one write, as in the paper's cost model, and so does an index
-        whose insert of a present key stacks a copy (the LSM).
+        This is the one write an updatable index implements, in one
+        descent: the search that finds the key's slot resolves the old
+        value *and* places the new one.  It is the store's put primitive,
+        so a put charges one lookup and one write, as in the paper's cost
+        model.  A read-only index raises ``UnsupportedOperationError``.
         """
-        check_uint64(key)
-        old = self.get(key)
-        self.insert(key, value)
-        return old
+        raise UnsupportedOperationError(f"{self.name} is read-only")
+
+    def insert(self, key: Key, value: Value) -> None:
+        """Insert a new key (or overwrite an existing one)."""
+        self.upsert(key, value)
 
     def upsert_many(
         self, items: Sequence[Tuple[Key, Value]]
@@ -214,11 +196,18 @@ class Index(ABC):
 
         ``ViperStore.put_many`` is one call of it.  The default is the
         per-key :meth:`upsert` loop, so a batch put bills what its scalar
-        puts bill; ComposedIndex, BTree and DynamicPGMIndex override it
-        with their batch write paths.
+        puts bill; indexes whose structure admits it override it with a
+        native path (sorted leaf routing, leaf-chain reuse, one LSM
+        merge) — see ``registry.has_native_batch_insert``.
         """
         check_uint64_items(items)
         return [self.upsert(key, value) for key, value in items]
+
+    def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
+        """Batch insert; observably equivalent to inserting ``items`` in
+        order (so on duplicate keys within the batch the last value wins).
+        """
+        self.upsert_many(items)
 
     def update(self, key: Key, value: Value) -> bool:
         """Overwrite an existing key's value; return False if absent.
@@ -298,13 +287,13 @@ class UpdatableIndex(SortedIndex):
     """Sorted index supporting inserts — the paper's focus class."""
 
     @abstractmethod
-    def insert(self, key: Key, value: Value) -> None: ...
+    def upsert(self, key: Key, value: Value) -> Optional[Value]: ...
 
     def update(self, key: Key, value: Value) -> bool:
         check_uint64(key)
         if self.get(key) is None:
             return False
-        self.insert(key, value)
+        self.upsert(key, value)
         return True
 
 

@@ -176,12 +176,12 @@ class APEXIndex(UpdatableIndex):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
         check_uint64(key)
         if not self._nodes:
             self._append_node(_DataNode([key], [value], self.density))
             self._n = 1
-            return
+            return None
         node = self._nodes[self._route(key)]
         charge = self.perf.charge
         charge(Event.MODEL_EVAL)
@@ -191,16 +191,18 @@ class APEXIndex(UpdatableIndex):
         for slot in range(base, min(base + _WINDOW, len(node.slot_keys))):
             existing = node.slot_keys[slot]
             if existing == key:
+                old = node.slot_values[slot]
                 node.slot_values[slot] = value
                 charge(Event.NVM_WRITE)
-                return
+                return old
             if existing is None and free < 0:
                 free = slot
         if key in node.stash:
             charge(Event.HASH)
+            old = node.stash[key]
             node.stash[key] = value
             charge(Event.NVM_WRITE)
-            return
+            return old
         if free >= 0:
             node.slot_keys[free] = key
             node.slot_values[free] = value
@@ -213,6 +215,7 @@ class APEXIndex(UpdatableIndex):
         self._n += 1
         if len(node.stash) > node.n_keys * self.stash_limit_fraction:
             self._smo(node)
+        return None
 
     def _smo(self, node: _DataNode) -> None:
         """Structure modification: rebuild (and possibly split) the node."""

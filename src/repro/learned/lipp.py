@@ -172,12 +172,12 @@ class LIPPIndex(UpdatableIndex):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
         check_uint64(key)
         if self._root is None:
             self._root = self._build_subtree([key], [value], 0)
             self._n = 1
-            return
+            return None
         charge = self.perf.charge
         path: List[_Node] = []
         node = self._root
@@ -194,8 +194,9 @@ class LIPPIndex(UpdatableIndex):
             if isinstance(cell, _Entry):
                 charge(Event.COMPARE)
                 if cell.key == key:
+                    old = cell.value
                     cell.value = value
-                    return
+                    return old
                 # Conflict: push both entries into a fresh child.
                 pair = sorted(
                     [(cell.key, cell.value), (key, value)]
@@ -215,6 +216,7 @@ class LIPPIndex(UpdatableIndex):
             if visited.inserts_since_build > max(64, visited.n_keys):
                 self._rebuild_subtree(visited, path[depth - 1] if depth else None)
                 break
+        return None
 
     def _rebuild_subtree(self, node: _Node, parent: Optional[_Node]) -> None:
         mark = self.perf.begin()

@@ -220,21 +220,26 @@ class PGMIndex(StaticArrayIndex):
         charge(Event.DRAM_SEQ, seq + taken)
         return out
 
-    def set_value(self, key: Key, value: Any) -> bool:
-        """Overwrite the payload of an existing key in place."""
+    def set_value(self, key: Key, value: Any) -> Any:
+        """Overwrite the payload of a stored key in place; returns the
+        payload it found, ``_MISSING`` if the key is absent.  A tombstone
+        stays: its key is deleted."""
         pos = self._rank(key)
-        if pos >= 0 and self._keys[pos] == key:
-            self.perf.charge(Event.DRAM_SEQ)
-            self._values[pos] = value
-            if self._values_np is not None:
-                if type(value) is int and 0 <= value < 2**64:
-                    self._values_np[pos] = value
-                else:
-                    self._values_np = None  # payload left the u64 domain
-            if self._pairs is not None:
-                self._pairs[pos] = (self._keys[pos], value)
-            return True
-        return False
+        if pos < 0 or self._keys[pos] != key:
+            return _MISSING
+        self.perf.charge(Event.DRAM_SEQ)
+        old = self._values[pos]
+        if old is _TOMBSTONE:
+            return old
+        self._values[pos] = value
+        if self._values_np is not None:
+            if type(value) is int and 0 <= value < 2**64:
+                self._values_np[pos] = value
+            else:
+                self._values_np = None  # payload left the u64 domain
+        if self._pairs is not None:
+            self._pairs[pos] = (self._keys[pos], value)
+        return old
 
     def items_list(self) -> List[Tuple[Key, Any]]:
         """All stored pairs in key order (used by the LSM merge)."""
@@ -489,8 +494,12 @@ class DynamicPGMIndex(UpdatableIndex):
             self._buffer[i] = (key, value)
             return True
         for level in self._levels:
-            if level is not None and level.set_value(key, value):
-                return True
+            if level is None:
+                continue
+            # The newest level holding the key decides, as in ``get``.
+            old = level.set_value(key, value)
+            if old is not _MISSING:
+                return old is not _TOMBSTONE
         return False
 
     def delete(self, key: Key) -> bool:

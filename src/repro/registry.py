@@ -258,16 +258,17 @@ def has_native_batch(index: Union[Index, type]) -> bool:
 
 
 def has_native_batch_insert(index: Union[Index, type]) -> bool:
-    """Whether ``index`` overrides the per-key ``Index.insert_many`` fallback.
+    """Whether ``index`` overrides the per-key ``Index.upsert_many`` fallback,
+    which ``Index.insert_many`` wraps.
 
-    The write-batch counterpart of :func:`has_native_batch`: the
-    ``insert_many`` contract (observably equivalent to sequential
-    inserts, last write wins on duplicates) holds either way, this only
-    tells benchmarks which indexes have a real bulk write path to hold
-    to "faster than scalar".
+    The write-batch counterpart of :func:`has_native_batch`: the batch
+    write contract (observably equivalent to sequential upserts, last
+    write wins on duplicates) holds either way, this only tells
+    benchmarks which indexes have a real bulk write path to hold to
+    "faster than scalar".
     """
     cls = index if isinstance(index, type) else type(index)
-    return cls.insert_many is not Index.insert_many
+    return cls.upsert_many is not Index.upsert_many
 
 
 def has_native_batch_scan(index: Union[Index, type]) -> bool:

@@ -115,10 +115,8 @@ class ViperStore:
         """Insert or update: persist the record, then one index upsert.
 
         ``Index.upsert`` resolves the previous record location and
-        repoints the index in a single descent (indexes without a native
-        single-descent path fall back to probe-then-write internally), so
-        a put costs one lookup and one write — not the get *plus* insert
-        double traversal it used to.  A key outside uint64 raises
+        repoints the index in a single descent, so a put costs one lookup
+        and one write.  A key outside uint64 raises
         ``InvalidKeysError`` before a slot is allocated: a record persisted
         for a key the index then refused would resurface at recovery."""
         self._check_alive()
@@ -267,15 +265,17 @@ class ViperStore:
         record write and its free of the old record.  That put was never
         acknowledged, so either record is a correct state: the scan keeps
         the later one in address order and frees the other, so no stale
-        copy of the key survives to a later recovery.  Every empty slot,
-        torn slot and freed extra record goes to the free list, so
-        recovery allocates no page.
+        copy of the key survives to a later recovery.  A torn slot is
+        cleared.  Every empty slot, torn slot and freed extra record goes
+        to the free list, so recovery allocates no page.
         """
         mark = self.perf.begin()
         latest: dict = {}
         free: List[Tuple[int, int]] = []
         for page_id, slot, record in self.device.scan_slots():
             if record is None:
+                if self.device.is_torn(page_id, slot):
+                    self.device.free_record(page_id, slot)
                 free.append((page_id, slot))
                 continue
             extra = latest.get(record[0])

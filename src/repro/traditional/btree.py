@@ -268,9 +268,6 @@ class BPlusTree(UpdatableIndex):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
-        self.upsert(key, value)
-
     def upsert(self, key: Key, value: Value) -> Optional[Value]:
         """One root-to-leaf descent resolves the old value and the write."""
         check_uint64(key)
@@ -293,10 +290,6 @@ class BPlusTree(UpdatableIndex):
         if len(leaf.keys) > self.fanout:
             self._split_leaf(leaf, path, slots)
         return None
-
-    def insert_many(self, items: Sequence[Tuple[Key, Value]]) -> None:
-        """Bulk upsert; same descent-sharing walk as :meth:`upsert_many`."""
-        self.upsert_many(items)
 
     def upsert_many(
         self, items: Sequence[Tuple[Key, Value]]

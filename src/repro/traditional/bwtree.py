@@ -151,15 +151,19 @@ class BwTree(UpdatableIndex):
 
     # -- queries ----------------------------------------------------------
 
-    def get(self, key: Key) -> Optional[Value]:
-        pid = self._route(key)
+    def _find(self, pid: int, key: Key) -> Tuple[bool, Any]:
+        """``(found, value)`` of ``key`` in page ``pid``: its chain, then
+        its base page."""
         result = self._walk_chain(pid, key)
         if isinstance(result, tuple):
-            return result[1] if result[0] == "hit" else None
+            return result[0] == "hit", result[1]
         idx = node_rank(result.keys, key, self.perf)
         if idx >= 0 and result.keys[idx] == key:
-            return result.values[idx]
-        return None
+            return True, result.values[idx]
+        return False, None
+
+    def get(self, key: Key) -> Optional[Value]:
+        return self._find(self._route(key), key)[1]
 
     def _page_items(self, pid: int) -> List[Tuple[Key, Any]]:
         """Logical content of a page: base folded with its deltas."""
@@ -196,14 +200,7 @@ class BwTree(UpdatableIndex):
 
     # -- mutation -----------------------------------------------------------
 
-    def _exists(self, pid: int, key: Key) -> bool:
-        result = self._walk_chain(pid, key)
-        if isinstance(result, tuple):
-            return result[0] == "hit"
-        idx = node_rank(result.keys, key, self.perf)
-        return idx >= 0 and result.keys[idx] == key
-
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
         check_uint64(key)
         pid = self._route(key)
         if key < self._fences[0]:
@@ -211,7 +208,7 @@ class BwTree(UpdatableIndex):
             # fence keeps it a lower bound, so a split of that page still
             # files the new right page after it.
             self._fences[0] = key
-        existed = self._exists(pid, key)
+        existed, old = self._find(pid, key)
         self.perf.charge(Event.ALLOC)
         self.perf.charge(Event.DRAM_SEQ)  # the CAS on the mapping slot
         self._mapping[pid] = _Delta("ins", key, value, self._mapping[pid])
@@ -220,10 +217,11 @@ class BwTree(UpdatableIndex):
             self._n += 1
         if self._chain_len[pid] >= self.consolidate_after:
             self._consolidate(pid)
+        return old
 
     def delete(self, key: Key) -> bool:
         pid = self._route(key)
-        if not self._exists(pid, key):
+        if not self._find(pid, key)[0]:
             return False
         self.perf.charge(Event.ALLOC)
         self.perf.charge(Event.DRAM_SEQ)

@@ -125,7 +125,7 @@ class CCEH(Index):
                 return entry[2]
         return None
 
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
         check_uint64(key)
         for _ in range(64):  # split depth is bounded by the hash width
             h, segment, bucket = self._locate(key)
@@ -144,13 +144,13 @@ class CCEH(Index):
                     continue
                 if entry[1] == key:
                     segment.slots[slot] = (h, key, value)
-                    return
+                    return entry[2]
             if first_free >= 0:
                 segment.slots[first_free] = (h, key, value)
                 self._n += 1
-                return
+                return None
             self._split(segment)
-        raise ReproError(f"CCEH insert of key {key} did not converge")
+        raise ReproError(f"CCEH upsert of key {key} did not converge")
 
     def delete(self, key: Key) -> bool:
         if not is_uint64(key):
@@ -175,7 +175,7 @@ class CCEH(Index):
         check_uint64(key)
         if self.get(key) is None:
             return False
-        self.insert(key, value)
+        self.upsert(key, value)
         return True
 
     def _split(self, segment: _Segment) -> None:
@@ -237,7 +237,7 @@ class CCEH(Index):
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         check_sorted_unique(items)
         for key, value in items:
-            self.insert(key, value)
+            self.upsert(key, value)
 
     def __len__(self) -> int:
         return self._n

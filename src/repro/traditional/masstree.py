@@ -97,6 +97,10 @@ class Masstree(UpdatableIndex):
 
     def put_bytes(self, key: bytes, value: Any) -> bool:
         """Insert/overwrite; returns True if the key is new."""
+        return self._put_bytes(key, value)[0]
+
+    def _put_bytes(self, key: bytes, value: Any) -> Tuple[bool, Any]:
+        """:meth:`put_bytes`, returning ``(new, overwritten value)``."""
         layer = self._root
         offset = 0
         while True:
@@ -107,7 +111,7 @@ class Masstree(UpdatableIndex):
                 layer.tree._upsert(
                     code, _InlineEntry(key[offset + 8 :], value)
                 )
-                return True
+                return True, None
             if isinstance(entry, _LayerEntry):
                 layer = entry.layer
                 offset += 8
@@ -115,8 +119,8 @@ class Masstree(UpdatableIndex):
             # Inline entry with the same slice.
             remaining = key[offset + 8 :]
             if entry.suffix == remaining:
-                entry.value = value
-                return False
+                old, entry.value = entry.value, value
+                return False, old
             # Divergent suffixes: push both keys into a new layer.
             sub = _Layer(self.perf)
             layer.tree._upsert(code, _LayerEntry(sub))
@@ -167,10 +171,12 @@ class Masstree(UpdatableIndex):
             return None  # no stored key equals it
         return self.get_bytes(self._encode(key))
 
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
         check_uint64(key)
-        if self.put_bytes(self._encode(key), value):
+        new, old = self._put_bytes(self._encode(key), value)
+        if new:
             self._n += 1
+        return old
 
     def delete(self, key: Key) -> bool:
         if is_uint64(key) and self.delete_bytes(self._encode(key)):

@@ -121,13 +121,14 @@ class SkipList(UpdatableIndex):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
         check_uint64(key)
         update = self._find_predecessors(key)
         node = update[0].forward[0]
         if node is not None and node.key == key:
+            old = node.value
             node.value = value
-            return
+            return old
         height = self._random_height()
         if height > self._level:
             self._level = height
@@ -147,6 +148,7 @@ class SkipList(UpdatableIndex):
             update[lvl].forward[lvl] = new
             self.perf.charge(Event.DRAM_SEQ)
         self._n += 1
+        return None
 
     def delete(self, key: Key) -> bool:
         update = self._find_predecessors(key)

@@ -138,7 +138,7 @@ class Wormhole(UpdatableIndex):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, key: Key, value: Value) -> None:
+    def upsert(self, key: Key, value: Value) -> Optional[Value]:
         check_uint64(key)
         if not self._leaves:
             self._leaves = [_Leaf([key], [value])]
@@ -146,13 +146,14 @@ class Wormhole(UpdatableIndex):
             self._n = 1
             self.perf.charge(Event.ALLOC)
             self.perf.charge(Event.HASH, _ANCHOR_PREFIXES)
-            return
+            return None
         pos = self._route(key)
         leaf = self._leaves[pos]
         idx = self._leaf_rank(leaf, key)
         if idx >= 0 and leaf.keys[idx] == key:
+            old = leaf.values[idx]
             leaf.values[idx] = value
-            return
+            return old
         insert_at = idx + 1
         self.perf.charge(Event.KEY_MOVE, len(leaf.keys) - insert_at)
         leaf.keys.insert(insert_at, key)
@@ -160,6 +161,7 @@ class Wormhole(UpdatableIndex):
         self._n += 1
         if len(leaf.keys) > self.leaf_size:
             self._split(pos)
+        return None
 
     def _split(self, pos: int) -> None:
         leaf = self._leaves[pos]

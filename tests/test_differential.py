@@ -1,10 +1,12 @@
 """Seeded differential test: every registry spec against a dict.
 
 Each updatable spec runs a random mix of scalar and batch operations
-(``insert``, ``insert_many`` with in-batch duplicates, ``delete``, ``get``,
-``get_many``, ``scan_many`` with counts from -1 to 20) from three
-starting states: empty, one key, and a ~3,000-key bulk load holding both
-ends of the key space (0 and 2^64-1).  Answers and ``len`` are checked against the dict after every
+(``insert``, ``upsert``, ``update``, ``insert_many`` and ``upsert_many``
+with in-batch duplicates, ``delete``, ``get``, ``get_many``,
+``scan_many`` with counts from -1 to 20) from three starting states:
+empty, one key, and a ~3,000-key bulk load holding both ends of the key
+space (0 and 2^64-1).  Answers (every old value an upsert returns, and
+``update``'s bool) and ``len`` are checked against the dict after every
 operation.  Hash specs skip scans; read-only specs run ``bulk_load``,
 ``get_many`` and ``scan_many`` only.
 
@@ -43,9 +45,12 @@ class _Model:
         self.gone = []
 
     def put(self, key, value):
+        """Store ``value`` under ``key``; returns the value it replaced."""
         if key not in self.data:
             bisect.insort(self.sorted, key)
+        old = self.data.get(key)
         self.data[key] = value
+        return old
 
     def pop(self, key):
         if key not in self.data:
@@ -108,7 +113,10 @@ def _build(spec, start):
 @pytest.mark.parametrize("spec", UPDATABLE, ids=lambda s: s.name)
 def test_updatable_spec_matches_dict(spec, start):
     rng, index, model = _build(spec, start)
-    kinds = ["insert", "insert_many", "delete", "get", "get_many"]
+    kinds = [
+        "insert", "insert_many", "upsert", "upsert_many", "update",
+        "delete", "get", "get_many",
+    ]
     if index.capabilities().sorted_order:
         kinds.append("scan_many")
     for step in range(OPS):
@@ -118,12 +126,26 @@ def test_updatable_spec_matches_dict(spec, start):
             key = model.probe()
             index.insert(key, step)
             model.put(key, step)
-        elif kind == "insert_many":
+        elif kind == "upsert":
+            key = model.probe()
+            assert index.upsert(key, step) == model.put(key, step), f"{where}: {key}"
+        elif kind in ("insert_many", "upsert_many"):
             batch = [(k, step * 1_000 + j) for j, k in enumerate(model.probes(200))]
             batch += [(k, v + 1) for k, v in rng.sample(batch, len(batch) // 8)]
-            index.insert_many(batch)
-            for key, value in batch:
-                model.put(key, value)
+            if kind == "insert_many":
+                index.insert_many(batch)
+                for key, value in batch:
+                    model.put(key, value)
+            else:
+                # An in-batch repeat's old value is its predecessor's value.
+                olds = index.upsert_many(batch)
+                assert olds == [model.put(k, v) for k, v in batch], where
+        elif kind == "update":
+            key = model.probe()
+            present = key in model.data
+            assert index.update(key, step) is present, f"{where}: {key}"
+            if present:
+                model.put(key, step)
         elif kind == "delete":
             if model.sorted and rng.random() < 0.7:
                 i = rng.randrange(len(model.sorted))

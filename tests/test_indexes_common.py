@@ -330,6 +330,20 @@ class TestDynamicPGMSpecifics:
         idx.insert(10, "new")
         assert idx.get(10) == "new"
 
+    def test_update_leaves_a_carried_tombstone_deleted(self):
+        """A tombstone carried into a level shadows the older copy below
+        it: ``update`` of the deleted key answers False and stores
+        nothing."""
+        idx = DynamicPGMIndex(base_level_size=4, perf=PerfContext())
+        idx.bulk_load([(k, k) for k in range(0, 300, 3)])
+        assert idx.delete(3)
+        for k in range(1000, 1008):
+            idx.insert(k, k)
+        assert not any(k == 3 for k, _ in idx._buffer)  # carried down
+        assert idx.update(3, 99) is False
+        assert idx.get(3) is None
+        assert len(idx) == 107
+
     def test_retrain_stats_populated(self):
         idx = DynamicPGMIndex(base_level_size=8, perf=PerfContext())
         for k in range(200):

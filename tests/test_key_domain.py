@@ -92,9 +92,8 @@ def test_updatable_index_refuses_before_any_change(spec, call):
     )
 
 
-#: Keys no stored key equals.  NaN is left out: its lookup on a learned
-#: spec raises ``ValueError`` from the model's prediction.
-NOT_STORED = (-1, -0.5, 5.5, 2**64)
+#: Keys no stored key equals.
+NOT_STORED = (-1, -0.5, 5.5, 2**64, float("nan"), float("inf"), float("-inf"))
 
 
 @pytest.mark.parametrize("store", [False, True], ids=["index", "store"])
@@ -165,3 +164,15 @@ def test_engine_store_refuses_before_any_shard_changes(spec):
             _refuses_every_bad_key(store, write, sorted_)
     finally:
         store.close()
+
+
+def test_engine_delete_of_nan_answers_false():
+    """A NaN delete reaches a learned shard's model and answers False."""
+    engine = parallel_sharded_index("ALEX", 2, transport="loopback")
+    try:
+        engine.bulk_load(LOADED)
+        before = _state(engine, True)
+        assert engine.delete(float("nan")) is False
+        assert _state(engine, True) == before
+    finally:
+        engine.close()

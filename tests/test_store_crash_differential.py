@@ -16,8 +16,9 @@ recovers it:
   (slots are reused, so address order is not write order).
 
 After every recovery the store must equal the dict exactly: every key's
-value, ``len`` and the sorted scan; recovery must allocate no page and
-put every slot without a live record on the free list.  An update-only
+value, ``len`` and the sorted scan; recovery must allocate no page, put
+every slot without a live record on the free list, and count only the
+live records as used device bytes.  An update-only
 phase at the end must grow the device by at most one page: every freed
 slot is reused.
 """
@@ -74,6 +75,8 @@ class _Run:
         assert store.device.page_count == pages
         spp = store.device.slots_per_page
         assert len(store._free_slots) == pages * spp - len(store)
+        # Only the live records count as used: a torn one is cleared.
+        assert store.device.used_bytes() == len(store) * store.device.record_bytes
 
     def check(self):
         store, oracle = self.store, self.oracle
