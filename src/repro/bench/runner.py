@@ -206,7 +206,7 @@ def execute_ops(
     histogram record of its amortised per-op latency, so op counts and
     bytes/op stay comparable to ``batch_size=1``.  Batched measurements
     reach the profiler with ``ops=len(batch)`` so its per-op attribution
-    splits the coarse charge across the run.
+    splits the batch's charge evenly across the run.
 
     The records land in the run's own
     :class:`~repro.obs.metrics.MetricsRegistry`, returned as

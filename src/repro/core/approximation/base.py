@@ -130,29 +130,23 @@ class Approximation:
 
         ``(slope, intercept, base_key, n, start)`` — what a batch path
         needs to evaluate ``seg.start + seg.predict(key)`` for many
-        (query, segment) pairs in one vectorized pass.  Cached on the
-        instance (segments never change after fit); ``None`` when the
-        parameters overflow int64.
+        (query, segment) pairs in one vectorized pass
+        (:func:`repro.core.approximation.vectorized.segment_guesses`).
+        Cached on the instance (segments never change after fit); the
+        base keys are uint64, like every index key.
         """
         cached = getattr(self, "_param_arrays", None)
-        if cached is not None:
-            return cached if cached != "unavailable" else None
-        np = _vec.np
-        segs = self.segments
-        try:
-            # int64 so batch paths can form signed key deltas; keys in the
-            # upper half of the u64 range fall back to the scalar loops.
-            self._param_arrays = (
+        if cached is None:
+            np = _vec.np
+            segs = self.segments
+            cached = self._param_arrays = (
                 np.array([s.model.slope for s in segs], dtype=np.float64),
                 np.array([s.model.intercept for s in segs], dtype=np.float64),
-                np.array([s.model.base_key for s in segs], dtype=np.int64),
+                np.array([s.model.base_key for s in segs], dtype=np.uint64),
                 np.array([s.n for s in segs], dtype=np.int64),
                 np.array([s.start for s in segs], dtype=np.int64),
             )
-        except OverflowError:
-            self._param_arrays = "unavailable"
-            return None
-        return self._param_arrays
+        return cached
 
     def segment_for(self, key: int) -> Segment:
         """The segment whose key range covers ``key``."""

@@ -47,10 +47,11 @@ def as_u64(keys: Sequence[int]):
         return None
     # A list/tuple: only take the fast path when every element is a true
     # Python int (bool excluded); floats must keep the scalar semantics.
-    if not all(type(k) is int for k in keys):
+    # One C-level pass collects the element types.
+    if not set(map(type, keys)) <= {int}:
         return None
     try:
-        return np.array(keys, dtype=np.uint64)
+        return np.fromiter(keys, dtype=np.uint64, count=len(keys))
     except (OverflowError, TypeError, ValueError):
         return None
 
@@ -84,44 +85,53 @@ def validate_fit_keys(keys: Sequence[int], algo: str):
     return None
 
 
-def predict_clamped_many(model, keys_u64, n: int):
-    """Vectorized :meth:`LinearModel.predict_clamped` over a uint64 array.
+def model_positions(slope, intercept, base_key, keys_u64, n):
+    """:meth:`LinearModel.predict_clamped` over a uint64 array, exact for
+    every key; the parameters are scalars or arrays parallel to the keys.
 
-    Replicates ``int(round(slope * (key - base_key) + intercept))`` clamped
-    to ``[0, n - 1]``: uint64 subtraction is exact, the float64 conversion
-    and arithmetic match Python's scalar promotion, and ``np.rint`` is the
-    same round-half-even as builtin ``round``.  Returns ``None`` when the
-    computation cannot be reproduced exactly (key below the model base, or
-    a non-finite prediction).
+    The key delta is exact in uint64 on either side of the base and
+    converts to float64 as Python's int does; ``np.rint`` is builtin
+    ``round``'s half-even, and ``fmax``/``fmin`` clamp a NaN or infinite
+    prediction as the scalar does.
     """
+    base = np.asarray(base_key, dtype=np.uint64)
+    pos = (keys_u64 - base).astype(np.float64)
+    below = keys_u64 < base
+    if below.any():
+        under = base if base.ndim == 0 else base[below]
+        pos[below] = -(under - keys_u64[below]).astype(np.float64)
+    pos *= slope
+    pos += intercept
+    np.rint(pos, out=pos)
+    np.fmax(pos, 0.0, out=pos)
+    np.fmin(pos, n - 1, out=pos)
+    return pos.astype(np.int64)
+
+
+def predict_clamped_many(model, keys_u64, n: int):
+    """:func:`model_positions` of one model over sorted keys, or ``None``
+    when a key lies below the model's base (the gapped placements then
+    run their point-by-point loops)."""
     if keys_u64.size and int(keys_u64[0]) < model.base_key:
-        return None  # uint64 subtraction would wrap
-    lx = (keys_u64 - np.uint64(model.base_key)).astype(np.float64)
-    pos = model.slope * lx + model.intercept
-    if not np.isfinite(pos).all():
         return None
-    pred = np.rint(pos)
-    np.clip(pred, 0.0, float(n - 1), out=pred)
-    return pred.astype(np.int64)
+    return model_positions(
+        model.slope, model.intercept, model.base_key, keys_u64, n
+    )
 
 
-def segment_guesses(params, seg_idx, qs_i64):
+def segment_guesses(params, seg_idx, keys_u64):
     """``seg.start + seg.predict(q)`` over parallel (query, segment) arrays.
 
     ``params`` is ``Approximation.param_arrays()``; ``seg_idx`` selects
-    one segment per query.  Mirrors ``LinearModel.predict_clamped``
-    element for element: the int64 key delta is exact (|delta| < 2^63),
-    float64 arithmetic matches Python's scalar promotion, ``np.rint`` is
-    the same round-half-even as builtin ``round``, and the clamp is the
-    per-segment ``[0, n - 1]``.
+    one segment per query, and :func:`model_positions` evaluates each
+    query under its segment's model with the per-segment ``[0, n - 1]``
+    clamp.
     """
     slope, intercept, base_key, seg_n, seg_start = params
-    pred = np.rint(
-        slope[seg_idx] * (qs_i64 - base_key[seg_idx]).astype(np.float64)
-        + intercept[seg_idx]
-    ).astype(np.int64)
-    np.clip(pred, 0, seg_n[seg_idx] - 1, out=pred)
-    return seg_start[seg_idx] + pred
+    return seg_start[seg_idx] + model_positions(
+        slope[seg_idx], intercept[seg_idx], base_key[seg_idx], keys_u64,
+        seg_n[seg_idx],
+    )
 
 
 def measure_errors(model, keys_u64, n: int) -> Optional[Tuple[int, int]]:

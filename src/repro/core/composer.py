@@ -21,7 +21,6 @@ space the paper recommends.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
@@ -37,6 +36,7 @@ from repro.core.interfaces import (
     check_sorted_unique,
     check_uint64,
     check_uint64_items,
+    scan_start,
 )
 from repro.core.retraining.base import RetrainPolicy
 from repro.core.structures.base import InternalStructure
@@ -46,6 +46,15 @@ from repro.perf.context import PerfContext
 from repro.perf.events import Event
 
 _MAX_RETRAIN_ATTEMPTS = 4
+
+
+def _runs(leaf_idx):
+    """``(leaf, start, end)`` of each run of equal leaf indexes in a
+    routed sorted batch (a sorted batch's leaf indexes never decrease)."""
+    cuts = _vec.np.flatnonzero(leaf_idx[1:] != leaf_idx[:-1]) + 1
+    starts = [0] + cuts.tolist()
+    ends = starts[1:] + [len(leaf_idx)]
+    return zip(leaf_idx[starts].tolist(), starts, ends)
 
 
 class ComposedIndex(UpdatableIndex):
@@ -128,17 +137,15 @@ class ComposedIndex(UpdatableIndex):
     def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
         """Sorted-batch leaf routing.
 
-        The batch is argsorted, routed through the internal structure in
-        one vectorized pass (see ``InternalStructure.lookup_many``), and
-        each run of queries landing in the same leaf is answered with a
-        single ``Leaf.get_many`` call, which gets the run's sorted
-        ``uint64`` slice as it is; answers scatter back to the caller's
-        order.  Each run's positions become Python ints only when its
-        turn comes, so the batch is never held as Python ints whole; the
-        leaf indexes of sorted queries never decrease, so a run ends
-        where ``bisect_right`` says.  Any batch
-        that cannot be converted exactly to uint64 takes the per-key
-        fallback, so results always match ``[self.get(k) for k in keys]``.
+        The batch is argsorted and routed through the internal structure
+        in one call (``InternalStructure.lookup_many``); each run of
+        queries landing in the same leaf is answered with a single
+        ``Leaf.get_many`` call, which gets the run's sorted ``uint64``
+        slice as it is, and the run's answers scatter back to the
+        caller's order in one indexed assignment.  The routing bills
+        what a loop of structure lookups bills, and so does every leaf
+        but the gapped one (see ``GappedLeaf.get_many``).  A batch that
+        cannot be converted exactly to uint64 takes the per-key loop.
         """
         n = len(keys)
         if not self.leaves or not n:
@@ -150,16 +157,11 @@ class ComposedIndex(UpdatableIndex):
         order = np.argsort(qs, kind="stable")
         sorted_qs = qs[order]
         leaf_idx = self.structure.lookup_many(sorted_qs)
-        results: List[Optional[Value]] = [None] * n
-        start = 0
-        while start < n:
-            li = leaf_idx[start]
-            end = bisect_right(leaf_idx, li, start)
+        results = np.full(n, None, dtype=object)
+        for li, start, end in _runs(leaf_idx):
             values = self.leaves[li].get_many(sorted_qs[start:end])
-            for pos, value in zip(order[start:end].tolist(), values):
-                results[pos] = value
-            start = end
-        return results
+            results[order[start:end]] = object_array(values)
+        return results.tolist()
 
     def __len__(self) -> int:
         return self._n
@@ -194,14 +196,18 @@ class ComposedIndex(UpdatableIndex):
         n_leaves = len(leaves)
         results: List[List[Tuple[Key, Value]]] = []
         for start in starts:
-            idx = self.structure.lookup(start)
             out: List[Tuple[Key, Value]] = []
+            results.append(out)
+            if type(start) is not int:
+                start = scan_start(start)
+                if start is None:
+                    continue
+            idx = self.structure.lookup(start)
             while idx < n_leaves and len(out) < count:
                 run = leaves[idx].scan_from(start, count - len(out))
                 if run:
                     out.extend(run)
                 idx += 1
-            results.append(out)
         return results
 
     # -- mutation -----------------------------------------------------------
@@ -268,20 +274,15 @@ class ComposedIndex(UpdatableIndex):
         olds = np.full(n, None, dtype=object)
         i = 0
         while i < n:
-            leaf_idx = self.structure.lookup_many(sorted_qs[i:])
-            total = len(leaf_idx)
-            start = 0
             rerouted = False
-            while start < total and not rerouted:
-                li = leaf_idx[start]
-                end = bisect_right(leaf_idx, li, start)
+            routed = self.structure.lookup_many(sorted_qs[i:])
+            for li, start, end in _runs(routed):
                 a, b = i + start, i + end
                 leaf = self.leaves[li]
                 done = leaf.insert_batch(sorted_qs[a:b], sorted_vs[a:b])
                 if done is not None:
                     self._n += done[0]
                     olds[order[a:b]] = done[1]
-                    start = end
                     continue
                 for j, pos in enumerate(order[a:b].tolist(), a):
                     key, value = items[pos]
@@ -297,7 +298,8 @@ class ComposedIndex(UpdatableIndex):
                         i = j + 1
                         rerouted = True
                         break
-                start = end
+                if rerouted:
+                    break
             if not rerouted:
                 break
         return head + olds.tolist()

@@ -306,11 +306,13 @@ class GappedLeaf(Leaf):
         """Batch get: one ``searchsorted`` over the occupied keys, one
         gather of the hits' values.
 
-        ``keys`` is a sorted ``uint64`` array or a sequence of ints.  Like
-        every batch fast path (see ``docs/performance.md``), results are
-        exactly the per-key loop's; the event bill is a coarse aggregate
-        (one hop + model eval per query, one comparison per halving of
-        the slot array) rather than the scalar per-probe ledger.
+        ``keys`` is a sorted ``uint64`` array or a sequence of ints, and
+        the answers are exactly the per-key loop's.  The bill is the one
+        documented exception to "a batch read bills its loop": one hop
+        and model evaluation per query and one comparison per halving of
+        the slot array.  :meth:`_rank_slot`'s search walks the occupancy
+        map, so no (guess, answer) replay can price it, and running it
+        per key costs about ten times this whole batch.
         """
         n = len(keys)
         qs = _vec.as_u64(keys) if n >= _MIN_BATCH else None
@@ -342,10 +344,10 @@ class GappedLeaf(Leaf):
         instead (tiny run, or the run would cross the density limit,
         where per-key FULL semantics must decide the retrain point).
 
-        Like every batch fast path the event bill is a coarse aggregate;
-        the re-spread also restores gap locality, so ``_move_ema`` decays
-        as a run of free inserts would (see ``docs/performance.md`` on
-        batch-vs-scalar cost parity).
+        Like the other batch writes, the event bill is an aggregate of
+        this one pass; the re-spread also restores gap locality, so
+        ``_move_ema`` decays as a run of free inserts would (see
+        ``docs/performance.md`` on batch-vs-scalar cost parity).
         """
         if len(keys) < _MIN_BATCH:
             return None

@@ -10,6 +10,12 @@ Every write that stores a key or a value (``insert``, ``upsert``,
 ``InvalidKeysError`` before it changes anything.  ``delete`` stores
 nothing: like a lookup, it removes the stored key its argument equals
 (``delete(3.0)`` removes 3) and answers False when no stored key does.
+
+A batch read (``get_many``, ``contains_many``, ``scan_many``) equals the
+loop of its scalar calls in answers and in ledger: a native path is
+faster wall clock, never cheaper on the simulated clock.  The one
+exception is ALEX's gapped leaf, whose ``get_many`` prices its rank
+searches in aggregate (see ``GappedLeaf.get_many``).
 """
 
 from __future__ import annotations
@@ -35,13 +41,17 @@ def scan_start(start: Any) -> Optional[int]:
     """The smallest uint64 key at or above ``start``; ``None`` if none is.
 
     An integer of any type converts exactly, any other number rounds up,
-    and a negative start clamps to 0, so a scan from ``start`` is a scan
-    from the returned key.
+    and a negative start (-inf included) clamps to 0, so a scan from
+    ``start`` is a scan from the returned key.  NaN and +inf are at or
+    below no key: they answer ``None``.  Every sorted index scans from a
+    non-integer start through this.
     """
     try:
         s = operator.index(start)
     except TypeError:
-        s = math.ceil(start)
+        if math.isnan(start) or start == math.inf:
+            return None
+        s = math.ceil(start) if start != -math.inf else 0
     if s >= KEY_LIMIT:
         return None
     return s if s > 0 else 0
@@ -151,12 +161,12 @@ class Index(ABC):
         return self.get(key) is not None
 
     def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
-        """Batch point lookup; position ``i`` answers ``keys[i]``.
+        """Batch point lookup; position ``i`` answers ``keys[i]``, and the
+        batch bills what the loop of :meth:`get` bills.
 
-        The default is the per-key loop, so every index satisfies the
-        same contract; indexes with a contiguous key array override this
-        with a vectorized fast path (one ``searchsorted`` for the whole
-        batch instead of one model descent per key).
+        The default is that loop; an index whose search vectorizes
+        overrides it with one ``searchsorted`` for the whole batch and
+        the scalar searches' replayed charges (``repro.core.search``).
         """
         return [self.get(key) for key in keys]
 
@@ -255,11 +265,16 @@ class SortedIndex(Index):
         """Return up to ``count`` pairs with key >= start, ascending.
 
         A count of 0 or less returns ``[]`` without a search, so it
-        charges nothing; every ``scan_many`` answers it the same way.
+        charges nothing; every ``scan_many`` answers it the same way.  A
+        non-integer start scans from :func:`scan_start`'s key.
         """
         out: List[Tuple[Key, Value]] = []
         if count <= 0:
             return out
+        if type(start) is not int:
+            start = scan_start(start)
+            if start is None:
+                return out
         for pair in self.range(start, 2**64 - 1):
             out.append(pair)
             if len(out) >= count:
@@ -275,10 +290,9 @@ class SortedIndex(Index):
         satisfies the same contract: the result lists, their order, and
         the simulated event charges are bit-identical to sequential
         :meth:`scan` calls.  Indexes whose leaves are contiguous (or
-        gapped-but-compactable) arrays override this with a vectorized
-        path that keeps per-start positioning but extracts each run as a
-        slice copy with one aggregate charge — see
-        ``registry.has_native_batch_scan``.
+        gapped-but-compactable) arrays override this with a path that
+        extracts each run as a slice copy and bills the per-record
+        charges in one call — see ``registry.has_native_batch_scan``.
         """
         return [self.scan(start, count) for start in starts]
 

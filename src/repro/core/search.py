@@ -7,12 +7,13 @@ where ``astar`` is the answer.  So the probe path, and every charge along
 it, is a pure function of the range, the guess and the answer.  Each
 search therefore takes its answer from :mod:`bisect` (exact on Python
 ints and floats) and its charges from a replay of the probe path, issued
-as one ``perf.charge`` per event kind.  Batch paths find ``astar`` for a
-whole batch with one ``searchsorted`` and bill through the same replays
-and their memos, so a batch call and the loop of scalar calls charge the
-same events by construction.  A gallop that stays far from both ends of
-its range depends only on the error ``d = astar - guess``, so scalar and
-batch calls alike take its charges from a per-error memo.
+as one ``perf.charge`` per event kind.  A gallop that stays far from
+both ends of its range depends only on the error ``d = astar - guess``,
+so it takes its charges from a per-error memo.  The batch forms
+(``*_many``), which every batch read bills through, find ``astar`` for a
+whole uint64 batch with one ``searchsorted`` and bill the same replays'
+totals once per event kind, so a batch call and the loop of scalar
+calls charge the same events by construction.
 
 Each replay classifies every probe: one that lands more than
 :data:`PROBE_LOCALITY_KEYS` keys from the previous probe is a cache miss
@@ -213,23 +214,6 @@ def rank_replay_charges(d: int) -> Tuple[int, int, int]:
     return hit
 
 
-#: (hi, guess, astar) -> charges for rank searches too close to a border
-#: for the translation-invariant memo (lo is always 0 at the call sites).
-_RANK_BORDER_MEMO: dict = {}
-
-
-def rank_border_charges(hi: int, guess: int, astar: int):
-    """Memoized :func:`replay_rank_search` charges over ``[0, hi]``."""
-    key = (hi, guess, astar)
-    hit = _RANK_BORDER_MEMO.get(key)
-    if hit is None:
-        if len(_RANK_BORDER_MEMO) > 65536:
-            _RANK_BORDER_MEMO.clear()
-        c, h, s, _ = replay_rank_search(0, hi, guess, astar)
-        hit = _RANK_BORDER_MEMO[key] = (c, h, s)
-    return hit
-
-
 # -- gallop from a guess over a whole fence array ----------------------------
 
 
@@ -353,55 +337,6 @@ def exp_replay_charges(d: int):
     return hit
 
 
-#: (n, guess, astar) -> charges for searches too close to a border for
-#: the translation-invariant memo.  Border queries cluster within
-#: O(max_error) of the array ends, so the key space stays small; cleared
-#: defensively if a pathological workload ever grows it.
-_EXP_BORDER_MEMO: dict = {}
-
-
-def exp_border_charges(n: int, guess: int, astar: int):
-    """Memoized :func:`replay_exponential_search` charges for one query."""
-    key = (n, guess, astar)
-    hit = _EXP_BORDER_MEMO.get(key)
-    if hit is None:
-        if len(_EXP_BORDER_MEMO) > 65536:
-            _EXP_BORDER_MEMO.clear()
-        c, h, s, _ = replay_exponential_search(n, guess, astar)
-        hit = _EXP_BORDER_MEMO[key] = (c, h, s)
-    return hit
-
-
-def accumulate_replay_charges(d, guess, astar, lo, hi, charges_of_d, replay):
-    """Total ``(compare, hop, seq)`` for a batch of replayed searches.
-
-    ``d``/``guess``/``astar`` are parallel int64 arrays.  Queries whose
-    probe window provably stays inside ``[lo, hi]`` (margin
-    ``2|d| + 2``) share the memoized per-error ledger ``charges_of_d``;
-    the rare border queries replay individually via
-    ``replay(guess, astar) -> (compare, hop, seq)``.
-    """
-    margin = 2 * np.abs(d) + 2
-    safe = (guess - margin >= lo) & (guess + margin <= hi)
-    compare = hop = seq = 0
-    if not safe.all():
-        border = np.nonzero(~safe)[0]
-        for g, a in zip(guess[border].tolist(), astar[border].tolist()):
-            c, h, s = replay(g, a)
-            compare += c
-            hop += h
-            seq += s
-        d = d[safe]
-    if d.size:
-        vals, counts = np.unique(d, return_counts=True)
-        for dv, cnt in zip(vals.tolist(), counts.tolist()):
-            c, h, s = charges_of_d(dv)
-            compare += c * cnt
-            hop += h * cnt
-            seq += s * cnt
-    return compare, hop, seq
-
-
 # -- halving inside a known window -------------------------------------------
 
 
@@ -440,6 +375,115 @@ def replay_bounded_binary_search(lo, hi, astar):
         else:
             hi = mid - 1
     return compare, hop, seq, max(0, lo)
+
+
+# -- batch forms: one searchsorted answers, the replays bill -----------------
+
+#: A gallop over at most this many keys bills from one table of every
+#: (guess, answer) pair's charges, built once per array length.
+GALLOP_TABLE_KEYS = 16
+
+#: (replay, n) -> int64 array of shape (n * (n + 1), 3): row
+#: ``guess * (n + 1) + astar + 1`` holds that search's charges.
+_GALLOP_TABLES: dict = {}
+
+
+def _replay_rank(n, guess, astar):
+    return replay_rank_search(0, n - 1, guess, astar)
+
+
+def _gallop_charges(n, guess, astar, replay, charges_of_d):
+    """Total ``(compare, hop, seq)`` of a batch of gallops over ``n`` keys.
+
+    The replays clamp each guess into ``[0, n - 1]`` first, so the batch
+    does too.  Over a longer array, a query whose probes provably stay
+    inside it bills from the per-error memo, and the rest replay.
+    """
+    guess = np.minimum(np.maximum(guess, 0), n - 1)
+    if n <= GALLOP_TABLE_KEYS:
+        table = _GALLOP_TABLES.get((replay, n))
+        if table is None:
+            table = _GALLOP_TABLES[replay, n] = np.array(
+                [replay(n, g, a)[:3] for g in range(n) for a in range(-1, n)],
+                dtype=np.int64,
+            )
+        pairs = np.bincount(guess * (n + 1) + astar + 1, minlength=len(table))
+        return (pairs @ table).tolist()
+    d = astar - guess
+    margin = 2 * np.abs(d) + 2
+    inside = (guess >= margin) & (guess + margin <= n - 1)
+    compare = hop = seq = 0
+    border = np.flatnonzero(~inside)
+    for g, a in zip(guess[border].tolist(), astar[border].tolist()):
+        c, h, s, _ = replay(n, g, a)
+        compare += c
+        hop += h
+        seq += s
+    errors, counts = np.unique(d[inside], return_counts=True)
+    for dv, count in zip(errors.tolist(), counts.tolist()):
+        c, h, s = charges_of_d(dv)
+        compare += c * count
+        hop += h * count
+        seq += s * count
+    return compare, hop, seq
+
+
+def rank_search_many(keys, qs, guess, perf: PerfContext):
+    """Batch :func:`rank_search` over all of a sorted non-empty uint64
+    array, from int64 guesses: each query's rank (-1 if none) as an int64
+    array."""
+    n = len(keys)
+    astar = np.searchsorted(keys, qs, side="right") - 1
+    _charge(perf, *_gallop_charges(
+        n, guess, astar, _replay_rank, rank_replay_charges
+    ))
+    return astar
+
+
+def exponential_search_many(fences, qs, guess, perf: PerfContext):
+    """Batch :func:`exponential_search` over a sorted uint64 fence array:
+    each query's rightmost fence <= it, clamped to 0, as an int64 array."""
+    n = len(fences)
+    if n == 0:
+        raise EmptyIndexError("no fences to search")
+    astar = np.searchsorted(fences, qs, side="right") - 1
+    _charge(perf, *_gallop_charges(
+        n, guess, astar, replay_exponential_search, exp_replay_charges
+    ))
+    return np.maximum(astar, 0)
+
+
+#: (width, offset + 1) -> charges of a halving (see
+#: :func:`bounded_binary_search_many`); cleared if it ever grows large.
+_HALVING_MEMO: dict = {}
+
+
+def bounded_binary_search_many(fences, qs, lo, hi, perf: PerfContext):
+    """Batch :func:`bounded_binary_search`, query ``i`` in the window
+    ``[lo[i], hi[i]]``.  A halving's probes depend only on the window's
+    width and the answer's offset in it: each distinct pair replays once.
+    """
+    astar = np.searchsorted(fences, qs, side="right") - 1
+    off = np.clip(astar, lo - 1, hi) - lo  # in [-1, width]
+    if not off.size:
+        return off
+    width = hi - lo
+    span = int(width.max()) + 2
+    codes, counts = np.unique(width * span + off + 1, return_counts=True)
+    compare = hop = seq = 0
+    memo = _HALVING_MEMO
+    if len(memo) > 65536:
+        memo.clear()
+    for code, count in zip(codes.tolist(), counts.tolist()):
+        w, o = divmod(code, span)
+        hit = memo.get((w, o))
+        if hit is None:
+            hit = memo[w, o] = replay_bounded_binary_search(0, w, o - 1)[:3]
+        compare += hit[0] * count
+        hop += hit[1] * count
+        seq += hit[2] * count
+    _charge(perf, compare, hop, seq)
+    return lo + np.maximum(off, 0)
 
 
 # -- in-node binary searches of the traditional trees ------------------------

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa import fit_least_squares
-from repro.core.search import exponential_search
+from repro.core.search import exponential_search, exponential_search_many
 from repro.core.structures.base import InternalStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf.context import PerfContext
@@ -163,6 +164,38 @@ class ATSStructure(InternalStructure):
         charge(Event.MODEL_EVAL)
         guess = node.model.predict_clamped(key, len(self.fences))
         return exponential_search(self.fences, key, guess, self.perf)
+
+    def _lookup_many(self, qs):
+        """The descent node by node: each node's model routes its share
+        of the batch in one pass, and each query pays a hop and a model
+        evaluation per node it visits, as :meth:`lookup` does."""
+        if self._root is None:
+            raise EmptyIndexError("structure not built")
+        fences = self._fence_array()
+        if fences is None:
+            return None
+        np = _vec.np
+        guess = np.empty(qs.size, dtype=np.int64)
+        visits = 0
+        todo = [(self._root, slice(None))]
+        while todo:
+            node, at = todo.pop()
+            sub = qs[at]
+            visits += sub.size
+            m, children = node.model, node.children
+            slots = _vec.model_positions(
+                m.slope, m.intercept, m.base_key, sub,
+                len(fences) if children is None else len(children),
+            )
+            if children is None:
+                guess[at] = slots
+                continue
+            members = np.arange(qs.size)[at]
+            for slot in np.unique(slots).tolist():
+                todo.append((children[slot], members[slots == slot]))
+        self.perf.charge(Event.DRAM_HOP, visits)
+        self.perf.charge(Event.MODEL_EVAL, visits)
+        return exponential_search_many(fences, qs, guess, self.perf)
 
     # -- metadata -----------------------------------------------------------
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import repro.core.approximation.vectorized as _vec
 from repro.perf.context import DEFAULT_CONTEXT, PerfContext
-from repro.perf.events import Event
 
 
 class InternalStructure(ABC):
@@ -27,31 +26,29 @@ class InternalStructure(ABC):
     def lookup(self, key: int) -> int:
         """Index of the rightmost fence <= key (0 if key < fences[0])."""
 
-    def lookup_many(self, keys: Sequence[int]) -> List[int]:
-        """Batch :meth:`lookup` over a *sorted* or unsorted query batch.
+    def lookup_many(self, keys: Sequence[int]):
+        """Batch :meth:`lookup`: an int64 array whose position ``i``
+        answers ``keys[i]``, sorted batch or not.
 
-        Every structure answers the same contract (rightmost fence <=
-        key, clamped to 0), so the fast path evaluates it directly with
-        one ``searchsorted`` over the fence array.  The per-probe event
-        ledger of the scalar descent is replaced by a coarse aggregate
-        bill — one comparison per binary-search level plus one pointer
-        chase per query — since batched routing genuinely skips the
-        per-level node hops (that is the point of the optimisation).
+        The batch bills exactly what the loop of :meth:`lookup` bills.
+        A batch of uint64 keys goes to :meth:`_lookup_many`, whose
+        vectorized form answers with one ``searchsorted`` per searched
+        array and bills the scalar descent's replayed totals; any other
+        batch, or a structure without a vectorized form, runs the loop.
         """
-        fences = self.fences
-        qs = _vec.as_u64(keys) if len(fences) else None
-        if qs is None:
-            return [self.lookup(key) for key in keys]
-        fa = self._fence_array()
-        if fa is None:
-            return [self.lookup(key) for key in keys]
         np = _vec.np
-        idx = np.searchsorted(fa, qs, side="right").astype(np.int64) - 1
-        np.maximum(idx, 0, out=idx)
-        levels = max(1, len(fences).bit_length())
-        self.perf.charge(Event.COMPARE, len(keys) * levels)
-        self.perf.charge(Event.DRAM_HOP, len(keys))
-        return idx.tolist()
+        qs = _vec.as_u64(keys)
+        if qs is not None:
+            found = self._lookup_many(qs)
+            if found is not None:
+                return found
+            keys = qs.tolist()
+        return np.array([self.lookup(key) for key in keys], dtype=np.int64)
+
+    def _lookup_many(self, qs):
+        """:meth:`lookup_many` of a uint64 array with the loop's ledger,
+        or ``None`` (charging nothing) to run the loop."""
+        return None
 
     def _fence_array(self):
         """Cached exact-uint64 copy of ``self.fences`` (or ``None``)."""

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.search import bounded_binary_search
+import repro.core.approximation.vectorized as _vec
+from repro.core.search import bounded_binary_search, bounded_binary_search_many
 from repro.core.structures.base import InternalStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf.context import PerfContext
@@ -56,6 +57,26 @@ class BTreeStructure(InternalStructure):
             hi = min(len(level) - 1, idx + self.fanout - 1)
             charge(Event.DRAM_HOP)  # descend into this node
             idx = bounded_binary_search(level, key, lo, hi, self.perf)
+            if depth > 0:
+                idx *= self.fanout
+        return idx
+
+    def _lookup_many(self, qs):
+        """:meth:`lookup`'s walk with each level's halving run for the
+        whole batch; ``levels[k]`` is every ``fanout**k``-th fence, so
+        its array is a strided view of the fence array."""
+        if not self._levels:
+            raise EmptyIndexError("structure not built")
+        fences = self._fence_array()
+        if fences is None:
+            return None
+        np = _vec.np
+        idx = np.zeros(qs.size, dtype=np.int64)
+        for depth in range(len(self._levels) - 1, -1, -1):
+            level = fences[:: self.fanout**depth]
+            hi = np.minimum(len(level) - 1, idx + self.fanout - 1)
+            self.perf.charge(Event.DRAM_HOP, qs.size)
+            idx = bounded_binary_search_many(level, qs, idx, hi, self.perf)
             if depth > 0:
                 idx *= self.fanout
         return idx

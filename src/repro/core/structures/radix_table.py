@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.search import bounded_binary_search
+import repro.core.approximation.vectorized as _vec
+from repro.core.search import bounded_binary_search, bounded_binary_search_many
 from repro.core.structures.base import InternalStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf.context import PerfContext
@@ -61,6 +62,7 @@ class RadixTableStructure(InternalStructure):
             if table[b] < table[b - 1]:
                 table[b] = table[b - 1]
         self._table = table
+        self._table_np = _vec.np.array(table)
 
     def bucket_of(self, key: int) -> int:
         if key <= self._min_key:
@@ -91,6 +93,23 @@ class RadixTableStructure(InternalStructure):
         lo, hi = self.bounds(key)
         charge(Event.DRAM_HOP)  # first touch of the fence bucket
         return bounded_binary_search(self.fences, key, lo, hi, self.perf)
+
+    def _lookup_many(self, qs):
+        """Every query's bucket bounds from one table gather, then one
+        batch halving, billed as :meth:`lookup` bills each key."""
+        if not self._table:
+            raise EmptyIndexError("structure not built")
+        fences = self._fence_array()
+        if fences is None:
+            return None
+        np = _vec.np
+        b = np.where(qs > self._min_key, qs - np.uint64(self._min_key), 0)
+        b >>= np.uint64(self._shift)
+        np.minimum(b, (1 << self.r_bits) - 1, out=b)
+        lo = np.maximum(self._table_np[b] - 1, 0)
+        hi = np.maximum(self._table_np[b + 1] - 1, 0)
+        self.perf.charge(Event.DRAM_HOP, 2 * qs.size)
+        return bounded_binary_search_many(fences, qs, lo, hi, self.perf)
 
     def bucket_sizes(self) -> List[int]:
         """Fences per bucket — the skew diagnostic used by Fig 11."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import LinearModel
 from repro.core.approximation.lsa import fit_least_squares
-from repro.core.search import exponential_search
+from repro.core.search import exponential_search, exponential_search_many
 from repro.core.structures.base import InternalStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf.context import PerfContext
@@ -78,6 +79,12 @@ class RMIStructure(InternalStructure):
                 # nearest populated range on the left.
                 model = LinearModel(0.0, prev_start, 0)
             self.models.append(model)
+        np = _vec.np
+        self._model_arrays = (
+            np.array([m.slope for m in self.models], dtype=np.float64),
+            np.array([m.intercept for m in self.models], dtype=np.float64),
+            np.array([m.base_key for m in self.models], dtype=np.uint64),
+        )
 
     def predict(self, key: int) -> int:
         """The predicted fence index of ``key``: the root picks a
@@ -95,6 +102,28 @@ class RMIStructure(InternalStructure):
         if self.root is None:
             raise EmptyIndexError("structure not built")
         return exponential_search(self.fences, key, self.predict(key), self.perf)
+
+    def _lookup_many(self, qs):
+        """Both model layers evaluated over the whole batch, billed as
+        :meth:`predict` bills each key, then one batch gallop."""
+        if self.root is None:
+            raise EmptyIndexError("structure not built")
+        fences = self._fence_array()
+        if fences is None:
+            return None
+        charge = self.perf.charge
+        charge(Event.DRAM_HOP, 2 * qs.size)
+        charge(Event.MODEL_EVAL, 2 * qs.size)
+        root = self.root
+        bucket = _vec.model_positions(
+            root.slope, root.intercept, root.base_key, qs, len(self.models)
+        )
+        slope, intercept, base_key = self._model_arrays
+        guess = _vec.model_positions(
+            slope[bucket], intercept[bucket], base_key[bucket], qs,
+            len(fences),
+        )
+        return exponential_search_many(fences, qs, guess, self.perf)
 
     def avg_depth(self) -> float:
         return 2.0

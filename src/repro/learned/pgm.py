@@ -20,6 +20,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.base import Approximation
 from repro.core.approximation.optpla import OptPLAApproximator
+from repro.core.insertion.base import object_array
 from repro.core.interfaces import (
     Capabilities,
     IndexStats,
@@ -31,13 +32,7 @@ from repro.core.interfaces import (
     check_uint64_items,
 )
 from repro.core.retraining.base import RetrainStats
-from repro.core.search import (
-    accumulate_replay_charges,
-    rank_border_charges,
-    rank_replay_charges,
-    rank_search,
-    scan_rank,
-)
+from repro.core.search import rank_search, scan_rank
 from repro.core.structures.lrs_structure import LRSStructure
 from repro.errors import InvalidConfigurationError
 from repro.learned.static_array import StaticArrayIndex
@@ -48,8 +43,8 @@ from repro.perf.events import Event
 #: Sentinel marking a deleted key inside the LSM levels.
 _TOMBSTONE = object()
 
-#: Sentinel distinguishing "not found yet" from "resolved to None" while a
-#: batched get drains through the LSM levels.
+#: Sentinel a level's ``set_value`` answers for a key it does not hold,
+#: so the LSM's in-place update moves on to the next level.
 _MISSING = object()
 
 #: Opt-PLA's convex-hull maintenance makes the build pass heavier than a
@@ -73,19 +68,11 @@ class PGMIndex(StaticArrayIndex):
             raise InvalidConfigurationError(f"eps must be >= 1, got {eps}")
         self.eps = eps
         self.eps_internal = eps_internal
-        self._keys_np = None
-        self._values_np = None
-        self._pairs: Optional[List[Tuple[Key, Any]]] = None
         self._approx: Optional[Approximation] = None
         self._structure: Optional[LRSStructure] = None
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         n = self._load(items)
-        self._keys_np = _vec.as_u64(self._keys)
-        # Exact-integer payloads get a contiguous copy too, so batch
-        # scans can materialize runs without chasing heap pointers.
-        self._values_np = _vec.as_u64(self._values)
-        self._pairs = None
         if n == 0:
             self._approx = None
             self._structure = None
@@ -104,121 +91,10 @@ class PGMIndex(StaticArrayIndex):
         self.perf.charge(Event.MODEL_EVAL)
         return seg.start + seg.predict(key)
 
-    def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
-        """One ``searchsorted`` over the contiguous key array per batch.
-
-        The per-probe ledger of the scalar descent (LRS hops, model
-        evals, bounded search) collapses into an aggregate bill: one
-        model eval per routing level and one comparison per halving of
-        the 2*eps search window, per query.  Results are always exactly
-        ``[self.get(k) for k in keys]``; inexact batches fall back.
-        """
-        if self._approx is None:
-            return [None] * len(keys)
-        qs = _vec.as_u64(keys) if self._keys_np is not None else None
-        if qs is None:
-            return [self.get(key) for key in keys]
-        np = _vec.np
-        pos = np.searchsorted(self._keys_np, qs, side="right").astype(np.int64) - 1
-        hit = (pos >= 0) & (self._keys_np[np.maximum(pos, 0)] == qs)
-        n = len(keys)
-        levels = self._structure.height + 1
-        window_steps = max(1, (2 * self.eps).bit_length())
-        self.perf.charge(Event.MODEL_EVAL, n * levels)
-        self.perf.charge(Event.DRAM_HOP, n * 2)
-        self.perf.charge(Event.COMPARE, n * window_steps)
-        self.perf.charge(Event.DRAM_SEQ, int(hit.sum()))
-        values = self._values
-        return [
-            values[p] if h else None
-            for p, h in zip(pos.tolist(), hit.tolist())
-        ]
-
-    def scan_many(
-        self, starts: Sequence[Key], count: int
-    ) -> List[List[Tuple[Key, Value]]]:
-        """Native batch scan: replayed positioning, sliced extraction.
-
-        Fast path (exact-integer batches with numpy available): one
-        ``searchsorted`` pair over the key array resolves every start's
-        true rank and run begin, the LRS descent and leaf search ledgers
-        are replayed in pure integer arithmetic
-        (:meth:`LRSStructure.lookup_many_exact`,
-        :func:`rank_border_charges`) without touching the key array, and
-        the whole batch's charges are issued as four aggregate events.
-        Totals stay bit-identical to sequential :meth:`scan` — the
-        scalar searches charge from the same replays — while skipping
-        the per-start descent, model evaluation and ``bisect`` of scalar
-        positioning.  Inexact batches keep the per-start charged
-        descent.
-        """
-        if self._approx is None or count <= 0:
-            return [[] for _ in starts]
-        keys = self._keys
-        values = self._values
-        n = len(keys)
-        out: List[List[Tuple[Key, Value]]] = []
-        # Decide the whole fast path before charging anything, so a late
-        # bail-out can never double-bill the routing descent.
-        leaf_params = (
-            self._approx.param_arrays() if self._keys_np is not None else None
-        )
-        qs = _vec.as_u64(starts) if leaf_params is not None else None
-        seg_ids = (
-            self._structure.lookup_many_exact(starts, qs=qs)
-            if qs is not None and qs.size
-            else None
-        )
-        if seg_ids is None:
-            for start in starts:
-                pos = self._rank(start)
-                if pos < 0 or keys[pos] < start:
-                    pos += 1
-                take = min(count, n - pos)
-                if take > 0:
-                    self.perf.charge(Event.DRAM_SEQ, take)
-                    out.append(list(zip(keys[pos : pos + take],
-                                        values[pos : pos + take])))
-                else:
-                    out.append([])
-            return out
-        np = _vec.np
-        knp = self._keys_np
-        astar = np.searchsorted(knp, qs, side="right").astype(np.int64) - 1
-        guess = _vec.segment_guesses(leaf_params, seg_ids, qs.astype(np.int64))
-        compare, hop, seq = accumulate_replay_charges(
-            astar - guess,
-            guess,
-            astar,
-            0,
-            n - 1,
-            rank_replay_charges,
-            lambda g, a: rank_border_charges(n - 1, g, a),
-        )
-        # First index with key >= start, i.e. searchsorted(side="left").
-        present = (knp[np.maximum(astar, 0)] == qs) & (astar >= 0)
-        begin = astar + 1 - present
-        takes = np.minimum(count, n - begin)
-        taken = int(takes.sum())
-        # Materialized pair list, built lazily on the first batch scan:
-        # extraction becomes a slice of consecutively allocated tuples
-        # (pointer copies, zero allocation) instead of building every
-        # pair from scratch per call.  Kept in sync by bulk_load and
-        # set_value; value-equal to what sequential ``scan`` returns.
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = list(zip(keys, values))
-        out = [
-            pairs[p : p + t]
-            for p, t in zip(begin.tolist(), takes.tolist())
-        ]
-        m = len(starts)
-        charge = self.perf.charge
-        charge(Event.DRAM_HOP, m + hop)
-        charge(Event.MODEL_EVAL, m)
-        charge(Event.COMPARE, compare)
-        charge(Event.DRAM_SEQ, seq + taken)
-        return out
+    def _guess_many(self, qs):
+        seg = self._structure.lookup_many(qs)
+        self.perf.charge(Event.MODEL_EVAL, qs.size)
+        return _vec.segment_guesses(self._approx.param_arrays(), seg, qs)
 
     def set_value(self, key: Key, value: Any) -> Any:
         """Overwrite the payload of a stored key in place; returns the
@@ -232,11 +108,6 @@ class PGMIndex(StaticArrayIndex):
         if old is _TOMBSTONE:
             return old
         self._values[pos] = value
-        if self._values_np is not None:
-            if type(value) is int and 0 <= value < 2**64:
-                self._values_np[pos] = value
-            else:
-                self._values_np = None  # payload left the u64 domain
         if self._pairs is not None:
             self._pairs[pos] = (self._keys[pos], value)
         return old
@@ -540,38 +411,37 @@ class DynamicPGMIndex(UpdatableIndex):
     def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
         """Batch get through the LSM: buffer first, then levels newest-first.
 
-        Unresolved keys drain level by level, so each static PGM level
-        answers one (shrinking) batch with its own vectorized
-        ``get_many``; tombstones resolve a key to ``None`` and stop the
-        drain, matching the scalar path's first-writer-wins semantics.
+        The staging buffer is searched for the whole batch at once and
+        billed per key as :meth:`_staged` bills it; unresolved keys then
+        drain level by level, each static level answering its shrinking
+        batch with its own ``get_many``, and a tombstone resolves a key
+        to ``None`` and stops the drain, as in :meth:`get`.  A batch of
+        other than uint64 keys runs the loop of :meth:`get`.
         """
-        n = len(keys)
-        out: List[Optional[Value]] = [None] * n
-        unresolved = list(range(n))
-        if self._buffer:
-            self.perf.charge(Event.DRAM_HOP)
-            self.perf.charge(Event.COMPARE, n)
-            staged = dict(self._buffer)
-            still: List[int] = []
-            for i in unresolved:
-                value = staged.get(keys[i], _MISSING)
-                if value is _MISSING:
-                    still.append(i)
-                else:
-                    out[i] = None if value is _TOMBSTONE else value
-            unresolved = still
+        qs = _vec.as_u64(keys) if len(keys) else None
+        if qs is None:
+            return [self.get(key) for key in keys]
+        np = _vec.np
+        buffer = self._buffer
+        staged = np.array([k for k, _ in buffer], dtype=np.uint64)
+        at = np.searchsorted(staged, qs)
+        inside = at < len(buffer)
+        self.perf.charge(Event.DRAM_HOP, qs.size)
+        self.perf.charge(Event.COMPARE, int(at.sum()) + int(inside.sum()))
+        out = np.full(qs.size, None, dtype=object)
+        unresolved = np.arange(qs.size)
+        if buffer:
+            hit = inside & (staged[np.minimum(at, len(buffer) - 1)] == qs)
+            out[hit] = object_array([buffer[j][1] for j in at[hit].tolist()])
+            unresolved = unresolved[~hit]
         for level in self._levels:
-            if level is None or not unresolved:
+            if level is None or not unresolved.size:
                 continue
-            values = level.get_many([keys[i] for i in unresolved])
-            still = []
-            for i, value in zip(unresolved, values):
-                if value is None:
-                    still.append(i)
-                else:
-                    out[i] = None if value is _TOMBSTONE else value
-            unresolved = still
-        return out
+            values = level.get_many(qs[unresolved])
+            done = np.array([v is not None for v in values], dtype=bool)
+            out[unresolved[done]] = object_array(values)[done]
+            unresolved = unresolved[~done]
+        return [None if v is _TOMBSTONE else v for v in out.tolist()]
 
     def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
         sources: List[List[Tuple[Key, Any]]] = []

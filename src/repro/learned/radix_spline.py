@@ -10,7 +10,7 @@ in Fig 16; the fixed prefix is why it collapses on FACE (Fig 11).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import repro.core.approximation.vectorized as _vec
 from repro.core.approximation.spline import SplineModel, build_spline
@@ -22,7 +22,6 @@ from repro.core.interfaces import (
     is_uint64,
     scan_start,
 )
-from repro.core.search import replay_bounded_binary_search, replay_rank_search
 from repro.core.structures.radix_table import RadixTableStructure
 from repro.learned.static_array import StaticArrayIndex
 from repro.perf.context import PerfContext
@@ -50,14 +49,13 @@ class RadixSplineIndex(StaticArrayIndex):
         super().__init__(perf)
         self.eps = eps
         self.r_bits = r_bits
-        self._keys_np = None
         self._knots_np = None
+        self._knot_pos = None
         self._spline: Optional[SplineModel] = None
         self._radix: Optional[RadixTableStructure] = None
 
     def bulk_load(self, items: Sequence[Tuple[Key, Value]]) -> None:
         n = self._load(items)
-        self._keys_np = _vec.as_u64(self._keys)
         if n == 0:
             self._spline = None
             self._knots_np = None
@@ -70,6 +68,9 @@ class RadixSplineIndex(StaticArrayIndex):
         self._spline = build_spline(self._keys, self.eps)
         knot_keys = self._spline.knot_keys
         self._knots_np = _vec.as_u64(knot_keys)
+        self._knot_pos = _vec.np.array(
+            [p for _, p in self._spline.knots], dtype=_vec.np.int64
+        )
         self.perf.charge(Event.ALLOC, 1 + len(knot_keys))
         self._radix = RadixTableStructure(self.r_bits, perf=self.perf)
         self._radix.build(knot_keys)
@@ -93,6 +94,37 @@ class RadixSplineIndex(StaticArrayIndex):
         self.perf.charge(Event.MODEL_EVAL)
         return self._interpolate(idx, key)
 
+    def _guess_many(self, qs):
+        idx = self._radix.lookup_many(qs)
+        self.perf.charge(Event.MODEL_EVAL, qs.size)
+        return self._interpolate_many(idx, qs)
+
+    def _interpolate_many(self, idx, qs):
+        """:meth:`_interpolate` of every query from its knot index.
+
+        Python divides the exact integers ``(p1 - p0) * (key - k0)`` and
+        ``k1 - k0`` with one rounding, then truncates; float64 lands
+        within 2^-50 of that quotient, so the few queries with an integer
+        that near take the scalar interpolation.
+        """
+        np = _vec.np
+        knots, pos = self._knots_np, self._knot_pos
+        last = knots.size - 1
+        if not last:
+            return np.full(qs.size, pos[0], dtype=np.int64)
+        j = np.minimum(idx, last - 1)
+        above = (idx < last) & (qs > knots[j])
+        run = np.where(above, qs - knots[j], 0).astype(np.float64)
+        x = (pos[j + 1] - pos[j]) * run / (knots[j + 1] - knots[j]).astype(
+            np.float64
+        )
+        out = np.where(idx < last, pos[j], pos[last])
+        out[above] += np.floor(x[above]).astype(np.int64)
+        near = np.floor(x * (1 - 2.0**-40)) != np.floor(x * (1 + 2.0**-40))
+        for i in np.flatnonzero(above & near).tolist():
+            out[i] = self._interpolate(int(idx[i]), int(qs[i]))
+        return out
+
     def get(self, key: Key) -> Optional[Value]:
         if not isinstance(key, int):
             # The radix table shifts key bits: look up the equal integer
@@ -102,34 +134,6 @@ class RadixSplineIndex(StaticArrayIndex):
             key = int(key)
         return super().get(key)
 
-    def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
-        """One ``searchsorted`` over the key array for the whole batch.
-
-        The radix probe + knot interpolation + bounded search per key is
-        billed as one aggregate charge: a table probe and model eval per
-        query plus one comparison per halving of the eps window.
-        Results always equal ``[self.get(k) for k in keys]``.
-        """
-        if self._spline is None:
-            return [None] * len(keys)
-        qs = _vec.as_u64(keys) if self._keys_np is not None else None
-        if qs is None:
-            return [self.get(key) for key in keys]
-        np = _vec.np
-        pos = np.searchsorted(self._keys_np, qs, side="right").astype(np.int64) - 1
-        hit = (pos >= 0) & (self._keys_np[np.maximum(pos, 0)] == qs)
-        n = len(keys)
-        window_steps = max(1, (2 * self.eps).bit_length())
-        self.perf.charge(Event.DRAM_HOP, n * 2)
-        self.perf.charge(Event.MODEL_EVAL, n)
-        self.perf.charge(Event.COMPARE, n * window_steps)
-        self.perf.charge(Event.DRAM_SEQ, int(hit.sum()))
-        values = self._values
-        return [
-            values[p] if h else None
-            for p, h in zip(pos.tolist(), hit.tolist())
-        ]
-
     def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
         if not isinstance(lo, int):
             # The radix table shifts key bits: search from the first
@@ -138,73 +142,6 @@ class RadixSplineIndex(StaticArrayIndex):
             if lo is None:
                 return
         yield from super().range(lo, hi)
-
-    def scan_many(
-        self, starts: Sequence[Key], count: int
-    ) -> List[List[Tuple[Key, Value]]]:
-        """Native batch scan: replayed positioning, sliced extraction.
-
-        Fast path (exact-integer batches with numpy available): one
-        ``searchsorted`` over the knot keys and one pair over the data
-        resolve every start's bounded-search rank, leaf rank, and run
-        begin; :func:`replay_bounded_binary_search` over the radix
-        table's :meth:`~RadixTableStructure.bounds` and
-        :func:`replay_rank_search` reproduce the scalar probe ledgers in
-        pure integer arithmetic, and the batch's charges go out as four
-        aggregate events — totals bit-identical to sequential
-        :meth:`scan`.  Inexact batches take the per-start :meth:`scan`.
-        """
-        if self._spline is None or count <= 0:
-            return [[] for _ in starts]
-        qs = (
-            _vec.as_u64(starts)
-            if self._keys_np is not None and self._knots_np is not None
-            else None
-        )
-        if qs is None:
-            return super().scan_many(starts, count)
-        keys = self._keys
-        values = self._values
-        n = len(keys)
-        out: List[List[Tuple[Key, Value]]] = []
-        np = _vec.np
-        astar = (
-            np.searchsorted(self._keys_np, qs, side="right").astype(np.int64)
-            - 1
-        ).tolist()
-        kastar = (
-            np.searchsorted(self._knots_np, qs, side="right").astype(np.int64)
-            - 1
-        ).tolist()
-        begin = np.searchsorted(self._keys_np, qs, side="left").tolist()
-        bounds = self._radix.bounds
-        compare = hop = seq = taken = 0
-        for i, start in enumerate(starts):
-            lo, hi = bounds(start)
-            c, h, s, idx = replay_bounded_binary_search(lo, hi, kastar[i])
-            compare += c
-            hop += h
-            seq += s
-            guess = self._interpolate(idx, start)
-            c, h, s, _ = replay_rank_search(0, n - 1, guess, astar[i])
-            compare += c
-            hop += h
-            seq += s
-            pos = begin[i]
-            take = min(count, n - pos)
-            if take > 0:
-                taken += take
-                out.append(list(zip(keys[pos : pos + take],
-                                    values[pos : pos + take])))
-            else:
-                out.append([])
-        m = len(starts)
-        charge = self.perf.charge
-        charge(Event.DRAM_HOP, m * 3 + hop)
-        charge(Event.MODEL_EVAL, m)
-        charge(Event.COMPARE, compare)
-        charge(Event.DRAM_SEQ, seq + taken)
-        return out
 
     # -- metadata -----------------------------------------------------------
 

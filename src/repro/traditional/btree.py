@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+import repro.core.approximation.vectorized as _vec
 from repro.core.interfaces import (
     Capabilities,
     IndexStats,
@@ -21,8 +22,14 @@ from repro.core.interfaces import (
     check_sorted_unique,
     check_uint64,
     check_uint64_items,
+    scan_start,
 )
-from repro.core.search import child_slot, node_rank
+from repro.core.search import (
+    child_slot,
+    node_rank,
+    replay_child_slot,
+    replay_node_rank,
+)
 from repro.errors import InvalidConfigurationError
 from repro.perf.context import PerfContext
 from repro.obs.trace import EventType
@@ -138,18 +145,19 @@ class BPlusTree(UpdatableIndex):
     ) -> Tuple[_LeafNode, List[_InnerNode], List[int], int, Optional[Key]]:
         """Uncharged root-to-leaf walk for the batch paths.
 
-        Returns ``(leaf, path, slots, compares, fence)``; the caller bills
-        the walk as a coarse aggregate afterwards — one hop per level plus
-        one comparison per halving of each inner node — instead of
-        charging every probe individually as :meth:`_find_leaf` does.
-        ``fence`` is the separator that bounds the leaf from above (None
-        for the last leaf): a later key below it routes to the same leaf.
-        It is not the next leaf's first key, which a delete can raise.
+        Returns ``(leaf, path, slots, probes, fence)``: ``probes`` is what
+        :meth:`_find_leaf`'s ``child_slot`` searches probe on the way
+        down, so the caller bills each key routed along this path
+        exactly that plus one hop per level.  ``fence`` is the separator
+        that bounds the leaf from above (None for the last leaf): a
+        later key below it takes the same path, through the same child
+        slots, and so probes the same.  It is not the next leaf's first
+        key, which a delete can raise.
         """
         node = self._root
         path: List[_InnerNode] = []
         slots: List[int] = []
-        compares = 0
+        probes = 0
         fence: Optional[Key] = None
         while isinstance(node, _InnerNode):
             slot = bisect_right(node.keys, key)
@@ -157,9 +165,9 @@ class BPlusTree(UpdatableIndex):
                 fence = node.keys[slot]
             path.append(node)
             slots.append(slot)
-            compares += max(1, len(node.keys).bit_length())
+            probes += replay_child_slot(len(node.keys), slot)
             node = node.children[slot]
-        return node, path, slots, compares, fence
+        return node, path, slots, probes, fence
 
     # -- queries ----------------------------------------------------------
 
@@ -175,36 +183,34 @@ class BPlusTree(UpdatableIndex):
 
         The batch is probed in key order, so consecutive keys usually hit
         the leaf already in hand (checked against its upper fence) and
-        the root-to-leaf walk runs once per *leaf* touched rather
-        than once per key.  Results are exactly the per-key loop's; like
-        every batch fast path the in-leaf search is billed as a coarse
-        aggregate — one comparison per halving of the touched leaf — on
-        top of the individually-charged descents (``docs/performance.md``).
+        the root-to-leaf walk runs once per *leaf* touched rather than
+        once per key.  Each key is still billed what :meth:`get` bills
+        it: a hop per level, its path's ``child_slot`` probes and its own
+        ``node_rank`` replay.  A batch of other than uint64 keys runs the
+        loop of :meth:`get`.
         """
         n = len(keys)
-        if n < _MIN_BATCH:
+        if n < _MIN_BATCH or _vec.as_u64(keys) is None:
             return [self.get(k) for k in keys]
         results: List[Optional[Value]] = [None] * n
         order = sorted(range(n), key=keys.__getitem__)
         leaf: Optional[_LeafNode] = None
         fence: Optional[Key] = None
-        compares = 0
-        hops = 0
+        hops = probes = 0
         for i in order:
             key = keys[i]
             if fence is not None and key >= fence:
                 leaf = None
             if leaf is None:
-                leaf, _, _, walk, fence = self._descend(key)
-                compares += walk
-                hops += self._height
+                leaf, path, _, walk, fence = self._descend(key)
             idx = bisect_right(leaf.keys, key) - 1
-            compares += max(1, len(leaf.keys).bit_length())
+            hops += len(path) + 1
+            probes += walk + replay_node_rank(len(leaf.keys), idx)
             if idx >= 0 and leaf.keys[idx] == key:
                 results[i] = leaf.values[idx]
         self.perf.charge(Event.DRAM_HOP, hops)
-        self.perf.charge(Event.COMPARE, compares)
-        self.perf.charge(Event.DRAM_SEQ, compares)
+        self.perf.charge(Event.COMPARE, probes)
+        self.perf.charge(Event.DRAM_SEQ, probes)
         return results
 
     def range(self, lo: Key, hi: Key) -> Iterator[Tuple[Key, Value]]:
@@ -241,11 +247,16 @@ class BPlusTree(UpdatableIndex):
             return [[] for _ in starts]
         results: List[List[Tuple[Key, Value]]] = []
         for start in starts:
+            out: List[Tuple[Key, Value]] = []
+            results.append(out)
+            if type(start) is not int:
+                start = scan_start(start)
+                if start is None:
+                    continue
             leaf, _, _ = self._find_leaf(start)
             idx = node_rank(leaf.keys, start, self.perf)
             if idx < 0 or (idx < len(leaf.keys) and leaf.keys[idx] < start):
                 idx += 1
-            out: List[Tuple[Key, Value]] = []
             while leaf is not None:
                 take = min(len(leaf.keys) - idx, count - len(out))
                 if take > 0:
@@ -260,7 +271,6 @@ class BPlusTree(UpdatableIndex):
                 idx = 0
                 if leaf is not None:
                     self.perf.charge(Event.DRAM_HOP)
-            results.append(out)
         return results
 
     def __len__(self) -> int:
@@ -304,9 +314,9 @@ class BPlusTree(UpdatableIndex):
         duplicated key's occurrences apply in batch order: the last
         value wins and each occurrence's returned "old" is its
         predecessor's value, exactly as sequential upserts would.  Like
-        ``get_many`` the in-leaf search is billed as a coarse aggregate
-        — one comparison per halving of the touched leaf — on top of the
-        individually-charged descents (``docs/performance.md``).
+        ``get_many``, each key is billed what :meth:`upsert` bills it in
+        the tree it meets; sorted order can meet a different tree than
+        the caller's order once a key is inserted.
         """
         check_uint64_items(items)
         n = len(items)
@@ -321,19 +331,16 @@ class BPlusTree(UpdatableIndex):
         fence: Optional[Key] = None
         path: List[_InnerNode] = []
         slots: List[int] = []
-        compares = 0
-        hops = 0
-        moves = 0
+        hops = probes = moves = 0
         for j in order:
             key, value = items[j]
             if fence is not None and key >= fence:
                 leaf = None
             if leaf is None:
                 leaf, path, slots, walk, fence = self._descend(key)
-                compares += walk
-                hops += self._height
             idx = bisect_right(leaf.keys, key) - 1
-            compares += max(1, len(leaf.keys).bit_length())
+            hops += len(path) + 1
+            probes += walk + replay_node_rank(len(leaf.keys), idx)
             if idx >= 0 and leaf.keys[idx] == key:
                 olds[j] = leaf.values[idx]
                 leaf.values[idx] = value
@@ -347,8 +354,8 @@ class BPlusTree(UpdatableIndex):
                 self._split_leaf(leaf, path, slots)
                 leaf = None  # the cached parent path is now stale
         self.perf.charge(Event.DRAM_HOP, hops)
-        self.perf.charge(Event.COMPARE, compares)
-        self.perf.charge(Event.DRAM_SEQ, compares)
+        self.perf.charge(Event.COMPARE, probes)
+        self.perf.charge(Event.DRAM_SEQ, probes)
         self.perf.charge(Event.KEY_MOVE, moves)
         return olds
 

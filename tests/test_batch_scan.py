@@ -5,15 +5,17 @@
 same simulated hardware charges (counter deltas compare equal) — for
 every sorted registry spec, flat and through the Viper store, and
 through the sharded engine over both its in-process loopback transport
-and worker processes.  Edge cases pinned
-here: scans spanning leaf boundaries, empty ranges past the last key,
-duplicate start keys, post-insert buffers, hostile starts (negative,
-non-integer, at or past 2^64), counts of 0 or less (``[]``, no charge),
-and hash indexes failing with :class:`UnsupportedOperationError`, never
-``AttributeError``.
+and worker processes.  Edge cases pinned here: scans spanning leaf
+boundaries, empty ranges past the last key, duplicate start keys,
+post-insert buffers, hostile starts (negative, non-integer, NaN,
+infinite, at or past 2^64), counts of 0 or less (``[]``, no charge), and
+hash indexes failing with :class:`UnsupportedOperationError`, never
+``AttributeError``.  The executor's batched READ runs bill their scalar
+loop too, on every spec but ALEX.
 """
 
 import bisect
+import math
 import random
 
 import pytest
@@ -261,6 +263,34 @@ def test_hostile_scan_starts_match_oracle(spec):
         _assert_parity(index, perf, starts, count, "hostile")
 
 
+@pytest.mark.parametrize("spec", _spec_params())
+def test_scans_from_nan_and_infinities(spec):
+    """NaN and +inf are at or below no key: their scans are empty; -inf
+    is below every key: its scan is the first ``count`` keys.  On the
+    bare index, through the store and through a 2-shard engine, and
+    ``scan`` equals ``scan_many`` in answers and in charges."""
+    if not isinstance(spec.build(PerfContext()), SortedIndex):
+        pytest.skip("hash index: covered by the raising tests")
+    keys = list(range(0, 2998, 3))
+    items = [(k, k) for k in keys]
+    perf = PerfContext()
+    index = spec.build(perf)
+    index.bulk_load(items)
+    store = ViperStore(spec.build(perf), perf)
+    store.bulk_load(items)
+    with parallel_sharded_store(
+        spec, 2, perf=perf, transport="loopback"
+    ) as engine:
+        engine.bulk_load(items)
+        for label, target in (("index", index), ("store", store),
+                              ("engine", engine)):
+            for count in (1, 3, 50):
+                want = [[], [], items[:count]]
+                starts = [math.nan, math.inf, -math.inf]
+                assert [target.scan(s, count) for s in starts] == want, label
+                _assert_parity(target, perf, starts, count, label)
+
+
 # ------------------------------------------------------------- raising
 
 
@@ -295,6 +325,30 @@ def test_hash_index_batched_executor_raises_cleanly():
 
 
 # ------------------------------------------------------------- executor
+
+
+@pytest.mark.parametrize(
+    "spec", [p for p in _spec_params() if p.id != "ALEX"]
+)
+def test_executor_batches_reads_with_identical_accounting(spec):
+    """Batched READ dispatch bills what the scalar loop bills, on every
+    spec but ALEX, whose gapped leaf prices a batch read in aggregate."""
+    perf = PerfContext()
+    index = spec.build(perf)
+    keys = _keys(1500)
+    index.bulk_load([(k, k) for k in keys])
+    rng = random.Random(43)
+    ops = [
+        Operation(OpKind.READ, key=rng.choice(keys) + rng.choice((0, 1)))
+        for _ in range(300)
+    ]
+    mark = perf.begin()
+    execute_ops(IndexAdapter(index), ops, perf, batch_size=1)
+    scalar_delta = perf.end(mark).counters
+    mark = perf.begin()
+    batched = execute_ops(IndexAdapter(index), ops, perf, batch_size=64)
+    assert perf.end(mark).counters == scalar_delta
+    assert len(batched.by_kind[OpKind.READ]) == len(ops)
 
 
 def test_executor_batches_scans_with_identical_accounting():

@@ -5,12 +5,16 @@ from a replay of the probe path; ``tests/oracles/search_loops.py`` keeps
 the loops that read the keys and charge each probe as they go.  For every
 search shape, seeded random cases (at least 10,000 per shape) and an
 exhaustive sweep of small arrays compare the answer and the full event
-ledger.
+ledger.  The batch forms answer a batch with one ``searchsorted`` and
+bill the same replays; each is held equal to the loop of its scalar
+search over every (guess, answer) pair of small arrays and over seeded
+large ones, next to 2^63 and 2^64 - 1 too.
 """
 
 import random
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from repro.core import search
@@ -189,3 +193,107 @@ def test_halving_searches_borders(n):
             for hi in (lo, min(n - 1, lo + 1), min(n - 1, lo + 17), n - 1):
                 _same(search.bounded_binary_search,
                       loops.bounded_binary_search, keys, key, lo, hi)
+
+
+# -- batch forms: each equals the loop of its scalar search ------------------
+
+
+def _same_batch(many, scalar, keys, queries, *per_query):
+    """Run a batch form once and its scalar search per query on fresh
+    ledgers; compare the answers and the full ledgers.  ``per_query``
+    holds one list per trailing scalar argument (a guess, or a window's
+    bounds)."""
+    perf_many, perf_loop = PerfContext(), PerfContext()
+    arrays = [np.array(a, dtype=np.int64) for a in per_query]
+    got = many(np.array(keys, dtype=np.uint64),
+               np.array(queries, dtype=np.uint64), *arrays, perf_many)
+    want = [scalar(keys, q, *args, perf_loop)
+            for q, *args in zip(queries, *per_query)]
+    assert got.tolist() == want, many.__name__
+    assert perf_many.counters == perf_loop.counters, (
+        many.__name__, perf_many.counters, perf_loop.counters
+    )
+
+
+def _rank_whole(keys, key, guess, perf):
+    return search.rank_search(keys, 0, len(keys) - 1, key, guess, perf)
+
+
+def _bounded(keys, key, lo, hi, perf):
+    return search.bounded_binary_search(keys, key, lo, hi, perf)
+
+
+def _every_pair(keys):
+    """Every query of :func:`_every_probe` at every guess in and around
+    the array, as parallel query and guess lists."""
+    n = len(keys)
+    probes = [p for p in _every_probe(keys) if p >= 0]
+    pairs = [(p, g) for p in probes for g in range(-2, n + 2)]
+    return [p for p, _ in pairs], [g for _, g in pairs]
+
+
+@pytest.mark.parametrize("base", [1, 2**63 - 41, 2**64 - 81])
+def test_gallop_batch_forms_every_guess_and_answer(base):
+    """Arrays of 1-40 keys, so both billing paths (the table up to
+    ``GALLOP_TABLE_KEYS``, the memo and border replays above it), every
+    answer at every guess, next to 2^63 and to 2^64 - 1 too."""
+    for n in range(1, 41):
+        keys = list(range(base, base + 2 * n, 2))
+        queries, guesses = _every_pair(keys)
+        _same_batch(search.rank_search_many, _rank_whole,
+                    keys, queries, guesses)
+        _same_batch(search.exponential_search_many,
+                    search.exponential_search, keys, queries, guesses)
+
+
+@pytest.mark.parametrize("base", [1, 2**64 - 81])
+def test_halving_batch_form_every_window_and_answer(base):
+    for n in range(1, 41):
+        keys = list(range(base, base + 2 * n, 2))
+        windows = [(lo, hi) for lo in range(n)
+                   for hi in sorted({lo, min(n - 1, lo + 1),
+                                     min(n - 1, lo + 17), n - 1})]
+        cases = [(p, lo, hi) for lo, hi in windows
+                 for p in _every_probe(keys[lo : hi + 1])]
+        _same_batch(search.bounded_binary_search_many, _bounded, keys,
+                    [p for p, _, _ in cases], [lo for _, lo, _ in cases],
+                    [hi for _, _, hi in cases])
+
+
+def _large_case(rng):
+    """A sorted array past the gallop table's size, with queries at both
+    borders and inside, and guesses near, far from and outside them."""
+    n = rng.randint(search.GALLOP_TABLE_KEYS + 1, 3000)
+    shape = rng.randrange(3)
+    if shape == 0:
+        keys = sorted(rng.sample(range(1, 20 * n), n))
+    elif shape == 1:  # straddling 2^63
+        keys = sorted(rng.sample(range(2**63 - 10 * n, 2**63 + 10 * n), n))
+    else:  # up to 2^64 - 1
+        keys = sorted(rng.sample(range(2**64 - 20 * n, 2**64), n))
+    queries, guesses = [], []
+    for _ in range(600):
+        at = rng.choice([rng.randrange(8), n - 1 - rng.randrange(8),
+                         rng.randrange(n)])
+        q = min(keys[at] + rng.choice([-1, 0, 0, 1]), 2**64 - 1)
+        near = bisect_right(keys, q) - 1
+        queries.append(max(q, 0))
+        guesses.append(_guess(rng, 0, n - 1, near))
+    return keys, queries, guesses
+
+
+def test_batch_forms_on_large_arrays():
+    rng = random.Random(707)
+    for _ in range(40):
+        keys, queries, guesses = _large_case(rng)
+        _same_batch(search.rank_search_many, _rank_whole,
+                    keys, queries, guesses)
+        _same_batch(search.exponential_search_many,
+                    search.exponential_search, keys, queries, guesses)
+        n = len(keys)
+        los = [rng.randrange(n) for _ in queries]
+        his = [min(n - 1, lo + rng.choice([0, 1, 15, 64, n])) for lo in los]
+        inside = [min(max(q, keys[lo]), keys[hi])
+                  for q, lo, hi in zip(queries, los, his)]
+        _same_batch(search.bounded_binary_search_many, _bounded,
+                    keys, inside, los, his)

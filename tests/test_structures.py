@@ -15,6 +15,8 @@ from repro.core.structures import (
     RMIStructure,
     exponential_search,
 )
+from repro.core.structures.base import InternalStructure
+from repro.core.structures.hot_ats import HotATSStructure
 from repro.errors import EmptyIndexError, InvalidConfigurationError
 from repro.perf import PerfContext
 
@@ -234,3 +236,70 @@ class TestStructureCosts:
             cost_many = self._cost_per_lookup(make(PerfContext()), many, keys)
             cost_few = self._cost_per_lookup(make(PerfContext()), few, keys)
             assert cost_few < cost_many, f"{make(PerfContext()).name}"
+
+
+# -- batch routing: lookup_many equals the loop of lookup --------------------
+
+BATCH_STRUCTURES = {
+    "RMI": lambda perf: RMIStructure(branching=64, perf=perf),
+    "BTREE": lambda perf: BTreeStructure(fanout=4, perf=perf),
+    "LRS": lambda perf: LRSStructure(eps=2, perf=perf),
+    "ATS": lambda perf: ATSStructure(
+        max_node_fences=4, max_fanout=4, error_threshold=0, perf=perf
+    ),
+    "HotATS": lambda perf: HotATSStructure(max_node_fences=8, perf=perf),
+    "RadixTable": lambda perf: RadixTableStructure(r_bits=6, perf=perf),
+}
+
+
+def _subclasses(cls):
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _subclasses(sub)
+    return out
+
+
+def test_batch_structures_cover_every_structure():
+    """Every structure is held to the batch contract below, and none
+    overrides ``lookup_many`` itself: the base method is the one batch
+    entry, which perfbench's layer tracer wraps."""
+    built = {type(make(PerfContext())) for make in BATCH_STRUCTURES.values()}
+    shipped = {c for c in _subclasses(InternalStructure)
+               if c.__module__.startswith("repro.")}
+    assert built == shipped
+    for cls in built:
+        assert "lookup_many" not in vars(cls), cls.__name__
+
+
+def _fence_sets():
+    rng = random.Random(808)
+    return {
+        "one": [1000],
+        "few": [7, 50, 51, 900],
+        "dense": list(range(100, 5100, 5)),
+        "random": sorted(rng.sample(range(1, 2**48), 2000)),
+        "across-2^63": sorted(rng.sample(range(2**63 - 10**6, 2**63 + 10**6),
+                                         700)),
+        "top": sorted(rng.sample(range(2**64 - 10**5, 2**64), 300)),
+        "whole-range": sorted({rng.randrange(2**64) for _ in range(500)}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_STRUCTURES))
+@pytest.mark.parametrize("fence_set", sorted(_fence_sets()))
+def test_lookup_many_equals_lookup_loop(name, fence_set):
+    """Answers and full ledgers, on a shuffled batch of every fence, its
+    neighbours, keys below the first fence, 0, 2^63 and 2^64 - 1."""
+    fences = _fence_sets()[fence_set]
+    rng = random.Random(fence_set)
+    batch = [0, 2**63, 2**63 - 1, 2**64 - 1, max(0, fences[0] - 1)]
+    for f in fences:
+        batch += [f, max(0, f - 1), min(f + 1, 2**64 - 1)]
+    rng.shuffle(batch)
+    perf_loop, perf_many = PerfContext(), PerfContext()
+    loop, many = (BATCH_STRUCTURES[name](p) for p in (perf_loop, perf_many))
+    loop.build(fences)
+    many.build(fences)
+    want = [loop.lookup(k) for k in batch]
+    assert many.lookup_many(batch).tolist() == want
+    assert perf_many.counters == perf_loop.counters
