@@ -6,8 +6,8 @@ Python implementation, not simulated nanoseconds: fixed seed, fixed
 start-key sets, so two runs on the same machine are comparable.
 
 Measured per index (PGM-static — the read figure's "PGM"; the dynamic
-LSM variant keeps the per-item fallback by design — plus ALEX and
-BTree):
+LSM variant keeps the per-item fallback by design — plus ALEX, BTree
+and XIndex):
 
 * ``scan``        — scalar 50-record scans per second.
 * ``scan_many``   — the same start keys answered through the batch API.
@@ -47,8 +47,11 @@ from repro.workloads.ycsb import split_load_and_inserts
 
 SEED = 43
 
-#: Registry aliases of the measured indexes.
-INDEXES = ("pgm-static", "alex", "btree")
+#: Registry aliases of the measured indexes.  XIndex's row guards the
+#: composed indexes' small batches: YCSB-E draws a scan length per op, so
+#: nearly every batched call of its ``ycsbe_batched`` mix is a one-start
+#: ``scan_many``, which must keep the per-start walk.
+INDEXES = ("pgm-static", "alex", "btree", "xindex")
 
 SCAN_LENGTH = 50
 #: Starts per scan_many call — the serving stack's batch granularity.

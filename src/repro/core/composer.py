@@ -180,35 +180,64 @@ class ComposedIndex(UpdatableIndex):
     def scan_many(
         self, starts: Sequence[Key], count: int
     ) -> List[List[Tuple[Key, Value]]]:
-        """Native batch scan: one structure lookup per start, then the
-        run is stitched from whole-leaf extractions.
+        """Native batch scan: sorted-batch leaf routing, then each run
+        is extracted leaf by leaf.
 
-        A scan spanning N leaves is N ``Leaf.scan_from`` slice copies
-        (of the occupied-slot view for gapped leaves, bounded merges for
-        buffered/fine-bin ones) instead of ``count`` iterator item
-        probes.  Only the structure lookup charges events — exactly what
-        the scalar ``range`` walk charges — so totals stay bit-identical
-        to sequential :meth:`scan` calls.
+        A batch of at least ``MIN_VECTOR_KEYS`` (64) uint64 starts is
+        argsorted and routed with one ``InternalStructure.lookup_many``;
+        each leaf answers its routed starts with one ``Leaf.scan_many``
+        (one ``searchsorted`` and one gather for a gapped leaf).  A run
+        cut off by its leaf's end continues into the next leaves through
+        ``Leaf.scan_from``.  A smaller batch, or one holding a start that
+        is not a uint64 int, walks start by start: one structure lookup,
+        then ``scan_from`` per leaf.  Below the cutoff the numpy routing
+        costs more than the walk (a one-start batch 3-13x; see
+        ``docs/performance.md``), and every ``ViperStore.scan`` is a
+        one-start batch.  Either way a scan spanning N leaves is N slice
+        copies or bounded merges instead of ``count`` iterator steps,
+        and only the structure lookups charge events, which is what the
+        scalar ``range`` walk charges, so totals stay bit-identical to
+        sequential :meth:`scan` calls.  Every answer is a new list.
         """
         if not self.leaves or count <= 0:
             return [[] for _ in starts]
-        leaves = self.leaves
-        n_leaves = len(leaves)
-        results: List[List[Tuple[Key, Value]]] = []
-        for start in starts:
-            out: List[Tuple[Key, Value]] = []
-            results.append(out)
-            if type(start) is not int:
-                start = scan_start(start)
-                if start is None:
-                    continue
-            idx = self.structure.lookup(start)
-            while idx < n_leaves and len(out) < count:
-                run = leaves[idx].scan_from(start, count - len(out))
-                if run:
-                    out.extend(run)
-                idx += 1
+        n = len(starts)
+        qs = _vec.as_u64(starts) if n >= _vec.MIN_VECTOR_KEYS else None
+        if qs is None:
+            results = []
+            for start in starts:
+                out: List[Tuple[Key, Value]] = []
+                results.append(out)
+                if type(start) is not int:
+                    start = scan_start(start)
+                    if start is None:
+                        continue
+                self._scan_on(out, start, self.structure.lookup(start), count)
+            return results
+        np = _vec.np
+        order = np.argsort(qs, kind="stable")
+        sorted_qs = qs[order]
+        leaf_idx = self.structure.lookup_many(sorted_qs)
+        positions = order.tolist()
+        keys = sorted_qs.tolist()
+        results = [None] * n
+        for li, a, b in _runs(leaf_idx):
+            runs = self.leaves[li].scan_many(sorted_qs[a:b], count)
+            for pos, start, out in zip(positions[a:b], keys[a:b], runs):
+                if len(out) < count:
+                    self._scan_on(out, start, li + 1, count)
+                results[pos] = out
         return results
+
+    def _scan_on(
+        self, out: List[Tuple[Key, Value]], start: int, idx: int, count: int
+    ) -> None:
+        """Extend ``out`` from leaf ``idx`` onward until it holds
+        ``count`` pairs or the leaves run out."""
+        leaves = self.leaves
+        while idx < len(leaves) and len(out) < count:
+            out.extend(leaves[idx].scan_from(start, count - len(out)))
+            idx += 1
 
     # -- mutation -----------------------------------------------------------
 

@@ -123,14 +123,17 @@ class Leaf(ABC):
                 yield key, value
 
     def scan_from(self, lo: int, limit: int) -> List[Tuple[int, Any]]:
-        """Up to ``limit`` pairs with key >= ``lo``, ascending.
+        """Up to ``limit`` pairs with key >= ``lo``, ascending, as a new
+        list.
 
         The range-extraction primitive behind ``ComposedIndex.scan_many``:
-        one call hands back a whole run from this leaf instead of
-        ``limit`` iterator steps.  Like :meth:`iter_range` it charges
-        nothing (the composed index bills positioning at the structure
-        level); strategies with an indexable storage backend override the
-        default bounded iteration with a slice/merge fast path.
+        one call hands back this leaf's part of a run, which the composed
+        index continues into the next leaves while it is short.  Like
+        :meth:`iter_range` it charges nothing: the composed index bills
+        positioning at the structure level.  The default walks
+        :meth:`items`; every strategy overrides it with a bisect plus a
+        slice or a bounded merge over its own storage (the list-backed
+        gapped leaf in ``tests/oracles`` keeps the default).
         """
         out: List[Tuple[int, Any]] = []
         for pair in self.iter_range(lo, 2**64 - 1):
@@ -138,6 +141,17 @@ class Leaf(ABC):
             if len(out) >= limit:
                 break
         return out
+
+    def scan_many(self, starts: Any, limit: int) -> List[List[Tuple[int, Any]]]:
+        """Batch :meth:`scan_from`: position ``i`` answers
+        ``scan_from(starts[i], limit)``, each a new list.
+
+        ``starts`` is an ascending ``uint64`` array, one routed run of a
+        batch scan.  The default is the loop of :meth:`scan_from` over
+        the starts as ints; a strategy may override it with one pass over
+        its storage.  Like :meth:`scan_from` it charges nothing.
+        """
+        return [self.scan_from(lo, limit) for lo in starts.tolist()]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(first_key={self.first_key}, n={self.n})"

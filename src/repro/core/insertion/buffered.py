@@ -126,9 +126,8 @@ class BufferedLeaf(Leaf):
         """Bounded two-way merge of the main run and the insert buffer.
 
         Both sides are bisected to their first key >= ``lo`` and merged
-        only until ``limit`` pairs are out — the ``items()``-based
-        default would materialise and merge the whole leaf first.
-        Charges nothing, like the default it replaces.
+        only until ``limit`` pairs are out, instead of materialising and
+        merging the whole leaf as :meth:`items` does.  Charges nothing.
         """
         out: List[Tuple[int, Any]] = []
         i = bisect_left(self._keys, lo)

@@ -196,8 +196,7 @@ class FineBinLeaf(Leaf):
 
         Starts at the insertion position of ``lo`` (so only that
         position's bin needs key filtering) instead of walking every
-        earlier position the way the ``items()``-based default does.
-        Charges nothing, like the default it replaces.
+        earlier position the way :meth:`items` does.  Charges nothing.
         """
         out: List[Tuple[int, Any]] = []
         start = bisect_left(self._keys, lo)

@@ -19,8 +19,9 @@ view and share one cached occupied-slot view, ``(positions, keys)``,
 which every slot mutator drops and ``insert_batch`` and construction
 replace with the layout they just placed.  Keys and values move only by
 gathering and scattering at those positions: building a leaf, merging a
-batch into it, answering ``get_many``/``scan_from``/``items`` and handing
-a retrain its live arrays (``live_arrays``) run no per-slot Python loop.
+batch into it, answering ``get_many``/``scan_from``/``scan_many``/
+``items`` and handing a retrain its live arrays (``live_arrays``) run no
+per-slot Python loop.
 
 The charges are those of the original ``List[Optional[int]]`` slot
 array searched probe by probe — same ``DRAM_SEQ`` stride counts, same
@@ -510,8 +511,7 @@ class GappedLeaf(Leaf):
         comes out as one slice — no per-slot gap skipping.  The search
         value is an exact ``uint64``: numpy compares a Python int with a
         ``uint64`` array as float64, which is inexact above 2^53.
-        Charges nothing, exactly like the ``items()``-based default it
-        replaces.
+        Charges nothing.
         """
         start = scan_start(lo)
         if self._occupied == 0 or start is None:
@@ -523,6 +523,26 @@ class GappedLeaf(Leaf):
         return list(
             zip(compact[run].tolist(), self._values[pos[run]].tolist())
         )
+
+    def scan_many(self, starts: Any, limit: int) -> List[List[Tuple[int, Any]]]:
+        """Batch :meth:`scan_from` of an ascending ``uint64`` array: one
+        ``searchsorted`` over the occupied-slot view and one gather of
+        every run's keys and values, cut into one new list per start.
+        Charges nothing, like :meth:`scan_from`."""
+        if not len(starts):
+            return []
+        np = _vec.np
+        pos, compact = self._occupied_slots()
+        at = np.searchsorted(compact, starts, side="left")
+        lens = np.minimum(at + min(limit, compact.size), compact.size) - at
+        ends = np.cumsum(lens)
+        # Run r's view indexes at[r] .. at[r] + lens[r] - 1, back to back.
+        take = np.arange(int(ends[-1])) + np.repeat(at - (ends - lens), lens)
+        pairs = list(
+            zip(compact[take].tolist(), self._values[pos[take]].tolist())
+        )
+        cuts = ends.tolist()
+        return [pairs[a:b] for a, b in zip([0] + cuts, cuts)]
 
     def items(self) -> List[Tuple[int, Any]]:
         keys, values = self.live_arrays()

@@ -10,6 +10,7 @@ in the node, so the average shift distance grows).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.approximation.base import LinearModel
@@ -160,6 +161,15 @@ class InplaceLeaf(Leaf):
             self._values[self._right] = None
         self._dirty += 1
         return True
+
+    def scan_from(self, lo: int, limit: int) -> List[Tuple[int, Any]]:
+        """Bisect the dense run ``[_left, _right)`` to its first key >=
+        ``lo`` and slice up to ``limit`` pairs from there, instead of
+        building every pair of the leaf as :meth:`items` does.  Charges
+        nothing."""
+        i = bisect_left(self._keys, lo, self._left, self._right)
+        j = min(i + limit, self._right)
+        return list(zip(self._keys[i:j], self._values[i:j]))
 
     def items(self) -> List[Tuple[int, Any]]:
         return [

@@ -458,7 +458,15 @@ class DynamicPGMIndex(UpdatableIndex):
                 yield k, v
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.range(0, 2**64))
+        """Live keys: the newest copy of each key decides and a tombstone
+        counts none, as in :meth:`range`.  Reads the buffer and the
+        levels' pairs directly, so a metadata call charges nothing."""
+        newest = dict(self._buffer)
+        for level in self._levels:
+            if level is not None:
+                for key, value in level.items_list():
+                    newest.setdefault(key, value)
+        return sum(value is not _TOMBSTONE for value in newest.values())
 
     # -- metadata -----------------------------------------------------------
 

@@ -443,14 +443,17 @@ class BPlusTree(UpdatableIndex):
         )
 
     def _count_leaves(self) -> int:
+        return sum(1 for _ in self.leaf_nodes())
+
+    def leaf_nodes(self) -> Iterator[_LeafNode]:
+        """The leaves in key order, along the leaf chain; charges
+        nothing (a metadata walk, not a search)."""
         node = self._root
         while isinstance(node, _InnerNode):
             node = node.children[0]
-        count = 0
         while node is not None:
-            count += 1
+            yield node
             node = node.next
-        return count
 
     @classmethod
     def capabilities(cls) -> Capabilities:

@@ -208,10 +208,13 @@ class Masstree(UpdatableIndex):
         return self._size_of_layer(self._root)
 
     def _size_of_layer(self, layer: _Layer) -> int:
+        """The layer's tree plus its sub-layers, found by walking the
+        tree's leaf chain, so a metadata call charges nothing."""
         total = layer.tree.size_bytes()
-        for _, entry in layer.tree.range(0, (1 << 68) + 15):
-            if isinstance(entry, _LayerEntry):
-                total += self._size_of_layer(entry.layer)
+        for leaf in layer.tree.leaf_nodes():
+            for entry in leaf.values:
+                if isinstance(entry, _LayerEntry):
+                    total += self._size_of_layer(entry.layer)
         return total
 
     def stats(self) -> IndexStats:

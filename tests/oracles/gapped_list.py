@@ -180,4 +180,5 @@ class ListGappedLeaf(GappedLeaf):
     get_many = Leaf.get_many
     insert_batch = Leaf.insert_batch
     scan_from = Leaf.scan_from
+    scan_many = Leaf.scan_many
     live_arrays = Leaf.live_arrays

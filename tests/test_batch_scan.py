@@ -26,6 +26,8 @@ from repro.concurrency.parallel import (
     parallel_sharded_index,
     parallel_sharded_store,
 )
+from repro.core.approximation.vectorized import MIN_VECTOR_KEYS
+from repro.core.composer import ComposedIndex
 from repro.core.interfaces import SortedIndex
 from repro.errors import UnsupportedOperationError
 from repro.registry import has_native_batch_scan, resolve, specs
@@ -45,6 +47,29 @@ def _spec_params():
 def _keys(n=N_KEYS, seed=4321):
     rng = random.Random(seed)
     return sorted(rng.sample(range(1, 2**48), n))
+
+
+def _composed_params():
+    return [
+        p for p in _spec_params()
+        if isinstance(p.values[0].build(PerfContext()), ComposedIndex)
+    ]
+
+
+#: Build overrides that cut ``_spread_keys`` into dozens of leaves on
+#: every composed spec (ALEX's default segment holds 16,384 keys).
+_SMALL_LEAVES = {"ALEX": {"segment_size": 128}}
+
+
+def _spread_keys(n=3000, seed=5):
+    """Keys with lognormal gaps: curved enough that the composed specs
+    cut them into 12-35 leaves of at most 256 keys."""
+    rng = random.Random(seed)
+    keys, k = [], 0
+    for _ in range(n):
+        k += int(rng.lognormvariate(10, 2.5)) + 1
+        keys.append(k)
+    return keys
 
 
 def _start_batches(keys, n=80):
@@ -129,6 +154,60 @@ class TestFlatIndex:
         index.bulk_load(items)
         (run,) = index.scan_many([keys[5]], 700)
         assert run == items[5 : 5 + 700]
+
+    @pytest.mark.parametrize("spec", _composed_params())
+    def test_batch_sizes_around_the_routing_cutoff(self, spec, monkeypatch):
+        """Batches of 1, cutoff - 1, cutoff and 1,024 starts answer and
+        bill as sequential scans do: below the cutoff the batch walks
+        start by start, from it on one ``lookup_many`` routes it.  Every
+        full run of the longest count spans three or more leaves, and
+        starts 0 and 2^64 - 1 ride in every size."""
+        perf = PerfContext()
+        index = spec.build(perf, **_SMALL_LEAVES.get(spec.name, {}))
+        keys = _spread_keys()
+        index.bulk_load([(k, k * 3) for k in keys])
+        longest = 600
+        assert 2 * max(leaf.n for leaf in index.leaves) < longest
+        routed = []
+        lookup_many = index.structure.lookup_many
+        monkeypatch.setattr(
+            index.structure, "lookup_many",
+            lambda qs: routed.append(len(qs)) or lookup_many(qs),
+        )
+        rng = random.Random(spec.name)
+        cut = MIN_VECTOR_KEYS
+        for size in (1, cut - 1, cut, 1024):
+            body = [rng.choice(keys) + rng.randrange(2) for _ in range(size)]
+            batches = (
+                [[0], [2**64 - 1], body]
+                if size == 1
+                else [[0, 2**64 - 1] + body[2:]]
+            )
+            for starts in batches:
+                for count in (1, 50, longest):
+                    routed.clear()
+                    _assert_parity(index, perf, starts, count, size)
+                    assert routed == ([size] if size >= cut else [])
+
+    @pytest.mark.parametrize("spec", _spec_params())
+    def test_every_answer_is_a_fresh_list(self, spec):
+        """Mutating one answer of a batch scan leaves the other answers
+        (duplicate starts included) and a re-scan unchanged, on both
+        sides of the routing cutoff."""
+        index = spec.build(PerfContext())
+        if not isinstance(index, SortedIndex):
+            pytest.skip("hash index: covered by the raising tests")
+        keys = _keys()
+        index.bulk_load([(k, k * 3) for k in keys])
+        rng = random.Random(11)
+        for size in (4, 2 * MIN_VECTOR_KEYS):
+            starts = rng.sample(keys, size // 2) * 2
+            answers = index.scan_many(starts, 30)
+            want = [list(run) for run in answers]
+            answers[0].append((0, 0))
+            del answers[1][:]
+            assert answers[2:] == want[2:]  # both duplicates included
+            assert index.scan_many(starts, 30) == want
 
     def test_registry_flags_native_batch_scan(self):
         flagged = set()

@@ -1,7 +1,9 @@
 """Tests for leaf insertion strategies (paper dimension #3)."""
 
+import bisect
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.core.insertion import (
     InplaceLeaf,
     InsertResult,
 )
+from repro.core.insertion.fine_bins import FineBinLeaf
 from repro.core.insertion.strategies import fit_dense_model
 from repro.core.search import rank_search
 from repro.perf import PerfContext
@@ -45,6 +48,13 @@ def make_gapped(keys, cap=None, perf=None, density=None, upper_density=0.8):
     segment = GappedSegment(keys[0], 0, keys, density)
     values = [k * 2 for k in keys]
     return GappedLeaf(segment, values, perf, upper_density)
+
+
+def make_fine_bins(keys, bin_capacity=8, perf=None):
+    perf = perf or PerfContext()
+    model, max_err = fit_dense_model(keys)
+    values = [k * 2 for k in keys]
+    return FineBinLeaf(keys, values, model, max_err, bin_capacity, 1.0, perf)
 
 
 LEAF_MAKERS = [make_inplace, make_buffered, make_gapped]
@@ -141,6 +151,55 @@ class TestLeafBasics:
             if result is InsertResult.FULL:
                 break
         assert result is InsertResult.FULL
+
+
+class TestLeafScans:
+    """``scan_from`` and ``scan_many`` against a sorted dict oracle, on
+    every leaf strategy, after inserts and deletes have left state the
+    bulk load did not: a non-empty insert buffer, non-empty bins, gaps,
+    and keys shifted into both end reserves of the inplace leaf."""
+
+    @pytest.mark.parametrize(
+        "make", LEAF_MAKERS + [make_fine_bins], ids=lambda m: m.__name__
+    )
+    def test_scans_match_sorted_items(self, make):
+        rng = random.Random(5)
+        keys = sorted(rng.sample(range(2, 10**6, 2), 300))
+        leaf = make(keys)
+        oracle = {k: k * 2 for k in keys}
+        # Odd keys are fresh; 1 and 10**6 + 1 land below the first and
+        # above the last key, in the inplace leaf's two reserves.
+        for k in [1, 10**6 + 1] + rng.sample(range(3, 10**6, 2), 40):
+            assert leaf.insert(k, -k) is InsertResult.INSERTED
+            oracle[k] = -k
+        for k in rng.sample(sorted(oracle), 30):
+            assert leaf.delete(k)
+            del oracle[k]
+        if isinstance(leaf, InplaceLeaf):
+            assert leaf._left < 32 and leaf._right > 32 + len(keys)
+        elif isinstance(leaf, BufferedLeaf):
+            assert leaf.buffer_fill() > 0
+        elif isinstance(leaf, FineBinLeaf):
+            assert leaf._bins
+        else:
+            assert leaf.n < leaf.slots
+        pairs = sorted(oracle.items())
+        assert leaf.items() == pairs
+        ordered = [k for k, _ in pairs]
+        starts = sorted(
+            {0, 1, 2**64 - 1}
+            | set(rng.sample(ordered, 40))
+            | {k + 1 for k in rng.sample(ordered, 40)}
+        )
+        for limit in (1, 7, 50, 500):
+            want = [
+                pairs[i : i + limit]
+                for i in (bisect.bisect_left(ordered, s) for s in starts)
+            ]
+            assert [leaf.scan_from(s, limit) for s in starts] == want
+            got = leaf.scan_many(np.array(starts, dtype=np.uint64), limit)
+            assert got == want, limit
+        assert leaf.scan_many(np.array([], dtype=np.uint64), 5) == []
 
 
 class TestLeafOracle:

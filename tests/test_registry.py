@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro import registry
 from repro.cli import main as cli_main
+from repro.concurrency.parallel import ParallelShardedStore
 from repro.core.interfaces import Index
 from repro.errors import InvalidConfigurationError
 from repro.perf import PerfContext
@@ -25,6 +26,7 @@ from repro.registry import (
     resolve,
     specs,
 )
+from repro.store.viper import ViperStore
 
 
 # ComposedIndex is the recombination framework, not a competitor: it has
@@ -113,6 +115,57 @@ class TestFactories:
         for k, v in rng.sample(items, 100):
             assert index.get(k) == v, f"{spec.name} lost key {k}"
         assert index.get(keys[0] + 1) is None
+
+    @pytest.mark.parametrize("spec", specs(), ids=lambda s: s.name)
+    def test_metadata_calls_charge_nothing(self, spec):
+        """``len``, ``size_bytes``, ``key_store_bytes`` and ``stats`` run
+        no charged search: on the bare index, through a ``ViperStore``
+        (``space_overhead``) and through a 2-shard engine they leave the
+        simulated ledger as it was, and ``len`` counts the live keys.
+        An updatable spec first takes 67 fresh keys and one delete, so
+        staging buffers, tombstones and leaf buffers hold state to
+        count."""
+        rng = random.Random(spec.name)
+        keys = sorted(rng.sample(range(1, 2**40), 1067))
+        fresh = rng.sample(keys, 67)
+        taken = set(fresh)
+        items = [(k, k) for k in keys if k not in taken]
+        writable = spec.build(PerfContext()).capabilities().updatable
+        perf = PerfContext()
+
+        def load(target, put):
+            target.bulk_load(items)
+            if writable:
+                for k in fresh:
+                    put(k, k)
+                assert target.delete(items[0][0])
+
+        index = spec.build(perf)
+        load(index, index.upsert)
+        store = ViperStore(spec.build(perf), perf)
+        load(store, store.put)
+        engine = ParallelShardedStore(
+            spec, 2, perf=perf, transport="loopback"
+        )
+        try:
+            load(engine, engine.put)
+            calls = {
+                "index": lambda: (len(index), index.size_bytes(),
+                                  index.key_store_bytes(), index.stats()),
+                "store": lambda: (len(store), store.space_overhead(),
+                                  store.index.stats()),
+                "engine": lambda: (len(engine), engine.stats(),
+                                   engine.space_overhead()),
+            }
+            for label, call in calls.items():
+                mark = perf.begin()
+                call()
+                bill = perf.end(mark).counters
+                assert bill.total() == 0, (label, bill)
+            live = len(items) + (len(fresh) - 1 if writable else 0)
+            assert len(index) == len(store) == len(engine) == live
+        finally:
+            engine.close()
 
     def test_build_kwarg_overrides(self):
         index = resolve("cceh").build(PerfContext(), segment_bits=4)
